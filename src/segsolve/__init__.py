@@ -1,7 +1,6 @@
 """Equilibria and segregation metrics for housing-then-school-choice markets."""
 from .cdf import (CdfError, PiecewiseLinear, Power, SignalCdf, SingleKink,
-                  Uniform, cdf_eval, cdf_from_config, cdf_inverse,
-                  enumerate_single_kink, validate)
+                  Uniform, cdf_from_config, enumerate_single_kink, validate)
 from .economy import (EconomyError, EconomyParams, WealthDist, binary_wealth,
                       check_assumption1, check_assumption2, example_economy,
                       price_bounds)
@@ -9,9 +8,10 @@ from .equilibrium import (AssumptionError, BracketFailureError, Equilibrium,
                           InteriorViolationError, NoFixedPointError,
                           SolveError, solve, solve_closed_form_uniform,
                           solve_policy, verify_lemma1)
-from .mechanisms import (CORE, AggregateFlows, DegenerateChoiceError,
-                         Mechanism, aggregate_flows, delta_u, gamma,
-                         policy_delta_u, r_da_uniform, rejection)
+from .mechanisms import (CORE, CORE_ALGEBRA, AggregateFlows, CoreAlgebra,
+                         DegenerateChoiceError, Mechanism, aggregate_flows,
+                         delta_u, gamma, policy_delta_u, r_da_uniform,
+                         rejection)
 from .segregation import (Comparison, NegativeMassError, SegregationProfile,
                           SignMismatchError, check_theorems, compare,
                           expansion_rate, neighborhood_profile, school_profile)

@@ -259,10 +259,6 @@ def policy_table(params: EconomyParams | None = None) -> list[PolicyRow]:
     return rows
 
 
-def table_two(params: EconomyParams | None = None) -> list[PolicyRow]:
-    return policy_table(params)
-
-
 def tables_match() -> tuple[bool, list[str]]:
     """Compare both tables to the published integers at +-1."""
     problems = []
@@ -273,7 +269,7 @@ def tables_match() -> tuple[bool, list[str]]:
             if abs(g - w) > 1:
                 problems.append(f"table1 {row.scenario}: {got} vs {want}")
                 break
-    for row in table_two():
+    for row in policy_table():
         got = row.rounded()
         want = REFERENCE_TABLE2[row.policy]
         for g, w in zip(got, want):

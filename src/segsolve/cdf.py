@@ -39,23 +39,11 @@ class SignalCdf:
     def value(self, x: float) -> float:
         raise NotImplementedError
 
-    def value_extended(self, x: float) -> float:
-        """Evaluate F, continued linearly past 1 with the terminal slope.
-
-        Diagnostic only; the solver never evaluates outside [0, 1].
-        """
-        if x <= 1.0:
-            return self.value(x)
-        return 1.0 + self.slope_at_one() * (x - 1.0)
-
     def inverse(self, y: float) -> float:
         raise NotImplementedError
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Vectorized inverse for inverse-transform sampling."""
-        raise NotImplementedError
-
-    def slope_at_one(self) -> float:
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -77,15 +65,13 @@ class PiecewiseLinear(SignalCdf):
         if len(self.knots) < 2:
             raise CdfError("need at least two knots")
         object.__setattr__(self, "knots", tuple((float(x), float(y)) for x, y in self.knots))
-
-    def _xy(self) -> tuple[list[float], list[float]]:
-        xs = [k[0] for k in self.knots]
-        ys = [k[1] for k in self.knots]
-        return xs, ys
+        # knot coordinates, split once for the hot value/inverse calls
+        object.__setattr__(self, "_xs", tuple(x for x, _ in self.knots))
+        object.__setattr__(self, "_ys", tuple(y for _, y in self.knots))
 
     def value(self, x: float) -> float:
         _check_domain(x)
-        xs, ys = self._xy()
+        xs, ys = self._xs, self._ys
         i = bisect.bisect_right(xs, x)
         if i >= len(xs):
             return ys[-1]
@@ -100,7 +86,7 @@ class PiecewiseLinear(SignalCdf):
     def inverse(self, y: float) -> float:
         if not (0.0 <= y <= 1.0):
             raise CdfError(f"probability {y!r} outside [0, 1]")
-        xs, ys = self._xy()
+        xs, ys = self._xs, self._ys
         for i in range(1, len(xs)):
             y0, y1 = ys[i - 1], ys[i]
             if y > y1 + 1e-15:
@@ -115,16 +101,11 @@ class PiecewiseLinear(SignalCdf):
         return xs[-1]
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
-        xs, ys = self._xy()
+        xs, ys = self._xs, self._ys
         # truncate after the first knot reaching probability 1 so np.interp
         # maps u=1 to the smallest such signal
         cut = next(i for i, y in enumerate(ys) if y >= 1.0 - 1e-15)
         return np.interp(u, ys[: cut + 1], xs[: cut + 1])
-
-    def slope_at_one(self) -> float:
-        xs, ys = self._xy()
-        x0, x1 = xs[-2], xs[-1]
-        return (ys[-1] - ys[-2]) / (x1 - x0) if x1 > x0 else 0.0
 
     def to_config(self) -> dict:
         return {"type": "piecewise", "knots": [[x, y] for x, y in self.knots]}
@@ -171,9 +152,6 @@ class Power(SignalCdf):
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(u) ** (1.0 / self.alpha)
-
-    def slope_at_one(self) -> float:
-        return self.alpha
 
     def to_config(self) -> dict:
         return {"type": "power", "alpha": self.alpha}
@@ -282,10 +260,3 @@ def cdf_from_config(cfg: dict) -> SignalCdf:
         f = Power(float(cfg["alpha"]))
     return require_valid(f)
 
-
-def cdf_eval(f: SignalCdf, x: float) -> float:
-    return f.value(x)
-
-
-def cdf_inverse(f: SignalCdf, y: float) -> float:
-    return f.inverse(y)

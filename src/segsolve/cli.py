@@ -121,7 +121,7 @@ def cmd_compare(args) -> int:
 
 def cmd_tables(args) -> int:
     rows1 = benchmarks.table_one()
-    rows2 = benchmarks.table_two()
+    rows2 = benchmarks.policy_table()
     out = []
     mismatch = False
     out.append("scenario        poorC1  poor  rich total poorQ%   reference        match")

@@ -158,19 +158,15 @@ def check_assumption1(params: EconomyParams) -> AssumptionReport:
 
 
 def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
-    """Price interval [p_hat, p_bar] supporting an interior equilibrium."""
+    """Price interval [p_hat, p_bar] supporting an interior equilibrium:
+    r gamma(s) at s = F^-1(1-q) and at s = 1-q."""
     from . import mechanisms as mx
 
     mech = mx.Mechanism(mech)
     r_hat = mx.rejection(params, mech)
-    q, g, e, pi = params.q, params.g, params.e, params.pi
-    p_hat = r_hat * mx.gamma(mech, params.cdf.inverse(1.0 - q), params)
-    if mech == mx.Mechanism.N:
-        p_bar = r_hat * (1.0 - q - g)
-    elif mech == mx.Mechanism.DA:
-        p_bar = r_hat * ((1.0 - pi) * (1.0 - q - g) + pi * e)
-    else:
-        p_bar = r_hat * ((1.0 - 2.0 * pi) * (1.0 - q) + 2.0 * pi * e - g)
+    gamma = mx.CORE_ALGEBRA[mech].gamma
+    p_hat = r_hat * gamma(params.cdf.inverse(1.0 - params.q), params)
+    p_bar = r_hat * gamma(1.0 - params.q, params)
     if p_hat > p_bar + 1e-12:
         raise EconomyError(f"price bounds inverted for {mech.value}: {p_hat} > {p_bar}")
     return p_hat, p_bar
@@ -185,7 +181,7 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
     from . import mechanisms as mx
 
     if mechs is None:
-        mechs = (mx.Mechanism.N, mx.Mechanism.DA, mx.Mechanism.TTC)
+        mechs = mx.CORE
     checks = []
     for mech in mechs:
         mech = mx.Mechanism(mech)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -80,6 +79,25 @@ def _require_assumptions(params: EconomyParams, mech: mx.Mechanism) -> None:
         raise AssumptionError(f"assumption 2 fails for {mech.value}: {a2.failures()}")
 
 
+def _cdf_at(f, s: float) -> float:
+    """F(s) with s clamped into the signal support [0, 1]."""
+    return f.value(min(1.0, max(0.0, s)))
+
+
+def _equilibrium(params: EconomyParams, mech: mx.Mechanism, r: float, a: float,
+                 d: float, residual: float, iterations: int) -> Equilibrium:
+    """Cutoffs s_w = a + d w, checked interior, priced at p = r kappa d."""
+    cutoffs = tuple((w, a + d * w) for w, _ in params.wealth.atoms)
+    eps = 1e-12
+    for w, s in cutoffs:
+        if not (params.g + eps < s < params.e - params.g - eps):
+            raise InteriorViolationError(
+                f"cutoff {s:.6g} for omega={w} outside ({params.g}, {params.e - params.g})")
+    p = r * mx.CORE_ALGEBRA[mech].kappa(params) * d
+    e_s = sum(rho * s for (_, s), (_, rho) in zip(cutoffs, params.wealth.atoms))
+    return Equilibrium(mech, r, d, p, a, cutoffs, e_s, residual, iterations, params)
+
+
 def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
     """Bisect on dispersion d for the unique market-clearing cutoff profile."""
     mech = mx.Mechanism(mech)
@@ -88,20 +106,15 @@ def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
     if check:
         _require_assumptions(params, mech)
     r = mx.rejection(params, mech)
-    a = mx.cutoff_intercept(mech, params)
+    a = mx.CORE_ALGEBRA[mech].intercept(params)
     f = params.cdf
-    omegas = [w for w, _ in params.wealth.atoms]
-    rhos = [rho for _, rho in params.wealth.atoms]
+    atoms = params.wealth.atoms
     target = 1.0 - params.q
 
     def residual(d: float) -> float:
-        acc = 0.0
-        for w, rho in zip(omegas, rhos):
-            s = a + d * w
-            acc += rho * f.value(min(1.0, max(0.0, s)))
-        return acc - target
+        return sum(rho * _cdf_at(f, a + d * w) for w, rho in atoms) - target
 
-    d_max = (params.e - params.g - a) / max(omegas)
+    d_max = (params.e - params.g - a) / params.wealth.poorest
     lo, hi = 0.0, d_max
     res_lo, res_hi = residual(lo), residual(hi)
     if res_lo > RESIDUAL_TOL or res_hi < -RESIDUAL_TOL:
@@ -119,66 +132,23 @@ def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
             lo = mid
         else:
             hi = mid
-    cutoffs = tuple((w, a + d * w) for w in omegas)
-    eps = 1e-12
-    for w, s in cutoffs:
-        if not (params.g + eps < s < params.e - params.g - eps):
-            raise InteriorViolationError(
-                f"cutoff {s:.6g} for omega={w} outside ({params.g}, {params.e - params.g})")
-    p = r * mx.gamma_slope(mech, params) * d
-    e_s = sum(rho * s for (_, s), rho in zip(cutoffs, rhos))
-    return Equilibrium(mech, r, d, p, a, cutoffs, e_s, res, it, params)
+    return _equilibrium(params, mech, r, a, d, res, it)
 
 
 def solve_closed_form_uniform(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
-    """Exact solution for uniform F: E[s] = 1-q, cutoffs linear in omega.
+    """Direct solution for uniform F, in floating point with no root search.
 
-    Computed in rational arithmetic over the (rational) float inputs and
-    converted to float on output.
+    F(s) = s turns market clearing into E[s] = 1-q; with mean wealth 1 this
+    gives d = (1-q) - a.
     """
     mech = mx.Mechanism(mech)
     if not isinstance(params.cdf, Uniform):
         raise ValueError("closed form requires a uniform signal CDF")
     if check:
         _require_assumptions(params, mech)
-    q = Fraction(params.q)
-    g = Fraction(params.g)
-    e = Fraction(params.e)
-    pi = Fraction(params.pi)
-    dq = Fraction(params.delta_q)
-    one = Fraction(1)
-    if mech == mx.Mechanism.N:
-        r = one
-        a = g
-        kappa = one
-    else:
-        D = (one - pi) * (one - q - g) + pi * e
-        S = pi * (e + g - (one - q))
-        if mech == mx.Mechanism.DA:
-            r = (D - S - dq) / D
-            a = g - pi * e / (one - pi)
-            kappa = one - pi
-        else:
-            X = pi * (e - g - (one - q))
-            r = (D - S - dq) / (D - X)
-            a = (g - 2 * pi * e) / (one - 2 * pi)
-            kappa = one - 2 * pi
-        if r <= 0:
-            raise mx.DegenerateChoiceError(f"rejection probability is 0 under {mech.value}")
-        r = min(r, one)
-    d = (one - q) - a
-    cutoffs = tuple((float(w), float(a + d * Fraction(w))) for w in
-                    (w for w, _ in params.wealth.atoms))
-    eps = 1e-12
-    for w, s in cutoffs:
-        if not (params.g + eps < s < params.e - params.g - eps):
-            raise InteriorViolationError(
-                f"cutoff {s:.6g} for omega={w} outside ({params.g}, {params.e - params.g})")
-    p = r * kappa * d
-    rhos = [rho for _, rho in params.wealth.atoms]
-    e_s = sum(rho * s for (_, s), rho in zip(cutoffs, rhos))
-    return Equilibrium(mech, float(r), float(d), float(p), float(a),
-                       cutoffs, e_s, 0.0, 0, params)
+    r = mx.rejection(params, mech)
+    a = mx.CORE_ALGEBRA[mech].intercept(params)
+    return _equilibrium(params, mech, r, a, (1.0 - params.q) - a, 0.0, 0)
 
 
 def _policy_cutoffs(mech: mx.Mechanism, r: float, p: float, params: EconomyParams):
@@ -213,8 +183,7 @@ def solve_policy(params: EconomyParams, mech) -> Equilibrium:
     def clear_price(r: float) -> tuple[float, tuple]:
         def residual(p: float) -> float:
             cuts = _policy_cutoffs(mech, r, p, params)
-            return sum(rho * f.value(min(1.0, max(0.0, s)))
-                       for (_, s), rho in zip(cuts, rhos)) - target
+            return sum(rho * _cdf_at(f, s) for (_, s), rho in zip(cuts, rhos)) - target
 
         lo, hi = 0.0, 4.0
         if residual(lo) >= 0:
@@ -234,15 +203,13 @@ def solve_policy(params: EconomyParams, mech) -> Equilibrium:
         return p, _policy_cutoffs(mech, r, p, params)
 
     def implied_r(cuts) -> float:
-        vacated = params.pi * sum(
-            rho * (1.0 - f.value(min(1.0, max(0.0, s))))
-            for (_, s), rho in zip(cuts, rhos))
+        vacated = params.pi * sum(rho * (1.0 - _cdf_at(f, s))
+                                  for (_, s), rho in zip(cuts, rhos))
         if mech == mx.Mechanism.DA_L:
-            eligible = sum(rho * f.value(min(1.0, max(0.0, s)))
-                           for (_, s), rho in zip(cuts, rhos))
+            eligible = sum(rho * _cdf_at(f, s) for (_, s), rho in zip(cuts, rhos))
         else:
             (_, s_poor) = cuts[0]
-            eligible = rhos[0] * f.value(min(1.0, max(0.0, s_poor)))
+            eligible = rhos[0] * _cdf_at(f, s_poor)
         if eligible <= vacated:
             return 0.0
         return 1.0 - vacated / eligible
@@ -257,23 +224,23 @@ def solve_policy(params: EconomyParams, mech) -> Equilibrium:
     lo = hi = None
     for i in range(len(grid) - 1):
         if vals[i] <= 0.0 <= vals[i + 1] or vals[i] >= 0.0 >= vals[i + 1]:
-            lo, hi = grid[i], grid[i + 1]
+            lo, hi, gap_lo = grid[i], grid[i + 1], vals[i]
             break
     if lo is None:
         raise NoFixedPointError(f"no rejection fixed point bracketed for {mech.value}")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if gap(lo) * gap(mid) <= 0.0:
+        gap_mid = gap(mid)
+        if gap_lo * gap_mid <= 0.0:
             hi = mid
         else:
-            lo = mid
+            lo, gap_lo = mid, gap_mid
         if hi - lo < 1e-12:
             break
     r = 0.5 * (lo + hi)
     p, cuts = clear_price(r)
     e_s = sum(rho * s for (_, s), rho in zip(cuts, rhos))
-    res = sum(rho * f.value(min(1.0, max(0.0, s)))
-              for (_, s), rho in zip(cuts, rhos)) - target
+    res = sum(rho * _cdf_at(f, s) for (_, s), rho in zip(cuts, rhos)) - target
     r_by_omega = None
     if mech == mx.Mechanism.DA_WL:
         r_by_omega = tuple((w, r if i == 0 else 1.0)

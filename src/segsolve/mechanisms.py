@@ -1,8 +1,18 @@
-"""Per-mechanism primitives: flows, rejection rates, cutoff functionals, utility gains."""
+"""Per-mechanism primitives: flows, rejection rates, cutoff functionals, utility gains.
+
+All N/DA/TTC equilibrium algebra lives in the CORE_ALGEBRA table: the slope
+and root of the cutoff functional gamma, the weight of the exchange flow in
+the rejection rate, and the weight that carries neighborhood
+over-representation into the school. The solver, price bounds, school
+profiles and Theorem-2 thresholds read that table. delta_u keeps its own
+piecewise bodies, and the DA_L/DA_WL policies have their own gains below.
+"""
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,42 +45,87 @@ class AggregateFlows:
     X: float
 
 
-def aggregate_flows(params) -> AggregateFlows:
-    f, q, g, e, pi = params.cdf, params.q, params.g, params.e, params.pi
+def _flows_at(params, fs: float) -> tuple[float, float, float]:
+    """D, S, X when the cutoff signal has F(s) = fs."""
+    f, g, e, pi = params.cdf, params.g, params.e, params.pi
     fg = f.value(g)
     feg = f.value(e - g)
     fepg = f.value(min(e + g, 1.0))
-    D = (1.0 - pi) * (1.0 - q - fg) + pi * (fg + feg)
-    S = pi * (fepg - (1.0 - q))
-    X = pi * (feg - (1.0 - q))
-    return AggregateFlows(D, S, X)
-
-
-def type_flows(params, s: float) -> tuple[float, float, float]:
-    """Flows conditional on cutoff signal s: D(s), S(s), X(s)."""
-    f, q, g, e, pi = params.cdf, params.q, params.g, params.e, params.pi
-    fg = f.value(g)
-    feg = f.value(e - g)
-    fepg = f.value(min(e + g, 1.0))
-    fs = f.value(s)
     D = (1.0 - pi) * (fs - fg) + pi * (fg + feg)
     S = pi * (fepg - fs)
     X = pi * (feg - fs)
     return D, S, X
 
 
+def aggregate_flows(params) -> AggregateFlows:
+    """The flows at any market-clearing cutoff profile, where F(s) = 1 - q."""
+    return AggregateFlows(*_flows_at(params, 1.0 - params.q))
+
+
+def type_flows(params, s: float) -> tuple[float, float, float]:
+    """Flows conditional on cutoff signal s: D(s), S(s), X(s)."""
+    return _flows_at(params, params.cdf.value(s))
+
+
+@dataclass(frozen=True)
+class CoreAlgebra:
+    """The coefficients that set one core mechanism's equilibrium apart.
+
+    N, DA and TTC share everything else: cutoffs s_w = a + d w on the root a
+    of gamma, market clearing sum rho_w F(s_w) = 1 - q, and price p = r kappa d.
+    """
+
+    gamma: Callable[..., float]      # (s, params): cutoffs solve gamma(s_w) = w p / r
+    kappa: Callable[..., float]      # params -> slope of gamma
+    intercept: Callable[..., float]  # params -> root a of gamma
+    exchange: float | None           # weight of X in the rejection denominator; None: r = 1
+    c: Callable[..., float]          # params -> weight of n1 over-representation in the school
+
+    def school_mass(self, fs: float, r: float, params) -> float:
+        """Unweighted mass at one oversubscribed school of a type with F(s_w) = fs."""
+        if self.exchange is None:
+            # no choice: the school holds its residents. Equal to the line below
+            # at r = c = 1, but that form differs in the last bit of the output.
+            return 1.0 - fs
+        return params.q - r * self.c(params) * (fs - (1.0 - params.q))
+
+
+class _CoreTable(dict):
+    def __missing__(self, mech):
+        raise ValueError(f"{Mechanism(mech).value} is not a core mechanism (n, da, ttc)")
+
+
+# The one place that tells N, DA and TTC apart; a policy mechanism raises ValueError.
+CORE_ALGEBRA = MappingProxyType(_CoreTable({
+    Mechanism.N: CoreAlgebra(
+        gamma=lambda s, p: s - p.g,
+        kappa=lambda p: 1.0,
+        intercept=lambda p: p.g,
+        exchange=None,
+        c=lambda p: 1.0),
+    Mechanism.DA: CoreAlgebra(
+        gamma=lambda s, p: (1.0 - p.pi) * (s - p.g) + p.pi * p.e,
+        kappa=lambda p: 1.0 - p.pi,
+        intercept=lambda p: p.g - p.pi * p.e / (1.0 - p.pi),
+        exchange=0.0,
+        c=lambda p: 1.0 - p.pi),
+    Mechanism.TTC: CoreAlgebra(
+        gamma=lambda s, p: (1.0 - 2.0 * p.pi) * s + 2.0 * p.pi * p.e - p.g,
+        kappa=lambda p: 1.0 - 2.0 * p.pi,
+        intercept=lambda p: (p.g - 2.0 * p.pi * p.e) / (1.0 - 2.0 * p.pi),
+        exchange=1.0,
+        c=lambda p: 1.0),
+}))
+
+
 def rejection(params, mech: Mechanism) -> float:
     """Equilibrium rejection probability of an out-of-zone lottery applicant."""
     mech = Mechanism(mech)
-    if mech == Mechanism.N:
+    exchange = CORE_ALGEBRA[mech].exchange
+    if exchange is None:
         return 1.0
     fl = aggregate_flows(params)
-    if mech == Mechanism.DA:
-        r = max(0.0, (fl.D - fl.S - params.delta_q) / fl.D)
-    elif mech == Mechanism.TTC:
-        r = max(0.0, (fl.D - fl.S - params.delta_q) / (fl.D - fl.X))
-    else:
-        raise ValueError(f"no rejection formula for {mech.value}")
+    r = max(0.0, (fl.D - fl.S - params.delta_q) / (fl.D - exchange * fl.X))
     if r <= 0.0:
         raise DegenerateChoiceError(f"rejection probability is 0 under {mech.value}")
     return min(r, 1.0)
@@ -84,39 +139,7 @@ def r_da_uniform(params) -> float:
 
 def gamma(mech: Mechanism, s, params):
     """Linear cutoff functional; the cutoff solves gamma(s_w) = w p / r."""
-    mech = Mechanism(mech)
-    g, e, pi = params.g, params.e, params.pi
-    if mech == Mechanism.N:
-        return s - g
-    if mech == Mechanism.DA:
-        return (1.0 - pi) * (s - g) + pi * e
-    if mech == Mechanism.TTC:
-        return (1.0 - 2.0 * pi) * s + 2.0 * pi * e - g
-    raise ValueError(f"no gamma for {mech.value}")
-
-
-def gamma_slope(mech: Mechanism, params) -> float:
-    mech = Mechanism(mech)
-    if mech == Mechanism.N:
-        return 1.0
-    if mech == Mechanism.DA:
-        return 1.0 - params.pi
-    if mech == Mechanism.TTC:
-        return 1.0 - 2.0 * params.pi
-    raise ValueError(f"no gamma slope for {mech.value}")
-
-
-def cutoff_intercept(mech: Mechanism, params) -> float:
-    """Intercept a of the cutoff line s_w = a + d w (the root of gamma)."""
-    mech = Mechanism(mech)
-    g, e, pi = params.g, params.e, params.pi
-    if mech == Mechanism.N:
-        return g
-    if mech == Mechanism.DA:
-        return g - pi * e / (1.0 - pi)
-    if mech == Mechanism.TTC:
-        return (g - 2.0 * pi * e) / (1.0 - 2.0 * pi)
-    raise ValueError(f"no intercept for {mech.value}")
+    return CORE_ALGEBRA[Mechanism(mech)].gamma(s, params)
 
 
 def delta_u(mech: Mechanism, r: float, p: float, s, omega: float, params):

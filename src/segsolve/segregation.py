@@ -68,21 +68,12 @@ def neighborhood_profile(eq: Equilibrium) -> tuple[SegregationProfile, Segregati
 
 def school_profile(eq: Equilibrium) -> SegregationProfile:
     """Wealth profile of one oversubscribed school from the closed forms."""
-    if eq.mech not in mx.CORE:
-        raise ValueError(f"school closed forms exist for n/da/ttc; got {eq.mech.value}")
+    algebra = mx.CORE_ALGEBRA[eq.mech]
     f = eq.params.cdf
-    q = eq.params.q
-    pi = eq.params.pi
     rhos = dict(eq.params.wealth.atoms)
     masses = []
     for w, s in eq.cutoffs:
-        over = f.value(s) - (1.0 - q)
-        if eq.mech == mx.Mechanism.N:
-            unweighted = 1.0 - f.value(s)
-        elif eq.mech == mx.Mechanism.DA:
-            unweighted = q - eq.r * (1.0 - pi) * over
-        else:
-            unweighted = q - eq.r * over
+        unweighted = algebra.school_mass(f.value(s), eq.r, eq.params)
         if unweighted < -EQUAL_TOL:
             raise NegativeMassError(
                 f"school mass {unweighted:.3g} for omega={w} under {eq.mech.value}")
@@ -119,17 +110,13 @@ def compare(a: SegregationProfile, b: SegregationProfile) -> Comparison:
 
 
 def theorem2_threshold(pair: tuple[mx.Mechanism, mx.Mechanism], params: EconomyParams) -> float:
-    r_da = mx.rejection(params, mx.Mechanism.DA)
-    r_ttc = mx.rejection(params, mx.Mechanism.TTC)
-    pi = params.pi
-    key = (mx.Mechanism(pair[0]), mx.Mechanism(pair[1]))
-    if key == (mx.Mechanism.N, mx.Mechanism.DA):
-        return 1.0 / (r_da * (1.0 - pi))
-    if key == (mx.Mechanism.N, mx.Mechanism.TTC):
-        return 1.0 / r_ttc
-    if key == (mx.Mechanism.DA, mx.Mechanism.TTC):
-        return r_da * (1.0 - pi) / r_ttc
-    raise ValueError(f"no threshold for pair {key}")
+    """Expansion-rate threshold (r_A c_A) / (r_B c_B) of Theorem 2 for A before B in CORE."""
+    a, b = (mx.Mechanism(m) for m in pair)
+    if not (a in mx.CORE and b in mx.CORE and mx.CORE.index(a) < mx.CORE.index(b)):
+        raise ValueError(f"no threshold for pair {(a, b)}")
+    c_a = mx.CORE_ALGEBRA[a].c(params)
+    c_b = mx.CORE_ALGEBRA[b].c(params)
+    return (mx.rejection(params, a) * c_a) / (mx.rejection(params, b) * c_b)
 
 
 def check_theorems(params: EconomyParams) -> AssumptionReport:
@@ -152,9 +139,10 @@ def check_theorems(params: EconomyParams) -> AssumptionReport:
                    n1[mx.Mechanism.TTC].deviation > n1[mx.Mechanism.DA].deviation))
 
     # school segregation sufficient conditions
-    for pair in ((mx.Mechanism.N, mx.Mechanism.DA),
-                 (mx.Mechanism.N, mx.Mechanism.TTC),
-                 (mx.Mechanism.DA, mx.Mechanism.TTC)):
+    # the "smaller" direction holds only for pairs starting at N
+    for pair, two_sided in (((mx.Mechanism.N, mx.Mechanism.DA), True),
+                            ((mx.Mechanism.N, mx.Mechanism.TTC), True),
+                            ((mx.Mechanism.DA, mx.Mechanism.TTC), False)):
         thr = theorem2_threshold(pair, params)
         rates = []
         for w in params.wealth.omegas:
@@ -164,10 +152,9 @@ def check_theorems(params: EconomyParams) -> AssumptionReport:
         if rates and all(rate > thr + EQUAL_TOL for rate in rates):
             cmp = compare(c1[pair[1]], c1[pair[0]])
             checks.append((f"school seg {label}: greater", cmp == Comparison.GREATER))
-        if pair != (mx.Mechanism.DA, mx.Mechanism.TTC):
-            if rates and all(rate < thr - EQUAL_TOL for rate in rates):
-                cmp = compare(c1[pair[1]], c1[pair[0]])
-                checks.append((f"school seg {label}: smaller", cmp == Comparison.SMALLER))
+        if two_sided and rates and all(rate < thr - EQUAL_TOL for rate in rates):
+            cmp = compare(c1[pair[1]], c1[pair[0]])
+            checks.append((f"school seg {label}: smaller", cmp == Comparison.SMALLER))
 
     # price orderings
     if mx.rejection(params, mx.Mechanism.DA) >= mx.r_da_uniform(params) - 1e-12:

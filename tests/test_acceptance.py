@@ -110,7 +110,7 @@ def test_criterion_6_match_quality_table():
 
 def test_criterion_7_policy_table():
     with Budget(10.0):
-        for row in bm.table_two():
+        for row in bm.policy_table():
             got = row.rounded()
             want = bm.REFERENCE_TABLE2[row.policy]
             assert all(abs(g - w) <= 1 for g, w in zip(got, want)), \

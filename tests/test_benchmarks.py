@@ -59,18 +59,18 @@ class TestTableOne:
 
 class TestTableTwo:
     def test_all_rows_match_reference(self):
-        for row in bm.table_two():
+        for row in bm.policy_table():
             assert row.rounded() == bm.REFERENCE_TABLE2[row.policy]
 
     def test_exact_percentages(self):
-        rows = {r.policy: r for r in bm.table_two()}
+        rows = {r.policy: r for r in bm.policy_table()}
         assert rows["da"].poor_share_n1 == pytest.approx(32.8125, abs=1e-6)
         assert rows["da"].poor_share_c1 == pytest.approx(40.625, abs=1e-6)
         assert rows["short_wl"].poor_share_c1 == pytest.approx(55.2083, abs=1e-3)
         assert rows["long_wl"].poor_share_n1 == pytest.approx(9.709, abs=1e-2)
 
     def test_policy_order(self):
-        assert [r.policy for r in bm.table_two()] == list(bm.TABLE2_POLICIES)
+        assert [r.policy for r in bm.policy_table()] == list(bm.TABLE2_POLICIES)
 
 
 class TestTablesMatch:

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segsolve.cdf import (CdfError, PiecewiseLinear, Power, SingleKink,
-                          Uniform, cdf_eval, cdf_from_config, cdf_inverse,
-                          enumerate_single_kink, require_valid, validate)
+                          Uniform, cdf_from_config, enumerate_single_kink,
+                          require_valid, validate)
 
 
 class TestValidate:
@@ -67,12 +67,6 @@ class TestEvaluation:
         with pytest.raises(CdfError):
             f.inverse(1.5)
 
-    def test_value_extended_past_one(self):
-        f = SingleKink(0.5, 0.8)
-        slope = f.slope_at_one()
-        assert f.value_extended(1.2) == pytest.approx(1.0 + 0.2 * slope, abs=1e-12)
-        assert f.value_extended(0.7) == f.value(0.7)
-
     def test_flat_segment_left_quantile(self):
         # y on an interior plateau maps to the left endpoint (left quantile)
         f = PiecewiseLinear(((0.0, 0.0), (0.3, 0.5), (0.6, 0.5), (1.0, 1.0)))
@@ -82,11 +76,6 @@ class TestEvaluation:
         f = PiecewiseLinear(((0.0, 0.0), (0.5, 1.0), (1.0, 1.0)))
         assert f.inverse(1.0) == pytest.approx(0.5, abs=1e-12)
         assert f.ppf(np.array([1.0]))[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_module_level_helpers(self):
-        f = SingleKink(0.3, 0.6)
-        assert cdf_eval(f, 0.3) == pytest.approx(0.6, abs=1e-15)
-        assert cdf_inverse(f, 0.6) == pytest.approx(0.3, abs=1e-12)
 
 
 class TestPpf:

@@ -55,6 +55,10 @@ class TestSolve:
         path = write_config(tmp_path, q=2.0)
         assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
 
+    def test_policy_off_example_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, pi=0.25)
+        assert cli.main(["solve", "--config", path, "--mech", "da_l"]) == cli.EXIT_CONFIG
+
     def test_assumption_failure_exit_3(self, tmp_path, capsys):
         # valid parameters whose signal CDF breaks the interior condition
         path = write_config(tmp_path, q=0.4, g=0.3, e=0.6)

@@ -1,7 +1,10 @@
 """Equilibrium solvers: worked-example regressions, closed forms, policies."""
 import dataclasses
+import random
+from fractions import Fraction
 
 import pytest
+from conftest import random_economy
 
 import segsolve as ss
 from segsolve.cdf import Power, SingleKink, Uniform
@@ -107,6 +110,34 @@ class TestClosedFormUniform:
         p = dataclasses.replace(example_economy(), cdf=Power(0.5))
         with pytest.raises(ValueError):
             solve_closed_form_uniform(p, "n")
+
+    def test_matches_rational_arithmetic(self):
+        rng = random.Random(11)
+        economies = [example_economy()]
+        economies += [random_economy(rng, uniform_binary=True)[0] for _ in range(50)]
+        for p in economies:
+            for mech in ("n", "da", "ttc"):
+                cf = solve_closed_form_uniform(p, mech)
+                want = [float(v) for v in _rational_closed_form(p, mech)]
+                got = [cf.r, cf.intercept, cf.d, cf.p] + [s for _, s in cf.cutoffs]
+                assert got == pytest.approx(want, rel=0.0, abs=1e-14), (mech, p)
+
+
+def _rational_closed_form(p, mech):
+    """Uniform-F closed form in exact rational arithmetic over the float inputs."""
+    q, g, e, pi, dq = (Fraction(v) for v in (p.q, p.g, p.e, p.pi, p.delta_q))
+    one = Fraction(1)
+    D = (one - pi) * (one - q - g) + pi * e
+    S = pi * (e + g - (one - q))
+    X = pi * (e - g - (one - q))
+    r, a, kappa = {
+        "n": (one, g, one),
+        "da": ((D - S - dq) / D, g - pi * e / (one - pi), one - pi),
+        "ttc": ((D - S - dq) / (D - X), (g - 2 * pi * e) / (one - 2 * pi), one - 2 * pi),
+    }[mech]
+    r = min(r, one)
+    d = (one - q) - a
+    return (r, a, d, r * kappa * d) + tuple(a + d * Fraction(w) for w, _ in p.wealth.atoms)
 
 
 class TestFailureModes:

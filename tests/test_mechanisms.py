@@ -78,17 +78,28 @@ class TestGamma:
     def test_slope_and_intercept_consistent(self):
         p = example_economy()
         for mech in ("n", "da", "ttc"):
-            a = mx.cutoff_intercept(mech, p)
-            k = mx.gamma_slope(mech, p)
+            a = mx.CORE_ALGEBRA[mech].intercept(p)
+            k = mx.CORE_ALGEBRA[mech].kappa(p)
             # gamma is linear with root a and slope k
             assert mx.gamma(mech, a, p) == pytest.approx(0.0, abs=1e-12)
             assert mx.gamma(mech, a + 0.25, p) == pytest.approx(0.25 * k, abs=1e-12)
 
     def test_example_intercepts(self):
         p = example_economy()
-        assert mx.cutoff_intercept("n", p) == pytest.approx(0.0, abs=1e-12)
-        assert mx.cutoff_intercept("da", p) == pytest.approx(-0.5, abs=1e-12)
-        assert mx.cutoff_intercept("ttc", p) == pytest.approx(-2.0, abs=1e-12)
+        assert mx.CORE_ALGEBRA["n"].intercept(p) == pytest.approx(0.0, abs=1e-12)
+        assert mx.CORE_ALGEBRA["da"].intercept(p) == pytest.approx(-0.5, abs=1e-12)
+        assert mx.CORE_ALGEBRA["ttc"].intercept(p) == pytest.approx(-2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mech", mx.POLICY)
+    def test_policy_mechanism_has_no_core_algebra(self, mech):
+        # ValueError, not KeyError: the CLI maps ValueError to exit code 2
+        p = example_economy()
+        with pytest.raises(ValueError):
+            mx.CORE_ALGEBRA[mech]
+        with pytest.raises(ValueError):
+            mx.rejection(p, mech)
+        with pytest.raises(ValueError):
+            mx.gamma(mech, 0.5, p)
 
 
 class TestDeltaU:

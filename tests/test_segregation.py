@@ -81,8 +81,10 @@ class TestExpansionRates:
             pytest.approx(r_da * 2.0 / 3.0, abs=1e-12)
 
     def test_unknown_pair_rejected(self):
-        with pytest.raises(ValueError):
-            theorem2_threshold((mx.Mechanism.DA, mx.Mechanism.N), example_economy())
+        M = mx.Mechanism
+        for pair in ((M.DA, M.N), (M.N, M.N), (M.TTC, M.DA), (M.DA, M.DA_L)):
+            with pytest.raises(ValueError):
+                theorem2_threshold(pair, example_economy())
 
 
 class TestCompare:
