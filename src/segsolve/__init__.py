@@ -4,7 +4,8 @@ from .cdf import (CdfError, PiecewiseLinear, Power, SignalCdf, SingleKink,
 from .economy import (EconomyError, EconomyParams, WealthDist, binary_wealth,
                       check_assumption1, check_assumption2, example_economy,
                       price_bounds)
-from .equilibrium import (AssumptionError, BracketFailureError, Equilibrium,
+from .equilibrium import (AssumptionError, BracketFailureError,
+                          ConvergenceError, Equilibrium,
                           InteriorViolationError, NoFixedPointError,
                           SolveError, solve, solve_closed_form_uniform,
                           solve_policy, verify_lemma1)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,11 @@ class PiecewiseLinear(SignalCdf):
             return y1
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
+    @functools.cached_property
+    def batch(self) -> "PiecewiseLinearBatch":
+        """This CDF as a batch of one, built on first use."""
+        return PiecewiseLinearBatch(np.array([self._xs]), np.array([self._ys]))
+
     def inverse(self, y: float) -> float:
         if not (0.0 <= y <= 1.0):
             raise CdfError(f"probability {y!r} outside [0, 1]")
@@ -133,6 +139,73 @@ class SingleKink(PiecewiseLinear):
 
     def to_config(self) -> dict:
         return {"type": "single_kink", "x": self.kink_x, "y": self.kink_y}
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseLinearBatch:
+    """B piecewise-linear CDFs with K strictly increasing knots each, as
+    (B, K) knot arrays.
+
+    `value` and `inverse` follow PiecewiseLinear.value and .inverse row by
+    row with the same floating-point expressions, so a batch of one gives
+    the scalar results bit for bit. `value` does not check its domain: below
+    the first knot it gives the first knot's y and from the last knot on
+    the last knot's y, as PiecewiseLinear.value does inside [0, 1].
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self):
+        # Per row and segment i = bisect_right(xs, x), i = 0..K: left knot x0
+        # and y0, run and rise. Segments 0 and K are flat, at the first and
+        # the last knot, so that y0 + rise (x - x0) / run is exact on all.
+        xs, ys = self.xs, self.ys
+        rows = len(xs)
+        flat, one = np.zeros((rows, 1)), np.ones((rows, 1))
+        table = np.concatenate([xs[:, :1], xs, ys[:, :1], ys, one, xs[:, 1:] - xs[:, :-1], one,
+                                flat, ys[:, 1:] - ys[:, :-1], flat], axis=1)
+        object.__setattr__(self, "_segments", tuple(table.reshape(rows, 4, -1).transpose(1, 0, 2)))
+        object.__setattr__(self, "_rows", np.arange(rows)[:, None])
+
+    @classmethod
+    def single_kinks(cls, kink_x: np.ndarray, kink_y: np.ndarray) -> "PiecewiseLinearBatch":
+        """The SingleKink CDFs at (kink_x[b], kink_y[b])."""
+        zero, one = np.zeros(len(kink_x)), np.ones(len(kink_x))
+        return cls(np.stack([zero, kink_x, one], axis=1), np.stack([zero, kink_y, one], axis=1))
+
+    def value(self, x) -> np.ndarray:
+        """F_b(x_b) per row b: x is a scalar, a (B,) or a (B, P) array."""
+        x = np.asarray(x, dtype=float)
+        rows = len(self.xs)
+        pts = x.reshape(rows, -1) if x.ndim else np.full((rows, 1), float(x))
+        i = (self.xs[:, :, None] <= pts[:, None, :]).sum(axis=1)  # bisect_right
+        at = (self._rows, i)
+        x0, y0, run, rise = self._segments
+        # y0 + rise (x - x0) / run, in place to keep large batches small
+        out = pts - x0[at]
+        out *= rise[at]
+        out /= run[at]
+        out += y0[at]
+        return out.reshape((rows,) + x.shape[1:])
+
+    def inverse(self, y) -> np.ndarray:
+        """F_b^-1(y_b) per row b: y is a scalar or a (B,) array."""
+        y = np.asarray(y, dtype=float)
+        if np.any(~((0.0 <= y) & (y <= 1.0))):
+            raise CdfError(f"probability outside [0, 1] in {y!r}")
+        rows = len(self.xs)
+        y = np.broadcast_to(y, (rows,))
+        hit = y[:, None] <= self.ys[:, 1:] + 1e-15
+        found = hit.any(axis=1)
+        at, i = np.arange(rows), np.argmax(hit, axis=1) + 1  # first segment reaching y
+        x0, x1, y0, y1 = self.xs[at, i - 1], self.xs[at, i], self.ys[at, i - 1], self.ys[at, i]
+        flat = y1 == y0
+        if np.any(found & flat & (y1 < 1.0 - 1e-15)):
+            raise CdfError("a probability lies on a flat segment below 1")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = x0 + (x1 - x0) * (y - y0) / (y1 - y0)
+        return np.where(found, np.where(flat, x0, inner), self.xs[:, -1])
 
 
 @dataclass(frozen=True)
@@ -217,22 +290,39 @@ def require_valid(f: SignalCdf) -> SignalCdf:
     return f
 
 
+def single_kink_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kink coordinates (x, y) of all grid single-kink CDFs, 0 < x <= y < 1.
+
+    The grid values are i * step for i = 1 .. 1/step - 1, ordered
+    lexicographically in (x, y).
+    """
+    n = round(1.0 / step)
+    if abs(n * step - 1.0) > 1e-9 or n < 2:
+        raise CdfError(f"step {step} does not divide 1 evenly")
+    grid = np.arange(1, n) * step
+    i, j = np.triu_indices(n - 1)
+    return grid[i], grid[j]
+
+
 def enumerate_single_kink(step: float) -> list[SignalCdf]:
     """All grid single-kink CDFs with 0 < x <= y < 1 on a step grid.
 
     On-diagonal kinks coincide with the uniform distribution but are kept
     as distinct grid records; ordering is lexicographic in (x, y).
     """
-    n = round(1.0 / step)
-    if abs(n * step - 1.0) > 1e-9 or n < 2:
-        raise CdfError(f"step {step} does not divide 1 evenly")
-    grid = [i * step for i in range(1, n)]
-    out: list[SignalCdf] = []
-    for x in grid:
-        for y in grid:
-            if y >= x:
-                out.append(SingleKink(x, y))
-    return out
+    xs, ys = single_kink_grid(step)
+    return [SingleKink(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def config_number(name: str, value, error: type[ValueError] = CdfError) -> float:
+    """A config value as a float; booleans, strings and other non-numbers,
+    and integers too large for a float, raise `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} is out of range: {value!r}") from None
 
 
 def cdf_from_config(cfg: dict) -> SignalCdf:
@@ -253,10 +343,11 @@ def cdf_from_config(cfg: dict) -> SignalCdf:
     if kind == "uniform":
         f: SignalCdf = Uniform()
     elif kind == "single_kink":
-        f = SingleKink(cfg["x"], cfg["y"])
+        f = SingleKink(config_number("x", cfg["x"]), config_number("y", cfg["y"]))
     elif kind == "piecewise":
-        f = PiecewiseLinear(tuple((x, y) for x, y in cfg["knots"]))
+        f = PiecewiseLinear(tuple((config_number("knot x", x), config_number("knot y", y))
+                                  for x, y in cfg["knots"]))
     else:
-        f = Power(float(cfg["alpha"]))
+        f = Power(config_number("alpha", cfg["alpha"]))
     return require_valid(f)
 

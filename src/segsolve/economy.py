@@ -5,7 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import SignalCdf, Uniform, cdf_from_config, require_valid
+from . import mechanisms as mx
+from .cdf import (SignalCdf, Uniform, cdf_from_config, config_number,
+                  require_valid)
 
 
 class EconomyError(ValueError):
@@ -103,14 +105,21 @@ class EconomyParams:
         missing = known - {"delta_q"} - set(cfg)
         if missing:
             raise EconomyError(f"missing economy fields {sorted(missing)}")
-        wealth = WealthDist(tuple((w, r) for w, r in cfg["wealth"]))
+        def number(name, value) -> float:
+            return config_number(name, value, EconomyError)
+
+        m = number("m", cfg["m"])
+        if not m.is_integer():
+            raise EconomyError(f"m must be a whole number, got {cfg['m']!r}")
+        wealth = WealthDist(tuple((number("wealth index", w), number("wealth probability", r))
+                                  for w, r in cfg["wealth"]))
         return cls(
-            m=int(cfg["m"]),
-            q=float(cfg["q"]),
-            delta_q=float(cfg.get("delta_q", 0.0)),
-            g=float(cfg["g"]),
-            e=float(cfg["e"]),
-            pi=float(cfg["pi"]),
+            m=int(m),
+            q=number("q", cfg["q"]),
+            delta_q=number("delta_q", cfg.get("delta_q", 0.0)),
+            g=number("g", cfg["g"]),
+            e=number("e", cfg["e"]),
+            pi=number("pi", cfg["pi"]),
             wealth=wealth,
             cdf=cdf_from_config(cfg["cdf"]),
         )
@@ -139,37 +148,64 @@ class AssumptionReport:
         return [n for n, ok in self.checks if not ok]
 
 
+def _assumption1_checks(params):
+    """F(e-g) and the named inequalities of assumption 1; each is a bool,
+    or a bool array over a batch of CDFs in params.cdf."""
+    f = params.cdf
+    fg = f.value(params.g)
+    feg = f.value(params.e - params.g)
+    return feg, (
+        ("F(g) < 1-q", fg < 1.0 - params.q),
+        ("1-q < F(e-g)", 1.0 - params.q < feg),
+        ("F(e-g) <= 1", feg <= 1.0 + 1e-12),
+    )
+
+
 def check_assumption1(params: EconomyParams) -> AssumptionReport:
     """Interior-cutoff condition F(g) < 1-q < F(e-g) <= 1.
 
     The final inequality is strict in general; equality F(e-g) = 1 is
     accepted with a boundary flag (it arises at g = 0, e = 1).
     """
-    f = params.cdf
-    fg = f.value(params.g)
-    feg = f.value(params.e - params.g)
-    checks = (
-        ("F(g) < 1-q", fg < 1.0 - params.q),
-        ("1-q < F(e-g)", 1.0 - params.q < feg),
-        ("F(e-g) <= 1", feg <= 1.0 + 1e-12),
-    )
+    feg, checks = _assumption1_checks(params)
     boundary = feg >= 1.0 - 1e-12
     return AssumptionReport("assumption1", all(ok for _, ok in checks), boundary, checks)
+
+
+def assumption1_mask(params) -> np.ndarray:
+    """check_assumption1(...).passed for each CDF of a batch in params.cdf."""
+    _, checks = _assumption1_checks(params)
+    return np.logical_and.reduce([ok for _, ok in checks])
+
+
+def _price_interval(params, mech, r_hat):
+    """r gamma(s) at s = F^-1(1-q) and at s = 1-q; broadcasts over a batch."""
+    gamma = mx.CORE_ALGEBRA[mech].gamma
+    p_hat = r_hat * gamma(params.cdf.inverse(1.0 - params.q), params)
+    p_bar = r_hat * gamma(1.0 - params.q, params)
+    return p_hat, p_bar
 
 
 def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
     """Price interval [p_hat, p_bar] supporting an interior equilibrium:
     r gamma(s) at s = F^-1(1-q) and at s = 1-q."""
-    from . import mechanisms as mx
-
     mech = mx.Mechanism(mech)
-    r_hat = mx.rejection(params, mech)
-    gamma = mx.CORE_ALGEBRA[mech].gamma
-    p_hat = r_hat * gamma(params.cdf.inverse(1.0 - params.q), params)
-    p_bar = r_hat * gamma(1.0 - params.q, params)
+    p_hat, p_bar = _price_interval(params, mech, mx.rejection(params, mech))
     if p_hat > p_bar + 1e-12:
         raise EconomyError(f"price bounds inverted for {mech.value}: {p_hat} > {p_bar}")
     return p_hat, p_bar
+
+
+def _utility_sign_checks(params, mech, r_hat, p_hat, p_bar) -> list:
+    """Named checks Delta u(g) < 0 at p_hat and Delta u(e-g) > 0 at p_bar
+    for every wealth type; broadcasts over a batch."""
+    checks = []
+    for omega in params.wealth.omegas:
+        lo = mx.delta_u(mech, r_hat, p_hat, params.g, omega, params)
+        hi = mx.delta_u(mech, r_hat, p_bar, params.e - params.g, omega, params)
+        checks.append((f"{mech.value}: du(g)<0 at omega={omega}", lo < 0.0))
+        checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", hi > 0.0))
+    return checks
 
 
 def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
@@ -178,8 +214,6 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
     Delta u is linear and decreasing in p, so checking Delta u(g) < 0 at
     p_hat and Delta u(e-g) > 0 at p_bar covers the whole interval.
     """
-    from . import mechanisms as mx
-
     if mechs is None:
         mechs = mx.CORE
     checks = []
@@ -191,12 +225,22 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
         except (mx.DegenerateChoiceError, EconomyError) as exc:
             checks.append((f"{mech.value}: bounds ({exc})", False))
             continue
-        for omega in params.wealth.omegas:
-            lo = mx.delta_u(mech, r_hat, p_hat, params.g, omega, params)
-            hi = mx.delta_u(mech, r_hat, p_bar, params.e - params.g, omega, params)
-            checks.append((f"{mech.value}: du(g)<0 at omega={omega}", lo < 0.0))
-            checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", hi > 0.0))
+        checks.extend(_utility_sign_checks(params, mech, r_hat, p_hat, p_bar))
     return AssumptionReport("assumption2", all(ok for _, ok in checks), False, tuple(checks))
+
+
+def assumption2_mask(params, mech, r_hat) -> np.ndarray:
+    """check_assumption2(..., mechs=(mech,)).passed for each CDF of a batch,
+    given r_hat = mechanisms.rejection_rates(params, mech): a positive r,
+    ordered price bounds and the Delta u signs."""
+    mech = mx.Mechanism(mech)
+    p_hat, p_bar = _price_interval(params, mech, r_hat)
+    ok = (r_hat > 0.0) & ~(p_hat > p_bar + 1e-12)
+    # delta_u needs r in (0, 1]; rows failing the bounds stay masked
+    r_hat = np.where(ok, r_hat, 1.0)
+    for _, passed in _utility_sign_checks(params, mech, r_hat, p_hat, p_bar):
+        ok = ok & passed
+    return ok
 
 
 def example_economy() -> EconomyParams:

@@ -1,4 +1,13 @@
-"""Symmetric cutoff equilibria: closed form for uniform F, bisection otherwise."""
+"""Symmetric cutoff equilibria s_w = a + d w.
+
+For piecewise-linear F the dispersion d comes from an exact kernel: the
+capacity residual is piecewise linear in d, so it is evaluated at its
+breakpoints and solved linearly on the bracketing segment. The kernel takes
+a batch of CDFs, and `solve` calls it with a batch of one, so a batched
+sweep and `solve` agree bit for bit. For `Power` F, d comes from a monotone
+bisection that raises ConvergenceError if it stops at MAX_ITER. Uniform F
+also has a closed form.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -6,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mechanisms as mx
-from .cdf import Uniform
+from .cdf import PiecewiseLinear, PiecewiseLinearBatch, Uniform
 from .economy import (AssumptionReport, EconomyParams, check_assumption1,
                       check_assumption2, is_example_profile, price_bounds)
 
@@ -30,6 +39,10 @@ class BracketFailureError(SolveError):
     """Capacity residual has no root in the admissible dispersion range."""
 
 
+class ConvergenceError(SolveError):
+    """Bisection reached MAX_ITER without meeting RESIDUAL_TOL."""
+
+
 class NoFixedPointError(SolveError):
     """Policy rejection fixed point could not be bracketed."""
 
@@ -44,7 +57,7 @@ class Equilibrium:
     cutoffs: tuple[tuple[float, float], ...]  # (omega, s), poorest first
     e_s: float
     residual: float
-    iterations: int
+    iterations: int  # bisection steps; 0 for an exact or closed-form root
     params: EconomyParams = field(repr=False, compare=False)
     r_by_omega: tuple[tuple[float, float], ...] | None = None
 
@@ -84,13 +97,60 @@ def _cdf_at(f, s: float) -> float:
     return f.value(min(1.0, max(0.0, s)))
 
 
+def max_dispersion(params, a):
+    """The d at which the poorest type's cutoff a + d w reaches e - g."""
+    return (params.e - params.g - a) / params.wealth.poorest
+
+
+def interior(params, s):
+    """g < s < e - g with a 1e-12 margin; broadcasts over arrays of s."""
+    eps = 1e-12
+    return (params.g + eps < s) & (s < params.e - params.g - eps)
+
+
+def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
+    """Exact root d in [0, d_max] of sum_w rho_w F(a + d w) - (1-q), one
+    per CDF of the batch; nan where [0, d_max] brackets no root.
+
+    The residual is piecewise linear and nondecreasing in d, with
+    breakpoints where a cutoff meets a knot, d = (knot - a)/w. It is
+    evaluated at 0, at d_max and at every breakpoint clipped into
+    [0, d_max], and the first segment on which it turns nonnegative is
+    solved linearly. `a` is a scalar or one value per CDF.
+    """
+    rows = len(cdfs.xs)
+    a = np.reshape(a, (-1, 1, 1))
+    d_max = max_dispersion(params, a)
+    omegas = params.wealth.omegas[:, None]
+    knots = np.minimum(np.maximum((cdfs.xs[:, None, :] - a) / omegas, 0.0), d_max)
+    ends = np.zeros((rows, 2))
+    ends[:, 1] = d_max[:, 0, 0]
+    d = np.sort(np.concatenate([ends, knots.reshape(rows, -1)], axis=1), axis=1)
+    # F at every type's cutoff a + d w, as (B, types, points); cutoffs past
+    # an end of [0, 1] read F there, as the clamped scalar residual does
+    s = d[:, None, :] * omegas
+    s += a
+    fs = cdfs.value(s.reshape(rows, -1)).reshape(s.shape)
+    total = 0.0
+    for j, rho in enumerate(params.wealth.rhos):
+        total = total + rho * fs[:, j]
+    res = total - (1.0 - params.q)
+    # the segment from the last negative residual to the first nonnegative
+    # one; hi = 0 leaves the root at d = 0, where the residual is 0 if bracketed
+    at, hi = np.arange(rows), np.argmax(res >= 0.0, axis=1)
+    lo = np.maximum(hi - 1, 0)
+    d0, d1, r0, r1 = d[at, lo], d[at, hi], res[at, lo], res[at, hi]
+    root = d0 - np.divide(r0 * (d1 - d0), r1 - r0, out=np.zeros(rows), where=hi > 0)
+    bracketed = (d_max[:, 0, 0] > 0.0) & (res[:, 0] <= 0.0) & (res[:, -1] >= 0.0)
+    return np.where(bracketed, root, np.nan)
+
+
 def _equilibrium(params: EconomyParams, mech: mx.Mechanism, r: float, a: float,
                  d: float, residual: float, iterations: int) -> Equilibrium:
     """Cutoffs s_w = a + d w, checked interior, priced at p = r kappa d."""
     cutoffs = tuple((w, a + d * w) for w, _ in params.wealth.atoms)
-    eps = 1e-12
     for w, s in cutoffs:
-        if not (params.g + eps < s < params.e - params.g - eps):
+        if not interior(params, s):
             raise InteriorViolationError(
                 f"cutoff {s:.6g} for omega={w} outside ({params.g}, {params.e - params.g})")
     p = r * mx.CORE_ALGEBRA[mech].kappa(params) * d
@@ -99,7 +159,8 @@ def _equilibrium(params: EconomyParams, mech: mx.Mechanism, r: float, a: float,
 
 
 def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
-    """Bisect on dispersion d for the unique market-clearing cutoff profile."""
+    """The unique market-clearing cutoff profile: exact for piecewise-linear
+    F, by bisection on the dispersion d otherwise."""
     mech = mx.Mechanism(mech)
     if mech not in mx.CORE:
         raise ValueError(f"solve handles n/da/ttc; got {mech.value}")
@@ -114,25 +175,34 @@ def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
     def residual(d: float) -> float:
         return sum(rho * _cdf_at(f, a + d * w) for w, rho in atoms) - target
 
-    d_max = (params.e - params.g - a) / params.wealth.poorest
-    lo, hi = 0.0, d_max
-    res_lo, res_hi = residual(lo), residual(hi)
-    if res_lo > RESIDUAL_TOL or res_hi < -RESIDUAL_TOL:
-        raise BracketFailureError(
+    d_max = max_dispersion(params, a)
+
+    def bracket_failure() -> BracketFailureError:
+        return BracketFailureError(
             f"no dispersion root in [0, {d_max:.6g}] for {mech.value} "
-            f"(residuals {res_lo:.3g}, {res_hi:.3g})")
-    d, res, it = hi, res_hi, 0
+            f"(residuals {residual(0.0):.3g}, {residual(d_max):.3g})")
+
+    if isinstance(f, PiecewiseLinear):
+        d = float(dispersion_root(params, f.batch, a)[0])
+        if np.isnan(d):
+            raise bracket_failure()
+        return _equilibrium(params, mech, r, a, d, residual(d), 0)
+    lo, hi = 0.0, d_max
+    res = residual(hi)
+    if residual(lo) > RESIDUAL_TOL or res < -RESIDUAL_TOL:
+        raise bracket_failure()
     for it in range(1, MAX_ITER + 1):
-        mid = 0.5 * (lo + hi)
-        res = residual(mid)
-        d = mid
+        d = 0.5 * (lo + hi)
+        res = residual(d)
         if abs(res) < RESIDUAL_TOL:
-            break
+            return _equilibrium(params, mech, r, a, d, res, it)
         if res < 0.0:
-            lo = mid
+            lo = d
         else:
-            hi = mid
-    return _equilibrium(params, mech, r, a, d, res, it)
+            hi = d
+    raise ConvergenceError(
+        f"bisection for {mech.value} stopped after {MAX_ITER} steps "
+        f"with residual {res:.3g}")
 
 
 def solve_closed_form_uniform(params: EconomyParams, mech, check: bool = True) -> Equilibrium:

@@ -118,17 +118,28 @@ CORE_ALGEBRA = MappingProxyType(_CoreTable({
 }))
 
 
-def rejection(params, mech: Mechanism) -> float:
-    """Equilibrium rejection probability of an out-of-zone lottery applicant."""
-    mech = Mechanism(mech)
-    exchange = CORE_ALGEBRA[mech].exchange
+def rejection_ratio(params, mech: Mechanism):
+    """(D - S - delta_q) / (D - exchange X) before clamping into [0, 1]; 1
+    under no choice. Broadcasts over a batch of CDFs in params.cdf."""
+    exchange = CORE_ALGEBRA[Mechanism(mech)].exchange
     if exchange is None:
         return 1.0
     fl = aggregate_flows(params)
-    r = max(0.0, (fl.D - fl.S - params.delta_q) / (fl.D - exchange * fl.X))
+    return (fl.D - fl.S - params.delta_q) / (fl.D - exchange * fl.X)
+
+
+def rejection(params, mech: Mechanism) -> float:
+    """Equilibrium rejection probability of an out-of-zone lottery applicant."""
+    mech = Mechanism(mech)
+    r = max(0.0, rejection_ratio(params, mech))
     if r <= 0.0:
         raise DegenerateChoiceError(f"rejection probability is 0 under {mech.value}")
     return min(r, 1.0)
+
+
+def rejection_rates(params, mech: Mechanism) -> np.ndarray:
+    """`rejection` for each CDF of a batch in params.cdf, 0 where it would raise."""
+    return np.minimum(np.maximum(0.0, rejection_ratio(params, mech)), 1.0)
 
 
 def r_da_uniform(params) -> float:
@@ -147,10 +158,11 @@ def delta_u(mech: Mechanism, r: float, p: float, s, omega: float, params):
 
     Piecewise linear in s, continuous at the joins, weakly increasing in s
     (strictly above g), and strictly decreasing in p. Accepts scalar or
-    array s.
+    array s, and r and p that broadcast against it.
     """
     mech = Mechanism(mech)
-    if not (0.0 < r <= 1.0):
+    r_ok = (0.0 < r) & (r <= 1.0)  # a bool, or a bool array for an array r
+    if not (r_ok.all() if isinstance(r_ok, np.ndarray) else r_ok):
         raise ValueError("r must lie in (0, 1]")
     g, e, pi = params.g, params.e, params.pi
     s = np.asarray(s, dtype=float)

@@ -66,14 +66,18 @@ def neighborhood_profile(eq: Equilibrium) -> tuple[SegregationProfile, Segregati
     return make_profile("n1", n1), make_profile("n0", n0)
 
 
+def school_masses(params, mech, r, cutoffs) -> list:
+    """(omega, unweighted mass) at one oversubscribed school for each
+    (omega, s) cutoff, from the closed forms; broadcasts over a batch."""
+    algebra = mx.CORE_ALGEBRA[mech]
+    return [(w, algebra.school_mass(params.cdf.value(s), r, params)) for w, s in cutoffs]
+
+
 def school_profile(eq: Equilibrium) -> SegregationProfile:
     """Wealth profile of one oversubscribed school from the closed forms."""
-    algebra = mx.CORE_ALGEBRA[eq.mech]
-    f = eq.params.cdf
     rhos = dict(eq.params.wealth.atoms)
     masses = []
-    for w, s in eq.cutoffs:
-        unweighted = algebra.school_mass(f.value(s), eq.r, eq.params)
+    for w, unweighted in school_masses(eq.params, eq.mech, eq.r, eq.cutoffs):
         if unweighted < -EQUAL_TOL:
             raise NegativeMassError(
                 f"school mass {unweighted:.3g} for omega={w} under {eq.mech.value}")

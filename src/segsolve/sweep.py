@@ -3,22 +3,31 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 from . import mechanisms as mx
-from .cdf import SingleKink, enumerate_single_kink
-from .economy import (EconomyError, EconomyParams, binary_wealth,
-                      check_assumption1, check_assumption2)
-from .equilibrium import SolveError, solve
-from .segregation import NegativeMassError, school_profile
+from .cdf import PiecewiseLinearBatch, SingleKink, single_kink_grid
+from .economy import (EconomyError, EconomyParams, assumption1_mask,
+                      assumption2_mask, binary_wealth)
+from .equilibrium import dispersion_root, interior
+from .segregation import EQUAL_TOL, school_masses
 
 
 def thread_count() -> int:
+    """The process count SEGSOLVE_THREADS asks for; 1 if unset, invalid or < 1."""
     env = os.environ.get("SEGSOLVE_THREADS", "")
     try:
         return max(1, int(env))
     except ValueError:
         return 1
+
+
+def worker_count(n_tasks: int) -> int:
+    """thread_count() clamped to the CPU count and to n_tasks, at least 1."""
+    return max(1, min(thread_count(), os.cpu_count() or 1, n_tasks))
 
 
 @dataclass(frozen=True)
@@ -85,29 +94,50 @@ class CubeSweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _kink_record(params_base: EconomyParams, f: SingleKink) -> KinkRecord:
-    nan = float("nan")
-    try:
-        params = replace(params_base, cdf=f)
-    except EconomyError:
-        return KinkRecord(f.kink_x, f.kink_y, nan, nan, nan, False)
-    if not check_assumption1(params).passed:
-        return KinkRecord(f.kink_x, f.kink_y, nan, nan, nan, False)
-    if not check_assumption2(params, mechs=(mx.Mechanism.N, mx.Mechanism.DA)).passed:
-        return KinkRecord(f.kink_x, f.kink_y, nan, nan, nan, False)
-    try:
-        share_n = school_profile(solve(params, mx.Mechanism.N, check=False)).poor_share
-        share_da = school_profile(solve(params, mx.Mechanism.DA, check=False)).poor_share
-    except (SolveError, mx.DegenerateChoiceError, NegativeMassError):
-        return KinkRecord(f.kink_x, f.kink_y, nan, nan, nan, False)
-    return KinkRecord(f.kink_x, f.kink_y, share_n, share_da, share_da - share_n, True)
+def _school_poor_share(kinks, mech: mx.Mechanism) -> tuple[np.ndarray, np.ndarray]:
+    """Poor share at one oversubscribed school under mech for each CDF of
+    the batch, and where it is feasible: assumption 2 holds, [0, d_max]
+    brackets the root, the cutoffs are interior and no school mass is
+    negative. Mirrors solve(check=False) + school_profile on each CDF."""
+    r = mx.rejection_rates(kinks, mech)
+    ok = assumption2_mask(kinks, mech, r)
+    a = mx.CORE_ALGEBRA[mech].intercept(kinks)
+    d = dispersion_root(kinks, kinks.cdf, a)  # nan fails the interior test
+    cutoffs = [(w, a + d * w) for w, _ in kinks.wealth.atoms]
+    for _, s in cutoffs:
+        ok = ok & interior(kinks, s)
+    masses = []
+    for (_, unweighted), (_, rho) in zip(school_masses(kinks, mech, r, cutoffs),
+                                         kinks.wealth.atoms):
+        ok = ok & ~(unweighted < -EQUAL_TOL)
+        masses.append(rho * unweighted)
+    total = sum(masses)
+    return np.where(ok & (total > 0.0), masses[0] / total, np.nan), ok
 
 
 def kink_sweep(params_base: EconomyParams, step: float) -> KinkSweepResult:
-    """Solve N and DA for every single-kink signal CDF on the grid."""
+    """Solve N and DA for every single-kink signal CDF on the grid.
+
+    All grid kinks go through each check and solve together as one
+    PiecewiseLinearBatch, with the same floating-point expressions as
+    check_assumption1/2, solve and school_profile on a single kink, so each
+    record equals that scalar path's result bit for bit.
+    """
     if not params_base.wealth.is_binary():
         raise ValueError("kink sweep expects binary wealth")
-    records = tuple(_kink_record(params_base, f) for f in enumerate_single_kink(step))
+    kink_x, kink_y = single_kink_grid(step)
+    # params_base with each grid kink as its CDF; grid kinks are valid CDFs
+    kinks = SimpleNamespace(**{**vars(params_base),
+                               "cdf": PiecewiseLinearBatch.single_kinks(kink_x, kink_y)})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = assumption1_mask(kinks)
+        share_n, ok_n = _school_poor_share(kinks, mx.Mechanism.N)
+        share_da, ok_da = _school_poor_share(kinks, mx.Mechanism.DA)
+    feasible = ok & ok_n & ok_da
+    share_n = np.where(feasible, share_n, np.nan)
+    share_da = np.where(feasible, share_da, np.nan)
+    records = tuple(map(KinkRecord, kink_x.tolist(), kink_y.tolist(), share_n.tolist(),
+                        share_da.tolist(), (share_da - share_n).tolist(), feasible.tolist()))
     return KinkSweepResult(step, records)
 
 
@@ -148,7 +178,7 @@ def cube_sweep(rho_list, q_list, pi_list, step: float = 0.1) -> CubeSweepResult:
     across a (rho_p, q, pi) parameter grid."""
     tasks = [(rho_p, q, pi, step)
              for rho_p in rho_list for q in q_list for pi in pi_list]
-    workers = thread_count()
+    workers = worker_count(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = tuple(pool.map(_cube_cell, tasks))

@@ -45,6 +45,24 @@ def _random_cdf(rng: random.Random):
                            + ((1.0, 1.0),))
 
 
+def random_concave_cdf(rng: random.Random, max_inner: int = 4) -> PiecewiseLinear:
+    """A concave piecewise-linear CDF with up to max_inner interior knots;
+    its last segment is flat (F reaches 1 early) one time in three."""
+    while True:
+        xs = sorted(rng.uniform(0.02, 0.98) for _ in range(rng.randint(1, max_inner)))
+        if min(b - a for a, b in zip([0.0] + xs, xs + [1.0])) > 1e-3:
+            break
+    slopes = sorted((rng.uniform(0.05, 3.0) for _ in xs + [1.0]), reverse=True)
+    if rng.random() < 1.0 / 3.0:
+        slopes[-1] = 0.0
+    ys, y = [], 0.0
+    for x0, x1, slope in zip([0.0] + xs, xs + [1.0], slopes):
+        y += slope * (x1 - x0)
+        ys.append(y)
+    inner = tuple((x, yk / ys[-1]) for x, yk in zip(xs, ys))
+    return PiecewiseLinear(((0.0, 0.0),) + inner + ((1.0, 1.0),))
+
+
 def random_economy(rng: random.Random, uniform_binary: bool = False,
                    max_tries: int = 500):
     """Sample parameters until both assumptions hold and n/da/ttc all solve.

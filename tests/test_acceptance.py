@@ -153,6 +153,14 @@ def test_criterion_8_strip_located_at_step_0025():
         assert max(np.diff(xs)) == pytest.approx(0.025, abs=1e-9)
 
 
+def test_kink_sweep_step_001_within_budget():
+    # the batched sweep solves all 4950 kinks of the step-0.01 grid at once
+    with Budget(1.0):
+        result = sweep.kink_sweep(example_economy(), 0.01)
+    n_f, n_less = sweep.da_less_segregated_count(result, example_economy())
+    assert (len(result.records), n_f, n_less) == (4950, 4585, 236)
+
+
 @pytest.mark.slow
 def test_criterion_9_cube_structure():
     with Budget(600.0):

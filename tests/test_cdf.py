@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segsolve.cdf import (CdfError, PiecewiseLinear, Power, SingleKink,
-                          Uniform, cdf_from_config, enumerate_single_kink,
-                          require_valid, validate)
+import random
+
+from conftest import random_concave_cdf
+from segsolve.cdf import (CdfError, PiecewiseLinear, PiecewiseLinearBatch,
+                          Power, SingleKink, Uniform, cdf_from_config,
+                          enumerate_single_kink, require_valid,
+                          single_kink_grid, validate)
 
 
 class TestValidate:
@@ -119,6 +123,50 @@ class TestEnumerate:
             enumerate_single_kink(0.3)
 
 
+class TestBatch:
+    def test_grid_matches_python_loop(self):
+        for step in (0.5, 0.25, 0.1, 0.05, 0.025, 0.01):
+            n = round(1.0 / step)
+            grid = [i * step for i in range(1, n)]
+            kink_x, kink_y = single_kink_grid(step)
+            assert list(zip(kink_x.tolist(), kink_y.tolist())) == \
+                [(x, y) for x in grid for y in grid if y >= x]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_scalar_methods(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(1, 3)
+        fs = [random_concave_cdf(rng, max_inner=k) for _ in range(6)]
+        fs = [f for f in fs if len(f.knots) == len(fs[0].knots)]
+        batch = PiecewiseLinearBatch(np.array([f._xs for f in fs]), np.array([f._ys for f in fs]))
+        # every knot, both ends and random points, for each row
+        pts = np.array([sorted(f._xs + (0.0, 1.0) + tuple(rng.random() for _ in range(5)))
+                        for f in fs])
+        got = batch.value(pts)
+        for f, row, xs in zip(fs, got.tolist(), pts.tolist()):
+            assert [v.hex() for v in row] == [f.value(x).hex() for x in xs]
+        for y in [0.0, 1.0, rng.random(), fs[0]._ys[1]]:
+            assert [v.hex() for v in batch.inverse(y).tolist()] == \
+                [f.inverse(y).hex() for f in fs]
+
+    def test_batch_of_one_and_scalar_point(self):
+        f = SingleKink(0.3, 0.6)
+        batch = f.batch
+        assert batch.value(0.45).tolist() == [f.value(0.45)]
+        kinks = PiecewiseLinearBatch.single_kinks(np.array([0.3, 0.2]), np.array([0.6, 0.9]))
+        assert kinks.value(0.45).tolist() == [f.value(0.45), SingleKink(0.2, 0.9).value(0.45)]
+
+    def test_inverse_rejects_what_scalar_rejects(self):
+        f = PiecewiseLinear(((0.0, 0.0), (0.2, 0.0), (1.0, 1.0)))
+        with pytest.raises(CdfError):
+            f.inverse(0.0)
+        with pytest.raises(CdfError):
+            f.batch.inverse(0.0)
+        with pytest.raises(CdfError):
+            f.batch.inverse(1.5)
+
+
 class TestConfig:
     @pytest.mark.parametrize("f", [
         Uniform(),
@@ -140,8 +188,12 @@ class TestConfig:
             cdf_from_config({"type": "uniform", "extra": 1})
 
     def test_invalid_payload_rejected(self):
-        with pytest.raises(CdfError):
-            cdf_from_config({"type": "single_kink", "x": 0.8, "y": 0.2})
+        for cfg in ({"type": "single_kink", "x": 0.8, "y": 0.2},
+                    # booleans and strings are not numbers here
+                    {"type": "power", "alpha": True}, {"type": "power", "alpha": "0.5"},
+                    {"type": "piecewise", "knots": [[0, 0], [True, True]]}):
+            with pytest.raises(CdfError):
+                cdf_from_config(cfg)
 
 
 class TestProperties:

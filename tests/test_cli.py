@@ -52,8 +52,9 @@ class TestSolve:
         assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
 
     def test_invalid_economy_exit_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, q=2.0)
-        assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG
+        for bad in ({"q": 2.0}, {"m": 2.7}, {"g": False}):
+            path = write_config(tmp_path, **bad)
+            assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_CONFIG, bad
 
     def test_policy_off_example_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, pi=0.25)

@@ -60,7 +60,10 @@ class TestEconomyParams:
         base = example_economy().to_config()
         for bad in ({"q": 0.0}, {"q": 1.0}, {"pi": 0.5}, {"pi": 0.0},
                     {"m": 1}, {"g": -0.1}, {"e": 0.0}, {"delta_q": -0.1},
-                    {"e": 0.9, "g": 0.2}):
+                    {"e": 0.9, "g": 0.2},
+                    # non-integral m, booleans and strings are not numbers here
+                    {"m": 2.7}, {"g": False}, {"delta_q": False}, {"q": "0.4"},
+                    {"wealth": [[True, True]]}):
             cfg = dict(base, **bad)
             with pytest.raises(EconomyError):
                 EconomyParams.from_config(cfg)

@@ -3,16 +3,27 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import itertools
+import math
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
-from conftest import random_economy
+from conftest import _random_wealth, random_concave_cdf, random_economy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import segsolve as ss
-from segsolve.cdf import Power, SingleKink, Uniform
+import segsolve.equilibrium as equilibrium
+from segsolve import mechanisms as mx
+from segsolve.cdf import (PiecewiseLinearBatch, Power, SingleKink, Uniform,
+                          single_kink_grid)
 from segsolve.economy import EconomyParams, binary_wealth, example_economy
 from segsolve.equilibrium import (AssumptionError, BracketFailureError,
-                                  InteriorViolationError, solve,
-                                  solve_closed_form_uniform, solve_policy,
-                                  verify_lemma1)
+                                  ConvergenceError, InteriorViolationError,
+                                  dispersion_root, interior, max_dispersion,
+                                  solve, solve_closed_form_uniform,
+                                  solve_policy, verify_lemma1)
 
 # worked-example equilibrium values, derived from the closed forms:
 # d = (1-q) - a with a = 0, -1/2, -2; p = r k d with k = 1, 2/3, 1/3
@@ -88,6 +99,86 @@ class TestGeneralCdf:
             eq = solve(p, mech)
             cuts = [s for _, s in eq.cutoffs]
             assert cuts == sorted(cuts, reverse=True)
+
+
+def _clamped_residual(params, a):
+    f, atoms, target = params.cdf, params.wealth.atoms, 1.0 - params.q
+    return lambda d: sum(rho * f.value(min(1.0, max(0.0, a + d * w)))
+                         for w, rho in atoms) - target
+
+
+class TestExactRoot:
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_root_on_random_concave_cdfs(self, seed):
+        rng = random.Random(seed)
+        e = rng.uniform(0.6, 1.0)
+        params = EconomyParams(m=2, q=rng.uniform(0.2, 0.8), g=rng.uniform(0.0, min(0.1, 1.0 - e)),
+                               e=e, pi=rng.uniform(0.05, 0.45), wealth=_random_wealth(rng),
+                               cdf=random_concave_cdf(rng))
+        a = mx.CORE_ALGEBRA[rng.choice(mx.CORE)].intercept(params)
+        residual = _clamped_residual(params, a)
+        d_max = max_dispersion(params, a)
+        d = float(dispersion_root(params, params.cdf.batch, a)[0])
+        if residual(0.0) > 0.0 or residual(d_max) < 0.0:
+            assert math.isnan(d)
+            return
+        assert 0.0 <= d <= d_max
+        assert abs(residual(d)) <= 1e-14
+        # reference: bisection down to adjacent floats
+        lo, hi = 0.0, d_max
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if residual(mid) < 0.0 else (lo, mid)
+        assert d == pytest.approx(hi, rel=1e-12, abs=1e-12)
+
+    def test_batch_matches_solve_on_kink_grid(self):
+        # one kernel call over a grid gives solve's d on each kink, nan
+        # exactly where solve finds no bracket, and cutoffs that fail the
+        # interior test exactly where solve raises InteriorViolationError
+        bases = (
+            example_economy(),
+            EconomyParams(m=2, q=0.45, g=0.05, e=0.9, pi=0.3,
+                          wealth=binary_wealth(0.4), cdf=Uniform()),
+            EconomyParams(m=2, q=0.25, g=0.0, e=1.0, pi=0.45,
+                          wealth=binary_wealth(0.5, spread=1.2), cdf=Uniform()),
+        )
+        kink_x, kink_y = single_kink_grid(0.05)
+        seen = set()
+        for base, mech in itertools.product(bases, mx.CORE):
+            kinks = SimpleNamespace(**{**vars(base),
+                                       "cdf": PiecewiseLinearBatch.single_kinks(kink_x, kink_y)})
+            a = mx.CORE_ALGEBRA[mech].intercept(base)
+            d = dispersion_root(kinks, kinks.cdf, a)
+            for x, y, d_batch in zip(kink_x.tolist(), kink_y.tolist(), d.tolist()):
+                params = dataclasses.replace(base, cdf=SingleKink(x, y))
+                try:
+                    assert d_batch.hex() == solve(params, mech, check=False).d.hex()
+                    seen.add("solved")
+                except BracketFailureError:
+                    assert math.isnan(d_batch)
+                    seen.add("bracket")
+                except InteriorViolationError:
+                    assert not all(interior(base, a + d_batch * w) for w, _ in base.wealth.atoms)
+                    seen.add("interior")
+        assert seen == {"solved", "bracket", "interior"}
+
+    def test_example_root_is_exact(self):
+        # uniform F: the breakpoint solve lands on the closed form
+        for mech in mx.CORE:
+            eq = solve(example_economy(), mech)
+            assert eq.d == pytest.approx(solve_closed_form_uniform(example_economy(), mech).d,
+                                         rel=0.0, abs=1e-15)
+            assert eq.iterations == 0
+
+    def test_power_bisection_raises_at_iteration_cap(self, monkeypatch):
+        p = dataclasses.replace(example_economy(), cdf=Power(0.5))
+        assert solve(p, "da").iterations > 3
+        monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
+        with pytest.raises(ConvergenceError):
+            solve(p, "da")
 
 
 class TestClosedFormUniform:

@@ -4,8 +4,25 @@ import math
 import pytest
 
 import segsolve.sweep as sweep
-from segsolve.economy import WealthDist, example_economy
+from segsolve import mechanisms as mx
+from segsolve.cdf import SingleKink, Uniform
+from segsolve.economy import (EconomyParams, WealthDist, binary_wealth,
+                              check_assumption1, check_assumption2,
+                              example_economy)
+from segsolve.equilibrium import SolveError, solve
+from segsolve.segregation import NegativeMassError, school_profile
 import dataclasses
+
+# Binary-wealth bases for the batch-versus-scalar comparison. Between them
+# their kink grids fail assumption 1, fail assumption 2 and pass both.
+BASES = {
+    "example": example_economy(),
+    "g>0,e<1": EconomyParams(m=2, q=0.45, g=0.05, e=0.9, pi=0.3,
+                             wealth=binary_wealth(0.4), cdf=Uniform()),
+    "delta_q>0": dataclasses.replace(example_economy(), delta_q=0.05),
+    "tight": EconomyParams(m=2, q=0.6, g=0.1, e=0.85, pi=0.4, delta_q=0.02,
+                           wealth=binary_wealth(0.6, spread=0.5), cdf=Uniform()),
+}
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +76,41 @@ class TestKinkSweep:
         assert len(lines) == 46
 
 
+def _scalar_record(base, x, y) -> tuple[bool, float, float]:
+    """One kink through the scalar path: assumption checks, solve, school_profile."""
+    nan = float("nan")
+    params = dataclasses.replace(base, cdf=SingleKink(x, y))
+    if not (check_assumption1(params).passed
+            and check_assumption2(params, mechs=("n", "da")).passed):
+        return False, nan, nan
+    try:
+        share_n, share_da = (school_profile(solve(params, mech, check=False)).poor_share
+                             for mech in ("n", "da"))
+    except (SolveError, mx.DegenerateChoiceError, NegativeMassError):
+        return False, nan, nan
+    return True, share_n, share_da
+
+
+class TestBatchMatchesScalar:
+    @pytest.mark.parametrize("step", [0.1, 0.025])
+    @pytest.mark.parametrize("base", list(BASES))
+    def test_records_bit_identical(self, base, step):
+        result = sweep.kink_sweep(BASES[base], step)
+        for r in result.records:
+            feasible, share_n, share_da = _scalar_record(BASES[base], r.x, r.y)
+            assert r.feasible == feasible, (r.x, r.y)
+            assert (r.share_n.hex(), r.share_da.hex()) == (share_n.hex(), share_da.hex()), \
+                (r.x, r.y)
+
+    def test_bases_cover_every_outcome(self):
+        outcomes = set()
+        for base in BASES.values():
+            for r in sweep.kink_sweep(base, 0.1).records:
+                params = dataclasses.replace(base, cdf=SingleKink(r.x, r.y))
+                outcomes.add((r.feasible, check_assumption1(params).passed))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+
 class TestCubeSweep:
     def test_single_cell(self):
         res = sweep.cube_sweep([0.5], [0.4], [0.4], 0.1)
@@ -94,6 +146,19 @@ class TestThreadCount:
     def test_garbage_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("SEGSOLVE_THREADS", "lots")
         assert sweep.thread_count() == 1
+
+    def test_worker_count_clamps(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+        for env, tasks, want in (("100000", 196, 8), ("100000", 3, 3), ("4", 196, 4),
+                                 ("4", 1, 1), ("0", 5, 1), ("-7", 5, 1),
+                                 ("lots", 5, 1), ("4", 0, 1)):
+            monkeypatch.setenv("SEGSOLVE_THREADS", env)
+            assert sweep.worker_count(tasks) == want, (env, tasks)
+
+    def test_worker_count_without_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        monkeypatch.setenv("SEGSOLVE_THREADS", "4")
+        assert sweep.worker_count(10) == 1
 
     def test_parallel_matches_serial(self, monkeypatch):
         serial = sweep.cube_sweep([0.4, 0.5], [0.3], [0.2], 0.1)
