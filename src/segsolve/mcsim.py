@@ -1,4 +1,14 @@
-"""Finite-agent Monte Carlo oracle for the continuum model."""
+"""Finite-agent Monte Carlo oracle for the continuum model.
+
+A replication draws n students (signal, shock, wealth type, primary and
+secondary school among m), houses the demanders of each neighborhood up to
+its cap, draws one lottery number per student, and runs N, DA or TTC
+(`run_mechanism`). Each student ranks their two fitting schools and c0;
+school k ranks its residents first, then everyone else, both in lottery
+order. Any m >= 2 works. `check_da_stability` and `find_ttc_improvement`
+verify the assignments; the tests also hold the per-student TTC loop that
+`run_ttc_finite` replaced, as a reference it must match exactly.
+"""
 from __future__ import annotations
 
 import math
@@ -166,102 +176,163 @@ def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
     return residency.copy()
 
 
+def _lottery_order(lottery: np.ndarray) -> np.ndarray:
+    """Students by lottery number, ties by index: a stable argsort, done as a
+    quicksort when no two numbers tie (the two orders are then the same)."""
+    order = np.argsort(lottery)
+    ranked = lottery[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(lottery, kind="stable")
+    return order
+
+
 def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                    lottery: np.ndarray, prefs: np.ndarray | None = None) -> np.ndarray:
-    """Top trading cycles with counters; c0 has unlimited seats."""
+    """Top trading cycles with counters; c0 has unlimited seats.
+
+    School k ranks its residents in lottery order, then everyone in lottery
+    order (its residents are all seated by the time it gets there), so one
+    stable argsort of the lottery plus one resident block per school give
+    every priority list. Each student points to their first listed school
+    with seats left, their target: one numpy pass per set of open schools.
+    A student whose target is c0 is seated there at once. The rest are
+    seated by a walk over the school graph, k -> target of k's top student:
+    a self-pointer (k's top student targets k) takes a seat in place, and a
+    cycle of schools seats each school's top student at the next school. A
+    school that fills is closed at once, and its students retarget. A
+    self-pointer can seat the top student of the school below on the walk's
+    stack; that school's edge is then gone and the walk steps back to it.
+
+    TTC's outcome does not depend on the order in which cycles are cleared
+    (Abdulkadiroglu & Sonmez, AER 2003), so this equals the per-student
+    loop that the tests keep as a reference.
+    """
     if prefs is None:
         prefs = preferences(agents, params)
-    n = agents.n
-    caps = school_capacities(n, params)
+    n, m = agents.n, params.m
+    seats = school_capacities(n, params).tolist()
+    is_open = np.array(seats) > 0
     assigned = np.full(n, -1, dtype=np.int64)
-    # school priority orders: residents first, then by lottery
-    order_by_school = {}
-    sptr = {}
-    for k in range(1, params.m + 1):
-        nonres = (residency != k).astype(np.int64)
-        order_by_school[k] = np.lexsort((lottery, nonres))
-        sptr[k] = 0
-    stud_ptr = np.zeros(n, dtype=np.int64)
+    target = np.empty_like(assigned)
 
-    def top_school(i: int) -> int:
-        while True:
-            c = prefs[i, stud_ptr[i]]
-            if c == 0 or caps[c] > 0:
-                return int(c)
-            stud_ptr[i] += 1
+    def retarget() -> int:
+        """Point each student at their first listed school with seats left
+        (c0 always has some); seat those who point at c0 there."""
+        target[:] = prefs[:, 0]
+        for col in range(1, prefs.shape[1]):
+            shut = ~is_open[target]
+            target[shut] = prefs[shut, col]
+        to_c0 = (target == 0) & (assigned < 0)
+        assigned[to_c0] = 0
+        return int(np.count_nonzero(to_c0))
 
-    def top_student(k: int) -> int:
-        order = order_by_school[k]
-        p = sptr[k]
-        while assigned[order[p]] >= 0:
-            p += 1
-        sptr[k] = p
-        return int(order[p])
+    shared = _lottery_order(lottery)
+    home = residency[shared]
+    residents = np.concatenate([shared[home == k] for k in range(m + 1)])
+    res_end = np.cumsum(np.bincount(home, minlength=m + 1)).tolist()
+    res_pos = [0] + res_end[:-1]  # school k's residents: residents[res_pos[k]:res_end[k]]
+    lot_pos = [0] * (m + 1)
+    top = [-1] * (m + 1)      # a stacked school's top student
+    depth = [-1] * (m + 1)    # a school's place on the walk's stack; -1 off it
+    asg, tgt, lot, res = (memoryview(a) for a in (assigned, target, shared, residents))
 
-    for i in range(n):
-        while assigned[i] < 0:
-            stack = [i]
-            pos = {i: 0}
-            restart = False
-            while True:
-                curr = stack[-1]
-                c = top_school(curr)
-                if c == 0:
-                    assigned[curr] = 0
-                    del pos[curr]
+    left = n - retarget()
+    while left:
+        k = next(k for k in range(1, m + 1) if seats[k])
+        stack = [k]
+        depth[k] = 0
+        while stack:
+            # k's top student: its first unseated resident, else the first
+            # unseated student in lottery order
+            k = stack[-1]
+            p, end = res_pos[k], res_end[k]
+            while p < end and asg[res[p]] >= 0:
+                p += 1
+            res_pos[k] = p
+            if p < end:
+                t = res[p]
+            else:
+                p = lot_pos[k]
+                while asg[lot[p]] >= 0:
+                    p += 1
+                lot_pos[k] = p
+                t = lot[p]
+            j = tgt[t]
+            if j == k:  # self-pointer
+                asg[t] = k
+                left -= 1
+                seats[k] -= 1
+                if not seats[k]:
+                    is_open[k] = False
+                    left -= retarget()
                     stack.pop()
-                    if not stack:
-                        break
-                    continue
-                t = top_student(c)
-                if t in pos:
-                    start = pos[t]
-                    cycle = stack[start:]
-                    targets = [top_school(j) for j in cycle]
-                    closed = False
-                    for j, cj in zip(cycle, targets):
-                        assigned[j] = cj
-                        caps[cj] -= 1
-                        if caps[cj] == 0:
-                            closed = True
-                    for j in cycle:
-                        del pos[j]
-                    del stack[start:]
-                    if closed or not stack:
-                        restart = True
-                        break
-                else:
-                    pos[t] = len(stack)
-                    stack.append(t)
-            if restart:
+                    depth[k] = -1
+                elif len(stack) > 1 and top[stack[-2]] == t:
+                    # t was also the top of the school below, whose edge is gone
+                    stack.pop()
+                    depth[k] = -1
                 continue
-            break
+            top[k] = t
+            if depth[j] < 0:
+                depth[j] = len(stack)
+                stack.append(j)
+                continue
+            # cycle stack[depth[j]:]: each school's top takes a seat at the next
+            closed = False
+            start = depth[j]
+            for c in stack[start:]:
+                t = top[c]
+                d = tgt[t]
+                asg[t] = d
+                seats[d] -= 1
+                if not seats[d]:
+                    is_open[d] = False
+                    closed = True
+                depth[c] = -1
+            left -= len(stack) - start
+            del stack[start:]
+            if closed:
+                left -= retarget()
     return assigned
+
+
+def _rank_table(prefs: np.ndarray, m: int) -> np.ndarray:
+    """rank[i, k]: place of school k in student i's list; a school the list
+    omits ranks after every listed one, c0 included."""
+    n, width = prefs.shape
+    rank = np.full((n, m + 1), width, dtype=np.int64)
+    rank[np.arange(n)[:, None], prefs] = np.arange(width)
+    return rank
 
 
 def check_da_stability(agents: Agents, residency: np.ndarray, assignment: np.ndarray,
                        params: EconomyParams, lottery: np.ndarray,
                        sample: np.ndarray | None = None) -> list[tuple[int, int]]:
-    """Blocking pairs under resident-then-lottery priorities; empty if stable."""
-    prefs = preferences(agents, params)
+    """Blocking pairs (i, k) under resident-then-lottery priorities, school by
+    school and in the order of `sample` (every agent when None); empty if
+    stable. A student blocks with k if they prefer k to their seat and k has
+    a free seat or admits someone with a worse (non-resident, lottery) key."""
     caps = school_capacities(agents.n, params)
-    rank = np.argsort(prefs, axis=1)  # rank[i, school] = position in i's list
+    idx = np.arange(agents.n) if sample is None else np.asarray(sample)
+    rank = _rank_table(preferences(agents, params)[idx], params.m)
+    held = assignment[idx]
+    own = rank[np.arange(idx.size), held]
     blocking = []
-    agents_to_check = sample if sample is not None else np.arange(agents.n)
     for k in range(1, params.m + 1):
+        nonres = residency[idx] != k
         admitted = np.flatnonzero(assignment == k)
         if admitted.size < caps[k]:
-            worst = (2, math.inf)  # empty seat: anyone prefers in
+            outranks = np.ones(idx.size, dtype=bool)  # a free seat
+        elif admitted.size == 0:
+            continue  # no seats at all
         else:
-            keys = [( int(residency[j] != k), float(lottery[j])) for j in admitted]
-            worst = max(keys)
-        for i in agents_to_check:
-            if assignment[i] == k:
-                continue
-            if rank[i, k] < rank[i, assignment[i]]:
-                key_i = (int(residency[i] != k), float(lottery[i]))
-                if key_i < worst:
-                    blocking.append((int(i), k))
+            admitted_nonres = residency[admitted] != k
+            worst_nonres = bool(admitted_nonres.max())
+            worst_lottery = lottery[admitted[admitted_nonres == worst_nonres]].max()
+            outranks = (nonres < worst_nonres) | (
+                (nonres == worst_nonres) & (lottery[idx] < worst_lottery))
+        hit = (held != k) & (rank[:, k] < own) & outranks
+        blocking.extend((int(i), k) for i in idx[hit])
     return blocking
 
 
@@ -270,9 +341,8 @@ def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
     """Exhaustive Pareto-improvement search: a free-seat upgrade or a trading
     cycle among students. Returns the improving group or None. O(n^2); use
     at small n only."""
-    prefs = preferences(agents, params)
     caps = school_capacities(agents.n, params)
-    rank = np.argsort(prefs, axis=1)
+    rank = _rank_table(preferences(agents, params), params.m)
     counts = np.bincount(assignment, minlength=params.m + 1)
     n = agents.n
     better: list[list[int]] = []
@@ -311,16 +381,25 @@ def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
     return None
 
 
+# Finite algorithm per core mechanism, each called as
+# run(agents, residency, params, lottery, prefs). The lambdas look the
+# functions up when called, so a rebound module attribute (a tracer's
+# wrapper, a test double) is the one that runs.
+_FINITE_RUNS = {
+    mx.Mechanism.N: lambda agents, residency, *_: run_n_finite(agents, residency),
+    mx.Mechanism.DA: lambda *args: run_da_finite(*args),
+    mx.Mechanism.TTC: lambda *args: run_ttc_finite(*args),
+}
+
+
 def run_mechanism(agents: Agents, residency: np.ndarray, params: EconomyParams,
-                  mech: mx.Mechanism, lottery: np.ndarray) -> np.ndarray:
+                  mech: mx.Mechanism, lottery: np.ndarray,
+                  prefs: np.ndarray | None = None) -> np.ndarray:
+    """School per agent under a core mechanism; `prefs` are built if not given."""
     mech = mx.Mechanism(mech)
-    if mech == mx.Mechanism.N:
-        return run_n_finite(agents, residency)
-    if mech == mx.Mechanism.DA:
-        return run_da_finite(agents, residency, params, lottery)
-    if mech == mx.Mechanism.TTC:
-        return run_ttc_finite(agents, residency, params, lottery)
-    raise ValueError(f"no finite algorithm for {mech.value}")
+    if mech not in _FINITE_RUNS:
+        raise ValueError(f"no finite algorithm for {mech.value}")
+    return _FINITE_RUNS[mech](agents, residency, params, lottery, prefs)
 
 
 def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, float]:
@@ -328,11 +407,11 @@ def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, 
     agents = sample_agents(params, config.n_agents, rng)
     residency = housing_stage(agents, config.cutoffs, params, rng)
     lottery = rng.random(config.n_agents)
-    assignment = run_mechanism(agents, residency, params, config.mech, lottery)
+    prefs = preferences(agents, params)
+    assignment = run_mechanism(agents, residency, params, config.mech, lottery, prefs)
 
     n = agents.n
     stats: dict[str, float] = {}
-    prefs = preferences(agents, params)
     top = prefs[:, 0]
     out_of_zone = (top >= 1) & (residency != top)
     if config.mech == mx.Mechanism.TTC:

@@ -1,0 +1,113 @@
+"""Earlier per-agent versions of two `mcsim` functions, kept as references.
+
+`run_ttc_reference` is the per-agent top trading cycles loop that
+`mcsim.run_ttc_finite` replaced with a school-level cycle walk. TTC's outcome
+does not depend on the order in which cycles are cleared, so the two must
+assign every student identically. `check_da_stability_reference` is the
+per-agent blocking-pair scan that the vectorized `mcsim.check_da_stability`
+replaced; its `argsort` rank only inverts rows that are permutations of
+{0, 1, 2}, so it holds at m = 2 only. `test_mcsim.py` runs both against the
+package on many small markets.
+"""
+import math
+
+import numpy as np
+
+from segsolve import mcsim
+
+
+def run_ttc_reference(agents, residency, params, lottery, prefs=None):
+    """Top trading cycles with counters; c0 has unlimited seats."""
+    if prefs is None:
+        prefs = mcsim.preferences(agents, params)
+    n = agents.n
+    caps = mcsim.school_capacities(n, params)
+    assigned = np.full(n, -1, dtype=np.int64)
+    # school priority orders: residents first, then by lottery
+    order_by_school = {}
+    sptr = {}
+    for k in range(1, params.m + 1):
+        nonres = (residency != k).astype(np.int64)
+        order_by_school[k] = np.lexsort((lottery, nonres))
+        sptr[k] = 0
+    stud_ptr = np.zeros(n, dtype=np.int64)
+
+    def top_school(i: int) -> int:
+        while True:
+            c = prefs[i, stud_ptr[i]]
+            if c == 0 or caps[c] > 0:
+                return int(c)
+            stud_ptr[i] += 1
+
+    def top_student(k: int) -> int:
+        order = order_by_school[k]
+        p = sptr[k]
+        while assigned[order[p]] >= 0:
+            p += 1
+        sptr[k] = p
+        return int(order[p])
+
+    for i in range(n):
+        while assigned[i] < 0:
+            stack = [i]
+            pos = {i: 0}
+            restart = False
+            while True:
+                curr = stack[-1]
+                c = top_school(curr)
+                if c == 0:
+                    assigned[curr] = 0
+                    del pos[curr]
+                    stack.pop()
+                    if not stack:
+                        break
+                    continue
+                t = top_student(c)
+                if t in pos:
+                    start = pos[t]
+                    cycle = stack[start:]
+                    targets = [top_school(j) for j in cycle]
+                    closed = False
+                    for j, cj in zip(cycle, targets):
+                        assigned[j] = cj
+                        caps[cj] -= 1
+                        if caps[cj] == 0:
+                            closed = True
+                    for j in cycle:
+                        del pos[j]
+                    del stack[start:]
+                    if closed or not stack:
+                        restart = True
+                        break
+                else:
+                    pos[t] = len(stack)
+                    stack.append(t)
+            if restart:
+                continue
+            break
+    return assigned
+
+
+def check_da_stability_reference(agents, residency, assignment, params, lottery,
+                                 sample=None):
+    """Blocking pairs under resident-then-lottery priorities; empty if stable."""
+    prefs = mcsim.preferences(agents, params)
+    caps = mcsim.school_capacities(agents.n, params)
+    rank = np.argsort(prefs, axis=1)  # rank[i, school] = position in i's list
+    blocking = []
+    agents_to_check = sample if sample is not None else np.arange(agents.n)
+    for k in range(1, params.m + 1):
+        admitted = np.flatnonzero(assignment == k)
+        if admitted.size < caps[k]:
+            worst = (2, math.inf)  # empty seat: anyone prefers in
+        else:
+            keys = [( int(residency[j] != k), float(lottery[j])) for j in admitted]
+            worst = max(keys)
+        for i in agents_to_check:
+            if assignment[i] == k:
+                continue
+            if rank[i, k] < rank[i, assignment[i]]:
+                key_i = (int(residency[i] != k), float(lottery[i]))
+                if key_i < worst:
+                    blocking.append((int(i), k))
+    return blocking

@@ -6,6 +6,7 @@ band of kinks favoring DA sits strictly between the 0.1 grid lines (see the
 step-0.025 test that locates it).
 """
 import dataclasses
+import functools
 import random
 import time
 
@@ -180,6 +181,16 @@ def test_criterion_9_cube_structure():
         assert np.mean([c.q for c in nonzero]) < np.mean(q_list)
 
 
+@functools.cache
+def _ttc_oracle():
+    """The example's TTC equilibrium and its 20-replication, 200k-agent estimate."""
+    p = example_economy()
+    eq = solve(p, "ttc")
+    cfg = mcsim.SimConfig(params=p, mech=mx.Mechanism.TTC, cutoffs=eq.cutoffs,
+                          n_agents=200_000, seed=0, replications=20)
+    return eq, mcsim.estimate(cfg)
+
+
 @pytest.mark.slow
 def test_criterion_10_monte_carlo_oracle():
     with Budget(300.0):
@@ -198,16 +209,17 @@ def test_criterion_10_monte_carlo_oracle():
             assert abs(res.z(f"c1_mass[{w:.6g}]", mass)) <= 3.0
         quality = bm.match_quality("da").total_quality
         assert abs(res.z("quality_total", quality)) <= 3.0
+        _, res_ttc = _ttc_oracle()
+        quality_ttc = bm.match_quality("ttc").total_quality
+        assert abs(res_ttc.z("quality_total", quality_ttc)) <= 3.0
 
-        # stability: no blocking pair in a sampled check
+        # stability: no blocking pair, every agent checked
         rng = np.random.default_rng(42)
         agents = mcsim.sample_agents(p, 20_000, rng)
         residency = mcsim.housing_stage(agents, eq.cutoffs, p, rng)
         lottery = rng.random(agents.n)
         assignment = mcsim.run_da_finite(agents, residency, p, lottery)
-        sample = rng.choice(agents.n, size=2_000, replace=False)
-        assert mcsim.check_da_stability(agents, residency, assignment, p,
-                                        lottery, sample=sample) == []
+        assert mcsim.check_da_stability(agents, residency, assignment, p, lottery) == []
 
         # efficiency: no improving cycle at small n, exhaustively
         eq_ttc = solve(p, "ttc")
@@ -218,6 +230,27 @@ def test_criterion_10_monte_carlo_oracle():
             lottery = rng.random(200)
             assignment = mcsim.run_ttc_finite(agents, residency, p, lottery)
             assert mcsim.find_ttc_improvement(agents, assignment, p) is None
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(
+    strict=True,
+    reason="finite TTC misses the continuum's r and masses: over 20 "
+           "replications at 200k agents (seed 0), r = 0.99798 against 1.0 "
+           "(z = -6.5), c1_mass[1.125] = 0.038270 against 0.0375 (z = +4.3), "
+           "c1_mass[0.875] z = -4.3 and n1_mass[0.875] z = -3.2. n0 applicants "
+           "win seats the continuum keeps for residents: seats of zones the "
+           "housing stage leaves under-full, and seats that an unbalanced "
+           "cross-zone resident exchange passes on by lottery")
+def test_criterion_10_ttc_oracle_rates_and_masses():
+    eq, res = _ttc_oracle()
+    n1, _ = neighborhood_profile(eq)
+    c1 = school_profile(eq)
+    assert abs(res.z("r", eq.r)) <= 3.0
+    for w, mass in n1.masses:
+        assert abs(res.z(f"n1_mass[{w:.6g}]", mass)) <= 3.0
+    for w, mass in c1.masses:
+        assert abs(res.z(f"c1_mass[{w:.6g}]", mass)) <= 3.0
 
 
 def test_criterion_11_flow_invariance():

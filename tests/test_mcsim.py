@@ -1,4 +1,6 @@
 """Finite-agent simulation: sampling, housing, DA/TTC algorithms, estimates."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from segsolve import mcsim
 from segsolve import mechanisms as mx
 from segsolve.economy import example_economy
 from segsolve.equilibrium import solve
+
+from mcsim_reference import check_da_stability_reference, run_ttc_reference
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +27,24 @@ def _small_market(seed, n=2000, mech="da", cutoffs=None):
     residency = mcsim.housing_stage(agents, cutoffs, p, rng)
     lottery = rng.random(n)
     return p, agents, residency, lottery
+
+
+def _market(params, n, seed, cutoffs):
+    rng = np.random.default_rng(seed)
+    agents = mcsim.sample_agents(params, n, rng)
+    residency = mcsim.housing_stage(agents, cutoffs, params, rng)
+    return agents, residency, rng.random(n)
+
+
+def _hand_market(top, residency, q):
+    """Students at g = 0 with shocks of 0 and positive signals, so student i
+    ranks school top[i] first and c0 second; lottery order is index order."""
+    n = len(top)
+    params = dataclasses.replace(example_economy(), q=q)
+    t1 = np.array(top, dtype=np.int64)
+    agents = mcsim.Agents(t1=t1, t2=3 - t1, s=np.full(n, 0.5), eps=np.zeros(n),
+                          omega=np.ones(n), omega_idx=np.zeros(n, dtype=np.int64))
+    return params, agents, np.array(residency, dtype=np.int64), np.arange(n) / n
 
 
 class TestSampling:
@@ -138,6 +160,31 @@ class TestTtcFinite:
             asg = mcsim.run_ttc_finite(agents, residency, p, lottery)
             assert mcsim.find_ttc_improvement(agents, asg, p) is None
 
+    def test_self_cycle_unwinds_shared_top(self):
+        # schools 1 and 2 both rank student 0 first; 0 wants school 2. The
+        # walk starts at 1, steps to 2, and 2 seats 0 in a self-cycle, which
+        # also removes 1's top student: the walk must drop that edge
+        params, agents, residency, lottery = _hand_market(
+            [2, 1, 1, 2, 2, 1, 1, 2], [0] * 8, q=0.5)  # two seats a school
+        asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+        assert asg.tolist() == [2, 1, 1, 2, 0, 0, 0, 0]
+        assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
+
+    def test_school_filled_by_self_cycle_closes_before_unwind(self):
+        # as above with one seat a school: 0's self-cycle fills school 2
+        params, agents, residency, lottery = _hand_market([2, 2, 1, 1], [0] * 4, q=0.5)
+        asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+        assert asg.tolist() == [2, 0, 1, 0]
+        assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
+
+    def test_residents_trade_ahead_of_lottery(self):
+        # 2 lives at 1 and wants 2, 3 lives at 2 and wants 1: they trade
+        # their priorities, though 0 and 1 hold better lottery numbers
+        params, agents, residency, lottery = _hand_market(
+            [1, 2, 2, 1], [0, 0, 1, 2], q=0.5)
+        asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+        assert asg.tolist() == [0, 0, 2, 1]
+
     def test_residents_weakly_improve(self):
         # a resident never ends strictly below their own school
         p, agents, residency, lottery = _small_market(10, mech="ttc")
@@ -148,6 +195,147 @@ class TestTtcFinite:
         own = rank[np.arange(agents.n), residency.clip(0)]
         got = rank[np.arange(agents.n), asg]
         assert np.all(got[res] <= own[res])
+
+
+TTC_VARIANTS = {
+    "example": {},
+    "delta_q": {"delta_q": 0.05},
+    "pi_0.1": {"pi": 0.1},
+    "delta_q_pi_0.2": {"delta_q": 0.1, "pi": 0.2},
+    "m3": {"m": 3},
+    "m4": {"m": 4},
+    "shuffled_prefs": {},
+}
+
+
+class TestTtcMatchesReference:
+    """The school-level walk against the per-agent loop it replaced."""
+
+    @pytest.mark.parametrize("variant", sorted(TTC_VARIANTS))
+    def test_identical_assignments(self, variant):
+        params = dataclasses.replace(example_economy(), **TTC_VARIANTS[variant])
+        cutoffs = solve(params, "ttc").cutoffs
+        for seed in range(30):
+            n = (1_000, 2_000, 5_000)[seed % 3]
+            agents, residency, lottery = _market(params, n, seed, cutoffs)
+            prefs = mcsim.preferences(agents, params)
+            if variant == "shuffled_prefs":
+                # any order of {c0, t1, t2}: second choices above c0 make
+                # students retarget when a school fills
+                rng = np.random.default_rng(1_000 + seed)
+                prefs = rng.permuted(prefs, axis=1)
+            asg = mcsim.run_ttc_finite(agents, residency, params, lottery, prefs)
+            ref = run_ttc_reference(agents, residency, params, lottery, prefs)
+            assert np.array_equal(asg, ref), (variant, seed, int(np.sum(asg != ref)))
+
+    def test_lottery_ties_break_by_index(self):
+        params = example_economy()
+        agents, residency, lottery = _market(params, 2_000, 3, solve(params, "ttc").cutoffs)
+        lottery = np.round(lottery, 2)  # many ties
+        assert np.array_equal(mcsim.run_ttc_finite(agents, residency, params, lottery),
+                              run_ttc_reference(agents, residency, params, lottery))
+
+    @pytest.mark.slow
+    def test_identical_at_200k(self):
+        params = example_economy()
+        agents, residency, lottery = _market(params, 200_000, 2024,
+                                             solve(params, "ttc").cutoffs)
+        prefs = mcsim.preferences(agents, params)
+        assert np.array_equal(mcsim.run_ttc_finite(agents, residency, params, lottery, prefs),
+                              run_ttc_reference(agents, residency, params, lottery, prefs))
+
+
+class TestStabilityCheck:
+    def _da_market(self, seed, m=2, n=2_000):
+        params = dataclasses.replace(example_economy(), m=m)
+        agents, residency, lottery = _market(params, n, seed, solve(params, "da").cutoffs)
+        asg = mcsim.run_da_finite(agents, residency, params, lottery)
+        return params, agents, residency, lottery, asg
+
+    def test_matches_reference_on_stable_and_perturbed(self):
+        for seed in range(6):
+            params, agents, residency, lottery, asg = self._da_market(seed)
+            rng = np.random.default_rng(seed)
+            perturbed = {"stable": asg.copy()}
+            freed = asg.copy()
+            held = np.flatnonzero(freed >= 1)
+            freed[rng.choice(held, size=5, replace=False)] = 0  # free seats
+            perturbed["freed"] = freed
+            swapped = asg.copy()
+            pairs = rng.choice(agents.n, size=(40, 2), replace=False)
+            swapped[pairs[:, 0]], swapped[pairs[:, 1]] = asg[pairs[:, 1]], asg[pairs[:, 0]]
+            perturbed["swapped"] = swapped
+            shuffled = asg.copy()
+            rng.shuffle(shuffled)
+            perturbed["shuffled"] = shuffled
+            sample = rng.choice(agents.n, size=300, replace=False)
+            for name, a in perturbed.items():
+                for smp in (None, sample):
+                    got = mcsim.check_da_stability(agents, residency, a, params, lottery,
+                                                   sample=smp)
+                    want = check_da_stability_reference(agents, residency, a, params,
+                                                        lottery, sample=smp)
+                    assert got == want, (seed, name, smp is None)
+                    if name != "stable":
+                        assert got or smp is not None, (seed, name)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_no_blocking_pair_then_planted_one(self, m):
+        params, agents, residency, lottery, asg = self._da_market(20 + m, m=m, n=5_000)
+        assert mcsim.check_da_stability(agents, residency, asg, params, lottery) == []
+        j = int(np.flatnonzero(asg >= 1)[0])
+        k = int(asg[j])
+        planted = asg.copy()
+        planted[j] = 0  # j ranks k above c0 and k now has a free seat
+        assert (j, k) in mcsim.check_da_stability(agents, residency, planted, params, lottery)
+
+
+class TestImprovementSearch:
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_no_improvement_then_planted_one(self, m):
+        params = dataclasses.replace(example_economy(), m=m)
+        cutoffs = solve(params, "ttc").cutoffs
+        for seed in range(3):
+            agents, residency, lottery = _market(params, 200, seed, cutoffs)
+            asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+            assert mcsim.find_ttc_improvement(agents, asg, params) is None
+            # swap two students seated at different first choices: each now
+            # holds a school ranked below c0, so the lower index upgrades first
+            prefs = mcsim.preferences(agents, params)
+            first = np.flatnonzero((asg >= 1) & (asg == prefs[:, 0]))
+            i = int(first[0])
+            j = int(first[asg[first] != asg[i]][0])
+            planted = asg.copy()
+            planted[i], planted[j] = asg[j], asg[i]
+            assert mcsim.find_ttc_improvement(agents, planted, params) == [min(i, j)]
+
+
+class TestRunMechanism:
+    def test_prefs_pass_through(self):
+        p, agents, residency, lottery = _small_market(15, mech="ttc")
+        prefs = mcsim.preferences(agents, p)
+        for mech in mx.CORE:
+            assert np.array_equal(
+                mcsim.run_mechanism(agents, residency, p, mech, lottery, prefs),
+                mcsim.run_mechanism(agents, residency, p, mech, lottery))
+
+    def test_policy_mechanism_has_no_finite_algorithm(self):
+        p, agents, residency, lottery = _small_market(16)
+        with pytest.raises(ValueError, match="no finite algorithm"):
+            mcsim.run_mechanism(agents, residency, p, "da_l", lottery)
+
+    @pytest.mark.parametrize("mech", ["da", "ttc"])
+    def test_preferences_built_once_per_replication(self, mech, monkeypatch):
+        calls = []
+        original = mcsim.preferences
+        monkeypatch.setattr(mcsim, "preferences",
+                            lambda *a: calls.append(1) or original(*a))
+        p = example_economy()
+        cfg = mcsim.SimConfig(params=p, mech=mx.Mechanism(mech),
+                              cutoffs=solve(p, mech).cutoffs, n_agents=2_000,
+                              seed=17, replications=2)
+        mcsim.estimate(cfg)
+        assert len(calls) == 2
 
 
 class TestEstimates:
