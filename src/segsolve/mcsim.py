@@ -176,16 +176,6 @@ def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
     return residency.copy()
 
 
-def _lottery_order(lottery: np.ndarray) -> np.ndarray:
-    """Students by lottery number, ties by index: a stable argsort, done as a
-    quicksort when no two numbers tie (the two orders are then the same)."""
-    order = np.argsort(lottery)
-    ranked = lottery[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(lottery, kind="stable")
-    return order
-
-
 def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                    lottery: np.ndarray, prefs: np.ndarray | None = None) -> np.ndarray:
     """Top trading cycles with counters; c0 has unlimited seats.
@@ -211,13 +201,13 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
         prefs = preferences(agents, params)
     n, m = agents.n, params.m
     seats = school_capacities(n, params).tolist()
-    is_open = np.array(seats) > 0
     assigned = np.full(n, -1, dtype=np.int64)
     target = np.empty_like(assigned)
 
     def retarget() -> int:
         """Point each student at their first listed school with seats left
         (c0 always has some); seat those who point at c0 there."""
+        is_open = np.array(seats) > 0
         target[:] = prefs[:, 0]
         for col in range(1, prefs.shape[1]):
             shut = ~is_open[target]
@@ -226,7 +216,7 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
         assigned[to_c0] = 0
         return int(np.count_nonzero(to_c0))
 
-    shared = _lottery_order(lottery)
+    shared = np.argsort(lottery, kind="stable")  # ties by index
     home = residency[shared]
     residents = np.concatenate([shared[home == k] for k in range(m + 1)])
     res_end = np.cumsum(np.bincount(home, minlength=m + 1)).tolist()
@@ -263,7 +253,6 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                 left -= 1
                 seats[k] -= 1
                 if not seats[k]:
-                    is_open[k] = False
                     left -= retarget()
                     stack.pop()
                     depth[k] = -1
@@ -286,7 +275,6 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                 asg[t] = d
                 seats[d] -= 1
                 if not seats[d]:
-                    is_open[d] = False
                     closed = True
                 depth[c] = -1
             left -= len(stack) - start
