@@ -6,9 +6,9 @@ from .economy import (EconomyError, EconomyParams, WealthDist, binary_wealth,
                       price_bounds)
 from .equilibrium import (AssumptionError, BracketFailureError,
                           ConvergenceError, Equilibrium,
-                          InteriorViolationError, NoFixedPointError,
-                          SolveError, solve, solve_closed_form_uniform,
-                          solve_policy, verify_lemma1)
+                          InteriorViolationError, MultipleFixedPointsError,
+                          NoFixedPointError, SolveError, solve, solve_policy,
+                          verify_lemma1)
 from .mechanisms import (CORE, CORE_ALGEBRA, AggregateFlows, CoreAlgebra,
                          DegenerateChoiceError, Mechanism, aggregate_flows,
                          delta_u, gamma, policy_delta_u, r_da_uniform,

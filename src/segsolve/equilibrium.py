@@ -1,12 +1,20 @@
-"""Symmetric cutoff equilibria s_w = a + d w.
+"""Symmetric cutoff equilibria s_w = a + d w, and the policy fixed point.
 
-For piecewise-linear F the dispersion d comes from an exact kernel: the
-capacity residual is piecewise linear in d, so it is evaluated at its
-breakpoints and solved linearly on the bracketing segment. The kernel takes
-a batch of CDFs, and `solve` calls it with a batch of one, so a batched
-sweep and `solve` agree bit for bit. For `Power` F, d comes from a monotone
-bisection that raises ConvergenceError if it stops at MAX_ITER. Uniform F
-also has a closed form.
+One exact kernel, `affine_root`, serves every piecewise-linear market: when
+each type's cutoff is affine in one unknown x, the clearing residual
+sum_t rho_t F(alpha_t + beta_t x) - target is piecewise linear and
+nondecreasing in x, so it is evaluated at its breakpoints and solved
+linearly on the bracketing segment, for a batch of rows at once. `solve`
+and the kink sweep call it on the dispersion d (alpha = a, beta = w), a
+batch of one CDF or of a whole grid, so the two agree bit for bit. For
+`Power` F, d comes from a monotone bisection that raises ConvergenceError
+if it stops at MAX_ITER.
+
+`solve_policy` calls the kernel on the price p: under DA_L and DA_WL each
+cutoff is affine in p for a fixed rejection rate r, so one kernel call
+clears the housing market at a whole batch of r values. The rejection
+fixed point is bracketed by a batched scan that counts every sign change,
+then refined by batched k-section.
 """
 from __future__ import annotations
 
@@ -15,12 +23,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mechanisms as mx
-from .cdf import PiecewiseLinear, PiecewiseLinearBatch, Uniform
+from .cdf import PiecewiseLinear, PiecewiseLinearBatch
 from .economy import (AssumptionReport, EconomyParams, check_assumption1,
                       check_assumption2, is_example_profile, price_bounds)
 
 RESIDUAL_TOL = 1e-11
 MAX_ITER = 200
+
+# solve_policy: price search interval [0, POLICY_MAX_PRICE], the r scan that
+# brackets the fixed point, interior points per k-section round, the
+# bracket width that ends it, and the round cap
+POLICY_MAX_PRICE = 4.0
+POLICY_SCAN = np.linspace(0.05, 0.999, 40)
+POLICY_POINTS = 64
+POLICY_R_TOL = 1e-12
+POLICY_MAX_ROUNDS = 12
 
 
 class SolveError(RuntimeError):
@@ -47,6 +64,16 @@ class NoFixedPointError(SolveError):
     """Policy rejection fixed point could not be bracketed."""
 
 
+class MultipleFixedPointsError(NoFixedPointError):
+    """The policy rejection gap changes sign more than once."""
+
+    def __init__(self, mech: mx.Mechanism, brackets: tuple[tuple[float, float], ...]):
+        self.brackets = brackets
+        named = ", ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in brackets)
+        super().__init__(
+            f"{len(brackets)} rejection fixed points bracketed for {mech.value}: {named}")
+
+
 @dataclass(frozen=True)
 class Equilibrium:
     mech: mx.Mechanism
@@ -57,7 +84,7 @@ class Equilibrium:
     cutoffs: tuple[tuple[float, float], ...]  # (omega, s), poorest first
     e_s: float
     residual: float
-    iterations: int  # bisection steps; 0 for an exact or closed-form root
+    iterations: int  # bisection steps or policy k-section rounds; 0 for an exact root
     params: EconomyParams = field(repr=False, compare=False)
     r_by_omega: tuple[tuple[float, float], ...] | None = None
 
@@ -108,41 +135,58 @@ def interior(params, s):
     return (params.g + eps < s) & (s < params.e - params.g - eps)
 
 
-def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
-    """Exact root d in [0, d_max] of sum_w rho_w F(a + d w) - (1-q), one
-    per CDF of the batch; nan where [0, d_max] brackets no root.
-
-    The residual is piecewise linear and nondecreasing in d, with
-    breakpoints where a cutoff meets a knot, d = (knot - a)/w. It is
-    evaluated at 0, at d_max and at every breakpoint clipped into
-    [0, d_max], and the first segment on which it turns nonnegative is
-    solved linearly. `a` is a scalar or one value per CDF.
-    """
-    rows = len(cdfs.xs)
-    a = np.reshape(a, (-1, 1, 1))
-    d_max = max_dispersion(params, a)
-    omegas = params.wealth.omegas[:, None]
-    knots = np.minimum(np.maximum((cdfs.xs[:, None, :] - a) / omegas, 0.0), d_max)
-    ends = np.zeros((rows, 2))
-    ends[:, 1] = d_max[:, 0, 0]
-    d = np.sort(np.concatenate([ends, knots.reshape(rows, -1)], axis=1), axis=1)
-    # F at every type's cutoff a + d w, as (B, types, points); cutoffs past
-    # an end of [0, 1] read F there, as the clamped scalar residual does
-    s = d[:, None, :] * omegas
-    s += a
-    fs = cdfs.value(s.reshape(rows, -1)).reshape(s.shape)
+def _weighted(values, rhos):
+    """sum_t rho_t values[:, t], accumulated type by type, poorest first."""
     total = 0.0
-    for j, rho in enumerate(params.wealth.rhos):
-        total = total + rho * fs[:, j]
-    res = total - (1.0 - params.q)
+    for j, rho in enumerate(rhos):
+        total = total + rho * values[:, j]
+    return total
+
+
+def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max,
+                target: float) -> np.ndarray:
+    """Exact root x in [0, x_max] of sum_t rho_t F_b(alpha_bt + beta_bt x)
+    - target for each row b; nan where [0, x_max] brackets no root.
+
+    With every slope beta > 0 the residual is piecewise linear and
+    nondecreasing in x, with breakpoints where a cutoff meets a knot,
+    x = (knot - alpha)/beta. It is evaluated at 0, at x_max and at every
+    breakpoint clipped into [0, x_max], and the first segment on which it
+    turns nonnegative is solved linearly. alpha and beta broadcast to
+    (rows, types) and x_max to (rows,); `cdfs` holds one CDF per row, or
+    one CDF shared by every row.
+    """
+    alpha, beta = (np.asarray(v, dtype=float)[..., None] for v in (alpha, beta))
+    x_max = np.reshape(x_max, (-1, 1, 1))
+    knots = np.minimum(np.maximum((cdfs.xs[:, None, :] - alpha) / beta, 0.0), x_max)
+    rows = len(knots)
+    ends = np.zeros((rows, 2))
+    ends[:, 1] = x_max[:, 0, 0]
+    x = np.sort(np.concatenate([ends, knots.reshape(rows, -1)], axis=1), axis=1)
+    # F at every type's cutoff alpha + beta x, as (rows, types, points);
+    # cutoffs past an end of [0, 1] read F there, as the clamped scalar
+    # residual does
+    s = x[:, None, :] * beta
+    s += alpha
+    fs = cdfs.value(s.reshape(len(cdfs.xs), -1)).reshape(s.shape)
+    res = _weighted(fs, rhos) - target
     # the segment from the last negative residual to the first nonnegative
-    # one; hi = 0 leaves the root at d = 0, where the residual is 0 if bracketed
+    # one; hi = 0 leaves the root at x = 0, where the residual is 0 if bracketed
     at, hi = np.arange(rows), np.argmax(res >= 0.0, axis=1)
     lo = np.maximum(hi - 1, 0)
-    d0, d1, r0, r1 = d[at, lo], d[at, hi], res[at, lo], res[at, hi]
-    root = d0 - np.divide(r0 * (d1 - d0), r1 - r0, out=np.zeros(rows), where=hi > 0)
-    bracketed = (d_max[:, 0, 0] > 0.0) & (res[:, 0] <= 0.0) & (res[:, -1] >= 0.0)
+    x0, x1, r0, r1 = x[at, lo], x[at, hi], res[at, lo], res[at, hi]
+    root = x0 - np.divide(r0 * (x1 - x0), r1 - r0, out=np.zeros(rows), where=hi > 0)
+    bracketed = (x_max[:, 0, 0] > 0.0) & (res[:, 0] <= 0.0) & (res[:, -1] >= 0.0)
     return np.where(bracketed, root, np.nan)
+
+
+def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
+    """Exact root d in [0, d_max] of sum_w rho_w F(a + d w) - (1-q), one
+    per CDF of the batch; nan where [0, d_max] brackets no root. `a` is a
+    scalar or one value per CDF."""
+    a = np.reshape(a, (-1, 1))
+    return affine_root(cdfs, params.wealth.rhos, a, params.wealth.omegas,
+                       max_dispersion(params, a), 1.0 - params.q)
 
 
 def _equilibrium(params: EconomyParams, mech: mx.Mechanism, r: float, a: float,
@@ -205,118 +249,114 @@ def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
         f"with residual {res:.3g}")
 
 
-def solve_closed_form_uniform(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
-    """Direct solution for uniform F, in floating point with no root search.
+def _policy_cutoffs(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
+    """The roots of policy_delta_u in s, s_w = alpha_w + beta_w p, as
+    (len(r), types) intercepts alpha and slopes beta, one row per rejection
+    rate in r; types poorest first."""
+    r = r[:, None]
+    omegas = params.wealth.omegas
+    # -(1-r)(1-s)/3 + r(2s+1)/3 = w p, solved for s
+    alpha = np.repeat(-(2.0 * r - 1.0) / (1.0 + r), len(omegas), axis=1)
+    beta = 3.0 * omegas / (1.0 + r)
+    if mech == mx.Mechanism.DA_WL:
+        # richer types are rejected for sure: (2s+1)/3 = w p
+        alpha[:, 1:] = -0.5
+        beta[:, 1:] = 1.5 * omegas[1:]
+    return alpha, beta
 
-    F(s) = s turns market clearing into E[s] = 1-q; with mean wealth 1 this
-    gives d = (1-q) - a.
+
+def _policy_gap(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
+    """For each rejection rate in r: r minus the rate that seat accounting
+    implies once the housing market clears, the clearing price, the cutoffs
+    (len(r), types) and the clearing residual at p = 0.
+
+    The price is the kernel's root in [0, POLICY_MAX_PRICE]. Where the
+    market clears or overshoots at p = 0 the price is 0, the corner.
+    Vacated supply pi sum rho_w (1 - F(s_w)) is rationed by lottery over the
+    eligible out-of-district pool (DA_L: everyone in n0; DA_WL: poor n0
+    residents).
     """
-    mech = mx.Mechanism(mech)
-    if not isinstance(params.cdf, Uniform):
-        raise ValueError("closed form requires a uniform signal CDF")
-    if check:
-        _require_assumptions(params, mech)
-    r = mx.rejection(params, mech)
-    a = mx.CORE_ALGEBRA[mech].intercept(params)
-    return _equilibrium(params, mech, r, a, (1.0 - params.q) - a, 0.0, 0)
+    f, rhos, target = params.cdf.batch, params.wealth.rhos, 1.0 - params.q
+
+    def cdf_at(s):  # F at each cutoff, clamped into the support
+        return f.value(s.reshape(1, -1)).reshape(s.shape)
+
+    alpha, beta = _policy_cutoffs(mech, r, params)
+    # the kernel's residual at p = 0, bit for bit
+    at_zero = _weighted(cdf_at(alpha), rhos) - target
+    p = np.where(at_zero >= 0.0, 0.0,
+                 affine_root(f, rhos, alpha, beta, POLICY_MAX_PRICE, target))
+    if np.isnan(p).any():
+        raise NoFixedPointError("housing market cannot clear at this rejection rate")
+    cuts = alpha + beta * p[:, None]
+    fs = cdf_at(cuts)
+    vacated = params.pi * _weighted(1.0 - fs, rhos)
+    eligible = _weighted(fs, rhos) if mech == mx.Mechanism.DA_L else rhos[0] * fs[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        implied = np.where(eligible <= vacated, 0.0, 1.0 - vacated / eligible)
+    return r - implied, p, cuts, at_zero
 
 
-def _policy_cutoffs(mech: mx.Mechanism, r: float, p: float, params: EconomyParams):
-    """Roots of policy_delta_u in s, one per wealth type (linear in s)."""
-    out = []
-    for w, _ in params.wealth.atoms:
-        if mech == mx.Mechanism.DA_WL and abs(w - params.wealth.poorest) > 1e-12:
-            s = (3.0 * w * p - 1.0) / 2.0
-        else:
-            s = (3.0 * w * p - (2.0 * r - 1.0)) / (1.0 + r)
-        out.append((w, s))
-    return tuple(out)
+def _bracket(mech: mx.Mechanism, rs: np.ndarray, gaps: np.ndarray) -> int:
+    """The one i where the gap changes sign between rs[i] and rs[i + 1],
+    zero counting as negative; raises if it changes sign never or more
+    than once."""
+    side = gaps <= 0.0
+    changes = np.flatnonzero(side[:-1] != side[1:])
+    if changes.size == 0:
+        raise NoFixedPointError(f"no rejection fixed point bracketed for {mech.value}")
+    if changes.size > 1:
+        raise MultipleFixedPointsError(
+            mech, tuple((float(rs[i]), float(rs[i + 1])) for i in changes))
+    return int(changes[0])
 
 
 def solve_policy(params: EconomyParams, mech) -> Equilibrium:
     """Joint fixed point (r, p) for the desegregation policy mechanisms.
 
-    Inner bisection clears the housing market in p given r; the outer loop
-    finds r consistent with seat accounting: vacated supply pi*sum rho(w)
-    (1-F(s_w)) rationed by lottery over the eligible out-of-district pool
-    (DA_L: everyone in n0; DA_WL: poor n0 residents, rich rejection is 1).
+    For each r the housing market clears at the exact kernel price; the
+    rejection rate r must equal the one seat accounting implies. A batched
+    scan over POLICY_SCAN brackets the fixed point and raises if the gap
+    changes sign never or more than once; batched k-section with
+    POLICY_POINTS interior points per round then narrows the bracket below
+    POLICY_R_TOL, raising ConvergenceError after POLICY_MAX_ROUNDS rounds.
     """
     mech = mx.Mechanism(mech)
     if mech not in mx.POLICY:
         raise ValueError(f"solve_policy handles da_l/da_wl; got {mech.value}")
     if not is_example_profile(params):
         raise ValueError("policy mechanisms are defined on the example profile only")
-    f = params.cdf
+    scan = _policy_gap(mech, POLICY_SCAN, params)[0]
+    i = _bracket(mech, POLICY_SCAN, scan)
+    lo, hi, gap_lo, gap_hi = POLICY_SCAN[i], POLICY_SCAN[i + 1], scan[i], scan[i + 1]
+    rounds = 0
+    while hi - lo >= POLICY_R_TOL:
+        if rounds == POLICY_MAX_ROUNDS:
+            raise ConvergenceError(
+                f"{mech.value} fixed point still bracketed by [{lo!r}, {hi!r}] "
+                f"after {rounds} rounds")
+        rounds += 1
+        rs = np.concatenate([[lo], lo + (hi - lo) * np.arange(1, POLICY_POINTS + 1)
+                             / (POLICY_POINTS + 1), [hi]])
+        gaps = np.concatenate([[gap_lo], _policy_gap(mech, rs[1:-1], params)[0], [gap_hi]])
+        i = _bracket(mech, rs, gaps)
+        lo, hi, gap_lo, gap_hi = rs[i], rs[i + 1], gaps[i], gaps[i + 1]
+    r = float(0.5 * (lo + hi))
+    _, p, cuts, at_zero = _policy_gap(mech, np.array([r]), params)
+    if at_zero[0] > 0.0:
+        raise NoFixedPointError(
+            f"{mech.value} fixed point r={r:.6g} clears the housing market only at "
+            f"the p = 0 corner (residual {at_zero[0]:.3g} there)")
+    cuts = tuple(zip(params.wealth.omegas.tolist(), cuts[0].tolist()))
     rhos = [rho for _, rho in params.wealth.atoms]
-    target = 1.0 - params.q
-
-    def clear_price(r: float) -> tuple[float, tuple]:
-        def residual(p: float) -> float:
-            cuts = _policy_cutoffs(mech, r, p, params)
-            return sum(rho * _cdf_at(f, s) for (_, s), rho in zip(cuts, rhos)) - target
-
-        lo, hi = 0.0, 4.0
-        if residual(lo) >= 0:
-            # market already clears (or overshoots) at a zero price
-            return 0.0, _policy_cutoffs(mech, r, 0.0, params)
-        if residual(hi) < 0:
-            raise NoFixedPointError("housing market cannot clear at this rejection rate")
-        for _ in range(MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if residual(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14:
-                break
-        p = 0.5 * (lo + hi)
-        return p, _policy_cutoffs(mech, r, p, params)
-
-    def implied_r(cuts) -> float:
-        vacated = params.pi * sum(rho * (1.0 - _cdf_at(f, s))
-                                  for (_, s), rho in zip(cuts, rhos))
-        if mech == mx.Mechanism.DA_L:
-            eligible = sum(rho * _cdf_at(f, s) for (_, s), rho in zip(cuts, rhos))
-        else:
-            (_, s_poor) = cuts[0]
-            eligible = rhos[0] * _cdf_at(f, s_poor)
-        if eligible <= vacated:
-            return 0.0
-        return 1.0 - vacated / eligible
-
-    def gap(r: float) -> float:
-        _, cuts = clear_price(r)
-        return r - implied_r(cuts)
-
-    # bracket the rejection fixed point by scanning, then bisect
-    grid = np.linspace(0.05, 0.999, 40)
-    vals = [gap(r) for r in grid]
-    lo = hi = None
-    for i in range(len(grid) - 1):
-        if vals[i] <= 0.0 <= vals[i + 1] or vals[i] >= 0.0 >= vals[i + 1]:
-            lo, hi, gap_lo = grid[i], grid[i + 1], vals[i]
-            break
-    if lo is None:
-        raise NoFixedPointError(f"no rejection fixed point bracketed for {mech.value}")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        gap_mid = gap(mid)
-        if gap_lo * gap_mid <= 0.0:
-            hi = mid
-        else:
-            lo, gap_lo = mid, gap_mid
-        if hi - lo < 1e-12:
-            break
-    r = 0.5 * (lo + hi)
-    p, cuts = clear_price(r)
     e_s = sum(rho * s for (_, s), rho in zip(cuts, rhos))
-    res = sum(rho * _cdf_at(f, s) for (_, s), rho in zip(cuts, rhos)) - target
+    res = sum(rho * _cdf_at(params.cdf, s) for (_, s), rho in zip(cuts, rhos)) - (1.0 - params.q)
     r_by_omega = None
     if mech == mx.Mechanism.DA_WL:
         r_by_omega = tuple((w, r if i == 0 else 1.0)
                            for i, (w, _) in enumerate(cuts))
-    return Equilibrium(mech, r, float("nan"), p, float("nan"),
-                       cuts, e_s, res, 0, params, r_by_omega)
+    return Equilibrium(mech, r, float("nan"), float(p[0]), float("nan"),
+                       cuts, e_s, res, rounds, params, r_by_omega)
 
 
 def verify_lemma1(params: EconomyParams, mech) -> AssumptionReport:
@@ -327,19 +367,22 @@ def verify_lemma1(params: EconomyParams, mech) -> AssumptionReport:
     grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
     below = grid <= params.g + 1e-12
     above = grid >= params.g - 1e-12
+    omegas, rs, prices = params.wealth.omegas, list({r_hat, 1.0}), (0.0, p_hat, p_bar)
+    # every (omega, r, p) at once, as (omegas, rs, prices, grid)
+    at_zero = mx.delta_u(mech, np.array(rs), 0.0, params.g, omegas[:, None], params)
+    du = mx.delta_u(mech, np.array(rs)[:, None, None], np.array(prices)[:, None], grid,
+                    omegas[:, None, None, None], params)
+    weak = np.all(np.diff(du[..., below]) >= -1e-12, axis=-1)
+    strict = np.all(np.diff(du[..., above]) > 0.0, axis=-1)
     checks = []
-    for omega in params.wealth.omegas:
-        for r in {r_hat, 1.0}:
-            at_zero = mx.delta_u(mech, r, 0.0, params.g, omega, params)
-            checks.append((f"du(r={r:.3g},0|g,{omega})>=0", at_zero >= -1e-12))
-            for p in (0.0, p_hat, p_bar):
-                du = mx.delta_u(mech, r, p, grid, omega, params)
-                dlo = np.diff(du[below])
-                dhi = np.diff(du[above])
+    for i, omega in enumerate(omegas):
+        for j, r in enumerate(rs):
+            checks.append((f"du(r={r:.3g},0|g,{omega})>=0", bool(at_zero[i, j] >= -1e-12)))
+            for k, p in enumerate(prices):
                 checks.append((
                     f"weak increase on [0,g] (r={r:.3g},p={p:.3g},w={omega})",
-                    bool(dlo.size == 0 or np.all(dlo >= -1e-12))))
+                    bool(weak[i, j, k])))
                 checks.append((
                     f"strict increase on [g,1] (r={r:.3g},p={p:.3g},w={omega})",
-                    bool(np.all(dhi > 0.0))))
+                    bool(strict[i, j, k])))
     return AssumptionReport("lemma1", all(ok for _, ok in checks), False, tuple(checks))

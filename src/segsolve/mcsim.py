@@ -123,17 +123,20 @@ def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
 def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     """Strict school rankings (n, 3): the two fitting schools and c0 (id 0).
 
-    Exact utility ties break toward the lower school index.
+    The utilities are fit = s + eps at the primary school, -fit at the
+    secondary and g >= 0 at c0, so the order follows from where fit lies
+    against -g, 0 and g. Exact utility ties break toward the lower school
+    index, and c0 has the lowest.
     """
     fit = agents.s + agents.eps
-    utils = np.column_stack([
-        np.full(agents.n, params.g),  # c0
-        fit,                          # primary
-        -fit,                         # secondary
-    ])
-    ids = np.column_stack([np.zeros(agents.n, dtype=np.int64), agents.t1, agents.t2])
-    order = np.lexsort((ids, -utils), axis=1)
-    return np.take_along_axis(ids, order, axis=1)
+    t1, t2 = agents.t1, agents.t2
+    top1, top2 = fit > params.g, fit < -params.g   # a fitting school beats c0
+    first1 = (fit > 0.0) | ((fit == 0.0) & (t1 < t2))  # primary before secondary
+    prefs = np.empty((agents.n, 3), dtype=np.int64)
+    prefs[:, 0] = np.where(top1, t1, np.where(top2, t2, 0))
+    prefs[:, 1] = np.where(top1 | top2, 0, np.where(first1, t1, t2))
+    prefs[:, 2] = np.where(first1, t2, t1)
+    return prefs
 
 
 def school_capacities(n: int, params: EconomyParams) -> np.ndarray:
@@ -341,6 +344,7 @@ def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
             if k == 0 or counts[k] < caps[k]:
                 return [i]
     # cycle search: edge i -> j when j holds a school i strictly prefers
+    holders = [np.flatnonzero(assignment == k).tolist() for k in range(params.m + 1)]
     color = np.zeros(n, dtype=np.int64)
     parent_stack: list[int] = []
 
@@ -348,8 +352,7 @@ def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
         color[i] = 1
         parent_stack.append(i)
         for k in better[i]:
-            for j in np.flatnonzero(assignment == k):
-                j = int(j)
+            for j in holders[k]:
                 if color[j] == 1:
                     return parent_stack[parent_stack.index(j):]
                 if color[j] == 0:

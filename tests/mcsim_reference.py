@@ -1,4 +1,4 @@
-"""Earlier per-agent versions of two `mcsim` functions, kept as references.
+"""Earlier versions of three `mcsim` functions, kept as references.
 
 `run_ttc_reference` is the per-agent top trading cycles loop that
 `mcsim.run_ttc_finite` replaced with a school-level cycle walk. TTC's outcome
@@ -6,14 +6,25 @@ does not depend on the order in which cycles are cleared, so the two must
 assign every student identically. `check_da_stability_reference` is the
 per-agent blocking-pair scan that the vectorized `mcsim.check_da_stability`
 replaced; its `argsort` rank only inverts rows that are permutations of
-{0, 1, 2}, so it holds at m = 2 only. `test_mcsim.py` runs both against the
-package on many small markets.
+{0, 1, 2}, so it holds at m = 2 only. `preferences_reference` sorts each
+student's three utilities with `np.lexsort`, where `mcsim.preferences` reads
+the order from the sign of the fit. `test_mcsim.py` runs them against the
+package on many markets.
 """
 import math
 
 import numpy as np
 
 from segsolve import mcsim
+
+
+def preferences_reference(agents, params):
+    """Rankings (n, 3) by utility, ties toward the lower school index."""
+    fit = agents.s + agents.eps
+    utils = np.column_stack([np.full(agents.n, params.g), fit, -fit])
+    ids = np.column_stack([np.zeros(agents.n, dtype=np.int64), agents.t1, agents.t2])
+    order = np.lexsort((ids, -utils), axis=1)
+    return np.take_along_axis(ids, order, axis=1)
 
 
 def run_ttc_reference(agents, residency, params, lottery, prefs=None):

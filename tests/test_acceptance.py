@@ -20,7 +20,7 @@ from segsolve import mcsim
 from segsolve import mechanisms as mx
 from segsolve.cdf import Power
 from segsolve.economy import example_economy
-from segsolve.equilibrium import solve, solve_closed_form_uniform
+from segsolve.equilibrium import solve
 from segsolve.segregation import (check_theorems, neighborhood_profile,
                                   school_profile)
 
@@ -68,8 +68,7 @@ def test_criterion_3_uniform_equalities():
         rng = random.Random(2024)
         for _ in range(50):
             params, _ = random_economy(rng, uniform_binary=True)
-            eqs = {m: solve_closed_form_uniform(params, m)
-                   for m in ("n", "da", "ttc")}
+            eqs = {m: solve(params, m) for m in ("n", "da", "ttc")}
             c_n = school_profile(eqs["n"])
             c_da = school_profile(eqs["da"])
             for w in params.wealth.omegas:
@@ -116,6 +115,13 @@ def test_criterion_7_policy_table():
             want = bm.REFERENCE_TABLE2[row.policy]
             assert all(abs(g - w) <= 1 for g, w in zip(got, want)), \
                 (row.policy, got, want)
+
+
+def test_policy_table_within_budget():
+    # the DA_L and DA_WL fixed points scan and refine r in batches of kernel solves
+    with Budget(0.02):
+        rows = bm.policy_table()
+    assert {row.policy: row.rounded() for row in rows} == bm.REFERENCE_TABLE2
 
 
 def test_criterion_8_kink_diagonal_zero_at_step_01():

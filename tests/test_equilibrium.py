@@ -21,9 +21,10 @@ from segsolve.cdf import (PiecewiseLinearBatch, Power, SingleKink, Uniform,
 from segsolve.economy import EconomyParams, binary_wealth, example_economy
 from segsolve.equilibrium import (AssumptionError, BracketFailureError,
                                   ConvergenceError, InteriorViolationError,
+                                  MultipleFixedPointsError, NoFixedPointError,
                                   dispersion_root, interior, max_dispersion,
-                                  solve, solve_closed_form_uniform,
-                                  solve_policy, verify_lemma1)
+                                  solve, solve_policy, verify_lemma1)
+from policy_reference import clear_price_reference
 
 # worked-example equilibrium values, derived from the closed forms:
 # d = (1-q) - a with a = 0, -1/2, -2; p = r k d with k = 1, 2/3, 1/3
@@ -166,10 +167,11 @@ class TestExactRoot:
         assert seen == {"solved", "bracket", "interior"}
 
     def test_example_root_is_exact(self):
-        # uniform F: the breakpoint solve lands on the closed form
+        # uniform F: the breakpoint solve lands on the closed form d = (1-q) - a
+        p = example_economy()
         for mech in mx.CORE:
-            eq = solve(example_economy(), mech)
-            assert eq.d == pytest.approx(solve_closed_form_uniform(example_economy(), mech).d,
+            eq = solve(p, mech)
+            assert eq.d == pytest.approx((1.0 - p.q) - mx.CORE_ALGEBRA[mech].intercept(p),
                                          rel=0.0, abs=1e-15)
             assert eq.iterations == 0
 
@@ -182,25 +184,24 @@ class TestExactRoot:
 
 
 class TestClosedFormUniform:
+    """Uniform F: `solve`'s exact kernel gives the closed form d = (1-q) - a."""
+
     def test_matches_bisection(self):
+        # Power(1) is the uniform CDF, solved by bisection
         p = example_economy()
         for mech in ("n", "da", "ttc"):
-            cf = solve_closed_form_uniform(p, mech)
-            bi = solve(p, mech)
+            cf = solve(p, mech)
+            bi = solve(dataclasses.replace(p, cdf=Power(1.0)), mech)
+            assert bi.iterations > 0
             assert cf.d == pytest.approx(bi.d, abs=1e-10)
             assert cf.p == pytest.approx(bi.p, abs=1e-10)
-            assert cf.residual == 0.0
+            assert abs(cf.residual) <= 1e-15
 
     def test_exact_example_values(self):
-        cf = solve_closed_form_uniform(example_economy(), "da")
+        cf = solve(example_economy(), "da")
         assert cf.r == pytest.approx(9.0 / 11.0, abs=1e-12)
         assert cf.d == pytest.approx(1.1, abs=1e-12)
         assert cf.cutoffs[0][1] == pytest.approx(0.7375, abs=1e-12)
-
-    def test_rejects_nonuniform(self):
-        p = dataclasses.replace(example_economy(), cdf=Power(0.5))
-        with pytest.raises(ValueError):
-            solve_closed_form_uniform(p, "n")
 
     def test_matches_rational_arithmetic(self):
         rng = random.Random(11)
@@ -208,7 +209,7 @@ class TestClosedFormUniform:
         economies += [random_economy(rng, uniform_binary=True)[0] for _ in range(50)]
         for p in economies:
             for mech in ("n", "da", "ttc"):
-                cf = solve_closed_form_uniform(p, mech)
+                cf = solve(p, mech)
                 want = [float(v) for v in _rational_closed_form(p, mech)]
                 got = [cf.r, cf.intercept, cf.d, cf.p] + [s for _, s in cf.cutoffs]
                 assert got == pytest.approx(want, rel=0.0, abs=1e-14), (mech, p)
@@ -292,6 +293,74 @@ class TestPolicies:
         wl = solve_policy(example_economy(), "da_wl")
         gap = lambda eq: eq.cutoffs[0][1] - eq.cutoffs[1][1]
         assert gap(wl) > gap(base)
+
+    @pytest.mark.parametrize("mech", ["da_l", "da_wl"])
+    def test_matches_bisection_fixed_point(self, mech):
+        # r and p of the earlier nested bisection, which bracketed r to 1e-12
+        want = {"da_l": ("0x1.8e38e38e382e6p-1", "0x1.14dbf86a30b20p-1"),
+                "da_wl": ("0x1.6bf7e53a6fc6ap-1", "0x1.2f5e027430ae0p-1")}[mech]
+        eq = solve_policy(example_economy(), mech)
+        assert eq.r == pytest.approx(float.fromhex(want[0]), rel=0.0, abs=1e-12)
+        assert eq.p == pytest.approx(float.fromhex(want[1]), rel=0.0, abs=1e-12)
+        # 64 points a round narrow the scan's 0.024-wide bracket below 1e-12 in 6
+        assert eq.iterations == 6
+
+    @pytest.mark.parametrize("mech", ["da_l", "da_wl"])
+    def test_kernel_price_matches_bisection(self, mech):
+        p = example_economy()
+        rs = np.linspace(0.05, 0.999, 400)
+        _, prices, cuts, _ = equilibrium._policy_gap(mx.Mechanism(mech), rs, p)
+        corner = 0
+        for r, price, row in zip(rs.tolist(), prices.tolist(), cuts.tolist()):
+            assert price == pytest.approx(clear_price_reference(mech, r, p), rel=0.0, abs=1e-14)
+            if price == 0.0:
+                corner += 1
+                continue
+            res = sum(rho * p.cdf.value(min(1.0, max(0.0, s)))
+                      for s, rho in zip(row, p.wealth.rhos)) - (1.0 - p.q)
+            assert abs(res) <= 1e-15
+        # DA_L clears at the p = 0 corner for r <= 0.147
+        assert (corner > 0) == (mech == "da_l")
+
+    def test_two_sign_changes_raise(self, monkeypatch):
+        original = equilibrium._policy_gap
+
+        def two_roots(mech, r, params):
+            return ((r - 0.3) * (r - 0.7), *original(mech, r, params)[1:])
+
+        monkeypatch.setattr(equilibrium, "_policy_gap", two_roots)
+        with pytest.raises(MultipleFixedPointsError) as err:
+            solve_policy(example_economy(), "da_l")
+        assert isinstance(err.value, NoFixedPointError)
+        (lo1, hi1), (lo2, hi2) = err.value.brackets
+        assert lo1 < 0.3 < hi1 and lo2 < 0.7 < hi2
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        original = equilibrium._policy_gap
+        monkeypatch.setattr(equilibrium, "_policy_gap", lambda mech, r, params: (
+            r + 1.0, *original(mech, r, params)[1:]))
+        with pytest.raises(NoFixedPointError) as err:
+            solve_policy(example_economy(), "da_wl")
+        assert not isinstance(err.value, MultipleFixedPointsError)
+
+    def test_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "POLICY_MAX_ROUNDS", 1)
+        with pytest.raises(ConvergenceError):
+            solve_policy(example_economy(), "da_l")
+
+    @pytest.mark.parametrize("mech", ["da_l", "da_wl"])
+    def test_price_corner_at_fixed_point_raises(self, mech, monkeypatch):
+        # raising every cutoff by 1 leaves the market overfull at p = 0 for
+        # r near the fixed point, so the gap's root sits at the corner
+        original = equilibrium._policy_cutoffs
+
+        def raised(mech, r, params):
+            alpha, beta = original(mech, r, params)
+            return alpha + 1.0, beta
+
+        monkeypatch.setattr(equilibrium, "_policy_cutoffs", raised)
+        with pytest.raises(NoFixedPointError, match="p = 0 corner"):
+            solve_policy(example_economy(), mech)
 
 
 class TestLemma1:

@@ -10,7 +10,8 @@ from segsolve import mechanisms as mx
 from segsolve.economy import example_economy
 from segsolve.equilibrium import solve
 
-from mcsim_reference import check_da_stability_reference, run_ttc_reference
+from mcsim_reference import (check_da_stability_reference,
+                             preferences_reference, run_ttc_reference)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,35 @@ class TestPreferences:
         assert np.all(rows_sorted[:, 0] == 0)
         assert np.all(rows_sorted[:, 1:] == np.sort(
             np.column_stack([agents.t1, agents.t2]), axis=1))
+
+    @pytest.mark.parametrize("g", [0.0, 0.0625])
+    def test_matches_lexsort_reference(self, g):
+        # sampled markets at m = 2 and 3, then every tie of the fit against
+        # -g, 0 and g, each with the primary school above and below the
+        # secondary; a tie goes to the lower school id, c0 first
+        params = dataclasses.replace(example_economy(), g=g, e=1.0 - g)
+        for m, seed in ((2, 0), (2, 1), (3, 2)):
+            p3 = dataclasses.replace(params, m=m)
+            agents = mcsim.sample_agents(p3, 5000, np.random.default_rng(seed))
+            assert np.array_equal(mcsim.preferences(agents, p3),
+                                  preferences_reference(agents, p3))
+        fits = np.array([-1.0, -g - 1e-9, -g, -g / 2, 0.0, g / 2, g, g + 1e-9, 1.0])
+        pairs = np.array([(1, 2), (2, 1), (3, 1), (1, 3)])
+        fit = np.repeat(fits, len(pairs))
+        t1, t2 = np.tile(pairs, (len(fits), 1)).T
+        n = fit.size
+        agents = mcsim.Agents(t1=t1, t2=t2, s=fit, eps=np.zeros(n), omega=np.ones(n),
+                              omega_idx=np.zeros(n, dtype=np.int64))
+        prefs = mcsim.preferences(agents, params)
+        assert np.array_equal(prefs, preferences_reference(agents, params))
+        # (fit, primary, secondary) -> ranking
+        want = {(0.0, 2, 1): [0, 1, 2], (0.0, 1, 2): [0, 1, 2]}
+        if g > 0.0:
+            want.update({(g, 2, 1): [0, 2, 1], (g, 1, 2): [0, 1, 2],
+                         (-g, 2, 1): [0, 1, 2], (-g, 1, 2): [0, 2, 1]})
+        for (f, a, b), ranking in want.items():
+            row = np.flatnonzero((fit == f) & (t1 == a) & (t2 == b))[0]
+            assert prefs[row].tolist() == ranking, (f, a, b)
 
 
 class TestDaFinite:
