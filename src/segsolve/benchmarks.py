@@ -1,13 +1,18 @@
-"""Match-quality and desegregation-policy tables on the worked example economy."""
+"""Match-quality and desegregation-policy tables.
+
+The N, DA and TTC rows take masses and quality from mechanisms.CORE_ALGEBRA
+and run on any valid economy. The no-priority, auction and policy rows use
+closed forms for the example profile and raise ValueError elsewhere.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 from . import mechanisms as mx
-from .economy import EconomyParams, example_economy
+from .economy import EconomyParams, example_economy, is_example_profile
 from .equilibrium import solve, solve_policy
-from .segregation import make_profile
+from .segregation import make_profile, school_masses, school_profile
 
 
 class NoClearingError(RuntimeError):
@@ -67,68 +72,34 @@ REFERENCE_TABLE2 = {
 TABLE2_POLICIES = tuple(REFERENCE_TABLE2)
 
 
-def _require_example(params: EconomyParams) -> EconomyParams:
-    if params.to_config() != example_economy().to_config():
-        raise ValueError("benchmark tables are defined on the example economy only")
+CORE_SCENARIOS = ("n", "da", "ttc", "da_short", "ttc_short")
+
+
+def _example_profile(params: EconomyParams | None) -> EconomyParams:
+    """params (the example economy if None); the closed forms assume uniform
+    F, g = 0, e = 1, pi = 1/3, two schools and binary wealth."""
+    params = params or example_economy()
+    if not is_example_profile(params):
+        raise ValueError("this table is defined on the example profile only")
     return params
 
 
-# quality integrals on the example economy (uniform F, pi = 1/3, g = 0, e = 1),
-# all per oversubscribed school in population-mass units
-
-def _in_zone_quality(s: float) -> float:
-    # residents above cutoff s who keep their local seat (shock 0 or +e)
-    return (2.0 - (s * s + s)) / 3.0
-
-
-def _out_pool_quality(s: float) -> float:
-    # fits of the out-of-zone applicant pool: locals below s plus the
-    # secondary-fit demanders across the whole signal range
-    return (s * s + s) / 3.0 + 1.0 / 6.0
-
-
-def _trade_quality(s: float) -> float:
-    # in-zone residents with a negative shock who swap into the twin school
-    return (1.0 - s) ** 2 / 6.0
-
-
 def _core_outcome(scenario: str, params: EconomyParams):
-    """(c1 masses, quality by type) for the N/DA/TTC table rows."""
-    rhos = dict(params.wealth.atoms)
-    eq_n = solve(params, mx.Mechanism.N)
-    if scenario in ("n", "da_short", "ttc_short"):
-        cutoffs = eq_n.cutoffs
-    else:
-        cutoffs = solve(params, mx.Mechanism(scenario)).cutoffs
-    masses, quality = [], []
-    if scenario == "n":
-        for w, s in cutoffs:
-            masses.append((w, rhos[w] * (1.0 - s)))
-            quality.append((w, rhos[w] * (1.0 - s * s) / 2.0))
-        return masses, quality
-    mech = mx.Mechanism.DA if scenario.startswith("da") else mx.Mechanism.TTC
+    """(c1 masses, quality by type) for the N/DA/TTC table rows; a `_short`
+    row keeps the housing locations of N."""
+    mech = mx.Mechanism(scenario.removesuffix("_short"))
+    located = mx.Mechanism.N if scenario.endswith("_short") else mech
+    cutoffs = solve(params, located).cutoffs
     r = mx.rejection(params, mech)
-    pi = params.pi
-    for w, s in cutoffs:
-        stay_m = rhos[w] * (1.0 - pi) * (1.0 - s)
-        stay_q = rhos[w] * _in_zone_quality(s)
-        pool_m = rhos[w] * (s + pi * (1.0 - s))
-        pool_q = rhos[w] * _out_pool_quality(s)
-        if mech == mx.Mechanism.TTC:
-            trade_m = rhos[w] * pi * (1.0 - s)
-            trade_q = rhos[w] * _trade_quality(s)
-            pool_m -= rhos[w] * pi * (1.0 - s)  # negative-shock locals trade, not queue
-            pool_q -= rhos[w] * _trade_quality(s)
-        else:
-            trade_m = trade_q = 0.0
-        masses.append((w, stay_m + trade_m + (1.0 - r) * pool_m))
-        quality.append((w, stay_q + trade_q + (1.0 - r) * pool_q))
-    return masses, quality
+    rhos = dict(params.wealth.atoms)
+    quality = mx.CORE_ALGEBRA[mech].school_quality
+    masses = [(w, rhos[w] * m) for w, m in school_masses(params, mech, r, cutoffs)]
+    return masses, [(w, rhos[w] * quality(s, r, params)) for w, s in cutoffs]
 
 
 def no_priority_outcome(params: EconomyParams | None = None):
     """Uniform lottery over every school's ex-post top-choice demand."""
-    params = _require_example(params or example_economy())
+    params = _example_profile(params)
     rhos = dict(params.wealth.atoms)
     # per-school demand: primary fits with shock 0/+e plus secondary fits
     # with shock -e; on the example profile this is the whole population mass
@@ -141,7 +112,7 @@ def no_priority_outcome(params: EconomyParams | None = None):
 
 def auction_outcome(params: EconomyParams | None = None):
     """Market-clearing per-seat price; agents buy where ex-post fit beats it."""
-    params = _require_example(params or example_economy())
+    params = _example_profile(params)
     rhos = dict(params.wealth.atoms)
 
     def clip01(x: float) -> float:
@@ -191,10 +162,9 @@ def _row(scenario: str, masses, quality) -> MatchQualityRow:
 
 
 def match_quality(scenario: str, params: EconomyParams | None = None) -> MatchQualityRow:
-    params = _require_example(params or example_economy())
-    if scenario in ("n", "da", "ttc", "da_short", "ttc_short"):
-        masses, quality = _core_outcome(scenario, params)
-        return _row(scenario, masses, quality)
+    params = params or example_economy()
+    if scenario in CORE_SCENARIOS:
+        return _row(scenario, *_core_outcome(scenario, params))
     if scenario == "no_priority":
         return no_priority_outcome(params)[0]
     if scenario == "auction":
@@ -203,7 +173,7 @@ def match_quality(scenario: str, params: EconomyParams | None = None) -> MatchQu
 
 
 def table_one(params: EconomyParams | None = None) -> list[MatchQualityRow]:
-    params = _require_example(params or example_economy())
+    params = _example_profile(params)
     return [match_quality(s, params) for s in TABLE1_SCENARIOS]
 
 
@@ -227,21 +197,17 @@ def _policy_c1_shares(cutoffs, r_pool: float, wl: bool, params: EconomyParams):
 
 
 def policy_table(params: EconomyParams | None = None) -> list[PolicyRow]:
-    params = _require_example(params or example_economy())
+    params = _example_profile(params)
     rhos = dict(params.wealth.atoms)
-    pi = params.pi
     eq_da = solve(params, mx.Mechanism.DA)
     cutoffs = eq_da.cutoffs
-    vacated = pi * sum(rhos[w] * (1.0 - s) for w, s in cutoffs)
+    vacated = params.pi * sum(rhos[w] * (1.0 - s) for w, s in cutoffs)
     rows = []
 
-    # short term: locations fixed at the DA cutoffs
+    # short term: locations fixed at the DA cutoffs; plain DA admits from
+    # the full out-of-zone pool, not just n0 residents
     n1_pct, _ = _policy_c1_shares(cutoffs, eq_da.r, False, params)
-    # plain DA admits from the full out-of-zone pool, not just n0 residents
-    admitted_poor = (1.0 - eq_da.r) * (rhos[cutoffs[0][0]]
-                                       * (cutoffs[0][1] + pi * (1.0 - cutoffs[0][1])))
-    stay_poor = rhos[cutoffs[0][0]] * (1.0 - pi) * (1.0 - cutoffs[0][1])
-    rows.append(PolicyRow("da", n1_pct, 100.0 * (stay_poor + admitted_poor) / params.q))
+    rows.append(PolicyRow("da", n1_pct, 100.0 * school_profile(eq_da).poor_share))
 
     eligible_l = sum(rhos[w] * s for w, s in cutoffs)
     r_l = 1.0 - vacated / eligible_l

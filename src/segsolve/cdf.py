@@ -43,6 +43,10 @@ class SignalCdf:
     def inverse(self, y: float) -> float:
         raise NotImplementedError
 
+    def partial_mean(self, a: float, b: float) -> float:
+        """The partial first moment: the integral of x dF(x) over [a, b]."""
+        raise NotImplementedError
+
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Vectorized inverse for inverse-transform sampling."""
         raise NotImplementedError
@@ -105,6 +109,18 @@ class PiecewiseLinear(SignalCdf):
             x0, x1 = xs[i - 1], xs[i]
             return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
         return xs[-1]
+
+    def partial_mean(self, a: float, b: float) -> float:
+        _check_domain(a)
+        _check_domain(b)
+        xs, ys = self._xs, self._ys
+        total = 0.0
+        for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+            # [a, b] clipped to this segment, where dF is a constant density
+            lo, hi = min(max(a, x0), x1), min(max(b, x0), x1)
+            if hi != lo:
+                total += (y1 - y0) / (x1 - x0) * (hi - lo) * (hi + lo) / 2.0
+        return total
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         xs, ys = self._xs, self._ys
@@ -222,6 +238,12 @@ class Power(SignalCdf):
         if not (0.0 <= y <= 1.0):
             raise CdfError(f"probability {y!r} outside [0, 1]")
         return float(y) ** (1.0 / self.alpha)
+
+    def partial_mean(self, a: float, b: float) -> float:
+        _check_domain(a)
+        _check_domain(b)
+        k = self.alpha + 1.0
+        return self.alpha / k * (float(b) ** k - float(a) ** k)
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(u) ** (1.0 / self.alpha)

@@ -57,17 +57,15 @@ def _mech_list(spec: str) -> list[mx.Mechanism]:
 
 def _solve_any(params: EconomyParams, mech: mx.Mechanism):
     try:
-        if mech in mx.CORE:
-            return solve(params, mech)
         if mech in mx.POLICY:
             return solve_policy(params, mech)
+        return solve(params, mech)
     except AssumptionError as exc:
         raise CliError(str(exc), EXIT_ASSUMPTION)
     except (SolveError, mx.DegenerateChoiceError) as exc:
         raise CliError(str(exc), EXIT_SOLVER)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG)
-    raise CliError(f"mechanism {mech.value} has no equilibrium solver", EXIT_CONFIG)
 
 
 def _emit(text: str, path: str | None) -> None:

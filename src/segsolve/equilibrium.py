@@ -88,10 +88,6 @@ class Equilibrium:
     params: EconomyParams = field(repr=False, compare=False)
     r_by_omega: tuple[tuple[float, float], ...] | None = None
 
-    @property
-    def cutoff_map(self) -> dict[float, float]:
-        return dict(self.cutoffs)
-
     def cutoff(self, omega: float) -> float:
         for w, s in self.cutoffs:
             if abs(w - omega) < 1e-12:
@@ -103,7 +99,7 @@ class Equilibrium:
             "mech": self.mech.value,
             "r": self.r,
             "p": self.p,
-            "d": self.d,
+            "d": None if np.isnan(self.d) else self.d,  # no dispersion under a policy
             "e_s": self.e_s,
             "cutoffs": [{"omega": w, "s": s} for w, s in self.cutoffs],
             "residual": self.residual,

@@ -1,15 +1,17 @@
 """Per-mechanism primitives: flows, rejection rates, cutoff functionals, utility gains.
 
-All N/DA/TTC equilibrium algebra lives in the CORE_ALGEBRA table: the slope
-and root of the cutoff functional gamma, the weight of the exchange flow in
-the rejection rate, and the weight that carries neighborhood
-over-representation into the school. The solver, price bounds, school
-profiles and Theorem-2 thresholds read that table. delta_u keeps its own
-piecewise bodies, and the DA_L/DA_WL policies have their own gains below.
+All N/DA/TTC algebra lives in the CORE_ALGEBRA table: the slope and root of
+the cutoff functional gamma, the floor line of the utility gain, the weight
+of the exchange flow in the rejection rate, and the weight that carries
+neighborhood over-representation into the school. The solver, price bounds,
+utility gains, school masses and match quality, and the Theorem-2
+thresholds read that table; the DA_L/DA_WL policies have their own gains
+below.
 """
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -23,8 +25,6 @@ class Mechanism(str, enum.Enum):
     TTC = "ttc"
     DA_L = "da_l"
     DA_WL = "da_wl"
-    NO_PRIORITY = "no_priority"
-    AUCTION = "auction"
 
 
 CORE = (Mechanism.N, Mechanism.DA, Mechanism.TTC)
@@ -76,6 +76,7 @@ class CoreAlgebra:
     """
 
     gamma: Callable[..., float]      # (s, params): cutoffs solve gamma(s_w) = w p / r
+    floor: Callable[..., float]      # (s, params): the gain per unit r on s <= g
     kappa: Callable[..., float]      # params -> slope of gamma
     intercept: Callable[..., float]  # params -> root a of gamma
     exchange: float | None           # weight of X in the rejection denominator; None: r = 1
@@ -89,6 +90,25 @@ class CoreAlgebra:
             return 1.0 - fs
         return params.q - r * self.c(params) * (fs - (1.0 - params.q))
 
+    def school_quality(self, s: float, r: float, params) -> float:
+        """Unweighted match quality (summed fit) at one oversubscribed school
+        of a type with cutoff s; the twin of `school_mass`."""
+        f, g, e, pi = params.cdf, params.g, params.e, params.pi
+        if self.exchange is None:
+            return f.partial_mean(s, 1.0)  # the residents; their mean shock is 0
+        top = min(e + g, 1.0)
+        # residents with shock 0 or +e, and those with shock -e above e + g
+        stay = ((1.0 - pi) * f.partial_mean(s, 1.0) + pi * e * (1.0 - f.value(s))
+                + pi * (f.partial_mean(top, 1.0) - e * (1.0 - f.value(top))))
+        # non-residents whose fit beats g, and the twin zone's -e shocks below e - g
+        pool = ((1.0 - 2.0 * pi) * f.partial_mean(g, s)
+                + pi * (f.partial_mean(0.0, s) + e * f.value(s))
+                + pi * (e * f.value(e - g) - f.partial_mean(0.0, e - g)))
+        # twin residents with shock -e on (s, e - g), swapped for local ones
+        trade = self.exchange * pi * (e * (f.value(e - g) - f.value(s))
+                                      - f.partial_mean(s, e - g))
+        return stay + trade + (1.0 - r) * (pool - trade)
+
 
 class _CoreTable(dict):
     def __missing__(self, mech):
@@ -99,18 +119,21 @@ class _CoreTable(dict):
 CORE_ALGEBRA = MappingProxyType(_CoreTable({
     Mechanism.N: CoreAlgebra(
         gamma=lambda s, p: s - p.g,
+        floor=lambda s, p: s - p.g,
         kappa=lambda p: 1.0,
         intercept=lambda p: p.g,
         exchange=None,
         c=lambda p: 1.0),
     Mechanism.DA: CoreAlgebra(
         gamma=lambda s, p: (1.0 - p.pi) * (s - p.g) + p.pi * p.e,
+        floor=lambda s, p: p.pi * (s + p.e - p.g),
         kappa=lambda p: 1.0 - p.pi,
         intercept=lambda p: p.g - p.pi * p.e / (1.0 - p.pi),
         exchange=0.0,
         c=lambda p: 1.0 - p.pi),
     Mechanism.TTC: CoreAlgebra(
         gamma=lambda s, p: (1.0 - 2.0 * p.pi) * s + 2.0 * p.pi * p.e - p.g,
+        floor=lambda s, p: 2.0 * p.pi * (p.e - p.g),
         kappa=lambda p: 1.0 - 2.0 * p.pi,
         intercept=lambda p: (p.g - 2.0 * p.pi * p.e) / (1.0 - 2.0 * p.pi),
         exchange=1.0,
@@ -156,34 +179,21 @@ def gamma(mech: Mechanism, s, params):
 def delta_u(mech: Mechanism, r: float, p: float, s, omega: float, params):
     """Expected utility gain of buying in-zone at signal s versus staying out.
 
-    Piecewise linear in s, continuous at the joins, weakly increasing in s
-    (strictly above g), and strictly decreasing in p. Accepts scalar or
+    Delta u / r is convex and piecewise linear in s: the upper envelope of
+    the mechanism's floor line, which holds on s <= g, and the gamma of this
+    mechanism and of every core mechanism before it (each later piece of DA
+    and TTC is an earlier mechanism's gamma). Continuous, weakly increasing
+    in s (strictly above g), and strictly decreasing in p. Accepts scalar or
     array s, and r and p that broadcast against it.
     """
     mech = Mechanism(mech)
     r_ok = (0.0 < r) & (r <= 1.0)  # a bool, or a bool array for an array r
     if not (r_ok.all() if isinstance(r_ok, np.ndarray) else r_ok):
         raise ValueError("r must lie in (0, 1]")
-    g, e, pi = params.g, params.e, params.pi
     s = np.asarray(s, dtype=float)
-    cost = omega * p
-    if mech == Mechanism.N:
-        out = r * (s - g) - cost
-    elif mech == Mechanism.DA:
-        lo = r * pi * (s + e - g)
-        mid = r * (pi * (s + e - g) + (1.0 - 2.0 * pi) * (s - g))
-        hi = r * (s - g)
-        out = np.where(s <= g, lo, np.where(s <= e + g, mid, hi)) - cost
-    elif mech == Mechanism.TTC:
-        lo = r * 2.0 * pi * (e - g) + 0.0 * s
-        mid1 = r * (pi * (s + e - g) + (1.0 - 2.0 * pi) * (s - g) + pi * (e - g - s))
-        mid2 = r * (pi * (s + e - g) + (1.0 - 2.0 * pi) * (s - g))
-        hi = r * (s - g)
-        out = np.where(
-            s <= g, lo,
-            np.where(s <= e - g, mid1, np.where(s <= e + g, mid2, hi))) - cost
-    else:
-        raise ValueError(f"no delta_u for {mech.value}; see policy_delta_u")
+    lines = [CORE_ALGEBRA[mech].floor]
+    lines += [CORE_ALGEBRA[m].gamma for m in CORE[:CORE.index(mech) + 1]]
+    out = r * functools.reduce(np.maximum, (line(s, params) for line in lines)) - omega * p
     return out if out.ndim else float(out)
 
 

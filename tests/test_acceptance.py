@@ -18,7 +18,7 @@ import segsolve.benchmarks as bm
 import segsolve.sweep as sweep
 from segsolve import mcsim
 from segsolve import mechanisms as mx
-from segsolve.cdf import Power
+from segsolve.cdf import Power, Uniform
 from segsolve.economy import example_economy
 from segsolve.equilibrium import solve
 from segsolve.segregation import (check_theorems, neighborhood_profile,
@@ -257,6 +257,48 @@ def test_criterion_10_ttc_oracle_rates_and_masses():
         assert abs(res.z(f"n1_mass[{w:.6g}]", mass)) <= 3.0
     for w, mass in c1.masses:
         assert abs(res.z(f"c1_mass[{w:.6g}]", mass)) <= 3.0
+
+
+@functools.cache
+def _off_example_economies():
+    """The first non-uniform piecewise-linear and the first Power economy
+    that random_economy draws from seed 0: {family: (params, eqs)}."""
+    rng = random.Random(0)
+    found = {}
+    while len(found) < 2:
+        params, eqs = random_economy(rng)
+        if isinstance(params.cdf, Power):
+            found.setdefault("power", (params, eqs))
+        elif not isinstance(params.cdf, Uniform):
+            found.setdefault("piecewise", (params, eqs))
+    return found
+
+
+_UNFILLED_HOUSING = pytest.mark.xfail(
+    strict=True,
+    reason="mcsim.housing_stage caps each zone but never fills it, so fewer "
+           "agents are housed than the continuum's zones hold and the finite "
+           "quality sits low: on the Power economy z = -3.61 (n), -3.40 (da) "
+           "and -3.43 (ttc), all three within 2 SE with a stage that fills "
+           "every zone")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, mech", [
+    ("piecewise", "n"), ("piecewise", "da"), ("piecewise", "ttc"),
+    pytest.param("power", "n", marks=_UNFILLED_HOUSING),
+    pytest.param("power", "da", marks=_UNFILLED_HOUSING),
+    pytest.param("power", "ttc", marks=_UNFILLED_HOUSING),
+])
+def test_criterion_10_quality_oracle_off_example(family, mech):
+    # match quality from CORE_ALGEBRA against the oracle off the example
+    params, eqs = _off_example_economies()[family]
+    mech = mx.Mechanism(mech)
+    cfg = mcsim.SimConfig(params=params, mech=mech, cutoffs=eqs[mech].cutoffs,
+                          n_agents=200_000, seed=0, replications=20)
+    res = mcsim.estimate(cfg)
+    quality = bm.match_quality(mech.value, params).total_quality
+    assert abs(res.z("quality_total", quality)) <= 3.0
 
 
 def test_criterion_11_flow_invariance():

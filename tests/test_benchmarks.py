@@ -1,9 +1,15 @@
-"""Benchmark tables on the worked example economy."""
+"""Benchmark tables: match quality on any economy, the rest on the example."""
+import dataclasses
+import random
+
 import pytest
 
 import segsolve.benchmarks as bm
 from segsolve.cdf import Power
 from segsolve.economy import example_economy
+from segsolve.equilibrium import solve
+
+from conftest import random_economy
 
 
 class TestRounding:
@@ -51,10 +57,33 @@ class TestTableOne:
             bm.match_quality("vouchers")
 
     def test_requires_example_economy(self):
-        import dataclasses
         p = dataclasses.replace(example_economy(), cdf=Power(0.5))
         with pytest.raises(ValueError):
             bm.table_one(p)
+
+    def test_closed_form_rows_require_example_profile(self):
+        p = dataclasses.replace(example_economy(), cdf=Power(0.5))
+        for scenario in ("no_priority", "auction"):
+            with pytest.raises(ValueError):
+                bm.match_quality(scenario, p)
+        with pytest.raises(ValueError):
+            bm.policy_table(p)
+
+    def test_core_rows_off_example(self):
+        # N's quality is the partial mean of the residents' signals:
+        # for F = x^alpha, rho alpha / (alpha + 1) (1 - s^(alpha + 1)) per type
+        p = dataclasses.replace(example_economy(), cdf=Power(0.5))
+        rng = random.Random(3)
+        economies = [p] + [random_economy(rng)[0] for _ in range(5)]
+        for params in economies:
+            for scenario in bm.CORE_SCENARIOS:
+                row = bm.match_quality(scenario, params)
+                assert 0.0 < row.poor_share_c1 < 100.0
+                assert 0.0 < row.poor_quality < row.total_quality
+                assert row.total_quality == pytest.approx(row.poor_quality + row.rich_quality)
+        (_, s), _ = solve(p, "n").cutoffs
+        want = 100.0 * 0.5 * (0.5 / 1.5) * (1.0 - s ** 1.5)
+        assert bm.match_quality("n", p).poor_quality == pytest.approx(want, abs=1e-12)
 
 
 class TestTableTwo:

@@ -167,6 +167,50 @@ class TestBatch:
             f.batch.inverse(1.5)
 
 
+def _quadrature(f, a, b, n=200_000):
+    """The integral of x dF on [a, b], as that of F^-1(u) du on [F(a), F(b)]
+    by the midpoint rule."""
+    lo, hi = f.value(a), f.value(b)
+    u = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+    return float(np.mean(f.ppf(u))) * (hi - lo)
+
+
+class TestPartialMean:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_concave_cdf_matches_quadrature(self, seed):
+        rng = random.Random(seed)
+        f = random_concave_cdf(rng)
+        knots = [x for x, _ in f.knots]
+        # intervals that start or end on a knot, and one between two knots
+        points = sorted({rng.random(), rng.random(), rng.choice(knots[1:-1]), 0.0, 1.0})
+        intervals = list(zip(points, points[1:])) + [(knots[1], knots[-2]), (0.0, 1.0)]
+        for a, b in intervals:
+            assert f.partial_mean(a, b) == pytest.approx(_quadrature(f, a, b), rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+    def test_power_matches_quadrature(self, alpha):
+        f = Power(alpha)
+        for a, b in ((0.0, 1.0), (0.0, 0.25), (0.1, 0.7), (0.6, 1.0), (0.4, 0.4)):
+            assert f.partial_mean(a, b) == pytest.approx(_quadrature(f, a, b), rel=0, abs=1e-9)
+
+    def test_means(self):
+        assert Uniform().partial_mean(0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert Uniform().partial_mean(0.2, 0.6) == pytest.approx(0.16, abs=1e-15)
+        assert Power(0.5).partial_mean(0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        # additive over a split, knot or not
+        f = SingleKink(0.3, 0.6)
+        for c in (0.3, 0.45):
+            assert f.partial_mean(0.1, c) + f.partial_mean(c, 0.9) == pytest.approx(
+                f.partial_mean(0.1, 0.9), abs=1e-15)
+
+    def test_domain_errors(self):
+        for f in (Uniform(), Power(0.5)):
+            with pytest.raises(CdfError):
+                f.partial_mean(-0.1, 0.5)
+            with pytest.raises(CdfError):
+                f.partial_mean(0.5, 1.1)
+
+
 class TestConfig:
     @pytest.mark.parametrize("f", [
         Uniform(),

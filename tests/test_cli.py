@@ -30,6 +30,17 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"][0]["r"] == pytest.approx(7.0 / 9.0, abs=1e-6)
 
+    def test_strict_json_with_policies(self, capsys):
+        # a policy equilibrium has no dispersion: "d" is null, not a bare NaN
+        def reject(constant):
+            raise ValueError(f"{constant} is not a JSON value")
+
+        assert cli.main(["solve", "--example", "--mech", "n,da,ttc,da_l,da_wl"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        d = {r["mech"]: r["d"] for r in payload["results"]}
+        assert d["da_l"] is None and d["da_wl"] is None
+        assert 0.0 < d["n"] < d["da"] < d["ttc"]
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "result.json"
         assert cli.main(["solve", "--example", "--mech", "n",
@@ -42,6 +53,11 @@ class TestSolve:
 
     def test_unknown_mechanism_exit_2(self, capsys):
         assert cli.main(["solve", "--example", "--mech", "vouchers"]) == cli.EXIT_CONFIG
+
+    def test_table_scenario_is_not_a_mechanism(self, capsys):
+        for name in ("auction", "no_priority"):
+            assert cli.main(["solve", "--example", "--mech", name]) == cli.EXIT_CONFIG
+            assert "unknown mechanism" in capsys.readouterr().err
 
     def test_missing_source_exit_2(self, capsys):
         assert cli.main(["solve"]) == cli.EXIT_CONFIG

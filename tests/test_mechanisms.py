@@ -1,4 +1,6 @@
 """Flows, rejection probabilities, cutoff functionals, and utility gains."""
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ import segsolve as ss
 from segsolve import mechanisms as mx
 from segsolve.economy import EconomyParams, binary_wealth, example_economy
 from segsolve.cdf import Power, Uniform
+
+from conftest import random_economy
 
 
 class TestFlows:
@@ -102,7 +106,38 @@ class TestGamma:
             mx.gamma(mech, 0.5, p)
 
 
+def _piecewise_delta_u(mech, r, p, s, omega, params):
+    """delta_u as hand-written piecewise bodies, one per mechanism."""
+    g, e, pi = params.g, params.e, params.pi
+    da_mid = pi * (s + e - g) + (1.0 - 2.0 * pi) * (s - g)
+    body = {
+        "n": s - g,
+        "da": np.where(s <= g, pi * (s + e - g), np.where(s <= e + g, da_mid, s - g)),
+        "ttc": np.where(s <= g, 2.0 * pi * (e - g) + 0.0 * s,
+                        np.where(s <= e - g, da_mid + pi * (e - g - s),
+                                 np.where(s <= e + g, da_mid, s - g))),
+    }[mech]
+    return r * body - omega * p
+
+
 class TestDeltaU:
+    def test_envelope_matches_piecewise_bodies(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            e = rng.uniform(0.3, 1.0)
+            g = rng.uniform(0.0, min(1.0 - e, 0.5 * e))
+            p = EconomyParams(m=2, q=0.4, g=g, e=e, pi=rng.uniform(0.01, 0.49),
+                              wealth=binary_wealth(0.5), cdf=Uniform())
+            s = np.concatenate([rng.random(6), [0.0, g, e - g, e + g, 1.0]])
+            for mech in ("n", "da", "ttc"):
+                got = mx.delta_u(mech, 0.8, 0.3, s, 1.05, p)
+                want = _piecewise_delta_u(mech, 0.8, 0.3, s, 1.05, p)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_policy_mechanism_rejected(self):
+        with pytest.raises(ValueError):
+            mx.delta_u("da_l", 0.8, 0.3, 0.5, 1.0, example_economy())
+
     def test_branch_joins_continuous(self):
         p = EconomyParams(m=2, q=0.4, g=0.05, e=0.85, pi=0.25,
                           wealth=binary_wealth(0.5), cdf=Power(0.7))
@@ -159,6 +194,52 @@ class TestDeltaU:
         for mech in ("n", "da", "ttc"):
             du = mx.delta_u(mech, r, price, s, w, p)
             assert np.all(np.diff(du) >= -1e-12)
+
+
+def _continuum_school(mech, s_cut, r, params, n=20_000):
+    """(mass, quality) of school k for one type, integrated over the signal
+    quantile u by the midpoint rule between the points where a rule flips.
+
+    Straight from the seat rules: under N the residents (s > s_cut) attend.
+    Otherwise an agent of zone k who ranks k first (fit s + eps > g), or a
+    twin-zone agent who does (fit < -g, worth -fit at k), gets a seat if a
+    resident of zone k, or under TTC a resident of the twin zone; anyone
+    else who ranks k first gets one with probability 1 - r.
+    """
+    f, g, e, pi = params.cdf, params.g, params.e, params.pi
+    flips = sorted({0.0, 1.0} | {f.value(x) for x in (g, s_cut, e - g, min(e + g, 1.0))})
+    u, du = [], []
+    for lo, hi in zip(flips, flips[1:]):
+        u.append(lo + (hi - lo) * (np.arange(n) + 0.5) / n)
+        du.append(np.full(n, (hi - lo) / n))
+    s, du = f.ppf(np.concatenate(u)), np.concatenate(du)
+    resident = s > s_cut
+    mass = quality = 0.0
+    for eps, prob in ((-e, pi), (0.0, 1.0 - 2.0 * pi), (e, pi)):
+        fit = s + eps
+        if mech == "n":
+            seat_local, seat_twin = resident * 1.0, 0.0 * s
+        else:
+            seat_local = (fit > g) * np.where(resident, 1.0, 1.0 - r)
+            seat_twin = (fit < -g) * np.where(resident & (mech == "ttc"), 1.0, 1.0 - r)
+        mass += prob * np.sum(du * (seat_local + seat_twin))
+        quality += prob * np.sum(du * (seat_local - seat_twin) * fit)
+    return mass, quality
+
+
+class TestSchoolQuality:
+    def test_matches_seat_rules_on_random_economies(self):
+        rng = random.Random(5)
+        for _ in range(12):
+            params, eqs = random_economy(rng)
+            for mech in mx.CORE:
+                algebra, r = mx.CORE_ALGEBRA[mech], mx.rejection(params, mech)
+                # the equilibrium cutoffs, and N's as in the short-run rows
+                for _, s in eqs[mech].cutoffs + eqs[mx.Mechanism.N].cutoffs:
+                    mass, quality = _continuum_school(mech.value, s, r, params)
+                    assert algebra.school_quality(s, r, params) == pytest.approx(quality, abs=1e-8)
+                    assert algebra.school_mass(params.cdf.value(s), r, params) == pytest.approx(
+                        mass, abs=1e-8)
 
 
 class TestPolicyDeltaU:
