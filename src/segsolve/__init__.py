@@ -11,8 +11,7 @@ from .equilibrium import (AssumptionError, BracketFailureError,
                           verify_lemma1)
 from .mechanisms import (CORE, CORE_ALGEBRA, AggregateFlows, CoreAlgebra,
                          DegenerateChoiceError, Mechanism, aggregate_flows,
-                         delta_u, gamma, policy_delta_u, r_da_uniform,
-                         rejection)
+                         delta_u, policy_delta_u, r_da_uniform, rejection)
 from .segregation import (Comparison, NegativeMassError, SegregationProfile,
                           SignMismatchError, check_theorems, compare,
                           expansion_rate, neighborhood_profile, school_profile)

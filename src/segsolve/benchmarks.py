@@ -1,13 +1,17 @@
 """Match-quality and desegregation-policy tables.
 
 The N, DA and TTC rows take masses and quality from mechanisms.CORE_ALGEBRA
-and run on any valid economy. The no-priority, auction and policy rows use
-closed forms for the example profile and raise ValueError elsewhere.
+and run on any valid economy. The no-priority and auction rows use closed
+forms for the example profile; the policy rows take their lottery from
+mechanisms.POLICY_LOTTERY and, like the policy equilibria, are defined on
+the example profile. All three raise ValueError elsewhere.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import mechanisms as mx
 from .economy import EconomyParams, example_economy, is_example_profile
@@ -177,51 +181,34 @@ def table_one(params: EconomyParams | None = None) -> list[MatchQualityRow]:
     return [match_quality(s, params) for s in TABLE1_SCENARIOS]
 
 
-def _policy_c1_shares(cutoffs, r_pool: float, wl: bool, params: EconomyParams):
-    """(n1 poor share, c1 poor share) given fixed locations and a policy lottery."""
-    rhos = dict(params.wealth.atoms)
-    pi = params.pi
-    n1 = [(w, rhos[w] * (1.0 - s)) for w, s in cutoffs]
-    stay = {w: rhos[w] * (1.0 - pi) * (1.0 - s) for w, s in cutoffs}
-    admitted = {}
-    for i, (w, s) in enumerate(cutoffs):
-        eligible = rhos[w] * s
-        if wl and i > 0:
-            admitted[w] = 0.0
-        else:
-            admitted[w] = (1.0 - r_pool) * eligible
-    masses = [(w, stay[w] + admitted[w]) for w, _ in cutoffs]
-    n1_total = sum(m for _, m in n1)
-    c1_total = sum(m for _, m in masses)
-    return 100.0 * n1[0][1] / n1_total, 100.0 * masses[0][1] / c1_total
+def _policy_row(policy: str, mech: mx.Mechanism, cutoffs, r, params: EconomyParams) -> PolicyRow:
+    """Poor shares of n1 and c1 at fixed locations when vacated c1 seats go
+    by the policy's lottery at rejection rate r: a type's n1 residents keep
+    (1 - pi) of their mass at c1, and its n0 residents win seats with
+    probability 1 - r_w."""
+    rhos = params.wealth.rhos
+    fs = np.array([params.cdf.value(s) for _, s in cutoffs])
+    r_w = mx.policy_rejection(mech, r, params.wealth.omegas, params)
+    n1 = rhos * (1.0 - fs)
+    c1 = rhos * (1.0 - params.pi) * (1.0 - fs) + (1.0 - r_w) * (rhos * fs)
+    return PolicyRow(policy, float(100.0 * n1[0] / n1.sum()), float(100.0 * c1[0] / c1.sum()))
 
 
 def policy_table(params: EconomyParams | None = None) -> list[PolicyRow]:
     params = _example_profile(params)
-    rhos = dict(params.wealth.atoms)
     eq_da = solve(params, mx.Mechanism.DA)
-    cutoffs = eq_da.cutoffs
-    vacated = params.pi * sum(rhos[w] * (1.0 - s) for w, s in cutoffs)
-    rows = []
-
-    # short term: locations fixed at the DA cutoffs; plain DA admits from
-    # the full out-of-zone pool, not just n0 residents
-    n1_pct, _ = _policy_c1_shares(cutoffs, eq_da.r, False, params)
-    rows.append(PolicyRow("da", n1_pct, 100.0 * school_profile(eq_da).poor_share))
-
-    eligible_l = sum(rhos[w] * s for w, s in cutoffs)
-    r_l = 1.0 - vacated / eligible_l
-    rows.append(PolicyRow("short_l", *_policy_c1_shares(cutoffs, r_l, False, params)))
-
-    eligible_wl = rhos[cutoffs[0][0]] * cutoffs[0][1]
-    r_wl = 1.0 - vacated / eligible_wl
-    rows.append(PolicyRow("short_wl", *_policy_c1_shares(cutoffs, r_wl, True, params)))
-
+    fs = np.array([params.cdf.value(s) for _, s in eq_da.cutoffs])
+    # short term: locations fixed at the DA cutoffs
+    short = [_policy_row(f"short_{mech.value.removeprefix('da_')}", mech, eq_da.cutoffs,
+                         mx.implied_rejection(mech, fs, params), params) for mech in mx.POLICY]
+    # plain DA admits from the full out-of-zone pool, not just n0 residents
+    rows = [PolicyRow("da", short[0].poor_share_n1, 100.0 * school_profile(eq_da).poor_share),
+            *short]
     # long term: endogenous locations under each policy
-    eq_l = solve_policy(params, mx.Mechanism.DA_L)
-    rows.append(PolicyRow("long_l", *_policy_c1_shares(eq_l.cutoffs, eq_l.r, False, params)))
-    eq_wl = solve_policy(params, mx.Mechanism.DA_WL)
-    rows.append(PolicyRow("long_wl", *_policy_c1_shares(eq_wl.cutoffs, eq_wl.r, True, params)))
+    for mech in mx.POLICY:
+        eq = solve_policy(params, mech)
+        rows.append(_policy_row(f"long_{mech.value.removeprefix('da_')}", mech, eq.cutoffs,
+                                eq.r, params))
     return rows
 
 

@@ -318,6 +318,8 @@ def single_kink_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     The grid values are i * step for i = 1 .. 1/step - 1, ordered
     lexicographically in (x, y).
     """
+    if not 0.0 < step < np.inf:
+        raise CdfError(f"step {step} is not a positive finite number")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9 or n < 2:
         raise CdfError(f"step {step} does not divide 1 evenly")

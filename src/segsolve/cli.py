@@ -7,7 +7,7 @@ import sys
 
 from . import benchmarks, mcsim, sweep
 from . import mechanisms as mx
-from .cdf import CdfError
+from .cdf import CdfError, single_kink_grid
 from .economy import (EconomyError, EconomyParams, check_assumption1,
                       check_assumption2, example_economy)
 from .equilibrium import (AssumptionError, SolveError, solve, solve_policy,
@@ -158,30 +158,36 @@ def cmd_tables(args) -> int:
 
 def cmd_sweep_kink(args) -> int:
     params = _load_params(args)
-    result = sweep.kink_sweep(params, args.step)
+    try:  # a step that does not divide 1, or wealth that is not binary
+        result = sweep.kink_sweep(params, args.step)
+    except ValueError as exc:
+        raise CliError(f"invalid sweep: {exc}", EXIT_CONFIG)
     _emit(result.to_csv(), args.output)
     return 0
 
 
 def cmd_sweep_cube(args) -> int:
-    def parse_axis(text: str) -> list[float]:
-        return [float(v) for v in text.split(",")]
-
-    result = sweep.cube_sweep(
-        parse_axis(args.rho), parse_axis(args.q), parse_axis(args.pi), args.step)
-    _emit(result.to_csv(), args.output)
+    try:
+        axes = [[float(v) for v in text.split(",")] for text in (args.rho, args.q, args.pi)]
+        single_kink_grid(args.step)
+    except ValueError as exc:
+        raise CliError(f"invalid sweep: {exc}", EXIT_CONFIG)
+    _emit(sweep.cube_sweep(*axes, args.step).to_csv(), args.output)
     return 0
 
 
 def cmd_simulate(args) -> int:
     params = _load_params(args)
     mechs = _mech_list(args.mech)
-    if len(mechs) != 1:
-        raise CliError("simulate expects exactly one mechanism", EXIT_CONFIG)
+    if len(mechs) != 1 or mechs[0] not in mx.CORE:  # no finite algorithm for a policy
+        raise CliError("simulate expects exactly one of n, da, ttc", EXIT_CONFIG)
     eq = _solve_any(params, mechs[0])
-    config = mcsim.SimConfig(
-        params=params, mech=mechs[0], cutoffs=eq.cutoffs,
-        n_agents=args.n_agents, seed=args.seed, replications=args.replications)
+    try:
+        config = mcsim.SimConfig(
+            params=params, mech=mechs[0], cutoffs=eq.cutoffs,
+            n_agents=args.n_agents, seed=args.seed, replications=args.replications)
+    except ValueError as exc:
+        raise CliError(f"invalid simulation: {exc}", EXIT_CONFIG)
     result = mcsim.estimate(config)
     payload = result.to_dict()
     payload["analytic"] = eq.to_dict()

@@ -249,28 +249,19 @@ def _policy_cutoffs(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
     """The roots of policy_delta_u in s, s_w = alpha_w + beta_w p, as
     (len(r), types) intercepts alpha and slopes beta, one row per rejection
     rate in r; types poorest first."""
-    r = r[:, None]
     omegas = params.wealth.omegas
-    # -(1-r)(1-s)/3 + r(2s+1)/3 = w p, solved for s
-    alpha = np.repeat(-(2.0 * r - 1.0) / (1.0 + r), len(omegas), axis=1)
-    beta = 3.0 * omegas / (1.0 + r)
-    if mech == mx.Mechanism.DA_WL:
-        # richer types are rejected for sure: (2s+1)/3 = w p
-        alpha[:, 1:] = -0.5
-        beta[:, 1:] = 1.5 * omegas[1:]
-    return alpha, beta
+    at_zero, slope = mx.policy_gain(mech, r[:, None], omegas, params)
+    return -at_zero / slope, omegas / slope
 
 
 def _policy_gap(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
     """For each rejection rate in r: r minus the rate that seat accounting
-    implies once the housing market clears, the clearing price, the cutoffs
-    (len(r), types) and the clearing residual at p = 0.
+    (`mechanisms.implied_rejection`) implies once the housing market
+    clears, the clearing price, the cutoffs (len(r), types) and the
+    clearing residual at p = 0.
 
     The price is the kernel's root in [0, POLICY_MAX_PRICE]. Where the
     market clears or overshoots at p = 0 the price is 0, the corner.
-    Vacated supply pi sum rho_w (1 - F(s_w)) is rationed by lottery over the
-    eligible out-of-district pool (DA_L: everyone in n0; DA_WL: poor n0
-    residents).
     """
     f, rhos, target = params.cdf.batch, params.wealth.rhos, 1.0 - params.q
 
@@ -285,12 +276,7 @@ def _policy_gap(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
     if np.isnan(p).any():
         raise NoFixedPointError("housing market cannot clear at this rejection rate")
     cuts = alpha + beta * p[:, None]
-    fs = cdf_at(cuts)
-    vacated = params.pi * _weighted(1.0 - fs, rhos)
-    eligible = _weighted(fs, rhos) if mech == mx.Mechanism.DA_L else rhos[0] * fs[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        implied = np.where(eligible <= vacated, 0.0, 1.0 - vacated / eligible)
-    return r - implied, p, cuts, at_zero
+    return r - mx.implied_rejection(mech, cdf_at(cuts), params), p, cuts, at_zero
 
 
 def _bracket(mech: mx.Mechanism, rs: np.ndarray, gaps: np.ndarray) -> int:
@@ -347,10 +333,7 @@ def solve_policy(params: EconomyParams, mech) -> Equilibrium:
     rhos = [rho for _, rho in params.wealth.atoms]
     e_s = sum(rho * s for (_, s), rho in zip(cuts, rhos))
     res = sum(rho * _cdf_at(params.cdf, s) for (_, s), rho in zip(cuts, rhos)) - (1.0 - params.q)
-    r_by_omega = None
-    if mech == mx.Mechanism.DA_WL:
-        r_by_omega = tuple((w, r if i == 0 else 1.0)
-                           for i, (w, _) in enumerate(cuts))
+    r_by_omega = tuple((w, float(mx.policy_rejection(mech, r, w, params))) for w, _ in cuts)
     return Equilibrium(mech, r, float("nan"), float(p[0]), float("nan"),
                        cuts, e_s, res, rounds, params, r_by_omega)
 

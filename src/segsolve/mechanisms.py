@@ -5,8 +5,8 @@ the cutoff functional gamma, the floor line of the utility gain, the weight
 of the exchange flow in the rejection rate, and the weight that carries
 neighborhood over-representation into the school. The solver, price bounds,
 utility gains, school masses and match quality, and the Theorem-2
-thresholds read that table; the DA_L/DA_WL policies have their own gains
-below.
+thresholds read that table. The DA_L/DA_WL policies read DA's row and one
+entry of POLICY_LOTTERY: which wealth types enter the lottery for vacated seats.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ class Mechanism(str, enum.Enum):
 
 
 CORE = (Mechanism.N, Mechanism.DA, Mechanism.TTC)
-POLICY = (Mechanism.DA_L, Mechanism.DA_WL)
 
 
 class DegenerateChoiceError(ValueError):
@@ -110,13 +109,13 @@ class CoreAlgebra:
         return stay + trade + (1.0 - r) * (pool - trade)
 
 
-class _CoreTable(dict):
+class _Table(dict):
     def __missing__(self, mech):
-        raise ValueError(f"{Mechanism(mech).value} is not a core mechanism (n, da, ttc)")
+        raise ValueError(f"{Mechanism(mech).value} is not one of {', '.join(self)}")
 
 
 # The one place that tells N, DA and TTC apart; a policy mechanism raises ValueError.
-CORE_ALGEBRA = MappingProxyType(_CoreTable({
+CORE_ALGEBRA = MappingProxyType(_Table({
     Mechanism.N: CoreAlgebra(
         gamma=lambda s, p: s - p.g,
         floor=lambda s, p: s - p.g,
@@ -139,6 +138,12 @@ CORE_ALGEBRA = MappingProxyType(_CoreTable({
         exchange=1.0,
         c=lambda p: 1.0),
 }))
+
+# The one place that tells DA_L and DA_WL apart: how many wealth types, poorest
+# first, enter the lottery for vacated seats (None: all). Both are otherwise DA:
+# a type in the lottery is rejected out of zone at its rate r, any other for sure.
+POLICY_LOTTERY = MappingProxyType(_Table({Mechanism.DA_L: None, Mechanism.DA_WL: 1}))
+POLICY = tuple(POLICY_LOTTERY)
 
 
 def rejection_ratio(params, mech: Mechanism):
@@ -171,11 +176,6 @@ def r_da_uniform(params) -> float:
     return (1.0 - q - g) / ((1.0 - pi) * (1.0 - q - g) + pi * e)
 
 
-def gamma(mech: Mechanism, s, params):
-    """Linear cutoff functional; the cutoff solves gamma(s_w) = w p / r."""
-    return CORE_ALGEBRA[Mechanism(mech)].gamma(s, params)
-
-
 def delta_u(mech: Mechanism, r: float, p: float, s, omega: float, params):
     """Expected utility gain of buying in-zone at signal s versus staying out.
 
@@ -197,28 +197,49 @@ def delta_u(mech: Mechanism, r: float, p: float, s, omega: float, params):
     return out if out.ndim else float(out)
 
 
-def policy_delta_u(mech: Mechanism, r: float, p: float, s, omega: float, params):
-    """Utility gain under the desegregation policies on the example profile.
+def _in_lottery(mech: Mechanism, omega, params):
+    """Whether the type omega is at least as poor as the policy's richest entrant."""
+    return omega >= params.wealth.omegas[:POLICY_LOTTERY[mech]][-1] - 1e-12
 
-    DA_L: a pooled lottery over all out-of-district residents fills vacated
-    seats; one rejection probability r for everyone. DA_WL: only poor
-    out-of-district residents enter the lottery; r applies to the poor type
-    and rich out-of-zone rejection is fixed at 1.
-    """
+
+def policy_rejection(mech: Mechanism, r, omega, params):
+    """Out-of-zone rejection rate r_w of the type omega under a policy: r if
+    it enters the lottery, else 1. Broadcasts r against omega."""
+    return np.where(_in_lottery(mech, omega, params), r, 1.0)
+
+
+def implied_rejection(mech: Mechanism, fs, params):
+    """The lottery's rejection rate that seat accounting implies when the
+    type cutoffs have F(s_w) = fs[..., w], types poorest first: the vacated
+    supply pi sum_w rho_w (1 - F(s_w)) against the eligible pool, the n0
+    residents rho_w F(s_w) of the types in the lottery; 0 where the pool
+    does not exceed the supply."""
+    rhos = params.wealth.rhos
+    pool = np.where(_in_lottery(mech, params.wealth.omegas, params), rhos, 0.0)
+    vacated = params.pi * (rhos * (1.0 - fs)).sum(axis=-1)
+    eligible = (pool * fs).sum(axis=-1)
+    return 1.0 - np.divide(vacated, eligible, out=np.ones_like(vacated),
+                           where=eligible > vacated)
+
+
+def policy_gain(mech: Mechanism, r, omega, params):
+    """(Value at s = 0, slope) of the line r_w gamma_DA(s) - (1 - r_w) pi (e - s),
+    the utility gain under a policy before the price term, at the type's
+    `policy_rejection` r_w (1 outside the lottery: plain DA's gain at r = 1)."""
+    r_w = policy_rejection(mech, r, omega, params)
+    da = CORE_ALGEBRA[Mechanism.DA]
+    lottery = (1.0 - r_w) * params.pi
+    return (r_w * da.gamma(0.0, params) - lottery * params.e,
+            r_w * da.kappa(params) + lottery)
+
+
+def policy_delta_u(mech: Mechanism, r, p: float, s, omega, params):
+    """Utility gain under a desegregation policy on the example profile:
+    the line of `policy_gain` less omega p. Broadcasts r, s and omega."""
     from .economy import is_example_profile
 
-    mech = Mechanism(mech)
     if not is_example_profile(params):
         raise ValueError("policy mechanisms are defined on the example profile only")
-    s = np.asarray(s, dtype=float)
-    base = (s + 1.0) / 3.0 + s / 3.0
-    if mech == Mechanism.DA_L:
-        out = -(1.0 - r) * (1.0 - s) / 3.0 + r * base - omega * p
-    elif mech == Mechanism.DA_WL:
-        if abs(omega - params.wealth.poorest) < 1e-12:
-            out = -(1.0 - r) * (1.0 - s) / 3.0 + r * base - omega * p
-        else:
-            out = base - omega * p
-    else:
-        raise ValueError(f"{mech.value} is not a policy mechanism")
+    at_zero, slope = policy_gain(mech, r, omega, params)
+    out = at_zero + slope * np.asarray(s, dtype=float) - omega * p
     return out if out.ndim else float(out)

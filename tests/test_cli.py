@@ -135,6 +135,28 @@ class TestSimulate:
                          "--mech", "n,da"]) == cli.EXIT_CONFIG
 
 
+# each of these exited 1 with a traceback before its input was checked
+BAD_ARGUMENTS = [
+    ["sweep-cube", "--rho", "abc"],
+    ["sweep-cube", "--rho", "0.5", "--q", "0.4", "--pi", "0.2", "--step", "0"],
+    ["sweep-kink", "--example", "--step", "0.3"],
+    ["sweep-kink", "--example", "--step", "0"],
+    ["sweep-kink", "--config", "THREE_TYPES"],
+    ["simulate", "--example", "--n-agents", "10"],
+    ["simulate", "--example", "--replications", "0"],
+    ["simulate", "--example", "--mech", "da_l"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
+def test_bad_arguments_exit_2(argv, tmp_path, capsys):
+    three_types = write_config(tmp_path, wealth=[[1.2, 0.25], [1.0, 0.5], [0.8, 0.25]])
+    argv = [three_types if a == "THREE_TYPES" else a for a in argv]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 class TestCheck:
     def test_example_passes(self, capsys):
         assert cli.main(["check", "--example"]) == 0

@@ -281,6 +281,21 @@ class TestPolicies:
         # rich out-of-zone rejection is pinned at 1
         assert eq.r_by_omega[1] == (0.875, 1.0)
 
+    def test_lottery_rejects_every_type_at_r(self):
+        eq = solve_policy(example_economy(), "da_l")
+        assert eq.r_by_omega == ((1.125, eq.r), (0.875, eq.r))
+
+    @pytest.mark.parametrize("mech", ["da_l", "da_wl"])
+    def test_cutoffs_zero_the_gain(self, mech):
+        p = example_economy()
+        rs = np.linspace(0.0, 1.0, 401)[1:]
+        alpha, beta = equilibrium._policy_cutoffs(mx.Mechanism(mech), rs, p)
+        for price in (0.0, 0.3, 1.1):
+            for j, omega in enumerate(p.wealth.omegas):
+                s = alpha[:, j] + beta[:, j] * price
+                gain = mx.policy_delta_u(mech, rs, price, s, omega, p)
+                np.testing.assert_allclose(gain, 0.0, rtol=0, atol=1e-15)
+
     def test_policy_market_clears(self):
         p = example_economy()
         for mech in ("da_l", "da_wl"):

@@ -1,4 +1,4 @@
-"""Golden outputs: the sha256 of CLI stdout and the Table 1 values.
+"""Golden outputs: the sha256 of CLI stdout and the Table 1 and Table 2 values.
 
 The digests were recorded before CORE_ALGEBRA took over delta_u and match
 quality, so a refactor that claims byte-identical output is checked here.
@@ -39,6 +39,16 @@ TABLE1 = {
                 55.93824826717076, 44.1694640322617),
 }
 
+# (n1 %, c1 %) per row, recorded before the policies read DA's row of
+# CORE_ALGEBRA and the lottery entry in place of the example's constants
+TABLE2 = {
+    "da": (32.8125, 40.62500000000001),
+    "short_l": (32.8125, 42.36111111111111),
+    "short_wl": (32.8125, 55.208333333333336),
+    "long_l": (35.74218750000196, 43.66319444444846),
+    "long_wl": (9.70934637152067, 39.80623091433878),
+}
+
 
 @pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
 def test_stdout_digest(argv, capsys):
@@ -54,3 +64,11 @@ def test_table_one_values():
         got = (row.poor_share_c1, row.poor_quality, row.rich_quality,
                row.total_quality, row.poor_share_of_quality)
         assert got == pytest.approx(TABLE1[row.scenario], rel=0, abs=1e-12), row.scenario
+
+
+def test_policy_table_values():
+    rows = bm.policy_table()
+    assert [row.policy for row in rows] == list(TABLE2)
+    for row in rows:
+        got = (row.poor_share_n1, row.poor_share_c1)
+        assert got == pytest.approx(TABLE2[row.policy], rel=0, abs=1e-12), row.policy

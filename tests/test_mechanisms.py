@@ -75,9 +75,9 @@ class TestGamma:
     def test_example_values_at_clearing_signal(self):
         # gamma(0.6): N 0.6, DA (2/3)(0.6)+(1/3) = 11/15, TTC (1/3)(0.6)+2/3 = 13/15
         p = example_economy()
-        assert mx.gamma("n", 0.6, p) == pytest.approx(9.0 / 15.0, abs=1e-12)
-        assert mx.gamma("da", 0.6, p) == pytest.approx(11.0 / 15.0, abs=1e-12)
-        assert mx.gamma("ttc", 0.6, p) == pytest.approx(13.0 / 15.0, abs=1e-12)
+        assert mx.CORE_ALGEBRA["n"].gamma(0.6, p) == pytest.approx(9.0 / 15.0, abs=1e-12)
+        assert mx.CORE_ALGEBRA["da"].gamma(0.6, p) == pytest.approx(11.0 / 15.0, abs=1e-12)
+        assert mx.CORE_ALGEBRA["ttc"].gamma(0.6, p) == pytest.approx(13.0 / 15.0, abs=1e-12)
 
     def test_slope_and_intercept_consistent(self):
         p = example_economy()
@@ -85,8 +85,8 @@ class TestGamma:
             a = mx.CORE_ALGEBRA[mech].intercept(p)
             k = mx.CORE_ALGEBRA[mech].kappa(p)
             # gamma is linear with root a and slope k
-            assert mx.gamma(mech, a, p) == pytest.approx(0.0, abs=1e-12)
-            assert mx.gamma(mech, a + 0.25, p) == pytest.approx(0.25 * k, abs=1e-12)
+            assert mx.CORE_ALGEBRA[mech].gamma(a, p) == pytest.approx(0.0, abs=1e-12)
+            assert mx.CORE_ALGEBRA[mech].gamma(a + 0.25, p) == pytest.approx(0.25 * k, abs=1e-12)
 
     def test_example_intercepts(self):
         p = example_economy()
@@ -103,7 +103,7 @@ class TestGamma:
         with pytest.raises(ValueError):
             mx.rejection(p, mech)
         with pytest.raises(ValueError):
-            mx.gamma(mech, 0.5, p)
+            mx.CORE_ALGEBRA[mech].gamma(0.5, p)
 
 
 def _piecewise_delta_u(mech, r, p, s, omega, params):
@@ -242,7 +242,27 @@ class TestSchoolQuality:
                         mass, abs=1e-8)
 
 
+def _hand_written_policy_delta_u(mech, r, p, s, omega, params):
+    """policy_delta_u as the three example-only bodies it replaced."""
+    base = (s + 1.0) / 3.0 + s / 3.0
+    lottery = -(1.0 - r) * (1.0 - s) / 3.0 + r * base - omega * p
+    if mech == "da_wl" and abs(omega - params.wealth.poorest) >= 1e-12:
+        return base - omega * p
+    return lottery
+
+
 class TestPolicyDeltaU:
+    def test_matches_hand_written_bodies(self):
+        p = example_economy()
+        s = np.linspace(0.0, 1.0, 101)
+        for r in np.linspace(0.0, 1.0, 41)[1:]:
+            for price in np.linspace(0.0, 2.0, 11):
+                for omega in p.wealth.omegas:
+                    for mech in mx.POLICY:
+                        got = mx.policy_delta_u(mech, r, price, s, omega, p)
+                        want = _hand_written_policy_delta_u(mech.value, r, price, s, omega, p)
+                        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
     def test_da_l_at_r_one_matches_da(self):
         # with no rejection risk the lottery policy reduces to plain DA gains
         p = example_economy()
