@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,14 +340,18 @@ def enumerate_single_kink(step: float) -> list[SignalCdf]:
 
 
 def config_number(name: str, value, error: type[ValueError] = CdfError) -> float:
-    """A config value as a float; booleans, strings and other non-numbers,
-    and integers too large for a float, raise `error`."""
+    """A finite config value as a float; booleans, strings and other
+    non-numbers, NaN, infinities and integers too large for a float raise
+    `error`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise error(f"{name} is out of range: {value!r}") from None
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def cdf_from_config(cfg: dict) -> SignalCdf:

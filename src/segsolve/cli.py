@@ -279,8 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first `main` call and reused by every later one in the
+# process: parse_args leaves the parser unchanged and returns a new Namespace.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -16,7 +16,11 @@ class EconomyError(ValueError):
 
 @dataclass(frozen=True)
 class WealthDist:
-    """Finite wealth distribution; atoms sorted poorest (largest omega) first."""
+    """Finite wealth distribution; atoms sorted poorest (largest omega) first.
+
+    `omegas` and `rhos` are the atoms' columns as read-only arrays, built
+    once; they are not fields, so equality and hashing stay on `atoms`.
+    """
 
     atoms: tuple[tuple[float, float], ...]
 
@@ -38,14 +42,10 @@ class WealthDist:
         mean = sum(w * r for w, r in atoms)
         if abs(mean - 1.0) > 1e-12:
             raise EconomyError(f"mean wealth index is {mean}, not 1")
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return np.array([w for w, _ in self.atoms])
-
-    @property
-    def rhos(self) -> np.ndarray:
-        return np.array([r for _, r in self.atoms])
+        for name, column in (("omegas", omegas), ("rhos", rhos)):
+            array = np.array(column)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def poorest(self) -> float:
@@ -90,6 +90,8 @@ class EconomyParams:
             raise EconomyError("e must be positive")
         if not (0.0 < self.pi < 0.5):
             raise EconomyError("pi must lie in (0, 1/2)")
+        if self.e < self.g:
+            raise EconomyError("e must not be less than g")
         if self.e + self.g > 1.0 + 1e-12:
             raise EconomyError("e + g must not exceed 1")
         require_valid(self.cdf)

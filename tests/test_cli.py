@@ -1,8 +1,21 @@
 """Command-line interface: commands, outputs, and exit codes."""
+import argparse
+import contextlib
+import hashlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import STDOUT_SHA256
 
+import segsolve
 import segsolve.benchmarks as bm
 import segsolve.cli as cli
 from segsolve.economy import example_economy
@@ -177,3 +190,146 @@ class TestCheck:
 
         monkeypatch.setattr(cli, "check_theorems", fake_check)
         assert cli.main(["check", "--example"]) == cli.EXIT_THEOREM
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# each of these loaded: `check` then exited 1 with a traceback from F(e - g),
+# and `solve` and `compare` exited 2 only once the solver met the bad signal
+BAD_CONFIGS = {
+    "e<g": {"g": 0.5, "e": 0.2818, "pi": 0.3333},
+    "e=NaN": {"e": math.nan},
+    "g=NaN": {"g": math.nan},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "compare"])
+@pytest.mark.parametrize("bad", list(BAD_CONFIGS))
+def test_bad_config_rejected_on_load(bad, command, tmp_path, capsys):
+    path = write_config(tmp_path, **BAD_CONFIGS[bad])
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("invalid config: ")
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(cli, "_parser", None)
+        after = []
+        for argv in (["check", "--example"], ["compare", "--example"], ["solve", "--example"]):
+            assert cli.main(argv) == 0
+            after.append(len(built))
+        # the top-level parser and its subparsers, all on the first call
+        assert built.count("segsolve") == 1
+        assert after == [after[0]] * 3
+
+    def test_no_state_between_calls(self, tmp_path, capsys):
+        out = tmp_path / "solve.json"
+        assert cli.main(["solve", "--example", "--output", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--example", "--step", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert cli.main(["solve", "--example"]) == 0
+        golden = STDOUT_SHA256[("solve", "--example")]
+        assert sha256(capsys.readouterr().out.encode()) == golden
+        assert sha256(out.read_bytes()) == golden
+
+    def test_python_m_segsolve(self):
+        src = str(Path(segsolve.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "segsolve", "check", "--example"],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sha256(proc.stdout) == STDOUT_SHA256[("check", "--example")]
+
+
+# -- fuzzed JSON configs through `solve` and `check` ------------------------
+
+# Loadable configs on which `check` exits 6, found by a longer run of the fuzz
+# below: with one wealth type every deviation is 0, and with pi near 0 the
+# mechanism gaps fall under the theorem tolerances, so strict rankings FAIL.
+THEOREM_FAILURES = {
+    "one wealth type": {"wealth": [[1.0, 1.0]]},
+    "pi=1e-12": {"pi": 1e-12},
+}
+
+
+@pytest.mark.xfail(strict=True, reason="check reports theorem failures outside the "
+                   "ranking theorems' premises instead of rejecting the config")
+@pytest.mark.parametrize("case", list(THEOREM_FAILURES))
+def test_check_exit_code_outside_theorem_premises(case, tmp_path, capsys):
+    path = write_config(tmp_path, **THEOREM_FAILURES[case])
+    assert cli.main(["check", "--config", path]) != cli.EXIT_THEOREM
+
+
+FIELDS = ("m", "q", "delta_q", "g", "e", "pi", "wealth", "cdf")
+BASES = [dict(example_economy().to_config(), cdf=cdf, **ge) for cdf, ge in (
+    ({"type": "uniform"}, {}),
+    ({"type": "single_kink", "x": 0.3, "y": 0.6}, {"g": 0.05, "e": 0.9}),
+    ({"type": "piecewise", "knots": [[0, 0], [0.4, 0.55], [0.8, 0.9], [1, 1]]}, {}),
+    ({"type": "power", "alpha": 0.5}, {"g": 0.05, "e": 0.9}),
+)]
+NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0.5, 1.0, -1e-300, 1e308, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 5))
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                 st.lists(st.integers(0, 2), max_size=3), st.just({}))
+VALUES = st.one_of(NUMBERS, JUNK)
+NUMERIC = ("m", "q", "delta_q", "g", "e", "pi")
+PAIRS = st.lists(st.one_of(st.lists(NUMBERS, min_size=2, max_size=2),
+                           st.lists(NUMBERS, max_size=3), JUNK), max_size=4)
+CDFS = st.fixed_dictionaries(
+    {"type": st.sampled_from(["uniform", "single_kink", "piecewise", "power", "bogus"])},
+    optional={"x": VALUES, "y": VALUES, "alpha": VALUES,
+              "knots": st.one_of(PAIRS, JUNK), "extra": VALUES})
+MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(NUMERIC), NUMBERS),
+    st.tuples(st.just("scale"), st.sampled_from(NUMERIC), st.floats(0.0, 2.0)),
+    st.tuples(st.just("set"), st.sampled_from(FIELDS + ("unknown",)), VALUES),
+    st.tuples(st.just("delete"), st.sampled_from(FIELDS)),
+    st.tuples(st.just("atom"), st.integers(0, 1), st.integers(0, 1), VALUES),
+    st.tuples(st.just("set"), st.just("wealth"), PAIRS),
+    st.tuples(st.just("set"), st.just("cdf"), st.one_of(CDFS, JUNK)),
+)
+
+
+def mutated(base: dict, mutations) -> dict:
+    cfg = json.loads(json.dumps(base))
+    for op, key, *rest in mutations:
+        if op == "set":
+            cfg[key] = rest[0]
+        elif op == "scale" and isinstance(cfg.get(key), float):
+            cfg[key] *= rest[0]
+        elif op == "delete":
+            cfg.pop(key, None)
+        elif op == "atom" and isinstance(cfg.get("wealth"), list) and len(cfg["wealth"]) > key:
+            atom = cfg["wealth"][key]
+            if isinstance(atom, list) and len(atom) == 2:
+                atom[rest[0]] = rest[1]
+    return cfg
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["solve", "check"]), base=st.sampled_from(BASES),
+       mutations=st.lists(MUTATIONS, max_size=3))
+def test_fuzzed_config_exits_cleanly(tmp_path_factory, command, base, mutations):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_economy.json"
+    path.write_text(json.dumps(mutated(base, mutations)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(path)])
+    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_ASSUMPTION, cli.EXIT_SOLVER), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()

@@ -1,8 +1,10 @@
 """Parameter containers, wealth distributions, and the assumption checks."""
+import math
+
 import pytest
 
 import segsolve as ss
-from segsolve.cdf import Power, SingleKink, Uniform
+from segsolve.cdf import CdfError, Power, SingleKink, Uniform
 from segsolve.economy import (EconomyError, EconomyParams, WealthDist,
                               binary_wealth, check_assumption1,
                               check_assumption2, example_economy,
@@ -48,6 +50,20 @@ class TestWealthDist:
         w = example_economy().wealth
         assert w.atoms == ((1.125, 0.5), (0.875, 0.5))
 
+    def test_columns_built_once_read_only(self):
+        w = WealthDist(((1.0, 0.5), (1.2, 0.25), (0.8, 0.25)))
+        for name, column in (("omegas", 0), ("rhos", 1)):
+            array = getattr(w, name)
+            assert getattr(w, name) is array, name
+            assert not array.flags.writeable
+            assert array.tolist() == [atom[column] for atom in w.atoms]
+            with pytest.raises(ValueError):
+                array[0] = 2.0
+        # the arrays are not fields: equality and hashing stay on the atoms
+        same = WealthDist(((0.8, 0.25), (1.2, 0.25), (1.0, 0.5)))
+        assert w == same and hash(w) == hash(same)
+        assert "omegas" not in repr(w)
+
 
 class TestEconomyParams:
     def test_example_profile(self):
@@ -67,6 +83,25 @@ class TestEconomyParams:
             cfg = dict(base, **bad)
             with pytest.raises(EconomyError):
                 EconomyParams.from_config(cfg)
+
+    def test_e_below_g_rejected(self):
+        # F(e - g) would read a negative signal in check_assumption1
+        with pytest.raises(EconomyError, match="less than g"):
+            EconomyParams(m=2, q=0.4, g=0.5, e=0.2818, pi=0.3333,
+                          wealth=binary_wealth(0.5), cdf=Uniform())
+
+    def test_non_finite_config_rejected(self):
+        base = example_economy().to_config()
+        for bad in ({"e": math.nan}, {"g": math.nan}, {"delta_q": math.nan},
+                    {"e": math.inf}, {"pi": -math.inf},
+                    {"wealth": [[math.nan, 0.5], [0.875, 0.5]]}):
+            with pytest.raises(EconomyError, match="must be finite"):
+                EconomyParams.from_config(dict(base, **bad))
+        for cdf in ({"type": "power", "alpha": math.nan},
+                    {"type": "single_kink", "x": 0.3, "y": math.inf},
+                    {"type": "piecewise", "knots": [[0, 0], [0.5, math.nan], [1, 1]]}):
+            with pytest.raises(CdfError, match="must be finite"):
+                EconomyParams.from_config(dict(base, cdf=cdf))
 
     def test_config_round_trip(self):
         p = EconomyParams(m=3, q=0.3, g=0.05, e=0.8, pi=0.2, delta_q=0.02,
