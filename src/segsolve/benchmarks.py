@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mechanisms as mx
 from .economy import EconomyParams, example_economy, is_example_profile
-from .equilibrium import solve, solve_policy
+from .equilibrium import affine_root, solve, solve_policy
 from .segregation import make_profile, school_masses, school_profile
 
 
@@ -115,29 +115,29 @@ def no_priority_outcome(params: EconomyParams | None = None):
 
 
 def auction_outcome(params: EconomyParams | None = None):
-    """Market-clearing per-seat price; agents buy where ex-post fit beats it."""
+    """Market-clearing per-seat price; agents buy where ex-post fit beats it.
+
+    A type-w agent with a +e shock buys when t + e > w tau, and with either
+    other shock when its fit beats w tau, so the unsold share at price tau
+    is sum_w rho_w [pi F(w tau - e) + (1 - pi) F(w tau)]. The clearing tau,
+    where that share is 1 - q, is one exact root of the kernel with four
+    terms.
+    """
     params = _example_profile(params)
     rhos = dict(params.wealth.atoms)
+    pi, e = params.pi, params.e
+    weights, alpha, beta = [], [], []
+    for w, rho in rhos.items():
+        weights += [rho * pi, rho * (1.0 - pi)]
+        alpha += [-e, 0.0]
+        beta += [w, w]
+    tau = float(affine_root(params.cdf.batch, weights, alpha, beta, 3.0, 1.0 - params.q)[0])
+    if math.isnan(tau):
+        raise NoClearingError("no per-seat price in [0, 3] clears the seat market")
 
     def clip01(x: float) -> float:
         return min(1.0, max(0.0, x))
 
-    def demand(tau: float) -> float:
-        acc = 0.0
-        for w, rho in rhos.items():
-            acc += rho / 3.0 * (clip01(2.0 - w * tau) + 2.0 * clip01(1.0 - w * tau))
-        return acc
-
-    if demand(0.0) < params.q:
-        raise NoClearingError("seat demand at a zero price is below capacity")
-    lo, hi = 0.0, 3.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if demand(mid) > params.q:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
     masses, quality = [], []
     for w, rho in rhos.items():
         a1 = clip01(w * tau - 1.0)   # +e shock buys iff t+1 > w tau

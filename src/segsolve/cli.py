@@ -197,6 +197,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     params = _load_params(args)
+    if len(params.wealth.atoms) < 2:
+        print("check needs at least two wealth types: the ranking theorems compare them",
+              file=sys.stderr)
+        return EXIT_ASSUMPTION
     a1 = check_assumption1(params)
     if not a1.passed:
         print(f"assumption 1 fails: {a1.failures()}", file=sys.stderr)

@@ -31,16 +31,16 @@ class WealthDist:
         rhos = [r for _, r in atoms]
         if not atoms:
             raise EconomyError("wealth distribution needs at least one atom")
-        if any(w <= 0 for w in omegas):
+        if not all(w > 0 for w in omegas):
             raise EconomyError("wealth indices must be positive")
         if len(set(omegas)) != len(omegas):
             raise EconomyError("wealth indices must be pairwise distinct")
-        if any(r <= 0 for r in rhos):
+        if not all(r > 0 for r in rhos):
             raise EconomyError("atom probabilities must be positive")
-        if abs(sum(rhos) - 1.0) > 1e-12:
+        if not abs(sum(rhos) - 1.0) <= 1e-12:
             raise EconomyError(f"atom probabilities sum to {sum(rhos)}, not 1")
         mean = sum(w * r for w, r in atoms)
-        if abs(mean - 1.0) > 1e-12:
+        if not abs(mean - 1.0) <= 1e-12:
             raise EconomyError(f"mean wealth index is {mean}, not 1")
         for name, column in (("omegas", omegas), ("rhos", rhos)):
             array = np.array(column)
@@ -78,21 +78,21 @@ class EconomyParams:
     delta_q: float = 0.0
 
     def __post_init__(self):
-        if self.m < 2:
+        if not self.m >= 2:
             raise EconomyError("need at least two specialized schools")
         if not (0.0 < self.q < 1.0):
             raise EconomyError("q must lie in (0, 1)")
-        if self.delta_q < 0.0:
+        if not self.delta_q >= 0.0:
             raise EconomyError("delta_q must be nonnegative")
-        if self.g < 0.0:
+        if not self.g >= 0.0:
             raise EconomyError("g must be nonnegative")
-        if self.e <= 0.0:
+        if not self.e > 0.0:
             raise EconomyError("e must be positive")
         if not (0.0 < self.pi < 0.5):
             raise EconomyError("pi must lie in (0, 1/2)")
-        if self.e < self.g:
+        if not self.e >= self.g:
             raise EconomyError("e must not be less than g")
-        if self.e + self.g > 1.0 + 1e-12:
+        if not self.e + self.g <= 1.0 + 1e-12:
             raise EconomyError("e + g must not exceed 1")
         require_valid(self.cdf)
 

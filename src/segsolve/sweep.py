@@ -1,8 +1,6 @@
 """Batch experiments over single-kink signal distributions and parameter cubes."""
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -14,20 +12,6 @@ from .economy import (EconomyError, EconomyParams, assumption1_mask,
                       assumption2_mask, binary_wealth)
 from .equilibrium import dispersion_root, interior
 from .segregation import EQUAL_TOL, school_masses
-
-
-def thread_count() -> int:
-    """The process count SEGSOLVE_THREADS asks for; 1 if unset, invalid or < 1."""
-    env = os.environ.get("SEGSOLVE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def worker_count(n_tasks: int) -> int:
-    """thread_count() clamped to the CPU count and to n_tasks, at least 1."""
-    return max(1, min(thread_count(), os.cpu_count() or 1, n_tasks))
 
 
 @dataclass(frozen=True)
@@ -160,8 +144,7 @@ def da_less_segregated_count(result: KinkSweepResult, params_base: EconomyParams
     return n_feasible, n_less
 
 
-def _cube_cell(args) -> CubeCell:
-    rho_p, q, pi, step = args
+def _cube_cell(rho_p: float, q: float, pi: float, step: float) -> CubeCell:
     try:
         params = EconomyParams(
             m=2, q=q, g=0.0, e=1.0, pi=pi,
@@ -175,13 +158,7 @@ def _cube_cell(args) -> CubeCell:
 
 def cube_sweep(rho_list, q_list, pi_list, step: float = 0.1) -> CubeSweepResult:
     """Share of single-kink CDFs with lower school segregation under DA,
-    across a (rho_p, q, pi) parameter grid."""
-    tasks = [(rho_p, q, pi, step)
-             for rho_p in rho_list for q in q_list for pi in pi_list]
-    workers = worker_count(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(_cube_cell, tasks))
-    else:
-        cells = tuple(_cube_cell(t) for t in tasks)
+    across a (rho_p, q, pi) parameter grid, one cell after another."""
+    cells = tuple(_cube_cell(rho_p, q, pi, step)
+                  for rho_p in rho_list for q in q_list for pi in pi_list)
     return CubeSweepResult(tuple(rho_list), tuple(q_list), tuple(pi_list), step, cells)

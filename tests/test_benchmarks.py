@@ -40,10 +40,15 @@ class TestTableOne:
         assert profile.total_mass == pytest.approx(0.4, abs=1e-12)
 
     def test_auction_clearing_price(self):
-        # per-seat price clears q = 0.4 of demand; tau ~ 0.9043
+        # the exact per-seat price tau = 104/115 clears q = 0.4 to the last bit
         row, profile = bm.auction_outcome()
-        assert profile.total_mass == pytest.approx(0.4, abs=1e-6)
+        assert profile.total_mass == 0.4
         assert row.total_quality == pytest.approx(55.938, abs=2e-2)
+
+    def test_auction_without_clearing_price_raises(self, monkeypatch):
+        monkeypatch.setattr(bm, "affine_root", lambda *args: [float("nan")])
+        with pytest.raises(bm.NoClearingError):
+            bm.auction_outcome()
 
     def test_short_run_rows_use_n_locations(self):
         # short-run DA keeps the N housing pattern, so c1 is poorer than

@@ -253,24 +253,38 @@ class TestParser:
         assert proc.returncode == 0, proc.stderr
         assert sha256(proc.stdout) == STDOUT_SHA256[("check", "--example")]
 
+    def test_import_starts_no_process_machinery(self):
+        """The CLI runs in one process: importing it loads no process pool."""
+        src = str(Path(segsolve.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, segsolve.cli; print(sorted(m for m in sys.modules if m in "
+                "('multiprocessing', 'concurrent.futures')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=env, timeout=120, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 # -- fuzzed JSON configs through `solve` and `check` ------------------------
 
-# Loadable configs on which `check` exits 6, found by a longer run of the fuzz
-# below: with one wealth type every deviation is 0, and with pi near 0 the
-# mechanism gaps fall under the theorem tolerances, so strict rankings FAIL.
-THEOREM_FAILURES = {
-    "one wealth type": {"wealth": [[1.0, 1.0]]},
-    "pi=1e-12": {"pi": 1e-12},
-}
-
-
+# A loadable config on which `check` exits 6, found by a longer run of the
+# fuzz below: with pi near 0 the mechanism gaps fall under the theorem
+# tolerances, so strict rankings FAIL.
 @pytest.mark.xfail(strict=True, reason="check reports theorem failures outside the "
                    "ranking theorems' premises instead of rejecting the config")
-@pytest.mark.parametrize("case", list(THEOREM_FAILURES))
-def test_check_exit_code_outside_theorem_premises(case, tmp_path, capsys):
-    path = write_config(tmp_path, **THEOREM_FAILURES[case])
+def test_check_exit_code_outside_theorem_premises(tmp_path, capsys):
+    path = write_config(tmp_path, pi=1e-12)
     assert cli.main(["check", "--config", path]) != cli.EXIT_THEOREM
+
+
+def test_check_rejects_one_wealth_type(tmp_path, capsys):
+    # the ranking theorems compare wealth types, so one type has nothing to rank
+    path = write_config(tmp_path, wealth=[[1.0, 1.0]])
+    assert cli.main(["check", "--config", path]) == cli.EXIT_ASSUMPTION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 FIELDS = ("m", "q", "delta_q", "g", "e", "pi", "wealth", "cdf")

@@ -1,4 +1,5 @@
 """Parameter containers, wealth distributions, and the assumption checks."""
+import dataclasses
 import math
 
 import pytest
@@ -33,6 +34,14 @@ class TestWealthDist:
     def test_positive_omegas(self):
         with pytest.raises(EconomyError):
             WealthDist(((-1.0, 0.5), (3.0, 0.5)))
+
+    @pytest.mark.parametrize("atoms, message", [
+        (((math.nan, 0.5), (0.875, 0.5)), "indices must be positive"),
+        (((1.125, math.nan), (0.875, 0.5)), "probabilities must be positive"),
+    ], ids=["nan index", "nan probability"])
+    def test_nan_rejected(self, atoms, message):
+        with pytest.raises(EconomyError, match=message):
+            WealthDist(atoms)
 
     def test_is_binary(self):
         assert binary_wealth(0.5).is_binary()
@@ -89,6 +98,14 @@ class TestEconomyParams:
         with pytest.raises(EconomyError, match="less than g"):
             EconomyParams(m=2, q=0.4, g=0.5, e=0.2818, pi=0.3333,
                           wealth=binary_wealth(0.5), cdf=Uniform())
+
+    @pytest.mark.parametrize("field, message", [
+        ("g", "g must be nonnegative"), ("e", "e must be positive"),
+        ("delta_q", "delta_q must be nonnegative"), ("m", "at least two"),
+    ])
+    def test_nan_rejected_on_direct_construction(self, field, message):
+        with pytest.raises(EconomyError, match=message):
+            dataclasses.replace(example_economy(), **{field: math.nan})
 
     def test_non_finite_config_rejected(self):
         base = example_economy().to_config()

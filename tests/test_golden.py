@@ -1,7 +1,8 @@
 """Golden outputs: the sha256 of CLI stdout and the Table 1 and Table 2 values.
 
 The digests were recorded before CORE_ALGEBRA took over delta_u and match
-quality, so a refactor that claims byte-identical output is checked here.
+quality (the sweep-cube ones before the cube lost its process pool), so a
+refactor that claims byte-identical output is checked here.
 A change that means to alter one of these outputs updates its digest and
 says why.
 """
@@ -19,6 +20,9 @@ STDOUT_SHA256 = {
     ("solve", "--example"): "e540b1dde39fb4497d2babedff0f9244b44d6f8e622c0fe7a112ab4411859680",
     ("compare", "--example"): "a2af4c9db3f901f692dd5f3c4e04d38a66f660164f27bcd7ce8dd7a89fe8cea7",
     ("sweep-kink", "--example", "--step", "0.01"): "898b42d147dd7192939983b795b011bf617342a75181b90f1fe7ef51d2ab4e43",
+    ("sweep-cube",): "fa084738f94fcca61229d5e0a0b15f112a9706d1983c0d3649957c94a6c06c33",
+    ("sweep-cube", "--step", "0.05", "--rho", "0.3,0.5", "--q", "0.4,0.6", "--pi", "0.2,0.3"):
+        "355c149a31ab5838bf5d0917c194da977e0e59ef0cee63cc90afa197929035d0",
 }
 
 # (poor share c1 %, poor, rich, total, poor share of quality %) per row

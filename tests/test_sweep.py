@@ -132,36 +132,3 @@ class TestCubeSweep:
     def test_csv_header(self):
         res = sweep.cube_sweep([0.5], [0.4], [0.2], 0.1)
         assert res.to_csv().splitlines()[0] == "rho_p,q,pi,n_feasible,n_da_less,pct"
-
-
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("SEGSOLVE_THREADS", raising=False)
-        assert sweep.thread_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SEGSOLVE_THREADS", "4")
-        assert sweep.thread_count() == 4
-
-    def test_garbage_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("SEGSOLVE_THREADS", "lots")
-        assert sweep.thread_count() == 1
-
-    def test_worker_count_clamps(self, monkeypatch):
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
-        for env, tasks, want in (("100000", 196, 8), ("100000", 3, 3), ("4", 196, 4),
-                                 ("4", 1, 1), ("0", 5, 1), ("-7", 5, 1),
-                                 ("lots", 5, 1), ("4", 0, 1)):
-            monkeypatch.setenv("SEGSOLVE_THREADS", env)
-            assert sweep.worker_count(tasks) == want, (env, tasks)
-
-    def test_worker_count_without_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
-        monkeypatch.setenv("SEGSOLVE_THREADS", "4")
-        assert sweep.worker_count(10) == 1
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        serial = sweep.cube_sweep([0.4, 0.5], [0.3], [0.2], 0.1)
-        monkeypatch.setenv("SEGSOLVE_THREADS", "2")
-        parallel = sweep.cube_sweep([0.4, 0.5], [0.3], [0.2], 0.1)
-        assert serial.cells == parallel.cells
