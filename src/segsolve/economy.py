@@ -1,6 +1,7 @@
 """Model parameters and the pre-solve assumption checks."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,10 +81,14 @@ class EconomyParams:
     def __post_init__(self):
         if not self.m >= 2:
             raise EconomyError("need at least two specialized schools")
+        if not isinstance(self.m, (int, np.integer)):
+            raise EconomyError(f"m must be a whole number, got {self.m!r}")
         if not (0.0 < self.q < 1.0):
             raise EconomyError("q must lie in (0, 1)")
         if not self.delta_q >= 0.0:
             raise EconomyError("delta_q must be nonnegative")
+        if not math.isfinite(self.delta_q):
+            raise EconomyError("delta_q must be finite")
         if not self.g >= 0.0:
             raise EconomyError("g must be nonnegative")
         if not self.e > 0.0:

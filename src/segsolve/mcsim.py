@@ -6,8 +6,9 @@ its cap, draws one lottery number per student, and runs N, DA or TTC
 (`run_mechanism`). Each student ranks their two fitting schools and c0;
 school k ranks its residents first, then everyone else, both in lottery
 order. Any m >= 2 works. `check_da_stability` and `find_ttc_improvement`
-verify the assignments; the tests also hold the per-student TTC loop that
-`run_ttc_finite` replaced, as a reference it must match exactly.
+verify the assignments; the tests also hold the per-student TTC loop and
+the per-round lexsort DA that `run_ttc_finite` and `run_da_finite`
+replaced, as references they must match exactly.
 """
 from __future__ import annotations
 
@@ -18,6 +19,12 @@ import numpy as np
 
 from . import mechanisms as mx
 from .economy import EconomyParams
+
+
+# A DA plus TTC replication peaks at 160-190 bytes per agent above the
+# interpreter (measured at 200k and 1M agents), so the cap keeps one run
+# near 1 GB.
+MAX_AGENTS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_agents < 1_000:
             raise ValueError("need at least 1,000 agents")
+        if self.n_agents > MAX_AGENTS:
+            raise ValueError(f"need at most {MAX_AGENTS:,} agents")
         if self.n_agents * self.params.q < 100:
             raise ValueError("too few seats for meaningful rates")
         if self.replications < 1:
@@ -147,15 +156,36 @@ def school_capacities(n: int, params: EconomyParams) -> np.ndarray:
     return caps
 
 
+def _lottery_order(lottery: np.ndarray) -> np.ndarray:
+    """`np.argsort(lottery, kind="stable")`: students in lottery order, ties
+    by index. It sorts with the faster default quicksort and sorts again
+    stably only when two sorted neighbours are not strictly increasing (a
+    tie, or a NaN), the one case where the two orders can differ."""
+    order = np.argsort(lottery)
+    ranked = lottery[order]
+    if np.all(ranked[1:] > ranked[:-1]):
+        return order
+    return np.argsort(lottery, kind="stable")
+
+
 def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                   lottery: np.ndarray, prefs: np.ndarray | None = None) -> np.ndarray:
     """Student-proposing deferred acceptance with resident priority and a
-    single tie-breaking lottery number per student."""
+    single tie-breaking lottery number per student.
+
+    A student's key at school k is their rank in the lottery order, plus n
+    unless they live at k. The keys are distinct and sort as k's priority
+    list, so an oversubscribed school with cap seats rejects the students
+    past the cap smallest keys of its pool: one `np.argpartition`, no sort.
+    """
     if prefs is None:
         prefs = preferences(agents, params)
-    caps = school_capacities(agents.n, params)
-    ptr = np.zeros(agents.n, dtype=np.int64)
-    cur = np.full(agents.n, -1, dtype=np.int64)
+    n = agents.n
+    caps = school_capacities(n, params)
+    rank = np.empty(n, dtype=np.int64)
+    rank[_lottery_order(lottery)] = np.arange(n)
+    ptr = np.zeros(n, dtype=np.int64)
+    cur = np.full(n, -1, dtype=np.int64)
     while True:
         free = np.flatnonzero(cur == -1)
         if free.size == 0:
@@ -164,11 +194,11 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
         cur[free] = proposals  # tentatively hold; trim oversubscribed below
         for k in range(1, params.m + 1):
             pool = np.flatnonzero(cur == k)
-            if pool.size <= caps[k]:
+            cap = caps[k]
+            if pool.size <= cap:
                 continue
-            nonres = (residency[pool] != k).astype(np.int64)
-            order = np.lexsort((lottery[pool], nonres))
-            rejected = pool[order[caps[k]:]]
+            key = rank[pool] + n * (residency[pool] != k)
+            rejected = pool[np.argpartition(key, cap)[cap:]]
             cur[rejected] = -1
             ptr[rejected] += 1
     return cur
@@ -196,6 +226,22 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     self-pointer can seat the top student of the school below on the walk's
     stack; that school's edge is then gone and the walk steps back to it.
 
+    Between two retargets, a resident of an open school k is only ever
+    seated at the head of k's resident block: as k's top student, or as the
+    lottery head of another school, who is the first unseated student in
+    lottery order and so, if a resident of k, k's head. So each retarget
+    rebuilds the blocks from the unseated residents and marks those who do
+    not target their own school, and until the next retarget these marks
+    tell how far a run of cycles reaches. Two steps clear such a run at once:
+    - self run: k's head targets k. The residents of k from the head to the
+      next marked one, at most k's seats left, take seats at k in turn.
+    - swap run (m = 2 only): the walk closes the cycle k <-> j on two
+      resident heads. The next marked residents of k and j then trade pair
+      by pair, each pair after the self runs before it, for as many pairs as
+      both blocks hold and both schools' seats allow. Each school uses one
+      seat per student of its own block that the run seats.
+    Longer cycles, lottery heads and cycles at m >= 3 take one step each.
+
     TTC's outcome does not depend on the order in which cycles are cleared
     (Abdulkadiroglu & Sonmez, AER 2003), so this equals the per-student
     loop that the tests keep as a reference.
@@ -206,10 +252,21 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     seats = school_capacities(n, params).tolist()
     assigned = np.full(n, -1, dtype=np.int64)
     target = np.empty_like(assigned)
+    shared = _lottery_order(lottery)
+    home = residency[shared]
+    residents = np.concatenate([shared[home == k] for k in range(1, m + 1)])
+    res_pos = [0] * (m + 1)   # school k's block: queue[res_pos[k]:res_end[k]]
+    res_end = [0] * (m + 1)
+    queue = marked = run_end = res = None  # the blocks; set by retarget()
 
     def retarget() -> int:
         """Point each student at their first listed school with seats left
-        (c0 always has some); seat those who point at c0 there."""
+        (c0 always has some); seat those who point at c0 there. Then rebuild
+        the resident blocks from the unseated residents. `marked` holds, in
+        order, the positions of those who do not target their own school and
+        the sentinel queue.size; run_end[p] is the first of them at or after
+        p."""
+        nonlocal queue, marked, run_end, res
         is_open = np.array(seats) > 0
         target[:] = prefs[:, 0]
         for col in range(1, prefs.shape[1]):
@@ -217,17 +274,19 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
             target[shut] = prefs[shut, col]
         to_c0 = (target == 0) & (assigned < 0)
         assigned[to_c0] = 0
+        queue = residents[assigned[residents] < 0]
+        at = residency[queue]
+        res_end[:] = np.cumsum(np.bincount(at, minlength=m + 1)).tolist()
+        res_pos[:] = [0] + res_end[:-1]
+        marked = np.append(np.flatnonzero(target[queue] != at), queue.size)
+        run_end = np.repeat(marked, np.diff(marked, prepend=-1)).tolist()
+        res = memoryview(queue)
         return int(np.count_nonzero(to_c0))
 
-    shared = np.argsort(lottery, kind="stable")  # ties by index
-    home = residency[shared]
-    residents = np.concatenate([shared[home == k] for k in range(m + 1)])
-    res_end = np.cumsum(np.bincount(home, minlength=m + 1)).tolist()
-    res_pos = [0] + res_end[:-1]  # school k's residents: residents[res_pos[k]:res_end[k]]
     lot_pos = [0] * (m + 1)
     top = [-1] * (m + 1)      # a stacked school's top student
     depth = [-1] * (m + 1)    # a school's place on the walk's stack; -1 off it
-    asg, tgt, lot, res = (memoryview(a) for a in (assigned, target, shared, residents))
+    asg, tgt, lot = (memoryview(a) for a in (assigned, target, shared))
 
     left = n - retarget()
     while left:
@@ -245,16 +304,20 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
             if p < end:
                 t = res[p]
             else:
-                p = lot_pos[k]
-                while asg[lot[p]] >= 0:
-                    p += 1
-                lot_pos[k] = p
-                t = lot[p]
+                h = lot_pos[k]
+                while asg[lot[h]] >= 0:
+                    h += 1
+                lot_pos[k] = h
+                t = lot[h]
             j = tgt[t]
-            if j == k:  # self-pointer
-                asg[t] = k
-                left -= 1
-                seats[k] -= 1
+            if j == k:  # self-pointer; a resident head starts a self run
+                run = min(end, p + seats[k], run_end[p]) - p if p < end else 1
+                if run > 1:
+                    assigned[queue[p:p + run]] = k
+                else:
+                    asg[t] = k
+                left -= run
+                seats[k] -= run
                 if not seats[k]:
                     left -= retarget()
                     stack.pop()
@@ -269,9 +332,29 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                 depth[j] = len(stack)
                 stack.append(j)
                 continue
-            # cycle stack[depth[j]:]: each school's top takes a seat at the next
-            closed = False
             start = depth[j]
+            if m == 2 and p < end and res_pos[j] < res_end[j]:
+                # a swap run on the resident heads of k and j (j's top is its
+                # head while its block holds any); at m = 2 every marked
+                # resident of either school targets the other
+                pj = res_pos[j]
+                ik, ij, ck, cj = np.searchsorted(marked, (
+                    p, pj, min(end, p + seats[k]), min(res_end[j], pj + seats[j])))
+                pairs = min(ck - ik, cj - ij)
+                for s, a, b in ((k, p, int(marked[ik + pairs - 1]) + 1),
+                                (j, pj, int(marked[ij + pairs - 1]) + 1)):
+                    seated = queue[a:b]
+                    assigned[seated] = target[seated]
+                    res_pos[s] = b
+                    seats[s] -= b - a
+                    left -= b - a
+                depth[k] = depth[j] = -1
+                del stack[start:]
+                if not (seats[k] and seats[j]):
+                    left -= retarget()
+                continue
+            # cycle stack[start:]: each school's top takes a seat at the next
+            closed = False
             for c in stack[start:]:
                 t = top[c]
                 d = tgt[t]

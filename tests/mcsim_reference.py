@@ -1,9 +1,12 @@
-"""Earlier versions of three `mcsim` functions, kept as references.
+"""Earlier versions of four `mcsim` functions, kept as references.
 
 `run_ttc_reference` is the per-agent top trading cycles loop that
 `mcsim.run_ttc_finite` replaced with a school-level cycle walk. TTC's outcome
 does not depend on the order in which cycles are cleared, so the two must
-assign every student identically. `check_da_stability_reference` is the
+assign every student identically. `run_da_reference` trims each
+oversubscribed school with an `np.lexsort` of (non-resident, lottery) per
+round, where `mcsim.run_da_finite` partitions distinct rank keys; both reject
+the same students. `check_da_stability_reference` is the
 per-agent blocking-pair scan that the vectorized `mcsim.check_da_stability`
 replaced; its `argsort` rank only inverts rows that are permutations of
 {0, 1, 2}, so it holds at m = 2 only. `preferences_reference` sorts each
@@ -25,6 +28,32 @@ def preferences_reference(agents, params):
     ids = np.column_stack([np.zeros(agents.n, dtype=np.int64), agents.t1, agents.t2])
     order = np.lexsort((ids, -utils), axis=1)
     return np.take_along_axis(ids, order, axis=1)
+
+
+def run_da_reference(agents, residency, params, lottery, prefs=None):
+    """Student-proposing deferred acceptance with resident priority and a
+    single tie-breaking lottery number per student."""
+    if prefs is None:
+        prefs = mcsim.preferences(agents, params)
+    caps = mcsim.school_capacities(agents.n, params)
+    ptr = np.zeros(agents.n, dtype=np.int64)
+    cur = np.full(agents.n, -1, dtype=np.int64)
+    while True:
+        free = np.flatnonzero(cur == -1)
+        if free.size == 0:
+            break
+        proposals = prefs[free, ptr[free]]
+        cur[free] = proposals  # tentatively hold; trim oversubscribed below
+        for k in range(1, params.m + 1):
+            pool = np.flatnonzero(cur == k)
+            if pool.size <= caps[k]:
+                continue
+            nonres = (residency[pool] != k).astype(np.int64)
+            order = np.lexsort((lottery[pool], nonres))
+            rejected = pool[order[caps[k]:]]
+            cur[rejected] = -1
+            ptr[rejected] += 1
+    return cur
 
 
 def run_ttc_reference(agents, residency, params, lottery, prefs=None):

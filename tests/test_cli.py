@@ -158,6 +158,7 @@ BAD_ARGUMENTS = [
     ["simulate", "--example", "--n-agents", "10"],
     ["simulate", "--example", "--replications", "0"],
     ["simulate", "--example", "--mech", "da_l"],
+    ["simulate", "--example", "--mech", "da", "--n-agents", "100000000000"],
 ]
 
 

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import segsolve as ss
@@ -106,6 +107,20 @@ class TestEconomyParams:
     def test_nan_rejected_on_direct_construction(self, field, message):
         with pytest.raises(EconomyError, match=message):
             dataclasses.replace(example_economy(), **{field: math.nan})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta_q", math.inf, "delta_q must be finite"),
+        ("m", math.inf, "whole number"),
+        ("m", 2.5, "whole number"),
+        ("m", 3.0, "whole number"),
+    ])
+    def test_non_finite_or_fractional_rejected_on_direct_construction(
+            self, field, value, message):
+        with pytest.raises(EconomyError, match=message):
+            dataclasses.replace(example_economy(), **{field: value})
+
+    def test_numpy_integer_m_accepted(self):
+        assert dataclasses.replace(example_economy(), m=np.int64(3)).m == 3
 
     def test_non_finite_config_rejected(self):
         base = example_economy().to_config()

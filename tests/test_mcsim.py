@@ -10,8 +10,8 @@ from segsolve import mechanisms as mx
 from segsolve.economy import example_economy
 from segsolve.equilibrium import solve
 
-from mcsim_reference import (check_da_stability_reference,
-                             preferences_reference, run_ttc_reference)
+from mcsim_reference import (check_da_stability_reference, preferences_reference,
+                             run_da_reference, run_ttc_reference)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(),
                             n_agents=2000, replications=0)
+        # past the cap a replication's arrays would outgrow memory mid-run
+        mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(),
+                        n_agents=mcsim.MAX_AGENTS)
+        for n in (mcsim.MAX_AGENTS + 1, 10 ** 11):
+            with pytest.raises(ValueError, match="at most 5,000,000 agents"):
+                mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(), n_agents=n)
 
 
 class TestHousing:
@@ -215,6 +221,26 @@ class TestTtcFinite:
         asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
         assert asg.tolist() == [0, 0, 2, 1]
 
+    def test_swap_run_stops_when_a_school_fills(self):
+        # 0-3 live at 1 and 4-7 at 2, three seats a school. The heads 0 and 4
+        # swap; 1 takes a seat at 1 in place; 2 and 5 swap, which fills
+        # school 1 though 3 and 6 would swap next. 6 and 7 retarget to c0,
+        # and 3, now school 2's lottery head, takes its last seat
+        params, agents, residency, lottery = _hand_market(
+            [2, 1, 2, 2, 1, 1, 1, 1, 1, 2], [1, 1, 1, 1, 2, 2, 2, 2, 0, 0], q=0.6)
+        asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+        assert asg.tolist() == [2, 1, 2, 2, 1, 1, 0, 0, 0, 0]
+        assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
+
+    def test_self_run_longer_than_seats_left(self):
+        # 0-4 live at 1 and want it, with three seats: the run seats 0-2 and
+        # stops; 3 and 4 retarget to c0, and 5-7 take school 2's seats
+        params, agents, residency, lottery = _hand_market(
+            [1, 1, 1, 1, 1, 2, 2, 2, 2, 2], [1] * 5 + [0] * 5, q=0.6)
+        asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+        assert asg.tolist() == [1, 1, 1, 0, 0, 2, 2, 2, 0, 0]
+        assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
+
     def test_residents_weakly_improve(self):
         # a resident never ends strictly below their own school
         p, agents, residency, lottery = _small_market(10, mech="ttc")
@@ -273,6 +299,50 @@ class TestTtcMatchesReference:
         prefs = mcsim.preferences(agents, params)
         assert np.array_equal(mcsim.run_ttc_finite(agents, residency, params, lottery, prefs),
                               run_ttc_reference(agents, residency, params, lottery, prefs))
+
+
+class TestDaMatchesReference:
+    """Rank-key DA against the per-round lexsort it replaced."""
+
+    @pytest.mark.parametrize("variant", sorted(TTC_VARIANTS))
+    def test_identical_assignments(self, variant):
+        params = dataclasses.replace(example_economy(), **TTC_VARIANTS[variant])
+        cutoffs = solve(params, "da").cutoffs
+        for seed in range(30):
+            n = (1_000, 2_000, 5_000)[seed % 3]
+            agents, residency, lottery = _market(params, n, seed, cutoffs)
+            prefs = mcsim.preferences(agents, params)
+            if variant == "shuffled_prefs":
+                rng = np.random.default_rng(1_000 + seed)
+                prefs = rng.permuted(prefs, axis=1)
+            asg = mcsim.run_da_finite(agents, residency, params, lottery, prefs)
+            ref = run_da_reference(agents, residency, params, lottery, prefs)
+            assert np.array_equal(asg, ref), (variant, seed, int(np.sum(asg != ref)))
+
+    def test_lottery_ties_break_by_index(self):
+        params = example_economy()
+        agents, residency, lottery = _market(params, 2_000, 3, solve(params, "da").cutoffs)
+        lottery = np.round(lottery, 2)  # many ties
+        assert np.array_equal(mcsim.run_da_finite(agents, residency, params, lottery),
+                              run_da_reference(agents, residency, params, lottery))
+
+    @pytest.mark.parametrize("lottery", [
+        np.random.default_rng(0).random(1_000),
+        np.round(np.random.default_rng(1).random(1_000), 2),
+        np.array([0.5, -0.0, 0.25, 0.0, np.nan, 0.25, np.nan, 0.1]),
+    ], ids=["distinct", "ties", "signed_zero_and_nan"])
+    def test_lottery_order_is_stable_argsort(self, lottery):
+        assert np.array_equal(mcsim._lottery_order(lottery),
+                              np.argsort(lottery, kind="stable"))
+
+    @pytest.mark.slow
+    def test_identical_at_200k(self):
+        params = example_economy()
+        agents, residency, lottery = _market(params, 200_000, 2024,
+                                             solve(params, "da").cutoffs)
+        prefs = mcsim.preferences(agents, params)
+        assert np.array_equal(mcsim.run_da_finite(agents, residency, params, lottery, prefs),
+                              run_da_reference(agents, residency, params, lottery, prefs))
 
 
 class TestStabilityCheck:
