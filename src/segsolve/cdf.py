@@ -10,6 +10,7 @@ import numpy as np
 
 CONCAVITY_TOL = 1e-12
 INVERSE_TOL = 1e-10
+MAX_KINKS = 499_500  # the most grid kinks single_kink_grid builds: step 0.001
 
 
 class CdfError(ValueError):
@@ -317,11 +318,14 @@ def single_kink_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     """Kink coordinates (x, y) of all grid single-kink CDFs, 0 < x <= y < 1.
 
     The grid values are i * step for i = 1 .. 1/step - 1, ordered
-    lexicographically in (x, y).
+    lexicographically in (x, y). A step with more than MAX_KINKS kinks
+    raises CdfError before anything is allocated.
     """
     if not 0.0 < step < np.inf:
         raise CdfError(f"step {step} is not a positive finite number")
-    n = round(1.0 / step)
+    n = round(min(1.0 / step, MAX_KINKS))  # 1/step is inf for a subnormal step
+    if (n - 1) * n // 2 > MAX_KINKS:
+        raise CdfError(f"step {step} gives more than {MAX_KINKS} grid kinks")
     if abs(n * step - 1.0) > 1e-9 or n < 2:
         raise CdfError(f"step {step} does not divide 1 evenly")
     grid = np.arange(1, n) * step

@@ -7,7 +7,7 @@ import sys
 
 from . import benchmarks, mcsim, sweep
 from . import mechanisms as mx
-from .cdf import CdfError, single_kink_grid
+from .cdf import CdfError
 from .economy import (EconomyError, EconomyParams, check_assumption1,
                       check_assumption2, example_economy)
 from .equilibrium import (AssumptionError, SolveError, solve, solve_policy,
@@ -167,12 +167,12 @@ def cmd_sweep_kink(args) -> int:
 
 
 def cmd_sweep_cube(args) -> int:
-    try:
+    try:  # a non-number, a bad step, or a cell that is no valid economy
         axes = [[float(v) for v in text.split(",")] for text in (args.rho, args.q, args.pi)]
-        single_kink_grid(args.step)
+        result = sweep.cube_sweep(*axes, args.step)
     except ValueError as exc:
         raise CliError(f"invalid sweep: {exc}", EXIT_CONFIG)
-    _emit(sweep.cube_sweep(*axes, args.step).to_csv(), args.output)
+    _emit(result.to_csv(), args.output)
     return 0
 
 

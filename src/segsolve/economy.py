@@ -155,13 +155,10 @@ class AssumptionReport:
         return [n for n, ok in self.checks if not ok]
 
 
-def _assumption1_checks(params):
-    """F(e-g) and the named inequalities of assumption 1; each is a bool,
-    or a bool array over a batch of CDFs in params.cdf."""
-    f = params.cdf
-    fg = f.value(params.g)
-    feg = f.value(params.e - params.g)
-    return feg, (
+def _assumption1_checks(params, fg, feg):
+    """The named inequalities of assumption 1 given fg = F(g) and
+    feg = F(e-g); each is a bool, or a bool array over a batch of CDFs."""
+    return (
         ("F(g) < 1-q", fg < 1.0 - params.q),
         ("1-q < F(e-g)", 1.0 - params.q < feg),
         ("F(e-g) <= 1", feg <= 1.0 + 1e-12),
@@ -174,30 +171,30 @@ def check_assumption1(params: EconomyParams) -> AssumptionReport:
     The final inequality is strict in general; equality F(e-g) = 1 is
     accepted with a boundary flag (it arises at g = 0, e = 1).
     """
-    feg, checks = _assumption1_checks(params)
+    feg = params.cdf.value(params.e - params.g)
+    checks = _assumption1_checks(params, params.cdf.value(params.g), feg)
     boundary = feg >= 1.0 - 1e-12
     return AssumptionReport("assumption1", all(ok for _, ok in checks), boundary, checks)
 
 
-def assumption1_mask(params) -> np.ndarray:
-    """check_assumption1(...).passed for each CDF of a batch in params.cdf."""
-    _, checks = _assumption1_checks(params)
-    return np.logical_and.reduce([ok for _, ok in checks])
+def assumption1_mask(params, fg, feg) -> np.ndarray:
+    """check_assumption1(...).passed for each CDF of a batch in params.cdf,
+    given F(g) and F(e-g) per CDF."""
+    return np.logical_and.reduce([ok for _, ok in _assumption1_checks(params, fg, feg)])
 
 
-def _price_interval(params, mech, r_hat):
-    """r gamma(s) at s = F^-1(1-q) and at s = 1-q; broadcasts over a batch."""
+def _price_interval(params, mech, r_hat, s_hat):
+    """r gamma(s) at s = s_hat = F^-1(1-q) and at s = 1-q; broadcasts over a batch."""
     gamma = mx.CORE_ALGEBRA[mech].gamma
-    p_hat = r_hat * gamma(params.cdf.inverse(1.0 - params.q), params)
-    p_bar = r_hat * gamma(1.0 - params.q, params)
-    return p_hat, p_bar
+    return r_hat * gamma(s_hat, params), r_hat * gamma(1.0 - params.q, params)
 
 
 def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
     """Price interval [p_hat, p_bar] supporting an interior equilibrium:
     r gamma(s) at s = F^-1(1-q) and at s = 1-q."""
     mech = mx.Mechanism(mech)
-    p_hat, p_bar = _price_interval(params, mech, mx.rejection(params, mech))
+    p_hat, p_bar = _price_interval(params, mech, mx.rejection(params, mech),
+                                   params.cdf.inverse(1.0 - params.q))
     if p_hat > p_bar + 1e-12:
         raise EconomyError(f"price bounds inverted for {mech.value}: {p_hat} > {p_bar}")
     return p_hat, p_bar
@@ -205,13 +202,17 @@ def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
 
 def _utility_sign_checks(params, mech, r_hat, p_hat, p_bar) -> list:
     """Named checks Delta u(g) < 0 at p_hat and Delta u(e-g) > 0 at p_bar
-    for every wealth type; broadcasts over a batch."""
+    for every wealth type, from one delta_u call over (types, corners) and
+    any batch axes of the prices."""
+    p = np.stack(np.broadcast_arrays(p_hat, p_bar))
+    batch = (1,) * (p.ndim - 1)
+    s = np.reshape([params.g, params.e - params.g], (2,) + batch)
+    omegas = params.wealth.omegas
+    du = mx.delta_u(mech, r_hat, p, s, omegas.reshape((-1, 1) + batch), params)
     checks = []
-    for omega in params.wealth.omegas:
-        lo = mx.delta_u(mech, r_hat, p_hat, params.g, omega, params)
-        hi = mx.delta_u(mech, r_hat, p_bar, params.e - params.g, omega, params)
-        checks.append((f"{mech.value}: du(g)<0 at omega={omega}", lo < 0.0))
-        checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", hi > 0.0))
+    for omega, lo, hi in zip(omegas, du[:, 0] < 0.0, du[:, 1] > 0.0):
+        checks.append((f"{mech.value}: du(g)<0 at omega={omega}", lo))
+        checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", hi))
     return checks
 
 
@@ -232,16 +233,18 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
         except (mx.DegenerateChoiceError, EconomyError) as exc:
             checks.append((f"{mech.value}: bounds ({exc})", False))
             continue
-        checks.extend(_utility_sign_checks(params, mech, r_hat, p_hat, p_bar))
+        checks.extend((name, bool(ok)) for name, ok in
+                      _utility_sign_checks(params, mech, r_hat, p_hat, p_bar))
     return AssumptionReport("assumption2", all(ok for _, ok in checks), False, tuple(checks))
 
 
-def assumption2_mask(params, mech, r_hat) -> np.ndarray:
+def assumption2_mask(params, mech, r_hat, s_hat) -> np.ndarray:
     """check_assumption2(..., mechs=(mech,)).passed for each CDF of a batch,
-    given r_hat = mechanisms.rejection_rates(params, mech): a positive r,
-    ordered price bounds and the Delta u signs."""
+    given r_hat = mechanisms.rejection_rates(params, mech, ...) and
+    s_hat = F^-1(1-q) per CDF: a positive r, ordered price bounds and the
+    Delta u signs."""
     mech = mx.Mechanism(mech)
-    p_hat, p_bar = _price_interval(params, mech, r_hat)
+    p_hat, p_bar = _price_interval(params, mech, r_hat, s_hat)
     ok = (r_hat > 0.0) & ~(p_hat > p_bar + 1e-12)
     # delta_u needs r in (0, 1]; rows failing the bounds stay masked
     r_hat = np.where(ok, r_hat, 1.0)

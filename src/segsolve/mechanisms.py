@@ -44,26 +44,33 @@ class AggregateFlows:
     X: float
 
 
-def _flows_at(params, fs: float) -> tuple[float, float, float]:
-    """D, S, X when the cutoff signal has F(s) = fs."""
-    f, g, e, pi = params.cdf, params.g, params.e, params.pi
-    fg = f.value(g)
-    feg = f.value(e - g)
-    fepg = f.value(min(e + g, 1.0))
+def anchor_points(params) -> tuple[float, float, float]:
+    """g, e - g and min(e + g, 1): the signals at which F fixes the flows."""
+    return params.g, params.e - params.g, min(params.e + params.g, 1.0)
+
+
+def flows_at(params, fs, fg, feg, fepg) -> tuple[float, float, float]:
+    """D, S, X when the cutoff signal has F(s) = fs, given F at the
+    anchor_points; broadcasts over a batch of CDFs."""
+    pi = params.pi
     D = (1.0 - pi) * (fs - fg) + pi * (fg + feg)
     S = pi * (fepg - fs)
     X = pi * (feg - fs)
     return D, S, X
 
 
+def _anchors(params) -> tuple[float, float, float]:
+    return tuple(params.cdf.value(x) for x in anchor_points(params))
+
+
 def aggregate_flows(params) -> AggregateFlows:
     """The flows at any market-clearing cutoff profile, where F(s) = 1 - q."""
-    return AggregateFlows(*_flows_at(params, 1.0 - params.q))
+    return AggregateFlows(*flows_at(params, 1.0 - params.q, *_anchors(params)))
 
 
 def type_flows(params, s: float) -> tuple[float, float, float]:
     """Flows conditional on cutoff signal s: D(s), S(s), X(s)."""
-    return _flows_at(params, params.cdf.value(s))
+    return flows_at(params, params.cdf.value(s), *_anchors(params))
 
 
 @dataclass(frozen=True)
@@ -146,28 +153,29 @@ POLICY_LOTTERY = MappingProxyType(_Table({Mechanism.DA_L: None, Mechanism.DA_WL:
 POLICY = tuple(POLICY_LOTTERY)
 
 
-def rejection_ratio(params, mech: Mechanism):
-    """(D - S - delta_q) / (D - exchange X) before clamping into [0, 1]; 1
-    under no choice. Broadcasts over a batch of CDFs in params.cdf."""
+def _rejection_ratio(params, mech: Mechanism, flows: Callable[[], AggregateFlows]):
+    """(D - S - delta_q) / (D - exchange X) before clamping into [0, 1], with
+    the flows from `flows()`; 1 under no choice, where they are not needed."""
     exchange = CORE_ALGEBRA[Mechanism(mech)].exchange
     if exchange is None:
         return 1.0
-    fl = aggregate_flows(params)
+    fl = flows()
     return (fl.D - fl.S - params.delta_q) / (fl.D - exchange * fl.X)
 
 
 def rejection(params, mech: Mechanism) -> float:
     """Equilibrium rejection probability of an out-of-zone lottery applicant."""
     mech = Mechanism(mech)
-    r = max(0.0, rejection_ratio(params, mech))
+    r = max(0.0, _rejection_ratio(params, mech, lambda: aggregate_flows(params)))
     if r <= 0.0:
         raise DegenerateChoiceError(f"rejection probability is 0 under {mech.value}")
     return min(r, 1.0)
 
 
-def rejection_rates(params, mech: Mechanism) -> np.ndarray:
-    """`rejection` for each CDF of a batch in params.cdf, 0 where it would raise."""
-    return np.minimum(np.maximum(0.0, rejection_ratio(params, mech)), 1.0)
+def rejection_rates(params, mech: Mechanism, flows: AggregateFlows) -> np.ndarray:
+    """`rejection` for each CDF of a batch in params.cdf, 0 where it would
+    raise, given the batch's aggregate flows."""
+    return np.minimum(np.maximum(0.0, _rejection_ratio(params, mech, lambda: flows)), 1.0)
 
 
 def r_da_uniform(params) -> float:

@@ -1,4 +1,10 @@
-"""Batch experiments over single-kink signal distributions and parameter cubes."""
+"""Batch experiments over single-kink signal distributions and parameter cubes.
+
+`kink_sweep` solves N and DA together: each block of the grid goes in
+twice as one stacked batch, N's rows over DA's, so F at the anchor points
+and F^-1(1-q) are evaluated once for both mechanisms and passed to the
+assumption, flow and rejection helpers that the one-economy checks use.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,10 +14,10 @@ import numpy as np
 
 from . import mechanisms as mx
 from .cdf import PiecewiseLinearBatch, SingleKink, single_kink_grid
-from .economy import (EconomyError, EconomyParams, assumption1_mask,
-                      assumption2_mask, binary_wealth)
+from .economy import (EconomyParams, assumption1_mask, assumption2_mask,
+                      binary_wealth)
 from .equilibrium import dispersion_root, interior
-from .segregation import EQUAL_TOL, school_masses
+from .segregation import EQUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -78,48 +84,60 @@ class CubeSweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _school_poor_share(kinks, mech: mx.Mechanism) -> tuple[np.ndarray, np.ndarray]:
-    """Poor share at one oversubscribed school under mech for each CDF of
-    the batch, and where it is feasible: assumption 2 holds, [0, d_max]
-    brackets the root, the cutoffs are interior and no school mass is
-    negative. Mirrors solve(check=False) + school_profile on each CDF."""
-    r = mx.rejection_rates(kinks, mech)
-    ok = assumption2_mask(kinks, mech, r)
-    a = mx.CORE_ALGEBRA[mech].intercept(kinks)
-    d = dispersion_root(kinks, kinks.cdf, a)  # nan fails the interior test
-    cutoffs = [(w, a + d * w) for w, _ in kinks.wealth.atoms]
-    for _, s in cutoffs:
-        ok = ok & interior(kinks, s)
-    masses = []
-    for (_, unweighted), (_, rho) in zip(school_masses(kinks, mech, r, cutoffs),
-                                         kinks.wealth.atoms):
-        ok = ok & ~(unweighted < -EQUAL_TOL)
-        masses.append(rho * unweighted)
-    total = sum(masses)
-    return np.where(ok & (total > 0.0), masses[0] / total, np.nan), ok
+# Kinks per stacked batch: at its peak, in affine_root, the batch takes
+# about 1.7 kB a kink, so a block stays under 4 MB on any grid.
+KINK_BLOCK = 2048
+
+
+def _stacked_shares(params_base: EconomyParams, kink_x, kink_y):
+    """(feasible, N's poor share, DA's poor share) for each kink, nan where
+    infeasible, from one batch of 2B rows: N's B kinks, then DA's.
+
+    One `value` call gives F at the anchor points (g, e - g, min(e + g, 1))
+    for assumption 1 and the flows, one `inverse` call F^-1(1-q) for the
+    price bounds, one `dispersion_root` call every row's root at its
+    mechanism's intercept and one `value` call F at every cutoff. Each half
+    then applies its mechanism's rejection rate, Delta u signs (one
+    `delta_u` call) and school mass.
+    """
+    mechs, n = (mx.Mechanism.N, mx.Mechanism.DA), len(kink_x)
+    cdfs = PiecewiseLinearBatch.single_kinks(np.tile(kink_x, 2), np.tile(kink_y, 2))
+    # params_base with the stacked kinks as its CDF; grid kinks are valid CDFs
+    kinks = SimpleNamespace(**{**vars(params_base), "cdf": cdfs})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        anchors = cdfs.value(np.tile(mx.anchor_points(kinks), (2 * n, 1))).T
+        s_hat = cdfs.inverse(1.0 - kinks.q)
+        ok = assumption1_mask(kinks, *anchors[:2])
+        a = np.repeat([mx.CORE_ALGEBRA[mech].intercept(kinks) for mech in mechs], n)
+        d = dispersion_root(kinks, cdfs, a)  # nan fails the interior test
+        cutoffs = a[:, None] + d[:, None] * kinks.wealth.omegas
+        ok &= interior(kinks, cutoffs).all(axis=1)
+        fs = cdfs.value(cutoffs)
+        unweighted = np.empty_like(fs)
+        for half, mech in zip((slice(0, n), slice(n, None)), mechs):
+            flows = mx.AggregateFlows(*mx.flows_at(kinks, 1.0 - kinks.q, *anchors[:, half]))
+            r = np.broadcast_to(mx.rejection_rates(kinks, mech, flows), (n,))
+            ok[half] &= assumption2_mask(kinks, mech, r, s_hat[half])
+            unweighted[half] = mx.CORE_ALGEBRA[mech].school_mass(fs[half], r[:, None], kinks)
+        ok &= ~(unweighted < -EQUAL_TOL).any(axis=1)
+        masses = kinks.wealth.rhos * unweighted
+        total = sum(masses.T)
+        share = np.where(ok & (total > 0.0), masses[:, 0] / total, np.nan)
+    feasible = ok[:n] & ok[n:]
+    return feasible, np.where(feasible, share[:n], np.nan), np.where(feasible, share[n:], np.nan)
 
 
 def kink_sweep(params_base: EconomyParams, step: float) -> KinkSweepResult:
-    """Solve N and DA for every single-kink signal CDF on the grid.
-
-    All grid kinks go through each check and solve together as one
-    PiecewiseLinearBatch, with the same floating-point expressions as
+    """Solve N and DA for every single-kink signal CDF on the grid,
+    KINK_BLOCK kinks per stacked batch, with the expressions of
     check_assumption1/2, solve and school_profile on a single kink, so each
-    record equals that scalar path's result bit for bit.
-    """
+    record equals that scalar path's result bit for bit."""
     if not params_base.wealth.is_binary():
         raise ValueError("kink sweep expects binary wealth")
     kink_x, kink_y = single_kink_grid(step)
-    # params_base with each grid kink as its CDF; grid kinks are valid CDFs
-    kinks = SimpleNamespace(**{**vars(params_base),
-                               "cdf": PiecewiseLinearBatch.single_kinks(kink_x, kink_y)})
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = assumption1_mask(kinks)
-        share_n, ok_n = _school_poor_share(kinks, mx.Mechanism.N)
-        share_da, ok_da = _school_poor_share(kinks, mx.Mechanism.DA)
-    feasible = ok & ok_n & ok_da
-    share_n = np.where(feasible, share_n, np.nan)
-    share_da = np.where(feasible, share_da, np.nan)
+    blocks = [_stacked_shares(params_base, kink_x[i:i + KINK_BLOCK], kink_y[i:i + KINK_BLOCK])
+              for i in range(0, len(kink_x), KINK_BLOCK)]
+    feasible, share_n, share_da = map(np.concatenate, zip(*blocks))
     records = tuple(map(KinkRecord, kink_x.tolist(), kink_y.tolist(), share_n.tolist(),
                         share_da.tolist(), (share_da - share_n).tolist(), feasible.tolist()))
     return KinkSweepResult(step, records)
@@ -145,12 +163,8 @@ def da_less_segregated_count(result: KinkSweepResult, params_base: EconomyParams
 
 
 def _cube_cell(rho_p: float, q: float, pi: float, step: float) -> CubeCell:
-    try:
-        params = EconomyParams(
-            m=2, q=q, g=0.0, e=1.0, pi=pi,
-            wealth=binary_wealth(rho_p), cdf=SingleKink(0.5, 0.5))
-    except EconomyError:
-        return CubeCell(rho_p, q, pi, 0, 0)
+    params = EconomyParams(m=2, q=q, g=0.0, e=1.0, pi=pi,
+                           wealth=binary_wealth(rho_p), cdf=SingleKink(0.5, 0.5))
     result = kink_sweep(params, step)
     n_feasible, n_less = da_less_segregated_count(result, params)
     return CubeCell(rho_p, q, pi, n_feasible, n_less)
@@ -158,7 +172,8 @@ def _cube_cell(rho_p: float, q: float, pi: float, step: float) -> CubeCell:
 
 def cube_sweep(rho_list, q_list, pi_list, step: float = 0.1) -> CubeSweepResult:
     """Share of single-kink CDFs with lower school segregation under DA,
-    across a (rho_p, q, pi) parameter grid, one cell after another."""
+    across a (rho_p, q, pi) parameter grid, one cell after another. A cell
+    that is no valid economy raises EconomyError."""
     cells = tuple(_cube_cell(rho_p, q, pi, step)
                   for rho_p in rho_list for q in q_list for pi in pi_list)
     return CubeSweepResult(tuple(rho_list), tuple(q_list), tuple(pi_list), step, cells)

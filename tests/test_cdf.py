@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import random
 
 from conftest import random_concave_cdf
+from segsolve import cdf
 from segsolve.cdf import (CdfError, PiecewiseLinear, PiecewiseLinearBatch,
                           Power, SingleKink, Uniform, cdf_from_config,
                           enumerate_single_kink, require_valid,
@@ -121,6 +122,15 @@ class TestEnumerate:
     def test_bad_step_rejected(self):
         with pytest.raises(CdfError):
             enumerate_single_kink(0.3)
+
+    def test_kink_cap_boundary(self):
+        # step 0.001 gives exactly MAX_KINKS kinks; 1/1001 is one grid
+        # value finer and raises before allocating. Nothing finer is tried:
+        # with the cap broken it would allocate gigabytes.
+        kink_x, _ = single_kink_grid(0.001)
+        assert len(kink_x) == cdf.MAX_KINKS == 999 * 1000 // 2
+        with pytest.raises(CdfError, match="more than 499500 grid kinks"):
+            single_kink_grid(1.0 / 1001)
 
 
 class TestBatch:

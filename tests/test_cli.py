@@ -155,6 +155,12 @@ BAD_ARGUMENTS = [
     ["sweep-kink", "--example", "--step", "0.3"],
     ["sweep-kink", "--example", "--step", "0"],
     ["sweep-kink", "--config", "THREE_TYPES"],
+    ["sweep-kink", "--example", "--step", "0.000999000999000999"],
+    ["sweep-kink", "--example", "--step", "5e-324"],
+    ["sweep-cube", "--step", "0.000999000999000999"],
+    ["sweep-cube", "--rho", "nan"],
+    ["sweep-cube", "--rho", "1.5"],
+    ["sweep-cube", "--pi", "0.7"],
     ["simulate", "--example", "--n-agents", "10"],
     ["simulate", "--example", "--replications", "0"],
     ["simulate", "--example", "--mech", "da_l"],

@@ -1,11 +1,14 @@
 """Single-kink sweeps and the parameter-cube experiment."""
 import math
 
+import collections
+
 import pytest
 
 import segsolve.sweep as sweep
+from segsolve import equilibrium
 from segsolve import mechanisms as mx
-from segsolve.cdf import SingleKink, Uniform
+from segsolve.cdf import PiecewiseLinearBatch, SingleKink, Uniform
 from segsolve.economy import (EconomyParams, WealthDist, binary_wealth,
                               check_assumption1, check_assumption2,
                               example_economy)
@@ -91,6 +94,19 @@ def _scalar_record(base, x, y) -> tuple[bool, float, float]:
     return True, share_n, share_da
 
 
+def _scalar_feasible(params, mech) -> bool:
+    """Whether one kink economy passes the scalar path for one mechanism:
+    the assumption checks, solve and school_profile."""
+    if not (check_assumption1(params).passed
+            and check_assumption2(params, mechs=(mech,)).passed):
+        return False
+    try:
+        school_profile(solve(params, mech, check=False))
+    except (SolveError, mx.DegenerateChoiceError, NegativeMassError):
+        return False
+    return True
+
+
 class TestBatchMatchesScalar:
     @pytest.mark.parametrize("step", [0.1, 0.025])
     @pytest.mark.parametrize("base", list(BASES))
@@ -109,6 +125,50 @@ class TestBatchMatchesScalar:
                 params = dataclasses.replace(base, cdf=SingleKink(r.x, r.y))
                 outcomes.add((r.feasible, check_assumption1(params).passed))
         assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_bases_cover_mechanism_pairs(self):
+        # (N feasible, DA feasible) per kink on the scalar path: a stacked
+        # mask that let one mechanism's rows stand for the other's would
+        # misreport the mixed kinks. No base has a kink that is feasible
+        # under DA only, so (False, True) does not occur.
+        pairs = set()
+        for base in BASES.values():
+            for r in sweep.kink_sweep(base, 0.1).records:
+                params = dataclasses.replace(base, cdf=SingleKink(r.x, r.y))
+                pairs.add(tuple(_scalar_feasible(params, mech) for mech in ("n", "da")))
+        assert {(True, True), (True, False), (False, False)} <= pairs
+
+
+class TestStackedBatch:
+    def test_one_call_per_layer(self, monkeypatch):
+        # N and DA share each CDF evaluation, the inverse, the root and the
+        # delta_u call of each mechanism: 11 value, 2 inverse, 2 affine_root
+        # and 8 delta_u calls when each mechanism ran on its own batch
+        calls = collections.Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(equilibrium, "affine_root")
+        count(mx, "delta_u")
+        count(PiecewiseLinearBatch, "value")
+        count(PiecewiseLinearBatch, "inverse")
+        sweep.kink_sweep(example_economy(), 0.1)
+        assert calls["affine_root"] == 1
+        assert calls["delta_u"] == 2
+        assert calls["value"] <= 3
+        assert calls["inverse"] == 1
+
+    def test_blocks_join_in_grid_order(self, monkeypatch):
+        # 171 kinks in 25 blocks, the last of 3 kinks
+        whole = sweep.kink_sweep(BASES["tight"], 0.05).to_csv()
+        monkeypatch.setattr(sweep, "KINK_BLOCK", 7)
+        assert sweep.kink_sweep(BASES["tight"], 0.05).to_csv() == whole
 
 
 class TestCubeSweep:
