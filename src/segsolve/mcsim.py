@@ -21,9 +21,9 @@ from . import mechanisms as mx
 from .economy import EconomyParams
 
 
-# A DA plus TTC replication peaks at 160-190 bytes per agent above the
-# interpreter (measured at 200k and 1M agents), so the cap keeps one run
-# near 1 GB.
+# A DA plus TTC replication peaks at 160-185 bytes per agent above the
+# interpreter and the solved economy (ru_maxrss at 200k and 1M agents), so
+# the cap keeps one run near 1 GB.
 MAX_AGENTS = 5_000_000
 
 
@@ -45,6 +45,8 @@ class SimConfig:
             raise ValueError("too few seats for meaningful rates")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -83,27 +85,50 @@ class SimResult:
         return (m - target) / se
 
     def to_dict(self) -> dict:
+        """A JSON-ready payload; a non-finite number (se at one replication,
+        r or a poor share when undefined) becomes None, JSON's null."""
         return {
             "mech": self.mech.value,
             "n_agents": self.n_agents,
             "replications": self.replications,
             "seed": self.seed,
-            "stats": {k: {"mean": m, "se": se} for k, (m, se) in self.stats.items()},
-            "per_replication": {k: list(v) for k, v in self.per_replication.items()},
+            "stats": {k: {"mean": _finite_or_none(m), "se": _finite_or_none(se)}
+                      for k, (m, se) in self.stats.items()},
+            "per_replication": {k: [_finite_or_none(x) for x in v]
+                                for k, v in self.per_replication.items()},
         }
+
+
+def _finite_or_none(x: float) -> float | None:
+    return float(x) if math.isfinite(x) else None
+
+
+def _draw_index(rng: np.random.Generator, p, n: int) -> np.ndarray:
+    """`rng.choice(len(p), size=n, p=p)` for a valid `p`, drawn as
+    `Generator.choice` draws it: one `rng.random(n)` against the cumulative
+    sum of `p` scaled to end at 1.0. A uniform u lands past every entry
+    c <= u, as searchsorted with side="right" puts it. The last entry is
+    1.0 > u and so counts for nothing; the first one compared is cdf[0],
+    which is that 1.0 when `p` has one entry."""
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    idx = (u >= cdf[0]).astype(np.int64)
+    for c in cdf[1:-1]:
+        idx += u >= c
+    return idx
 
 
 def sample_agents(params: EconomyParams, n: int, rng: np.random.Generator) -> Agents:
     m = params.m
     t1 = rng.integers(1, m + 1, size=n)
     shift = rng.integers(1, m, size=n)
-    t2 = (t1 - 1 + shift) % m + 1
+    t2 = t1 + shift  # in 2..2m-1, so one wrap gives (t1 - 1 + shift) % m + 1
+    t2 -= m * (t2 > m)
     s = params.cdf.ppf(rng.random(n))
-    eps = params.e * rng.choice(
-        np.array([-1.0, 0.0, 1.0]),
-        size=n,
-        p=[params.pi, 1.0 - 2.0 * params.pi, params.pi])
-    omega_idx = rng.choice(len(params.wealth.atoms), size=n, p=params.wealth.rhos)
+    shocks = params.e * np.array([-1.0, 0.0, 1.0])
+    eps = shocks[_draw_index(rng, (params.pi, 1.0 - 2.0 * params.pi, params.pi), n)]
+    omega_idx = _draw_index(rng, params.wealth.rhos, n)
     omega = params.wealth.omegas[omega_idx]
     return Agents(t1, t2, s, eps, omega, omega_idx)
 
@@ -136,16 +161,23 @@ def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     secondary and g >= 0 at c0, so the order follows from where fit lies
     against -g, 0 and g. Exact utility ties break toward the lower school
     index, and c0 has the lowest.
+
+    The int64 result is the (n, 3) transpose of a C-ordered (3, n) buffer,
+    so each column `prefs[:, j]`, every student's j-th choice, is contiguous.
     """
     fit = agents.s + agents.eps
     t1, t2 = agents.t1, agents.t2
-    top1, top2 = fit > params.g, fit < -params.g   # a fitting school beats c0
+    top = (fit > params.g) | (fit < -params.g)  # a fitting school beats c0
     first1 = (fit > 0.0) | ((fit == 0.0) & (t1 < t2))  # primary before secondary
-    prefs = np.empty((agents.n, 3), dtype=np.int64)
-    prefs[:, 0] = np.where(top1, t1, np.where(top2, t2, 0))
-    prefs[:, 1] = np.where(top1 | top2, 0, np.where(first1, t1, t2))
-    prefs[:, 2] = np.where(first1, t2, t1)
-    return prefs
+    buf = np.empty((3, agents.n), dtype=np.int64)
+    hi, lo = buf[1], buf[2]  # the preferred fitting school, the other one
+    hi[:] = t2
+    np.copyto(hi, t1, where=first1)
+    lo[:] = t1
+    np.copyto(lo, t2, where=first1)
+    np.multiply(hi, top, out=buf[0])
+    hi *= ~top
+    return buf.T
 
 
 def school_capacities(n: int, params: EconomyParams) -> np.ndarray:
@@ -185,13 +217,8 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     rank = np.empty(n, dtype=np.int64)
     rank[_lottery_order(lottery)] = np.arange(n)
     ptr = np.zeros(n, dtype=np.int64)
-    cur = np.full(n, -1, dtype=np.int64)
-    while True:
-        free = np.flatnonzero(cur == -1)
-        if free.size == 0:
-            break
-        proposals = prefs[free, ptr[free]]
-        cur[free] = proposals  # tentatively hold; trim oversubscribed below
+    cur = prefs[:, 0].astype(np.int64)  # round 1: everyone proposes to their top
+    while True:  # tentatively hold; trim oversubscribed schools
         for k in range(1, params.m + 1):
             pool = np.flatnonzero(cur == k)
             cap = caps[k]
@@ -201,7 +228,10 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
             rejected = pool[np.argpartition(key, cap)[cap:]]
             cur[rejected] = -1
             ptr[rejected] += 1
-    return cur
+        free = np.flatnonzero(cur == -1)
+        if free.size == 0:
+            return cur
+        cur[free] = prefs[free, ptr[free]]
 
 
 def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
@@ -217,7 +247,8 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     order (its residents are all seated by the time it gets there), so one
     stable argsort of the lottery plus one resident block per school give
     every priority list. Each student points to their first listed school
-    with seats left, their target: one numpy pass per set of open schools.
+    with seats left, their target; when a school fills, one numpy pass
+    retargets the unseated students who pointed at it.
     A student whose target is c0 is seated there at once. The rest are
     seated by a walk over the school graph, k -> target of k's top student:
     a self-pointer (k's top student targets k) takes a seat in place, and a
@@ -259,36 +290,41 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     res_end = [0] * (m + 1)
     queue = marked = run_end = res = None  # the blocks; set by retarget()
 
-    def retarget() -> int:
-        """Point each student at their first listed school with seats left
-        (c0 always has some); seat those who point at c0 there. Then rebuild
-        the resident blocks from the unseated residents. `marked` holds, in
+    def retarget(stale: np.ndarray | None = None) -> int:
+        """Point each student in `stale` (by default, each unseated one whose
+        target school has filled) at their first listed school with seats
+        left (c0 always has some); seat those who point at c0 there. Schools
+        only ever close, so no other target changes. Then rebuild the
+        resident blocks from the unseated residents. `marked` holds, in
         order, the positions of those who do not target their own school and
         the sentinel queue.size; run_end[p] is the first of them at or after
         p."""
         nonlocal queue, marked, run_end, res
         is_open = np.array(seats) > 0
-        target[:] = prefs[:, 0]
+        if stale is None:
+            stale = np.flatnonzero(~is_open[target] & (assigned < 0))
+        goal = prefs[stale, 0]
         for col in range(1, prefs.shape[1]):
-            shut = ~is_open[target]
-            target[shut] = prefs[shut, col]
-        to_c0 = (target == 0) & (assigned < 0)
+            shut = np.flatnonzero(~is_open[goal])
+            goal[shut] = prefs[stale[shut], col]
+        target[stale] = goal
+        to_c0 = stale[goal == 0]
         assigned[to_c0] = 0
         queue = residents[assigned[residents] < 0]
         at = residency[queue]
         res_end[:] = np.cumsum(np.bincount(at, minlength=m + 1)).tolist()
         res_pos[:] = [0] + res_end[:-1]
         marked = np.append(np.flatnonzero(target[queue] != at), queue.size)
-        run_end = np.repeat(marked, np.diff(marked, prepend=-1)).tolist()
+        run_end = memoryview(np.repeat(marked, np.diff(marked, prepend=-1)))
         res = memoryview(queue)
-        return int(np.count_nonzero(to_c0))
+        return to_c0.size
 
     lot_pos = [0] * (m + 1)
     top = [-1] * (m + 1)      # a stacked school's top student
     depth = [-1] * (m + 1)    # a school's place on the walk's stack; -1 off it
     asg, tgt, lot = (memoryview(a) for a in (assigned, target, shared))
 
-    left = n - retarget()
+    left = n - retarget(np.arange(n))
     while left:
         k = next(k for k in range(1, m + 1) if seats[k])
         stack = [k]
@@ -415,20 +451,21 @@ def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
     """Exhaustive Pareto-improvement search: a free-seat upgrade or a trading
     cycle among students. Returns the improving group or None. O(n^2); use
     at small n only."""
-    caps = school_capacities(agents.n, params)
-    rank = _rank_table(preferences(agents, params), params.m)
-    counts = np.bincount(assignment, minlength=params.m + 1)
+    caps = school_capacities(agents.n, params).tolist()
+    rank = _rank_table(preferences(agents, params), params.m).tolist()
+    held = assignment.tolist()
+    counts = np.bincount(assignment, minlength=params.m + 1).tolist()
     n = agents.n
+    schools = range(params.m + 1)
     better: list[list[int]] = []
-    for i in range(n):
-        better.append([k for k in range(params.m + 1)
-                       if k != assignment[i] and rank[i, k] < rank[i, assignment[i]]])
+    for i, (row, a) in enumerate(zip(rank, held)):
+        better.append([k for k in schools if k != a and row[k] < row[a]])
         for k in better[-1]:
             if k == 0 or counts[k] < caps[k]:
                 return [i]
     # cycle search: edge i -> j when j holds a school i strictly prefers
-    holders = [np.flatnonzero(assignment == k).tolist() for k in range(params.m + 1)]
-    color = np.zeros(n, dtype=np.int64)
+    holders = [np.flatnonzero(assignment == k).tolist() for k in schools]
+    color = [0] * n
     parent_stack: list[int] = []
 
     def dfs(i: int) -> list[int] | None:
@@ -494,31 +531,32 @@ def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, 
         out_of_zone &= residency == 0
     applicants = np.flatnonzero(out_of_zone)
     if applicants.size:
-        rejected = assignment[applicants] != top[applicants]
-        stats["r"] = float(np.mean(rejected))
+        rejected = np.count_nonzero(assignment[applicants] != top[applicants])
+        stats["r"] = float(rejected) / applicants.size
     else:
         stats["r"] = float("nan")
 
-    specialized = assignment >= 1
-    in_n1 = residency >= 1
-    for idx, (w, _) in enumerate(params.wealth.atoms):
-        sel = agents.omega_idx == idx
-        stats[f"n1_mass[{w:.6g}]"] = float(np.sum(sel & in_n1)) / n
-        stats[f"c1_mass[{w:.6g}]"] = float(np.sum(sel & specialized)) / n
-    n1_total = np.sum(in_n1)
-    c1_total = np.sum(specialized)
-    poor = agents.omega_idx == 0
-    stats["poor_share_n1"] = float(np.sum(poor & in_n1)) / n1_total if n1_total else float("nan")
-    stats["poor_share_c1"] = float(np.sum(poor & specialized)) / c1_total if c1_total else float("nan")
+    # agents per cell (wealth type, lives in n1, seated at c1): exact counts
+    atoms = params.wealth.atoms
+    cell = 4 * agents.omega_idx
+    cell += 2 * (residency >= 1)
+    cell += assignment >= 1
+    cells = np.bincount(cell, minlength=4 * len(atoms)).reshape(-1, 2, 2)
+    n1, c1 = cells[:, 1, :].sum(axis=1), cells[:, :, 1].sum(axis=1)
+    for idx, (w, _) in enumerate(atoms):
+        stats[f"n1_mass[{w:.6g}]"] = float(n1[idx]) / n
+        stats[f"c1_mass[{w:.6g}]"] = float(c1[idx]) / n
+    n1_total, c1_total = n1.sum(), c1.sum()
+    stats["poor_share_n1"] = float(n1[0]) / n1_total if n1_total else float("nan")
+    stats["poor_share_c1"] = float(c1[0]) / c1_total if c1_total else float("nan")
 
+    # a seat at t1 or t2 is one at c1, so c0 students add 0.0
     fit = agents.s + agents.eps
     value = np.where(assignment == agents.t1, fit,
                      np.where(assignment == agents.t2, -fit, 0.0))
-    value = np.where(specialized, value, 0.0)
     stats["quality_total"] = 100.0 * float(np.sum(value)) / n
-    for idx, (w, _) in enumerate(params.wealth.atoms):
-        sel = agents.omega_idx == idx
-        stats[f"quality[{w:.6g}]"] = 100.0 * float(np.sum(value[sel])) / n
+    for idx, (w, _) in enumerate(atoms):
+        stats[f"quality[{w:.6g}]"] = 100.0 * float(np.sum(value[agents.omega_idx == idx])) / n
     return stats
 
 

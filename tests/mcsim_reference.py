@@ -1,4 +1,4 @@
-"""Earlier versions of four `mcsim` functions, kept as references.
+"""Earlier versions of six `mcsim` functions, kept as references.
 
 `run_ttc_reference` is the per-agent top trading cycles loop that
 `mcsim.run_ttc_finite` replaced with a school-level cycle walk. TTC's outcome
@@ -11,14 +11,21 @@ per-agent blocking-pair scan that the vectorized `mcsim.check_da_stability`
 replaced; its `argsort` rank only inverts rows that are permutations of
 {0, 1, 2}, so it holds at m = 2 only. `preferences_reference` sorts each
 student's three utilities with `np.lexsort`, where `mcsim.preferences` reads
-the order from the sign of the fit. `test_mcsim.py` runs them against the
-package on many markets.
+the order from the sign of the fit. `sample_agents_reference` draws the
+shocks and wealth types with `rng.choice`, where `mcsim.sample_agents`
+counts one uniform draw against the cumulative probabilities itself, and
+`replication_stats_reference` computes each statistic with its own mask
+passes, where `mcsim.replication_stats` counts the cells with one
+`np.bincount`; it runs on the reference draws, rankings and mechanisms. Both
+pairs must agree bit for bit, the random stream included. `test_mcsim.py`
+runs them against the package on many markets.
 """
 import math
 
 import numpy as np
 
 from segsolve import mcsim
+from segsolve import mechanisms as mx
 
 
 def preferences_reference(agents, params):
@@ -151,3 +158,73 @@ def check_da_stability_reference(agents, residency, assignment, params, lottery,
                 if key_i < worst:
                     blocking.append((int(i), k))
     return blocking
+
+
+def sample_agents_reference(params, n, rng):
+    """Agents with the shock and the wealth type drawn by `rng.choice`."""
+    m = params.m
+    t1 = rng.integers(1, m + 1, size=n)
+    shift = rng.integers(1, m, size=n)
+    t2 = (t1 - 1 + shift) % m + 1
+    s = params.cdf.ppf(rng.random(n))
+    eps = params.e * rng.choice(
+        np.array([-1.0, 0.0, 1.0]),
+        size=n,
+        p=[params.pi, 1.0 - 2.0 * params.pi, params.pi])
+    omega_idx = rng.choice(len(params.wealth.atoms), size=n, p=params.wealth.rhos)
+    omega = params.wealth.omegas[omega_idx]
+    return mcsim.Agents(t1, t2, s, eps, omega, omega_idx)
+
+
+REFERENCE_RUNS = {
+    mx.Mechanism.N: lambda agents, residency, *_: residency.copy(),
+    mx.Mechanism.DA: run_da_reference,
+    mx.Mechanism.TTC: run_ttc_reference,
+}
+
+
+def replication_stats_reference(config, rng):
+    """One replication's statistics, each from its own masks."""
+    params = config.params
+    agents = sample_agents_reference(params, config.n_agents, rng)
+    residency = mcsim.housing_stage(agents, config.cutoffs, params, rng)
+    lottery = rng.random(config.n_agents)
+    prefs = preferences_reference(agents, params)
+    assignment = REFERENCE_RUNS[config.mech](agents, residency, params, lottery, prefs)
+
+    n = agents.n
+    stats = {}
+    top = prefs[:, 0]
+    out_of_zone = (top >= 1) & (residency != top)
+    if config.mech == mx.Mechanism.TTC:
+        # cross-zone residents trade through cycles; only n0 residents
+        # face the tie-breaking lottery
+        out_of_zone &= residency == 0
+    applicants = np.flatnonzero(out_of_zone)
+    if applicants.size:
+        rejected = assignment[applicants] != top[applicants]
+        stats["r"] = float(np.mean(rejected))
+    else:
+        stats["r"] = float("nan")
+
+    specialized = assignment >= 1
+    in_n1 = residency >= 1
+    for idx, (w, _) in enumerate(params.wealth.atoms):
+        sel = agents.omega_idx == idx
+        stats[f"n1_mass[{w:.6g}]"] = float(np.sum(sel & in_n1)) / n
+        stats[f"c1_mass[{w:.6g}]"] = float(np.sum(sel & specialized)) / n
+    n1_total = np.sum(in_n1)
+    c1_total = np.sum(specialized)
+    poor = agents.omega_idx == 0
+    stats["poor_share_n1"] = float(np.sum(poor & in_n1)) / n1_total if n1_total else float("nan")
+    stats["poor_share_c1"] = float(np.sum(poor & specialized)) / c1_total if c1_total else float("nan")
+
+    fit = agents.s + agents.eps
+    value = np.where(assignment == agents.t1, fit,
+                     np.where(assignment == agents.t2, -fit, 0.0))
+    value = np.where(specialized, value, 0.0)
+    stats["quality_total"] = 100.0 * float(np.sum(value)) / n
+    for idx, (w, _) in enumerate(params.wealth.atoms):
+        sel = agents.omega_idx == idx
+        stats[f"quality[{w:.6g}]"] = 100.0 * float(np.sum(value[sel])) / n
+    return stats

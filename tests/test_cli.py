@@ -143,6 +143,19 @@ class TestSimulate:
         assert payload["analytic"]["mech"] == "da"
         assert payload["stats"]["r"]["mean"] == pytest.approx(9.0 / 11.0, abs=0.1)
 
+    def test_one_replication_is_strict_json(self, capsys):
+        # se needs two replications; it was printed as NaN, which no JSON
+        # parser that follows RFC 8259 accepts
+        assert cli.main(["simulate", "--example", "--n-agents", "5000",
+                         "--replications", "1"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["stats"]["r"]["se"] is None
+        assert math.isfinite(payload["stats"]["r"]["mean"])
+
     def test_requires_single_mechanism(self, capsys):
         assert cli.main(["simulate", "--example",
                          "--mech", "n,da"]) == cli.EXIT_CONFIG
@@ -165,6 +178,7 @@ BAD_ARGUMENTS = [
     ["simulate", "--example", "--replications", "0"],
     ["simulate", "--example", "--mech", "da_l"],
     ["simulate", "--example", "--mech", "da", "--n-agents", "100000000000"],
+    ["simulate", "--example", "--seed", "-1"],
 ]
 
 

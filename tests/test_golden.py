@@ -23,6 +23,9 @@ STDOUT_SHA256 = {
     ("sweep-cube",): "fa084738f94fcca61229d5e0a0b15f112a9706d1983c0d3649957c94a6c06c33",
     ("sweep-cube", "--step", "0.05", "--rho", "0.3,0.5", "--q", "0.4,0.6", "--pi", "0.2,0.3"):
         "355c149a31ab5838bf5d0917c194da977e0e59ef0cee63cc90afa197929035d0",
+    # 2 x 200k-agent DA replications: every draw, assignment and statistic,
+    # recorded while the shock and wealth draws still went through rng.choice
+    ("simulate", "--example"): "821532b27f61d0396432f4212e27a24185c7a911eeee3aab941b96b7254dbe04",
 }
 
 # (poor share c1 %, poor, rich, total, poor share of quality %) per row

@@ -1,5 +1,8 @@
 """Finite-agent simulation: sampling, housing, DA/TTC algorithms, estimates."""
 import dataclasses
+import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from segsolve import mechanisms as mx
 from segsolve.economy import example_economy
 from segsolve.equilibrium import solve
 
-from mcsim_reference import (check_da_stability_reference, preferences_reference,
-                             run_da_reference, run_ttc_reference)
+from conftest import random_economy
+from mcsim_reference import (REFERENCE_RUNS, check_da_stability_reference,
+                             preferences_reference, replication_stats_reference,
+                             run_da_reference, run_ttc_reference, sample_agents_reference)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +90,26 @@ class TestSampling:
         for n in (mcsim.MAX_AGENTS + 1, 10 ** 11):
             with pytest.raises(ValueError, match="at most 5,000,000 agents"):
                 mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(), n_agents=n)
+        # SeedSequence rejects a negative seed only once a run starts
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(), seed=-1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_draw_index_is_generator_choice(self, k):
+        # the same indices and the same generator state after, on random p
+        # with and without zero-probability entries (first, last, inside)
+        rng = np.random.default_rng(k)
+        for trial in range(12):
+            w = rng.random(k)
+            if trial % 2:
+                w[rng.choice(k, size=rng.integers(1, k), replace=False)] = 0.0
+            p = w / w.sum()
+            for n in (0, 1, 2_000):
+                ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+                got = mcsim._draw_index(ours, p, n)
+                want = theirs.choice(k, size=n, p=p)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (k, trial, n)
+                assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestHousing:
@@ -480,3 +505,74 @@ class TestEstimates:
         assert set(d["stats"]) == set(res.stats)
         assert len(d["per_replication"]["r"]) == 2
         assert res.se("r") >= 0.0
+
+    def test_payload_is_strict_json(self):
+        # NaN and infinities are not JSON numbers (RFC 8259): they go out as null
+        res = mcsim.SimResult(
+            mx.Mechanism.TTC, 2_000, 1, 0,
+            {"r": (math.nan, math.nan), "poor_share_c1": (0.25, math.inf)},
+            {"r": np.array([math.nan]), "poor_share_c1": np.array([0.25])})
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        d = json.loads(json.dumps(res.to_dict()), parse_constant=reject)
+        assert d["stats"] == {"r": {"mean": None, "se": None},
+                              "poor_share_c1": {"mean": 0.25, "se": None}}
+        assert d["per_replication"] == {"r": [None], "poor_share_c1": [0.25]}
+
+
+def _reference_economies():
+    """(name, params) for the example at m = 2 and 3 and three random draws."""
+    yield "example", example_economy()
+    yield "example_m3", dataclasses.replace(example_economy(), m=3)
+    rng = random.Random(2024)
+    for i in range(3):
+        yield f"random{i}", random_economy(rng)[0]
+
+
+REFERENCE_ECONOMIES = dict(_reference_economies())
+
+
+class TestReplicationMatchesReference:
+    """Draws and statistics against the `rng.choice` draws and the per-mask
+    statistics they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_ECONOMIES))
+    def test_identical_agents_and_assignments(self, name):
+        params = REFERENCE_ECONOMIES[name]
+        for seed in range(3):
+            n = (1_000, 2_000, 3_001)[seed]
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = mcsim.sample_agents(params, n, ours)
+            want = sample_agents_reference(params, n, theirs)
+            for f in dataclasses.fields(mcsim.Agents):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                # tobytes also holds each float's sign bit
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, seed, f.name)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            prefs = mcsim.preferences(got, params)
+            assert np.array_equal(prefs, preferences_reference(got, params))
+            for mech in mx.CORE:
+                cutoffs = solve(params, mech).cutoffs
+                residency = mcsim.housing_stage(got, cutoffs, params,
+                                                np.random.default_rng(seed))
+                lottery = np.random.default_rng(100 + seed).random(n)
+                asg = mcsim.run_mechanism(got, residency, params, mech, lottery, prefs)
+                ref = REFERENCE_RUNS[mech](got, residency, params, lottery, prefs)
+                assert asg.dtype == ref.dtype and np.array_equal(asg, ref), (name, seed, mech)
+
+    @pytest.mark.parametrize("mech", sorted(m.value for m in mx.CORE))
+    @pytest.mark.parametrize("name", sorted(REFERENCE_ECONOMIES))
+    def test_identical_statistics(self, name, mech):
+        params = REFERENCE_ECONOMIES[name]
+        cutoffs = solve(params, mech).cutoffs
+        for seed in range(2):
+            config = mcsim.SimConfig(params=params, mech=mx.Mechanism(mech), cutoffs=cutoffs,
+                                     n_agents=(2_000, 3_001)[seed], seed=seed)
+            got = mcsim.replication_stats(config, np.random.default_rng(seed))
+            want = replication_stats_reference(config, np.random.default_rng(seed))
+            assert list(got) == list(want)
+            for key in want:
+                assert (np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()), (
+                    name, mech, seed, key, got[key], want[key])
