@@ -178,48 +178,61 @@ class PiecewiseLinearBatch:
         # Per row and segment i = bisect_right(xs, x), i = 0..K: left knot x0
         # and y0, run and rise. Segments 0 and K are flat, at the first and
         # the last knot, so that y0 + rise (x - x0) / run is exact on all.
+        # Each table is flat and row-major, read with `take` at row (K+1) + i;
+        # so are the knots, at row K + j.
         xs, ys = self.xs, self.ys
-        rows = len(xs)
-        flat, one = np.zeros((rows, 1)), np.ones((rows, 1))
-        table = np.concatenate([xs[:, :1], xs, ys[:, :1], ys, one, xs[:, 1:] - xs[:, :-1], one,
-                                flat, ys[:, 1:] - ys[:, :-1], flat], axis=1)
-        object.__setattr__(self, "_segments", tuple(table.reshape(rows, 4, -1).transpose(1, 0, 2)))
-        object.__setattr__(self, "_rows", np.arange(rows)[:, None])
+        rows, k = xs.shape
+        table = np.empty((4, rows, k + 1))
+        x0, y0, run, rise = table
+        x0[:, 0], x0[:, 1:], y0[:, 0], y0[:, 1:] = xs[:, 0], xs, ys[:, 0], ys
+        run[:, 0] = run[:, -1] = 1.0
+        rise[:, 0] = rise[:, -1] = 0.0
+        np.subtract(xs[:, 1:], xs[:, :-1], out=run[:, 1:-1])
+        np.subtract(ys[:, 1:], ys[:, :-1], out=rise[:, 1:-1])
+        object.__setattr__(self, "_segments", tuple(table.reshape(4, -1)))
+        object.__setattr__(self, "_row_start", np.arange(0, rows * (k + 1), k + 1)[:, None])
+        object.__setattr__(self, "_knots", (np.ravel(xs), np.ravel(ys)))
 
     @classmethod
     def single_kinks(cls, kink_x: np.ndarray, kink_y: np.ndarray) -> "PiecewiseLinearBatch":
         """The SingleKink CDFs at (kink_x[b], kink_y[b])."""
-        zero, one = np.zeros(len(kink_x)), np.ones(len(kink_x))
-        return cls(np.stack([zero, kink_x, one], axis=1), np.stack([zero, kink_y, one], axis=1))
+        xs, ys = np.zeros((len(kink_x), 3)), np.zeros((len(kink_x), 3))
+        xs[:, 1], ys[:, 1] = kink_x, kink_y
+        xs[:, 2] = ys[:, 2] = 1.0
+        return cls(xs, ys)
 
     def value(self, x) -> np.ndarray:
         """F_b(x_b) per row b: x is a scalar, a (B,) or a (B, P) array."""
         x = np.asarray(x, dtype=float)
-        rows = len(self.xs)
+        xs = self.xs
+        rows = len(xs)
         pts = x.reshape(rows, -1) if x.ndim else np.full((rows, 1), float(x))
-        i = (self.xs[:, :, None] <= pts[:, None, :]).sum(axis=1)  # bisect_right
-        at = (self._rows, i)
+        # flat segment index, row (K+1) + bisect_right(xs[row], x), one knot at a time
+        at = (xs[:, :1] <= pts) + self._row_start
+        for j in range(1, xs.shape[1]):
+            at += xs[:, j:j + 1] <= pts
         x0, y0, run, rise = self._segments
-        # y0 + rise (x - x0) / run, in place to keep large batches small
-        out = pts - x0[at]
-        out *= rise[at]
-        out /= run[at]
-        out += y0[at]
+        # y0 + rise (x - x0) / run, in place and one table at a time to keep
+        # large batches small
+        out = pts - x0.take(at)
+        out *= rise.take(at)
+        out /= run.take(at)
+        out += y0.take(at)
         return out.reshape((rows,) + x.shape[1:])
 
     def inverse(self, y) -> np.ndarray:
         """F_b^-1(y_b) per row b: y is a scalar or a (B,) array."""
         y = np.asarray(y, dtype=float)
-        if np.any(~((0.0 <= y) & (y <= 1.0))):
+        if not ((0.0 <= y) & (y <= 1.0)).all():
             raise CdfError(f"probability outside [0, 1] in {y!r}")
-        rows = len(self.xs)
-        y = np.broadcast_to(y, (rows,))
-        hit = y[:, None] <= self.ys[:, 1:] + 1e-15
+        rows, k = self.xs.shape
+        hit = y[..., None] <= self.ys[:, 1:] + 1e-15
         found = hit.any(axis=1)
-        at, i = np.arange(rows), np.argmax(hit, axis=1) + 1  # first segment reaching y
-        x0, x1, y0, y1 = self.xs[at, i - 1], self.xs[at, i], self.ys[at, i - 1], self.ys[at, i]
+        # flat index of the first knot reaching y, row K + i
+        at = hit.argmax(axis=1) + np.arange(1, rows * k, k)
+        (x0, x1), (y0, y1) = ((knots.take(at - 1), knots.take(at)) for knots in self._knots)
         flat = y1 == y0
-        if np.any(found & flat & (y1 < 1.0 - 1e-15)):
+        if (found & flat & (y1 < 1.0 - 1e-15)).any():
             raise CdfError("a probability lies on a flat segment below 1")
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = x0 + (x1 - x0) * (y - y0) / (y1 - y0)

@@ -200,20 +200,16 @@ def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
     return p_hat, p_bar
 
 
-def _utility_sign_checks(params, mech, r_hat, p_hat, p_bar) -> list:
-    """Named checks Delta u(g) < 0 at p_hat and Delta u(e-g) > 0 at p_bar
-    for every wealth type, from one delta_u call over (types, corners) and
-    any batch axes of the prices."""
-    p = np.stack(np.broadcast_arrays(p_hat, p_bar))
+def _utility_signs(params, mech, r_hat, p_hat, p_bar):
+    """(Delta u(g) < 0 at p_hat, Delta u(e-g) > 0 at p_bar) as two bool
+    arrays over (types, *batch), poorest type first, from one delta_u call
+    over (types, corners) and the batch axes of the prices, which share
+    one shape."""
+    p = np.stack((p_hat, p_bar))
     batch = (1,) * (p.ndim - 1)
     s = np.reshape([params.g, params.e - params.g], (2,) + batch)
-    omegas = params.wealth.omegas
-    du = mx.delta_u(mech, r_hat, p, s, omegas.reshape((-1, 1) + batch), params)
-    checks = []
-    for omega, lo, hi in zip(omegas, du[:, 0] < 0.0, du[:, 1] > 0.0):
-        checks.append((f"{mech.value}: du(g)<0 at omega={omega}", lo))
-        checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", hi))
-    return checks
+    du = mx.delta_u(mech, r_hat, p, s, params.wealth.omegas.reshape((-1, 1) + batch), params)
+    return du[:, 0] < 0.0, du[:, 1] > 0.0
 
 
 def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
@@ -233,24 +229,25 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
         except (mx.DegenerateChoiceError, EconomyError) as exc:
             checks.append((f"{mech.value}: bounds ({exc})", False))
             continue
-        checks.extend((name, bool(ok)) for name, ok in
-                      _utility_sign_checks(params, mech, r_hat, p_hat, p_bar))
+        below, above = _utility_signs(params, mech, r_hat, p_hat, p_bar)
+        for omega, lo, hi in zip(params.wealth.omegas, below, above):
+            checks.append((f"{mech.value}: du(g)<0 at omega={omega}", bool(lo)))
+            checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", bool(hi)))
     return AssumptionReport("assumption2", all(ok for _, ok in checks), False, tuple(checks))
 
 
 def assumption2_mask(params, mech, r_hat, s_hat) -> np.ndarray:
     """check_assumption2(..., mechs=(mech,)).passed for each CDF of a batch,
     given r_hat = mechanisms.rejection_rates(params, mech, ...) and
-    s_hat = F^-1(1-q) per CDF: a positive r, ordered price bounds and the
-    Delta u signs."""
+    s_hat = F^-1(1-q) as arrays of one shape, one entry per CDF: a positive
+    r, ordered price bounds and the Delta u signs."""
     mech = mx.Mechanism(mech)
     p_hat, p_bar = _price_interval(params, mech, r_hat, s_hat)
     ok = (r_hat > 0.0) & ~(p_hat > p_bar + 1e-12)
     # delta_u needs r in (0, 1]; rows failing the bounds stay masked
     r_hat = np.where(ok, r_hat, 1.0)
-    for _, passed in _utility_sign_checks(params, mech, r_hat, p_hat, p_bar):
-        ok = ok & passed
-    return ok
+    below, above = _utility_signs(params, mech, r_hat, p_hat, p_bar)
+    return ok & below.all(axis=0) & above.all(axis=0)
 
 
 def example_economy() -> EconomyParams:

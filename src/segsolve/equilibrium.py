@@ -168,9 +168,11 @@ def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max,
     res = _weighted(fs, rhos) - target
     # the segment from the last negative residual to the first nonnegative
     # one; hi = 0 leaves the root at x = 0, where the residual is 0 if bracketed
-    at, hi = np.arange(rows), np.argmax(res >= 0.0, axis=1)
-    lo = np.maximum(hi - 1, 0)
-    x0, x1, r0, r1 = x[at, lo], x[at, hi], res[at, lo], res[at, hi]
+    hi = np.argmax(res >= 0.0, axis=1)
+    # flat index of the segment's left end in the row-major (rows, points)
+    # x and res; its right end is the next point
+    at = np.maximum(hi - 1, 0) + np.arange(0, x.size, x.shape[1])
+    x0, x1, r0, r1 = x.take(at), x.take(at + 1), res.take(at), res.take(at + 1)
     root = x0 - np.divide(r0 * (x1 - x0), r1 - r0, out=np.zeros(rows), where=hi > 0)
     bracketed = (x_max[:, 0, 0] > 0.0) & (res[:, 0] <= 0.0) & (res[:, -1] >= 0.0)
     return np.where(bracketed, root, np.nan)

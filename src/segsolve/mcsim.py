@@ -79,7 +79,12 @@ class SimResult:
         return self.stats[name][1]
 
     def z(self, name: str, target: float) -> float:
+        """(mean - target) / se for the statistic `name`; raises ValueError
+        at one replication, where se is undefined."""
         m, se = self.stats[name]
+        if self.replications < 2:
+            raise ValueError(f"z-score of {name!r} needs at least two replications, "
+                             f"got {self.replications}")
         if se == 0.0:
             return 0.0 if abs(m - target) < 1e-12 else math.inf
         return (m - target) / se

@@ -7,6 +7,7 @@ assumption, flow and rejection helpers that the one-economy checks use.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -30,21 +31,39 @@ class KinkRecord:
     feasible: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinkSweepResult:
+    """A kink sweep as columns, one entry per grid kink in grid order: the
+    kink (x, y), the poor shares under N and DA, their difference and the
+    feasibility flag; shares and diff are nan where infeasible. `records`
+    gives the same kinks as KinkRecords, built on first access, so counting
+    and CSV output never build them."""
+
     step: float
-    records: tuple[KinkRecord, ...]
+    x: np.ndarray
+    y: np.ndarray
+    share_n: np.ndarray
+    share_da: np.ndarray
+    diff: np.ndarray
+    feasible: np.ndarray
+
+    @functools.cached_property
+    def records(self) -> tuple[KinkRecord, ...]:
+        return tuple(map(KinkRecord, self.x.tolist(), self.y.tolist(), self.share_n.tolist(),
+                         self.share_da.tolist(), self.diff.tolist(), self.feasible.tolist()))
 
     def feasible_records(self) -> list[KinkRecord]:
         return [r for r in self.records if r.feasible]
 
     def to_csv(self) -> str:
-        lines = ["x,y,share_N,share_DA,diff,feasible"]
-        for r in self.records:
-            lines.append(
-                f"{r.x:.12g},{r.y:.12g},{r.share_n:.12g},{r.share_da:.12g},"
-                f"{r.diff:.12g},{int(r.feasible)}")
-        return "\n".join(lines) + "\n"
+        """The CSV text, formatted KINK_BLOCK rows at a time from the columns."""
+        chunks = ["x,y,share_N,share_DA,diff,feasible\n"]
+        for i in range(0, len(self.x), KINK_BLOCK):
+            rows = zip(*(column[i:i + KINK_BLOCK].tolist() for column in
+                         (self.x, self.y, self.share_n, self.share_da, self.diff, self.feasible)))
+            chunks.append("".join(f"{x:.12g},{y:.12g},{n:.12g},{da:.12g},{diff:.12g},{int(ok)}\n"
+                                  for x, y, n, da, diff, ok in rows))
+        return "".join(chunks)
 
 
 @dataclass(frozen=True)
@@ -84,8 +103,9 @@ class CubeSweepResult:
         return "\n".join(lines) + "\n"
 
 
-# Kinks per stacked batch: at its peak, in affine_root, the batch takes
-# about 1.7 kB a kink, so a block stays under 4 MB on any grid.
+# Kinks per stacked batch: at its peak, in affine_root, the batch holds
+# about 1.75 kB a kink (1.28 kB of it affine_root's own temporaries, by
+# tracemalloc on a step-0.01 block), so a block stays under 4 MB on any grid.
 KINK_BLOCK = 2048
 
 
@@ -101,11 +121,12 @@ def _stacked_shares(params_base: EconomyParams, kink_x, kink_y):
     `delta_u` call) and school mass.
     """
     mechs, n = (mx.Mechanism.N, mx.Mechanism.DA), len(kink_x)
-    cdfs = PiecewiseLinearBatch.single_kinks(np.tile(kink_x, 2), np.tile(kink_y, 2))
+    cdfs = PiecewiseLinearBatch.single_kinks(np.concatenate((kink_x, kink_x)),
+                                             np.concatenate((kink_y, kink_y)))
     # params_base with the stacked kinks as its CDF; grid kinks are valid CDFs
     kinks = SimpleNamespace(**{**vars(params_base), "cdf": cdfs})
     with np.errstate(divide="ignore", invalid="ignore"):
-        anchors = cdfs.value(np.tile(mx.anchor_points(kinks), (2 * n, 1))).T
+        anchors = cdfs.value(np.broadcast_to(mx.anchor_points(kinks), (2 * n, 3))).T
         s_hat = cdfs.inverse(1.0 - kinks.q)
         ok = assumption1_mask(kinks, *anchors[:2])
         a = np.repeat([mx.CORE_ALGEBRA[mech].intercept(kinks) for mech in mechs], n)
@@ -138,9 +159,7 @@ def kink_sweep(params_base: EconomyParams, step: float) -> KinkSweepResult:
     blocks = [_stacked_shares(params_base, kink_x[i:i + KINK_BLOCK], kink_y[i:i + KINK_BLOCK])
               for i in range(0, len(kink_x), KINK_BLOCK)]
     feasible, share_n, share_da = map(np.concatenate, zip(*blocks))
-    records = tuple(map(KinkRecord, kink_x.tolist(), kink_y.tolist(), share_n.tolist(),
-                        share_da.tolist(), (share_da - share_n).tolist(), feasible.tolist()))
-    return KinkSweepResult(step, records)
+    return KinkSweepResult(step, kink_x, kink_y, share_n, share_da, share_da - share_n, feasible)
 
 
 SEG_TOL = 1e-9
@@ -154,12 +173,9 @@ def da_less_segregated_count(result: KinkSweepResult, params_base: EconomyParams
     means a smaller average-wealth deviation.
     """
     rho_p = params_base.wealth.poor_rho
-    n_feasible = n_less = 0
-    for r in result.feasible_records():
-        n_feasible += 1
-        if abs(r.share_da - rho_p) < abs(r.share_n - rho_p) - SEG_TOL:
-            n_less += 1
-    return n_feasible, n_less
+    ok = result.feasible
+    less = np.abs(result.share_da[ok] - rho_p) < np.abs(result.share_n[ok] - rho_p) - SEG_TOL
+    return int(np.count_nonzero(ok)), int(np.count_nonzero(less))
 
 
 def _cube_cell(rho_p: float, q: float, pi: float, step: float) -> CubeCell:

@@ -1,6 +1,7 @@
 """Shared fixtures and the random valid-economy sampler."""
 import random
 
+import numpy as np
 import pytest
 
 import segsolve as ss
@@ -61,6 +62,17 @@ def random_concave_cdf(rng: random.Random, max_inner: int = 4) -> PiecewiseLinea
         ys.append(y)
     inner = tuple((x, yk / ys[-1]) for x, yk in zip(xs, ys))
     return PiecewiseLinear(((0.0, 0.0),) + inner + ((1.0, 1.0),))
+
+
+def random_knot_batch(rng: random.Random, k: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) knot arrays of `rows` random concave CDFs with k knots each;
+    k = 2 is the uniform CDF."""
+    fs = []
+    while len(fs) < rows:
+        f = random_concave_cdf(rng, max_inner=k - 2) if k > 2 else Uniform()
+        if len(f.knots) == k:
+            fs.append(f)
+    return np.array([f._xs for f in fs]), np.array([f._ys for f in fs])
 
 
 def random_economy(rng: random.Random, uniform_binary: bool = False,

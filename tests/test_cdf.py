@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import random
 
-from conftest import random_concave_cdf
+from conftest import random_concave_cdf, random_knot_batch
+from kernel_reference import PiecewiseLinearBatchReference
 from segsolve import cdf
 from segsolve.cdf import (CdfError, PiecewiseLinear, PiecewiseLinearBatch,
                           Power, SingleKink, Uniform, cdf_from_config,
@@ -159,6 +160,24 @@ class TestBatch:
         for y in [0.0, 1.0, rng.random(), fs[0]._ys[1]]:
             assert [v.hex() for v in batch.inverse(y).tolist()] == \
                 [f.inverse(y).hex() for f in fs]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_inverse_match_reference(self, seed):
+        # bit for bit, on 2 to 6 knots and 1 to 16 points a row: points on
+        # knots, below the first knot, from the last knot on and in between
+        rng = random.Random(seed)
+        xs, ys = random_knot_batch(rng, rng.randint(2, 6), rng.randint(1, 5))
+        batch, ref = PiecewiseLinearBatch(xs, ys), PiecewiseLinearBatchReference(xs, ys)
+        candidates = [-0.5, 0.0, 1.0, 1.5, *xs.ravel().tolist()]
+        per_row = rng.randint(1, 16)
+        pts = np.array([[rng.choice(candidates) if rng.random() < 0.5 else rng.uniform(-0.2, 1.2)
+                         for _ in range(per_row)] for _ in xs])
+        for x in (pts, pts[:, 0], rng.choice(candidates)):
+            assert batch.value(x).tobytes() == ref.value(x).tobytes()
+        for y in (0.0, 1.0, rng.random(), rng.choice(ys.ravel().tolist()),
+                  np.array([rng.choice(row) for row in ys.tolist()])):
+            assert batch.inverse(y).tobytes() == ref.inverse(y).tobytes()
 
     def test_batch_of_one_and_scalar_point(self):
         f = SingleKink(0.3, 0.6)

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import _random_wealth, random_concave_cdf, random_economy
+from conftest import (_random_wealth, random_concave_cdf, random_economy,
+                      random_knot_batch)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from segsolve.equilibrium import (AssumptionError, BracketFailureError,
                                   MultipleFixedPointsError, NoFixedPointError,
                                   dispersion_root, interior, max_dispersion,
                                   solve, solve_policy, verify_lemma1)
+from kernel_reference import PiecewiseLinearBatchReference, affine_root_reference
 from policy_reference import clear_price_reference
 
 # worked-example equilibrium values, derived from the closed forms:
@@ -134,6 +136,33 @@ class TestExactRoot:
                 break
             lo, hi = (mid, hi) if residual(mid) < 0.0 else (lo, mid)
         assert d == pytest.approx(hi, rel=1e-12, abs=1e-12)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_affine_root_matches_reference(self, seed):
+        # bit for bit on random rows, one CDF per row or one shared by all.
+        # Of the last four rows the first brackets a root, from F = 0 at
+        # x = 0 to F = 1 at x_max, and the others bracket nothing, so give
+        # nan: x_max = 0, cutoffs above the last knot from x = 0 on, and
+        # cutoffs below the first knot up to x_max
+        rng = random.Random(seed)
+        k, rows, types = rng.randint(2, 6), rng.randint(1, 6), rng.randint(1, 3)
+        rhos = np.array([rng.uniform(0.2, 1.0) for _ in range(types)])
+        rhos /= rhos.sum()
+        target = rng.uniform(0.05, 0.95)
+        alpha = np.array([[rng.uniform(-0.5, 0.6) for _ in range(types)] for _ in range(rows)]
+                         + [[0.0] * types, [0.0] * types, [2.0] * types, [-1.0] * types])
+        beta = np.array([[rng.uniform(0.1, 2.0) for _ in range(types)] for _ in range(rows + 4)])
+        x_max = np.array([rng.uniform(0.0, 3.0) for _ in range(rows)] + [20.0, 0.0, 1.0, 0.01])
+        for cdf_rows in (rows + 4, 1):
+            xs, ys = random_knot_batch(rng, k, cdf_rows)
+            got = equilibrium.affine_root(PiecewiseLinearBatch(xs, ys), rhos, alpha, beta,
+                                          x_max, target)
+            want = affine_root_reference(PiecewiseLinearBatchReference(xs, ys), rhos, alpha,
+                                         beta, x_max, target)
+            assert got.tobytes() == want.tobytes()
+            assert 0.0 < got[-4] < 20.0
+            assert np.isnan(got[-3:]).all()
 
     def test_batch_matches_solve_on_kink_grid(self):
         # one kernel call over a grid gives solve's d on each kink, nan

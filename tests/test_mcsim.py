@@ -506,6 +506,15 @@ class TestEstimates:
         assert len(d["per_replication"]["r"]) == 2
         assert res.se("r") >= 0.0
 
+    def test_z_needs_two_replications(self, da_eq):
+        # se is nan at one replication, and a nan z would pass both
+        # abs(z) <= 3 and not abs(z) > 3 unnoticed
+        cfg = mcsim.SimConfig(params=example_economy(), mech=mx.Mechanism.DA,
+                              cutoffs=da_eq.cutoffs, n_agents=5000, replications=1)
+        res = mcsim.estimate(cfg)
+        with pytest.raises(ValueError, match=r"'r'.*at least two replications"):
+            res.z("r", da_eq.r)
+
     def test_payload_is_strict_json(self):
         # NaN and infinities are not JSON numbers (RFC 8259): they go out as null
         res = mcsim.SimResult(

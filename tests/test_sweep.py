@@ -8,7 +8,7 @@ import pytest
 import segsolve.sweep as sweep
 from segsolve import equilibrium
 from segsolve import mechanisms as mx
-from segsolve.cdf import PiecewiseLinearBatch, SingleKink, Uniform
+from segsolve.cdf import PiecewiseLinearBatch, SingleKink, Uniform, single_kink_grid
 from segsolve.economy import (EconomyParams, WealthDist, binary_wealth,
                               check_assumption1, check_assumption2,
                               example_economy)
@@ -169,6 +169,42 @@ class TestStackedBatch:
         whole = sweep.kink_sweep(BASES["tight"], 0.05).to_csv()
         monkeypatch.setattr(sweep, "KINK_BLOCK", 7)
         assert sweep.kink_sweep(BASES["tight"], 0.05).to_csv() == whole
+
+
+def _da_less_loop(result, params) -> tuple[int, int]:
+    """da_less_segregated_count as the loop over feasible records it was."""
+    rho_p = params.wealth.poor_rho
+    n_feasible = n_less = 0
+    for r in result.feasible_records():
+        n_feasible += 1
+        if abs(r.share_da - rho_p) < abs(r.share_n - rho_p) - sweep.SEG_TOL:
+            n_less += 1
+    return n_feasible, n_less
+
+
+class TestColumns:
+    def test_cube_builds_no_records(self, monkeypatch):
+        built = collections.Counter()
+
+        class CountedRecord(sweep.KinkRecord):
+            def __init__(self, *fields):
+                built["records"] += 1
+                super().__init__(*fields)
+
+        monkeypatch.setattr(sweep, "KinkRecord", CountedRecord)
+        cell = sweep.cube_sweep([0.5], [0.4], [0.3], 0.1).cells[0]
+        assert cell.n_feasible > 0
+        assert built["records"] == 0
+        # records are still there on first access, one per grid kink
+        result = sweep.kink_sweep(example_economy(), 0.1)
+        assert built["records"] == 0
+        assert len(result.records) == len(single_kink_grid(0.1)[0]) == built["records"]
+
+    @pytest.mark.parametrize("base", list(BASES))
+    def test_da_less_count_equals_records_loop(self, base):
+        result = sweep.kink_sweep(BASES[base], 0.05)
+        assert sweep.da_less_segregated_count(result, BASES[base]) == \
+            _da_less_loop(result, BASES[base])
 
 
 class TestCubeSweep:
