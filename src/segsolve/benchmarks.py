@@ -211,22 +211,3 @@ def policy_table(params: EconomyParams | None = None) -> list[PolicyRow]:
                                 eq.r, params))
     return rows
 
-
-def tables_match() -> tuple[bool, list[str]]:
-    """Compare both tables to the published integers at +-1."""
-    problems = []
-    for row in table_one():
-        got = row.rounded()
-        want = REFERENCE_TABLE1[row.scenario]
-        for g, w in zip(got, want):
-            if abs(g - w) > 1:
-                problems.append(f"table1 {row.scenario}: {got} vs {want}")
-                break
-    for row in policy_table():
-        got = row.rounded()
-        want = REFERENCE_TABLE2[row.policy]
-        for g, w in zip(got, want):
-            if abs(g - w) > 1:
-                problems.append(f"table2 {row.policy}: {got} vs {want}")
-                break
-    return not problems, problems

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 CONCAVITY_TOL = 1e-12
-INVERSE_TOL = 1e-10
 MAX_KINKS = 499_500  # the most grid kinks single_kink_grid builds: step 0.001
 
 
@@ -18,22 +17,19 @@ class CdfError(ValueError):
 
 
 @dataclass(frozen=True)
-class CdfCheck:
+class AssumptionReport:
+    """The (name, ok) checks of one named condition; it passes if all hold."""
+
     name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class CdfReport:
-    checks: tuple[CdfCheck, ...]
+    checks: tuple[tuple[str, bool], ...]
+    boundary: bool = False  # the condition holds only at its limiting case
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(ok for _, ok in self.checks)
 
-    def failures(self) -> list[CdfCheck]:
-        return [c for c in self.checks if not c.passed]
+    def failures(self) -> list[str]:
+        return [n for n, ok in self.checks if not ok]
 
 
 class SignalCdf:
@@ -267,31 +263,30 @@ class Power(SignalCdf):
         return {"type": "power", "alpha": self.alpha}
 
 
-def validate(f: SignalCdf) -> CdfReport:
+def validate(f: SignalCdf) -> AssumptionReport:
     """Check the concave-CDF invariants; returns a report, never raises."""
-    checks: list[CdfCheck] = []
+    checks: list[tuple[str, bool]] = []
     if isinstance(f, Power):
-        checks.append(CdfCheck("alpha_range", 0.0 < f.alpha <= 1.0, f"alpha={f.alpha}"))
-        checks.append(CdfCheck("endpoints", True))
-        checks.append(CdfCheck("nondecreasing", True))
+        checks.append(("alpha_range", 0.0 < f.alpha <= 1.0))
+        checks.append(("endpoints", True))
+        checks.append(("nondecreasing", True))
         ok = f.alpha <= 1.0
-        checks.append(CdfCheck("concave", ok))
-        checks.append(CdfCheck("above_diagonal", ok))
-        return CdfReport(tuple(checks))
+        checks.append(("concave", ok))
+        checks.append(("above_diagonal", ok))
+        return AssumptionReport("cdf", tuple(checks))
 
     assert isinstance(f, PiecewiseLinear)
-    xs = [k[0] for k in f.knots]
-    ys = [k[1] for k in f.knots]
-    checks.append(CdfCheck(
+    xs, ys = f._xs, f._ys
+    checks.append((
         "endpoints",
         abs(xs[0]) < 1e-15 and abs(ys[0]) < 1e-15
         and abs(xs[-1] - 1.0) < 1e-15 and abs(ys[-1] - 1.0) < 1e-15,
-        f"first={f.knots[0]} last={f.knots[-1]}"))
-    checks.append(CdfCheck(
+    ))
+    checks.append((
         "knots_ordered",
         all(xs[i] < xs[i + 1] for i in range(len(xs) - 1)),
     ))
-    checks.append(CdfCheck(
+    checks.append((
         "nondecreasing",
         all(ys[i] <= ys[i + 1] + CONCAVITY_TOL for i in range(len(ys) - 1)),
     ))
@@ -300,30 +295,27 @@ def validate(f: SignalCdf) -> CdfReport:
         for i in range(len(xs) - 1)
         if xs[i + 1] > xs[i]
     ]
-    checks.append(CdfCheck(
+    checks.append((
         "concave",
         all(slopes[i] >= slopes[i + 1] - CONCAVITY_TOL for i in range(len(slopes) - 1)),
-        f"slopes={slopes}"))
-    checks.append(CdfCheck(
+    ))
+    checks.append((
         "above_diagonal",
         all(y >= x - CONCAVITY_TOL for x, y in f.knots),
     ))
     if isinstance(f, SingleKink):
-        checks.append(CdfCheck(
-            "kink_above_diagonal", f.kink_y >= f.kink_x,
-            f"kink=({f.kink_x}, {f.kink_y})"))
-        checks.append(CdfCheck(
+        checks.append(("kink_above_diagonal", f.kink_y >= f.kink_x))
+        checks.append((
             "kink_interior",
             0.0 < f.kink_x < 1.0 and 0.0 < f.kink_y < 1.0,
         ))
-    return CdfReport(tuple(checks))
+    return AssumptionReport("cdf", tuple(checks))
 
 
 def require_valid(f: SignalCdf) -> SignalCdf:
     report = validate(f)
     if not report.passed:
-        names = ", ".join(c.name for c in report.failures())
-        raise CdfError(f"invalid signal CDF: failed {names}")
+        raise CdfError(f"invalid signal CDF: failed {', '.join(report.failures())}")
     return f
 
 

@@ -212,16 +212,12 @@ def cmd_check(args) -> int:
     reports = [check_theorems(params)]
     for mech in mx.CORE:
         reports.append(verify_lemma1(params, mech))
-    lines = []
-    failed = False
-    for rep in reports:
-        for name, ok in rep.checks:
-            lines.append(f"{'PASS' if ok else 'FAIL'} {rep.name}: {name}")
-            failed |= not ok
+    lines = [f"{'PASS' if ok else 'FAIL'} {rep.name}: {name}"
+             for rep in reports for name, ok in rep.checks]
     lines.append(f"assumption1: pass{' (boundary)' if a1.boundary else ''}")
     lines.append("assumption2: pass")
     _emit("\n".join(lines) + "\n", args.output)
-    if failed:
+    if not all(rep.passed for rep in reports):
         print("theorem checks failed", file=sys.stderr)
         return EXIT_THEOREM
     return 0

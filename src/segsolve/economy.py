@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mechanisms as mx
-from .cdf import (SignalCdf, Uniform, cdf_from_config, config_number,
-                  require_valid)
+from .cdf import (AssumptionReport, SignalCdf, Uniform, cdf_from_config,
+                  config_number, require_valid)
 
 
 class EconomyError(ValueError):
@@ -79,6 +79,11 @@ class EconomyParams:
     delta_q: float = 0.0
 
     def __post_init__(self):
+        for name in ("m", "q", "delta_q", "g", "e", "pi"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float, np.integer, np.floating)):
+                raise EconomyError(f"{name} must be a number, got {value!r}")
         if not self.m >= 2:
             raise EconomyError("need at least two specialized schools")
         if not isinstance(self.m, (int, np.integer)):
@@ -144,17 +149,6 @@ class EconomyParams:
         }
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    name: str
-    passed: bool
-    boundary: bool = False
-    checks: tuple[tuple[str, bool], ...] = field(default_factory=tuple)
-
-    def failures(self) -> list[str]:
-        return [n for n, ok in self.checks if not ok]
-
-
 def _assumption1_checks(params, fg, feg):
     """The named inequalities of assumption 1 given fg = F(g) and
     feg = F(e-g); each is a bool, or a bool array over a batch of CDFs."""
@@ -174,7 +168,7 @@ def check_assumption1(params: EconomyParams) -> AssumptionReport:
     feg = params.cdf.value(params.e - params.g)
     checks = _assumption1_checks(params, params.cdf.value(params.g), feg)
     boundary = feg >= 1.0 - 1e-12
-    return AssumptionReport("assumption1", all(ok for _, ok in checks), boundary, checks)
+    return AssumptionReport("assumption1", checks, boundary)
 
 
 def assumption1_mask(params, fg, feg) -> np.ndarray:
@@ -233,7 +227,7 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
         for omega, lo, hi in zip(params.wealth.omegas, below, above):
             checks.append((f"{mech.value}: du(g)<0 at omega={omega}", bool(lo)))
             checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", bool(hi)))
-    return AssumptionReport("assumption2", all(ok for _, ok in checks), False, tuple(checks))
+    return AssumptionReport("assumption2", tuple(checks))
 
 
 def assumption2_mask(params, mech, r_hat, s_hat) -> np.ndarray:

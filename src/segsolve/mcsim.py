@@ -37,6 +37,11 @@ class SimConfig:
     replications: int = 2
 
     def __post_init__(self):
+        for name in ("n_agents", "replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_agents < 1_000:
             raise ValueError("need at least 1,000 agents")
         if self.n_agents > MAX_AGENTS:
@@ -47,6 +52,8 @@ class SimConfig:
             raise ValueError("need at least one replication")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if sorted(w for w, _ in self.cutoffs) != sorted(self.params.wealth.omegas.tolist()):
+            raise ValueError(f"cutoffs must give one cutoff per wealth type, got {self.cutoffs}")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ import enum
 from dataclasses import dataclass
 
 from . import mechanisms as mx
-from .cdf import Uniform
-from .economy import AssumptionReport, EconomyParams
+from .cdf import AssumptionReport, Uniform
+from .economy import EconomyParams
 from .equilibrium import Equilibrium, solve
 
 EQUAL_TOL = 1e-9
@@ -24,7 +24,6 @@ class Comparison(enum.Enum):
     GREATER = "greater"
     SMALLER = "smaller"
     EQUAL = "equal"
-    AMBIGUOUS = "ambiguous"
 
 
 @dataclass(frozen=True)
@@ -97,14 +96,6 @@ def expansion_rate(eq_from: Equilibrium, eq_to: Equilibrium, omega: float) -> fl
     return abs(b) / abs(a)
 
 
-def in_comparison_set(eq_from: Equilibrium, eq_to: Equilibrium, omega: float) -> bool:
-    try:
-        expansion_rate(eq_from, eq_to, omega)
-        return True
-    except SignMismatchError:
-        return False
-
-
 def compare(a: SegregationProfile, b: SegregationProfile) -> Comparison:
     if a.deviation > b.deviation + EQUAL_TOL:
         return Comparison.GREATER
@@ -125,64 +116,60 @@ def theorem2_threshold(pair: tuple[mx.Mechanism, mx.Mechanism], params: EconomyP
 
 def check_theorems(params: EconomyParams) -> AssumptionReport:
     """Solve all three mechanisms and assert every applicable ranking result."""
+    N, DA, TTC = mx.CORE
     eqs = {mech: solve(params, mech) for mech in mx.CORE}
     n1 = {mech: neighborhood_profile(eqs[mech])[0] for mech in mx.CORE}
     c1 = {mech: school_profile(eqs[mech]) for mech in mx.CORE}
     checks: list[tuple[str, bool]] = []
 
     # dispersion and neighborhood-segregation ordering
-    d_n, d_da, d_ttc = (eqs[m].d for m in mx.CORE)
-    checks.append(("d^N < d^DA", d_n < d_da))
-    checks.append(("d^DA < d^TTC", d_da < d_ttc))
-    checks.append(("E[s] ordering", eqs[mx.Mechanism.N].e_s <= eqs[mx.Mechanism.DA].e_s + EQUAL_TOL
-                   and eqs[mx.Mechanism.DA].e_s <= eqs[mx.Mechanism.TTC].e_s + EQUAL_TOL
-                   and eqs[mx.Mechanism.TTC].e_s <= 1.0 - params.q + EQUAL_TOL))
-    checks.append(("n1 deviation: DA > N",
-                   n1[mx.Mechanism.DA].deviation > n1[mx.Mechanism.N].deviation))
-    checks.append(("n1 deviation: TTC > DA",
-                   n1[mx.Mechanism.TTC].deviation > n1[mx.Mechanism.DA].deviation))
+    checks.append(("d^N < d^DA", eqs[N].d < eqs[DA].d))
+    checks.append(("d^DA < d^TTC", eqs[DA].d < eqs[TTC].d))
+    checks.append(("E[s] ordering", eqs[N].e_s <= eqs[DA].e_s + EQUAL_TOL
+                   and eqs[DA].e_s <= eqs[TTC].e_s + EQUAL_TOL
+                   and eqs[TTC].e_s <= 1.0 - params.q + EQUAL_TOL))
+    checks.append(("n1 deviation: DA > N", n1[DA].deviation > n1[N].deviation))
+    checks.append(("n1 deviation: TTC > DA", n1[TTC].deviation > n1[DA].deviation))
 
-    # school segregation sufficient conditions
-    # the "smaller" direction holds only for pairs starting at N
-    for pair, two_sided in (((mx.Mechanism.N, mx.Mechanism.DA), True),
-                            ((mx.Mechanism.N, mx.Mechanism.TTC), True),
-                            ((mx.Mechanism.DA, mx.Mechanism.TTC), False)):
-        thr = theorem2_threshold(pair, params)
+    # school segregation sufficient conditions, over the types that keep their
+    # representation sign; the "smaller" direction holds only for pairs from N
+    for (a, b), two_sided in (((N, DA), True), ((N, TTC), True), ((DA, TTC), False)):
+        thr = theorem2_threshold((a, b), params)
         rates = []
         for w in params.wealth.omegas:
-            if in_comparison_set(eqs[pair[0]], eqs[pair[1]], w):
-                rates.append(expansion_rate(eqs[pair[0]], eqs[pair[1]], w))
-        label = f"{pair[0].value}->{pair[1].value}"
+            try:
+                rates.append(expansion_rate(eqs[a], eqs[b], w))
+            except SignMismatchError:
+                pass
+        label = f"{a.value}->{b.value}"
+        cmp = compare(c1[b], c1[a])
         if rates and all(rate > thr + EQUAL_TOL for rate in rates):
-            cmp = compare(c1[pair[1]], c1[pair[0]])
             checks.append((f"school seg {label}: greater", cmp == Comparison.GREATER))
         if two_sided and rates and all(rate < thr - EQUAL_TOL for rate in rates):
-            cmp = compare(c1[pair[1]], c1[pair[0]])
             checks.append((f"school seg {label}: smaller", cmp == Comparison.SMALLER))
 
-    # price orderings
-    if mx.rejection(params, mx.Mechanism.DA) >= mx.r_da_uniform(params) - 1e-12:
-        checks.append(("p^N <= p^DA", eqs[mx.Mechanism.N].p <= eqs[mx.Mechanism.DA].p + EQUAL_TOL))
+    # price orderings; solve stores r = mx.rejection(params, mech)
+    if eqs[DA].r >= mx.r_da_uniform(params) - 1e-12:
+        checks.append(("p^N <= p^DA", eqs[N].p <= eqs[DA].p + EQUAL_TOL))
     if params.e - params.g > 1.0 - params.q + 1e-12:
-        checks.append(("p^DA < p^TTC", eqs[mx.Mechanism.DA].p < eqs[mx.Mechanism.TTC].p))
+        checks.append(("p^DA < p^TTC", eqs[DA].p < eqs[TTC].p))
 
     # uniform-F exact equalities
     if isinstance(params.cdf, Uniform):
-        diff = max(abs(c1[mx.Mechanism.N].mass(w) - c1[mx.Mechanism.DA].mass(w))
-                   for w in params.wealth.omegas)
+        diff = max(abs(c1[N].mass(w) - c1[DA].mass(w)) for w in params.wealth.omegas)
         checks.append(("uniform: c1 profiles N = DA", diff <= 1e-10))
         checks.append(("uniform: school seg TTC > N",
-                       compare(c1[mx.Mechanism.TTC], c1[mx.Mechanism.N]) == Comparison.GREATER))
+                       compare(c1[TTC], c1[N]) == Comparison.GREATER))
 
     # binary-wealth characterization at g=0, e=1
     if (params.wealth.is_binary() and abs(params.g) < 1e-12
             and abs(params.e - 1.0) < 1e-12):
         checks.append(("binary: school seg TTC > N",
-                       compare(c1[mx.Mechanism.TTC], c1[mx.Mechanism.N]) == Comparison.GREATER))
+                       compare(c1[TTC], c1[N]) == Comparison.GREATER))
         checks.append(("binary: school seg TTC > DA",
-                       compare(c1[mx.Mechanism.TTC], c1[mx.Mechanism.DA]) == Comparison.GREATER))
+                       compare(c1[TTC], c1[DA]) == Comparison.GREATER))
         if 1.0 - params.q < params.wealth.poor_rho - 1e-12:
             checks.append(("binary 1-q<rho_p: school seg DA > N",
-                           compare(c1[mx.Mechanism.DA], c1[mx.Mechanism.N]) == Comparison.GREATER))
+                           compare(c1[DA], c1[N]) == Comparison.GREATER))
 
-    return AssumptionReport("theorems", all(ok for _, ok in checks), False, tuple(checks))
+    return AssumptionReport("theorems", tuple(checks))

@@ -12,6 +12,18 @@ from segsolve.economy import (EconomyError, EconomyParams, WealthDist,
 from segsolve.equilibrium import SolveError, solve
 
 
+# Three types and Power F: at the middle type (omega 0.999667344957495) the
+# n1 over-representation F(s) - (1-q) changes sign from N to TTC and from
+# DA to TTC, so `check_theorems` ranks those pairs on the other two types.
+SIGN_FLIP_CONFIG = {
+    "m": 2, "q": 0.38491987736271294, "g": 0.02486113579889656,
+    "e": 0.7570372999155042, "pi": 0.24738647223340765,
+    "wealth": [[0.9495747684167378, 0.3544946700128024],
+               [0.999667344957495, 0.25248335301957303],
+               [1.0456958306238369, 0.3930219769676247]],
+    "cdf": {"type": "power", "alpha": 0.7823670875879087}}
+
+
 @pytest.fixture
 def example():
     return ss.example_economy()

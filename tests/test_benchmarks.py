@@ -105,10 +105,3 @@ class TestTableTwo:
 
     def test_policy_order(self):
         assert [r.policy for r in bm.policy_table()] == list(bm.TABLE2_POLICIES)
-
-
-class TestTablesMatch:
-    def test_clean(self):
-        ok, problems = bm.tables_match()
-        assert ok
-        assert problems == []

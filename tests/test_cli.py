@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import SIGN_FLIP_CONFIG
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import STDOUT_SHA256
@@ -206,8 +207,7 @@ class TestCheck:
         from segsolve.economy import AssumptionReport
 
         def fake_check(params):
-            return AssumptionReport("theorems", False, False,
-                                    (("forced failure", False),))
+            return AssumptionReport("theorems", (("forced failure", False),))
 
         monkeypatch.setattr(cli, "check_theorems", fake_check)
         assert cli.main(["check", "--example"]) == cli.EXIT_THEOREM
@@ -368,3 +368,27 @@ def test_fuzzed_config_exits_cleanly(tmp_path_factory, command, base, mutations)
     assert code in (0, cli.EXIT_CONFIG, cli.EXIT_ASSUMPTION, cli.EXIT_SOLVER), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()
+
+
+# `check` on economies whose branches the example never reaches: (exit code,
+# stdout sha256, stderr). The sign-flip economy ranks n->ttc and da->ttc on
+# two of its three types and has no p^N <= p^DA, uniform or binary check;
+# the single-kink base fails assumption 2 for TTC; the piecewise base checks
+# every school-segregation pair.
+CHECK_CONFIG_GOLDEN = {
+    "sign_flip": (0, "71631dc2b382cdb560dafb289d7c7f49bb33ea8bf742268bfae2625783e22325", ""),
+    "single_kink": (cli.EXIT_ASSUMPTION,
+                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                    "assumption 2 fails: ['ttc: du(e-g)>0 at omega=1.125']\n"),
+    "piecewise": (0, "680f5f530a8a0b43d1d50501987bc6c7ee2fe6248753fee883ed7204fc3bcb63", ""),
+}
+CHECK_CONFIGS = {"sign_flip": SIGN_FLIP_CONFIG, "single_kink": BASES[1], "piecewise": BASES[2]}
+
+
+@pytest.mark.parametrize("name", list(CHECK_CONFIG_GOLDEN))
+def test_check_config_digest(name, tmp_path, capsys):
+    path = tmp_path / "economy.json"
+    path.write_text(json.dumps(CHECK_CONFIGS[name]))
+    code = cli.main(["check", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, sha256(captured.out.encode()), captured.err) == CHECK_CONFIG_GOLDEN[name]

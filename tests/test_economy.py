@@ -119,6 +119,13 @@ class TestEconomyParams:
         with pytest.raises(EconomyError, match=message):
             dataclasses.replace(example_economy(), **{field: value})
 
+    @pytest.mark.parametrize("field", ["m", "q", "delta_q", "g", "e", "pi"])
+    @pytest.mark.parametrize("value", ["0.4", None, True])
+    def test_non_number_rejected_on_direct_construction(self, field, value):
+        # a string used to raise a bare TypeError from a comparison
+        with pytest.raises(EconomyError, match=f"^{field} must be a number"):
+            dataclasses.replace(example_economy(), **{field: value})
+
     def test_numpy_integer_m_accepted(self):
         assert dataclasses.replace(example_economy(), m=np.int64(3)).m == 3
 

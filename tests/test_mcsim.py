@@ -78,21 +78,51 @@ class TestSampling:
 
     def test_config_validation(self):
         p = example_economy()
+        cuts = solve(p, "da").cutoffs
         with pytest.raises(ValueError):
-            mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(),
+            mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=cuts,
                             n_agents=500)
         with pytest.raises(ValueError):
-            mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(),
+            mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=cuts,
                             n_agents=2000, replications=0)
         # past the cap a replication's arrays would outgrow memory mid-run
-        mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(),
+        mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=cuts,
                         n_agents=mcsim.MAX_AGENTS)
         for n in (mcsim.MAX_AGENTS + 1, 10 ** 11):
             with pytest.raises(ValueError, match="at most 5,000,000 agents"):
-                mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(), n_agents=n)
+                mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=cuts, n_agents=n)
         # SeedSequence rejects a negative seed only once a run starts
         with pytest.raises(ValueError, match="seed must be non-negative"):
-            mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=(), seed=-1)
+            mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=cuts, seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_agents", 5000.5), ("n_agents", "5000"), ("replications", 2.0),
+        ("seed", 1.5), ("seed", True), ("replications", np.True_),
+    ])
+    def test_whole_number_fields(self, da_eq, field, value):
+        # each of these passed construction and failed inside estimate, or
+        # ran with True as seed 1
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            mcsim.SimConfig(params=example_economy(), mech=mx.Mechanism.DA,
+                            cutoffs=da_eq.cutoffs, **{field: value})
+
+    def test_numpy_integers_accepted_as_ints(self, da_eq):
+        cfg = mcsim.SimConfig(params=example_economy(), mech=mx.Mechanism.DA,
+                              cutoffs=da_eq.cutoffs, n_agents=np.int64(5000),
+                              seed=np.int32(3), replications=np.uint8(2))
+        assert [type(v) for v in (cfg.n_agents, cfg.seed, cfg.replications)] == [int] * 3
+        assert json.loads(json.dumps(mcsim.estimate(cfg).to_dict()))["seed"] == 3
+
+    @pytest.mark.parametrize("cutoffs", [
+        ((1.0, 0.5), (0.875, 0.5)),                    # an omega not in params
+        ((1.125, 0.5),),                               # a type missing
+        ((1.125, 0.5), (0.875, 0.5), (0.875, 0.6)),    # a type twice
+    ])
+    def test_cutoffs_must_match_wealth_types(self, cutoffs):
+        # a foreign omega used to raise KeyError from housing_stage
+        with pytest.raises(ValueError, match="cutoffs must give one cutoff per wealth type"):
+            mcsim.SimConfig(params=example_economy(), mech=mx.Mechanism.DA,
+                            cutoffs=cutoffs, n_agents=5000)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_draw_index_is_generator_choice(self, k):

@@ -2,16 +2,16 @@
 import dataclasses
 
 import pytest
+from conftest import SIGN_FLIP_CONFIG
 
 import segsolve as ss
 from segsolve import mechanisms as mx
 from segsolve.cdf import Power, SingleKink
-from segsolve.economy import example_economy
+from segsolve.economy import EconomyParams, example_economy
 from segsolve.equilibrium import solve
-from segsolve.segregation import (Comparison, check_theorems, compare,
-                                  expansion_rate, in_comparison_set,
-                                  neighborhood_profile, school_profile,
-                                  theorem2_threshold)
+from segsolve.segregation import (Comparison, SignMismatchError, check_theorems,
+                                  compare, expansion_rate, neighborhood_profile,
+                                  school_profile, theorem2_threshold)
 
 
 class TestNeighborhoodProfiles:
@@ -68,7 +68,15 @@ class TestExpansionRates:
             0.1375 / 0.075, abs=1e-9)
         assert expansion_rate(eq_n, eq_da, 0.875) == pytest.approx(
             0.1375 / 0.075, abs=1e-9)
-        assert in_comparison_set(eq_n, eq_da, 1.125)
+
+    def test_sign_flip_raises(self):
+        # the middle type's F(s) - (1-q) is negative under N and positive under TTC
+        p = EconomyParams.from_config(SIGN_FLIP_CONFIG)
+        eq_n, eq_ttc = solve(p, "n"), solve(p, "ttc")
+        with pytest.raises(SignMismatchError):
+            expansion_rate(eq_n, eq_ttc, 0.999667344957495)
+        for omega in (0.9495747684167378, 1.0456958306238369):
+            assert expansion_rate(eq_n, eq_ttc, omega) > 0.0
 
     def test_thresholds(self):
         p = example_economy()
