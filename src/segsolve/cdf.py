@@ -264,7 +264,8 @@ class Power(SignalCdf):
 
 
 def validate(f: SignalCdf) -> AssumptionReport:
-    """Check the concave-CDF invariants; returns a report, never raises."""
+    """Check the concave-CDF invariants; returns a report. Raises CdfError
+    only for an object that is no Power or piecewise-linear CDF."""
     checks: list[tuple[str, bool]] = []
     if isinstance(f, Power):
         checks.append(("alpha_range", 0.0 < f.alpha <= 1.0))
@@ -275,7 +276,8 @@ def validate(f: SignalCdf) -> AssumptionReport:
         checks.append(("above_diagonal", ok))
         return AssumptionReport("cdf", tuple(checks))
 
-    assert isinstance(f, PiecewiseLinear)
+    if not isinstance(f, PiecewiseLinear):
+        raise CdfError(f"not a signal CDF: {f!r}")
     xs, ys = f._xs, f._ys
     checks.append((
         "endpoints",

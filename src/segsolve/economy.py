@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mechanisms as mx
-from .cdf import (AssumptionReport, SignalCdf, Uniform, cdf_from_config,
+from .cdf import (AssumptionReport, CdfError, SignalCdf, Uniform, cdf_from_config,
                   config_number, require_valid)
 
 
@@ -84,6 +84,10 @@ class EconomyParams:
             if isinstance(value, bool) or not isinstance(
                     value, (int, float, np.integer, np.floating)):
                 raise EconomyError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.wealth, WealthDist):
+            raise EconomyError(f"wealth must be a WealthDist, got {self.wealth!r}")
+        if not isinstance(self.cdf, SignalCdf):
+            raise CdfError(f"cdf must be a SignalCdf, got {self.cdf!r}")
         if not self.m >= 2:
             raise EconomyError("need at least two specialized schools")
         if not isinstance(self.m, (int, np.integer)):

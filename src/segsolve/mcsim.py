@@ -9,6 +9,11 @@ order. Any m >= 2 works. `check_da_stability` and `find_ttc_improvement`
 verify the assignments; the tests also hold the per-student TTC loop and
 the per-round lexsort DA that `run_ttc_finite` and `run_da_finite`
 replaced, as references they must match exactly.
+
+Neither mechanism sorts the whole lottery: DA cuts each oversubscribed
+school by one partition, and TTC sorts its residents and a head of the
+lottery order. The stages work in place where they can and hold rankings
+and seats in the smallest integer dtypes that fit m (see MAX_AGENTS).
 """
 from __future__ import annotations
 
@@ -21,9 +26,10 @@ from . import mechanisms as mx
 from .economy import EconomyParams
 
 
-# A DA plus TTC replication peaks at 160-185 bytes per agent above the
-# interpreter and the solved economy (ru_maxrss at 200k and 1M agents), so
-# the cap keeps one run near 1 GB.
+# A DA plus TTC replication peaks at 98-122 bytes per agent above the
+# interpreter and the solved economy (ru_maxrss at 1M and 200k agents; the
+# arrays themselves peak at 83-86, by tracemalloc), so the cap keeps one
+# run near 0.6 GB.
 MAX_AGENTS = 5_000_000
 
 
@@ -134,9 +140,9 @@ def _draw_index(rng: np.random.Generator, p, n: int) -> np.ndarray:
 def sample_agents(params: EconomyParams, n: int, rng: np.random.Generator) -> Agents:
     m = params.m
     t1 = rng.integers(1, m + 1, size=n)
-    shift = rng.integers(1, m, size=n)
-    t2 = t1 + shift  # in 2..2m-1, so one wrap gives (t1 - 1 + shift) % m + 1
-    t2 -= m * (t2 > m)
+    t2 = rng.integers(1, m, size=n)  # the shift from t1
+    t2 += t1  # in 2..2m-1, so one wrap gives (t1 - 1 + shift) % m + 1
+    t2 -= np.multiply(t2 > m, m, dtype=np.min_scalar_type(m))
     s = params.cdf.ppf(rng.random(n))
     shocks = params.e * np.array([-1.0, 0.0, 1.0])
     eps = shocks[_draw_index(rng, (params.pi, 1.0 - 2.0 * params.pi, params.pi), n)]
@@ -145,17 +151,15 @@ def sample_agents(params: EconomyParams, n: int, rng: np.random.Generator) -> Ag
     return Agents(t1, t2, s, eps, omega, omega_idx)
 
 
-def _cutoff_per_agent(agents: Agents, cutoffs, params: EconomyParams) -> np.ndarray:
-    lookup = dict(cutoffs)
-    table = np.array([lookup[w] for w, _ in params.wealth.atoms])
-    return table[agents.omega_idx]
-
-
 def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
                   rng: np.random.Generator) -> np.ndarray:
     """Residency per agent: 0 for n0, else the neighborhood index 1..m."""
-    s_cut = _cutoff_per_agent(agents, cutoffs, params)
-    demand = agents.s > s_cut
+    lookup = dict(cutoffs)
+    demand = np.zeros(agents.n, dtype=bool)  # signal above the type's cutoff
+    for idx, (w, _) in enumerate(params.wealth.atoms):
+        above = agents.s > lookup[w]
+        above &= agents.omega_idx == idx
+        demand |= above
     cap = int(agents.n * params.q / params.m)
     residency = np.zeros(agents.n, dtype=np.int64)
     for k in range(1, params.m + 1):
@@ -174,20 +178,21 @@ def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     against -g, 0 and g. Exact utility ties break toward the lower school
     index, and c0 has the lowest.
 
-    The int64 result is the (n, 3) transpose of a C-ordered (3, n) buffer,
-    so each column `prefs[:, j]`, every student's j-th choice, is contiguous.
+    The result holds the school ids in the smallest unsigned dtype that
+    holds m, and is the (n, 3) transpose of a C-ordered (3, n) buffer, so
+    each column `prefs[:, j]`, every student's j-th choice, is contiguous.
     """
     fit = agents.s + agents.eps
     t1, t2 = agents.t1, agents.t2
     top = (fit > params.g) | (fit < -params.g)  # a fitting school beats c0
     first1 = (fit > 0.0) | ((fit == 0.0) & (t1 < t2))  # primary before secondary
-    buf = np.empty((3, agents.n), dtype=np.int64)
-    hi, lo = buf[1], buf[2]  # the preferred fitting school, the other one
-    hi[:] = t2
-    np.copyto(hi, t1, where=first1)
-    lo[:] = t1
-    np.copyto(lo, t2, where=first1)
-    np.multiply(hi, top, out=buf[0])
+    buf = np.empty((3, agents.n), dtype=np.min_scalar_type(params.m))
+    head, hi, lo = buf  # hi, lo: the preferred fitting school, the other one
+    np.bitwise_xor(t1, t2, out=lo, casting="unsafe")
+    np.multiply(lo, first1, out=hi)
+    np.bitwise_xor(hi, t2, out=hi, casting="unsafe")  # t1 if first1, else t2
+    lo ^= hi  # (t1 ^ t2) ^ hi is the school hi is not
+    np.multiply(hi, top, out=head)
     hi *= ~top
     return buf.T
 
@@ -198,6 +203,13 @@ def school_capacities(n: int, params: EconomyParams) -> np.ndarray:
     caps[1:] = cap
     caps[0] = n  # c0 never binds
     return caps
+
+
+def _seat_dtype(m: int) -> np.dtype:
+    """The smallest signed integer dtype that holds -1 (no seat yet) and
+    every school id 0..m: DA and TTC seat students in it and widen the
+    result to int64 once."""
+    return np.min_scalar_type(-m - 1)
 
 
 def _lottery_order(lottery: np.ndarray) -> np.ndarray:
@@ -212,37 +224,69 @@ def _lottery_order(lottery: np.ndarray) -> np.ndarray:
     return np.argsort(lottery, kind="stable")
 
 
+def _lottery_prefix(lottery: np.ndarray, size: int) -> np.ndarray:
+    """A head of `_lottery_order(lottery)`: the students whose number is at
+    most a bound, who precede all others in that order, sorted by
+    `_lottery_order` on their own numbers. The bound is the number of rank
+    size // 16 among every 16th student's, so the head holds about `size`
+    students when the numbers are independent draws; no full-length copy
+    is made. The whole order when `size` reaches n or the bound is a NaN."""
+    if size < lottery.size:
+        bound = np.partition(lottery[::16], size // 16)[size // 16]
+        if not np.isnan(bound):
+            head = np.flatnonzero(lottery <= bound)
+            return head[_lottery_order(lottery[head])]
+    return _lottery_order(lottery)
+
+
+def _past_best(values: np.ndarray, keep: int) -> np.ndarray:
+    """Positions of `values` past its `keep` first in lottery order (ties by
+    position), for keep < values.size. One `np.argpartition` finds them
+    when the value at the cut is strictly above every value kept; a tie at
+    the cut (equal numbers, signed zeros) or a NaN there leaves the split to
+    a stable sort."""
+    if keep == 0:
+        return np.arange(values.size)
+    part = np.argpartition(values, keep)
+    if values[part[:keep]].max() < values[part[keep]]:
+        return part[keep:]
+    return _lottery_order(values)[keep:]
+
+
 def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                   lottery: np.ndarray, prefs: np.ndarray | None = None) -> np.ndarray:
     """Student-proposing deferred acceptance with resident priority and a
     single tie-breaking lottery number per student.
 
-    A student's key at school k is their rank in the lottery order, plus n
-    unless they live at k. The keys are distinct and sort as k's priority
-    list, so an oversubscribed school with cap seats rejects the students
-    past the cap smallest keys of its pool: one `np.argpartition`, no sort.
+    School k ranks its residents first, then everyone else, each group in
+    lottery order. So an oversubscribed school with cap seats keeps every
+    resident of its pool and the best non-residents when its residents fit,
+    else its cap best residents: only the group that straddles the cap is
+    cut, by lottery (`_past_best`), and the lottery is never sorted whole.
     """
     if prefs is None:
         prefs = preferences(agents, params)
-    n = agents.n
-    caps = school_capacities(n, params)
-    rank = np.empty(n, dtype=np.int64)
-    rank[_lottery_order(lottery)] = np.arange(n)
-    ptr = np.zeros(n, dtype=np.int64)
-    cur = prefs[:, 0].astype(np.int64)  # round 1: everyone proposes to their top
+    caps = school_capacities(agents.n, params)
+    ptr = np.zeros(agents.n, dtype=np.uint8)
+    cur = prefs[:, 0].astype(_seat_dtype(params.m))  # round 1: everyone proposes to their top
     while True:  # tentatively hold; trim oversubscribed schools
         for k in range(1, params.m + 1):
             pool = np.flatnonzero(cur == k)
             cap = caps[k]
             if pool.size <= cap:
                 continue
-            key = rank[pool] + n * (residency[pool] != k)
-            rejected = pool[np.argpartition(key, cap)[cap:]]
+            local = residency[pool] == k
+            left = cap - np.count_nonzero(local)  # seats after every resident
+            if left < 0:  # the residents alone overfill k: no non-resident stays
+                group, keep, out = np.compress(local, pool), cap, np.compress(~local, pool)
+            else:
+                group, keep, out = np.compress(~local, pool), left, pool[:0]
+            rejected = np.concatenate([out, group[_past_best(lottery[group], keep)]])
             cur[rejected] = -1
             ptr[rejected] += 1
         free = np.flatnonzero(cur == -1)
         if free.size == 0:
-            return cur
+            return cur.astype(np.int64)
         cur[free] = prefs[free, ptr[free]]
 
 
@@ -251,16 +295,41 @@ def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
     return residency.copy()
 
 
+def _among(values: np.ndarray, ids) -> np.ndarray:
+    """Mask of `values` equal to one of a few `ids`: one compare per id,
+    where `np.isin` or a table lookup would first cast `values` to intp."""
+    mask = np.zeros(values.shape, dtype=bool)
+    for i in ids:
+        mask |= values == i
+    return mask
+
+
+def _resident_blocks(residency: np.ndarray, lottery: np.ndarray,
+                     dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every housed student, by school and then in lottery order (ties by
+    index), and each one's school in `dtype`: the residents' lottery
+    numbers are sorted, and the small school ids then sorted stably."""
+    housed = np.flatnonzero(residency > 0)
+    housed = housed[_lottery_order(lottery[housed])]
+    home = residency[housed].astype(dtype)
+    by_school = np.argsort(home, kind="stable")
+    return housed[by_school], home[by_school]
+
+
 def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                    lottery: np.ndarray, prefs: np.ndarray | None = None) -> np.ndarray:
     """Top trading cycles with counters; c0 has unlimited seats.
 
     School k ranks its residents in lottery order, then everyone in lottery
     order (its residents are all seated by the time it gets there), so one
-    stable argsort of the lottery plus one resident block per school give
-    every priority list. Each student points to their first listed school
-    with seats left, their target; when a school fills, one numpy pass
-    retargets the unseated students who pointed at it.
+    resident block per school, sorted by lottery, and the lottery order
+    give every priority list. That order is read only by the scan for the
+    first unseated student, which in most markets stays within a few
+    sqrt(n) of the front: it is sorted as a head of about 4 sqrt(n)
+    students (`_lottery_prefix`), four times as long each time the scan
+    runs past it. Each student points to their first listed school with
+    seats left, their target; when a school fills, one numpy pass retargets
+    the unseated students who pointed at it.
     A student whose target is c0 is seated there at once. The rest are
     seated by a walk over the school graph, k -> target of k's top student:
     a self-pointer (k's top student targets k) takes a seat in place, and a
@@ -293,38 +362,44 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
         prefs = preferences(agents, params)
     n, m = agents.n, params.m
     seats = school_capacities(n, params).tolist()
-    assigned = np.full(n, -1, dtype=np.int64)
-    target = np.empty_like(assigned)
-    shared = _lottery_order(lottery)
-    home = residency[shared]
-    residents = np.concatenate([shared[home == k] for k in range(1, m + 1)])
+    assigned = np.full(n, -1, dtype=_seat_dtype(m))
+    target = np.empty(n, dtype=prefs.dtype)
+    queue, at = _resident_blocks(residency, lottery, prefs.dtype)
     res_pos = [0] * (m + 1)   # school k's block: queue[res_pos[k]:res_end[k]]
     res_end = [0] * (m + 1)
-    queue = marked = run_end = res = None  # the blocks; set by retarget()
+    marked = run_end = res = None  # set by retarget()
+    was_open = np.ones(m + 1, dtype=bool)
 
-    def retarget(stale: np.ndarray | None = None) -> int:
-        """Point each student in `stale` (by default, each unseated one whose
-        target school has filled) at their first listed school with seats
+    def retarget(stale: np.ndarray | slice | None = None) -> int:
+        """Point each student in `stale` (an index array, slice(None) for
+        everyone, by default each unseated one whose target school has
+        filled since the last call) at their first listed school with seats
         left (c0 always has some); seat those who point at c0 there. Schools
-        only ever close, so no other target changes. Then rebuild the
-        resident blocks from the unseated residents. `marked` holds, in
-        order, the positions of those who do not target their own school and
-        the sentinel queue.size; run_end[p] is the first of them at or after
-        p."""
-        nonlocal queue, marked, run_end, res
+        only ever close, so no other target changes. Then drop the seated
+        residents from the blocks, which keep their order. `marked` holds,
+        in order, the positions of the block residents who do not target
+        their own school and the sentinel queue.size; run_end[p] is the
+        first of them at or after p."""
+        nonlocal queue, at, marked, run_end, res, was_open
         is_open = np.array(seats) > 0
         if stale is None:
-            stale = np.flatnonzero(~is_open[target] & (assigned < 0))
-        goal = prefs[stale, 0]
-        for col in range(1, prefs.shape[1]):
-            shut = np.flatnonzero(~is_open[goal])
-            goal[shut] = prefs[stale[shut], col]
+            filled = _among(target, np.flatnonzero(was_open & ~is_open))
+            filled &= assigned < 0
+            stale = np.flatnonzero(filled)
+        was_open = is_open
+        rows = (lambda pos: pos) if isinstance(stale, slice) else stale.__getitem__
+        goal = prefs[stale, 0].copy()  # a view of prefs when stale is a slice
+        closed = np.flatnonzero(~is_open)
+        if closed.size:
+            for col in range(1, prefs.shape[1]):
+                shut = np.flatnonzero(_among(goal, closed))
+                goal[shut] = prefs[rows(shut), col]
         target[stale] = goal
-        to_c0 = stale[goal == 0]
+        to_c0 = rows(np.flatnonzero(goal == 0))
         assigned[to_c0] = 0
-        queue = residents[assigned[residents] < 0]
-        at = residency[queue]
-        res_end[:] = np.cumsum(np.bincount(at, minlength=m + 1)).tolist()
+        unseated = assigned[queue] < 0
+        queue, at = np.compress(unseated, queue), np.compress(unseated, at)
+        res_end[:] = np.searchsorted(at, np.arange(m + 1, dtype=at.dtype), side="right").tolist()
         res_pos[:] = [0] + res_end[:-1]
         marked = np.append(np.flatnonzero(target[queue] != at), queue.size)
         run_end = memoryview(np.repeat(marked, np.diff(marked, prepend=-1)))
@@ -334,9 +409,11 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     lot_pos = [0] * (m + 1)
     top = [-1] * (m + 1)      # a stacked school's top student
     depth = [-1] * (m + 1)    # a school's place on the walk's stack; -1 off it
-    asg, tgt, lot = (memoryview(a) for a in (assigned, target, shared))
+    span = 4 * math.isqrt(n)
+    head = _lottery_prefix(lottery, span)
+    asg, tgt, lot = (memoryview(a) for a in (assigned, target, head))
 
-    left = n - retarget(np.arange(n))
+    left = n - retarget(slice(None))
     while left:
         k = next(k for k in range(1, m + 1) if seats[k])
         stack = [k]
@@ -353,8 +430,15 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                 t = res[p]
             else:
                 h = lot_pos[k]
-                while asg[lot[h]] >= 0:
-                    h += 1
+                while True:
+                    while h < len(lot) and asg[lot[h]] >= 0:
+                        h += 1
+                    if h < len(lot):
+                        break
+                    # past the sorted head: sort one about four times as long
+                    span *= 4
+                    head = _lottery_prefix(lottery, span)
+                    lot = memoryview(head)
                 lot_pos[k] = h
                 t = lot[h]
             j = tgt[t]
@@ -415,7 +499,7 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
             del stack[start:]
             if closed:
                 left -= retarget()
-    return assigned
+    return assigned.astype(np.int64)
 
 
 def _rank_table(prefs: np.ndarray, m: int) -> np.ndarray:
@@ -525,50 +609,66 @@ def run_mechanism(agents: Agents, residency: np.ndarray, params: EconomyParams,
     return _FINITE_RUNS[mech](agents, residency, params, lottery, prefs)
 
 
+def _seat_values(agents: Agents, assignment: np.ndarray) -> np.ndarray:
+    """Each student's match value, fit = s + eps at t1, -fit at t2 and +0.0
+    at c0: `np.where(assignment == t1, fit, np.where(assignment == t2, -fit,
+    0.0))` bit for bit for finite fits, in one float array. fit * 0.0 is
+    -0.0 for a negative fit, so c0's seats are set to +0.0 after."""
+    at_t1 = assignment == agents.t1
+    at_t2 = assignment == agents.t2
+    value = agents.s + agents.eps
+    value *= np.subtract(at_t1, at_t2, dtype=np.int8)
+    at_t1 |= at_t2
+    value[np.flatnonzero(~at_t1)] = 0.0
+    return value
+
+
 def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, float]:
     params = config.params
     agents = sample_agents(params, config.n_agents, rng)
     residency = housing_stage(agents, config.cutoffs, params, rng)
-    lottery = rng.random(config.n_agents)
     prefs = preferences(agents, params)
-    assignment = run_mechanism(agents, residency, params, config.mech, lottery, prefs)
+    # the rankings draw nothing, so the lottery comes next in the stream; it
+    # lives only as long as the mechanism's call
+    assignment = run_mechanism(agents, residency, params, config.mech,
+                               rng.random(config.n_agents), prefs)
 
     n = agents.n
     stats: dict[str, float] = {}
     top = prefs[:, 0]
-    out_of_zone = (top >= 1) & (residency != top)
     if config.mech == mx.Mechanism.TTC:
         # cross-zone residents trade through cycles; only n0 residents
         # face the tie-breaking lottery
-        out_of_zone &= residency == 0
-    applicants = np.flatnonzero(out_of_zone)
-    if applicants.size:
-        rejected = np.count_nonzero(assignment[applicants] != top[applicants])
-        stats["r"] = float(rejected) / applicants.size
+        applicants = residency == 0
     else:
-        stats["r"] = float("nan")
+        applicants = residency != top
+    applicants &= top >= 1
+    total = np.count_nonzero(applicants)
+    applicants &= assignment != top  # the rejected ones
+    stats["r"] = float(np.count_nonzero(applicants)) / total if total else float("nan")
+    del prefs, top, applicants  # freed before the value pass, the peak under N
 
-    # agents per cell (wealth type, lives in n1, seated at c1): exact counts
+    value = _seat_values(agents, assignment)
+
+    # agents per wealth type living in n1 and seated at c1: exact counts
     atoms = params.wealth.atoms
-    cell = 4 * agents.omega_idx
-    cell += 2 * (residency >= 1)
-    cell += assignment >= 1
-    cells = np.bincount(cell, minlength=4 * len(atoms)).reshape(-1, 2, 2)
-    n1, c1 = cells[:, 1, :].sum(axis=1), cells[:, :, 1].sum(axis=1)
-    for idx, (w, _) in enumerate(atoms):
-        stats[f"n1_mass[{w:.6g}]"] = float(n1[idx]) / n
-        stats[f"c1_mass[{w:.6g}]"] = float(c1[idx]) / n
-    n1_total, c1_total = n1.sum(), c1.sum()
+    housed, seated = residency >= 1, assignment >= 1
+    n1, c1, quality = [], [], []
+    for idx in range(len(atoms)):
+        sel = agents.omega_idx == idx
+        # the type's values in index order, as a boolean gather gives them
+        quality.append(float(np.sum(np.compress(sel, value))))
+        n1.append(np.count_nonzero(sel & housed))
+        c1.append(np.count_nonzero(sel & seated))
+    for (w, _), n1_w, c1_w in zip(atoms, n1, c1):
+        stats[f"n1_mass[{w:.6g}]"] = float(n1_w) / n
+        stats[f"c1_mass[{w:.6g}]"] = float(c1_w) / n
+    n1_total, c1_total = sum(n1), sum(c1)
     stats["poor_share_n1"] = float(n1[0]) / n1_total if n1_total else float("nan")
     stats["poor_share_c1"] = float(c1[0]) / c1_total if c1_total else float("nan")
-
-    # a seat at t1 or t2 is one at c1, so c0 students add 0.0
-    fit = agents.s + agents.eps
-    value = np.where(assignment == agents.t1, fit,
-                     np.where(assignment == agents.t2, -fit, 0.0))
     stats["quality_total"] = 100.0 * float(np.sum(value)) / n
-    for idx, (w, _) in enumerate(atoms):
-        stats[f"quality[{w:.6g}]"] = 100.0 * float(np.sum(value[agents.omega_idx == idx])) / n
+    for (w, _), q_w in zip(atoms, quality):
+        stats[f"quality[{w:.6g}]"] = 100.0 * q_w / n
     return stats
 
 

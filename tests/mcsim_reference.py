@@ -5,8 +5,9 @@
 does not depend on the order in which cycles are cleared, so the two must
 assign every student identically. `run_da_reference` trims each
 oversubscribed school with an `np.lexsort` of (non-resident, lottery) per
-round, where `mcsim.run_da_finite` partitions distinct rank keys; both reject
-the same students. `check_da_stability_reference` is the
+round, where `mcsim.run_da_finite` cuts only the group that straddles the
+cap, by one partition of its lottery numbers; both reject the same
+students. `check_da_stability_reference` is the
 per-agent blocking-pair scan that the vectorized `mcsim.check_da_stability`
 replaced; its `argsort` rank only inverts rows that are permutations of
 {0, 1, 2}, so it holds at m = 2 only. `preferences_reference` sorts each

@@ -126,6 +126,23 @@ class TestEconomyParams:
         with pytest.raises(EconomyError, match=f"^{field} must be a number"):
             dataclasses.replace(example_economy(), **{field: value})
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("cdf", {"type": "uniform"}, CdfError, "cdf must be a SignalCdf"),
+        ("cdf", None, CdfError, "cdf must be a SignalCdf"),
+        ("wealth", [[1.0, 1.0]], EconomyError, "wealth must be a WealthDist"),
+        ("wealth", ((1.0, 1.0),), EconomyError, "wealth must be a WealthDist"),
+    ])
+    def test_cdf_and_wealth_checked_on_direct_construction(self, field, value, error, message):
+        # a dict cdf failed a bare assert in cdf.validate (an AttributeError
+        # under python -O), and a list wealth was accepted and failed later
+        with pytest.raises(error, match=message):
+            dataclasses.replace(example_economy(), **{field: value})
+
+    def test_validate_rejects_a_non_cdf(self):
+        from segsolve.cdf import validate
+        with pytest.raises(CdfError, match="not a signal CDF"):
+            validate({"type": "uniform"})
+
     def test_numpy_integer_m_accepted(self):
         assert dataclasses.replace(example_economy(), m=np.int64(3)).m == 3
 

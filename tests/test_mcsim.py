@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,139 @@ class TestDaMatchesReference:
                               run_da_reference(agents, residency, params, lottery, prefs))
 
 
+def _da_cut(seed, n=3_000):
+    """A DA market on the example, and school 1's round-one cut: its
+    non-resident applicants in lottery order and how many of them it keeps."""
+    params = example_economy()
+    agents, residency, lottery = _market(params, n, seed, solve(params, "da").cutoffs)
+    prefs = mcsim.preferences(agents, params)
+    pool = np.flatnonzero(prefs[:, 0] == 1)
+    outsiders = pool[residency[pool] != 1]
+    keep = int(mcsim.school_capacities(n, params)[1]) - (pool.size - outsiders.size)
+    assert 0 < keep < outsiders.size  # oversubscribed, its residents all fit
+    order = outsiders[np.argsort(lottery[outsiders], kind="stable")]
+    return params, agents, residency, lottery, prefs, order, keep
+
+
+def _tie_at_cut(lottery, order, keep):
+    lottery[order[keep]] = lottery[order[keep - 1]]
+
+
+def _run_of_ties_across_cut(lottery, order, keep):
+    lottery[order[keep - 3:keep + 3]] = lottery[order[keep]]
+
+
+def _signed_zeros_at_cut(lottery, order, keep):
+    lottery -= lottery[order[keep]]  # the first one cut draws +0.0
+    lottery[order[keep - 1]] = -0.0  # and the last one kept -0.0, a tie
+
+
+def _nan_from_cut_on(lottery, order, keep):
+    lottery[order[keep:]] = np.nan
+
+
+def _nan_among_kept(lottery, order, keep):
+    lottery[order[[0, 5, keep - 1]]] = np.nan  # they drop past the cut
+
+
+LOTTERY_CUTS = {  # edit -> whether the cut is in doubt, which a sort settles
+    "tie": (_tie_at_cut, True),
+    "run_of_ties": (_run_of_ties_across_cut, True),
+    "signed_zeros": (_signed_zeros_at_cut, True),
+    "nan_from_cut_on": (_nan_from_cut_on, True),
+    "nan_among_kept": (_nan_among_kept, False),
+    "distinct": (lambda *_: None, False),
+}
+
+
+class TestLotteryCutsMatchReference:
+    """DA cuts an oversubscribed school's straddling group by one partition
+    of its lottery numbers, and TTC sorts only a head of the lottery order;
+    both against the references on the lotteries where that is in doubt."""
+
+    @pytest.mark.parametrize("cut", sorted(LOTTERY_CUTS))
+    def test_da_at_the_cap_boundary(self, cut, monkeypatch):
+        edit, in_doubt = LOTTERY_CUTS[cut]
+        sorts = []
+        original = mcsim._lottery_order
+        monkeypatch.setattr(mcsim, "_lottery_order",
+                            lambda values: sorts.append(values.size) or original(values))
+        for seed in range(3):
+            params, agents, residency, lottery, prefs, order, keep = _da_cut(seed)
+            edit(lottery, order, keep)
+            sorts.clear()
+            asg = mcsim.run_da_finite(agents, residency, params, lottery, prefs)
+            ref = run_da_reference(agents, residency, params, lottery, prefs)
+            assert np.array_equal(asg, ref), (cut, seed, int(np.sum(asg != ref)))
+            # round one sorts school 1's straddling group exactly when in doubt
+            assert (order.size in sorts) == in_doubt, (cut, seed, sorts)
+
+    @pytest.mark.parametrize("lottery", [
+        [0.5] * 8,
+        [0.25, 0.5, 0.5, 0.125, 0.5, 0.75, 0.5, 0.0],
+        [0.0, -0.0, 0.0, -0.0, 0.5, np.nan, 0.25, -0.0],
+    ], ids=["all_equal", "ties", "signed_zero_and_nan"])
+    def test_da_residents_alone_overfill_a_school(self, lottery):
+        # 0-3 live at 1 and 0-5 want it, with two seats a school: every
+        # non-resident is cut, and the residents by lottery
+        params, agents, residency, _ = _hand_market([1] * 6 + [2] * 2, [1] * 4 + [0] * 4,
+                                                    q=0.5)
+        lottery = np.array(lottery)
+        asg = mcsim.run_da_finite(agents, residency, params, lottery)
+        assert np.array_equal(asg, run_da_reference(agents, residency, params, lottery))
+        assert np.count_nonzero(asg == 1) == 2 and set(np.flatnonzero(asg == 1)) <= {0, 1, 2, 3}
+
+    def test_ttc_lottery_heads_past_the_first_sorted_head(self, monkeypatch):
+        # at delta_q = 0.05 the lottery heads run to about a tenth of the
+        # market, past the first head of 4 sqrt(n) students
+        params = dataclasses.replace(example_economy(), delta_q=0.05)
+        cutoffs = solve(params, "ttc").cutoffs
+        heads = []
+        original = mcsim._lottery_prefix
+        monkeypatch.setattr(mcsim, "_lottery_prefix",
+                            lambda lottery, size: heads.append(size) or original(lottery, size))
+        for seed in range(4):
+            agents, residency, lottery = _market(params, 4_000, seed, cutoffs)
+            heads.clear()
+            asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+            assert len(heads) >= 2, (seed, heads)
+            assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
+
+    @pytest.mark.parametrize("lottery", [
+        np.random.default_rng(0).random(5_000),
+        np.round(np.random.default_rng(1).random(5_000), 2),
+        np.round(np.random.default_rng(2).random(5_000), 1) - 0.5,
+        np.where(np.random.default_rng(3).random(5_000) < 0.8, np.nan,
+                 np.random.default_rng(4).random(5_000)),
+        np.arange(5_000.0)[::-1],
+    ], ids=["distinct", "ties", "signed_zeros", "mostly_nan", "descending"])
+    def test_lottery_prefix_heads_the_stable_order(self, lottery):
+        lottery = lottery.copy()
+        lottery[::11] *= -1.0  # -0.0 where a number is 0.0
+        full = np.argsort(lottery, kind="stable")
+        for size in (1, 16, 100, 1_000, 4_999, 5_000, 20_000):
+            head = mcsim._lottery_prefix(lottery, size)
+            assert np.array_equal(head, full[:head.size]), size
+            assert head.size > 0 and (head.size == 5_000 or size < 5_000)
+
+    @pytest.mark.parametrize("edit", ["ties", "signed_zeros", "nan"])
+    def test_ttc_on_ties_signed_zeros_and_nan(self, edit):
+        params = dataclasses.replace(example_economy(), delta_q=0.05)
+        cutoffs = solve(params, "ttc").cutoffs
+        for seed in range(3):
+            agents, residency, lottery = _market(params, 2_000, seed, cutoffs)
+            if edit == "ties":
+                lottery = np.round(lottery, 3)
+            elif edit == "signed_zeros":
+                lottery = np.round(lottery, 2) - 0.5  # +0.0 where it was 0.5
+                lottery[::7] *= -1.0                  # and some of them -0.0
+            else:  # most sampled numbers NaN: a longer head's bound is a NaN
+                lottery[np.random.default_rng(seed).choice(2_000, 1_500, replace=False)] = np.nan
+            asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+            assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery)), (
+                edit, seed)
+
+
 class TestStabilityCheck:
     def _da_market(self, seed, m=2, n=2_000):
         params = dataclasses.replace(example_economy(), m=m)
@@ -559,6 +693,49 @@ class TestEstimates:
         assert d["stats"] == {"r": {"mean": None, "se": None},
                               "poor_share_c1": {"mean": 0.25, "se": None}}
         assert d["per_replication"] == {"r": [None], "poor_share_c1": [0.25]}
+
+
+def test_seat_values_match_the_nested_where():
+    # fits of every sign, both zeros included, each seated at t1, t2 and c0;
+    # x + -0.0 is x for every x, so s = fit and eps = -0.0 give fit exactly
+    fit = np.repeat([-0.75, -0.0, 0.0, 0.5, -1e-300, 2.0], 3)
+    n = fit.size
+    t1 = np.tile([1, 2, 1], n // 3)
+    agents = mcsim.Agents(t1=t1, t2=3 - t1, s=fit, eps=np.full(n, -0.0), omega=np.ones(n),
+                          omega_idx=np.zeros(n, dtype=np.int64))
+    assignment = np.tile([1, 1, 0], n // 3)  # seats at t1, t2 and c0
+    want = np.where(assignment == agents.t1, fit, np.where(assignment == agents.t2, -fit, 0.0))
+    assert mcsim._seat_values(agents, assignment).tobytes() == want.tobytes()
+
+
+class TestWorkingSet:
+    """The tracemalloc peak of one replication, above what was allocated
+    before it, per agent: 83 bytes under N and 86 under DA and TTC at 50k
+    agents on the example, where the draws, rankings and statistics with
+    full-size int64 temporaries and a full lottery sort peaked at 137, 137
+    and 151. The bound leaves about 15% headroom."""
+
+    BYTES_PER_AGENT = 100
+
+    @pytest.mark.parametrize("mech", ["n", "da", "ttc"])
+    def test_replication_peak_per_agent(self, mech):
+        params = example_economy()
+        cfg = mcsim.SimConfig(params=params, mech=mx.Mechanism(mech),
+                              cutoffs=solve(params, mech).cutoffs, n_agents=50_000,
+                              seed=5, replications=1)
+        mcsim.replication_stats(cfg, np.random.default_rng(5))  # one-time set-up
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mcsim.replication_stats(cfg, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / cfg.n_agents < self.BYTES_PER_AGENT, (mech, peak / cfg.n_agents)
 
 
 def _reference_economies():
