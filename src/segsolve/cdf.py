@@ -46,7 +46,8 @@ class SignalCdf:
         raise NotImplementedError
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized inverse for inverse-transform sampling."""
+        """Vectorized inverse for inverse-transform sampling, as a new array:
+        `mcsim.sample_agents` draws into `u` again after."""
         raise NotImplementedError
 
     def to_config(self) -> dict:

@@ -12,8 +12,10 @@ replaced, as references they must match exactly.
 
 Neither mechanism sorts the whole lottery: DA cuts each oversubscribed
 school by one partition, and TTC sorts its residents and a head of the
-lottery order. The stages work in place where they can and hold rankings
-and seats in the smallest integer dtypes that fit m (see MAX_AGENTS).
+lottery order. The stages work in place where they can. The students'
+school and wealth-type columns, the residency, the rankings and the seats
+are held in the smallest integer dtypes that fit m or the type count, and
+only the assignment a mechanism returns is int64 (see MAX_AGENTS).
 """
 from __future__ import annotations
 
@@ -26,10 +28,10 @@ from . import mechanisms as mx
 from .economy import EconomyParams
 
 
-# A DA plus TTC replication peaks at 98-122 bytes per agent above the
-# interpreter and the solved economy (ru_maxrss at 1M and 200k agents; the
-# arrays themselves peak at 83-86, by tracemalloc), so the cap keeps one
-# run near 0.6 GB.
+# A DA plus TTC replication peaks at 51-55 bytes per agent above the
+# interpreter and the solved economy (ru_maxrss at 200k and 1M agents; the
+# arrays themselves peak at 47-53, by tracemalloc), so the cap keeps one
+# run near 0.3 GB.
 MAX_AGENTS = 5_000_000
 
 
@@ -64,16 +66,27 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Agents:
-    t1: np.ndarray      # primary school, 1..m
-    t2: np.ndarray      # secondary school, 1..m
-    s: np.ndarray       # signal
-    eps: np.ndarray     # realized shock in {-e, 0, +e}
-    omega: np.ndarray   # wealth index values
-    omega_idx: np.ndarray
+    """One market's students, a column each. `sample_agents` holds the
+    school ids in the smallest unsigned dtype that holds 2m - 1 (the sum it
+    wraps t2 from) and the wealth types in the smallest that holds their
+    count; the code reading them takes any integer dtype. Each student's
+    wealth index, `omega`, is looked up from the per-type table `omegas`
+    when read, so no per-student float column is built."""
+    t1: np.ndarray         # primary school, 1..m
+    t2: np.ndarray         # secondary school, 1..m
+    s: np.ndarray          # signal
+    eps: np.ndarray        # realized shock in {-e, 0, +e}
+    omega_idx: np.ndarray  # wealth type, an index into omegas
+    omegas: np.ndarray     # wealth index per type
 
     @property
     def n(self) -> int:
         return self.t1.size
+
+    @property
+    def omega(self) -> np.ndarray:
+        """Each student's wealth index."""
+        return self.omegas[self.omega_idx]
 
 
 @dataclass(frozen=True)
@@ -121,17 +134,19 @@ def _finite_or_none(x: float) -> float | None:
     return float(x) if math.isfinite(x) else None
 
 
-def _draw_index(rng: np.random.Generator, p, n: int) -> np.ndarray:
-    """`rng.choice(len(p), size=n, p=p)` for a valid `p`, drawn as
-    `Generator.choice` draws it: one `rng.random(n)` against the cumulative
-    sum of `p` scaled to end at 1.0. A uniform u lands past every entry
-    c <= u, as searchsorted with side="right" puts it. The last entry is
-    1.0 > u and so counts for nothing; the first one compared is cdf[0],
-    which is that 1.0 when `p` has one entry."""
+def _draw_index(rng: np.random.Generator, p, u: np.ndarray) -> np.ndarray:
+    """`rng.choice(len(p), size=u.size, p=p)` for a valid `p`, drawn as
+    `Generator.choice` draws it: one uniform draw, here into the float64
+    buffer `u`, against the cumulative sum of `p` scaled to end at 1.0. A
+    uniform lands past every entry c <= u, as searchsorted with side="right"
+    puts it. The last entry is 1.0 > u and so counts for nothing; the first
+    one compared is cdf[0], which is that 1.0 when `p` has one entry. The
+    indices come in the smallest unsigned dtype that holds len(p) - 1,
+    counted in place from the first comparison's bools."""
     cdf = np.cumsum(np.asarray(p, dtype=np.float64))
     cdf /= cdf[-1]
-    u = rng.random(n)
-    idx = (u >= cdf[0]).astype(np.int64)
+    rng.random(out=u)
+    idx = (u >= cdf[0]).view(np.uint8).astype(np.min_scalar_type(cdf.size - 1), copy=False)
     for c in cdf[1:-1]:
         idx += u >= c
     return idx
@@ -139,21 +154,27 @@ def _draw_index(rng: np.random.Generator, p, n: int) -> np.ndarray:
 
 def sample_agents(params: EconomyParams, n: int, rng: np.random.Generator) -> Agents:
     m = params.m
-    t1 = rng.integers(1, m + 1, size=n)
-    t2 = rng.integers(1, m, size=n)  # the shift from t1
+    school = np.min_scalar_type(2 * m - 1)
+    # 32-bit draws give the values and the stream of the default int64
+    # draw; 8- and 16-bit ones split each word and would change both
+    t1 = rng.integers(1, m + 1, size=n, dtype=np.uint32).astype(school)
+    t2 = rng.integers(1, m, size=n, dtype=np.uint32).astype(school)  # the shift from t1
     t2 += t1  # in 2..2m-1, so one wrap gives (t1 - 1 + shift) % m + 1
-    t2 -= np.multiply(t2 > m, m, dtype=np.min_scalar_type(m))
-    s = params.cdf.ppf(rng.random(n))
-    shocks = params.e * np.array([-1.0, 0.0, 1.0])
-    eps = shocks[_draw_index(rng, (params.pi, 1.0 - 2.0 * params.pi, params.pi), n)]
-    omega_idx = _draw_index(rng, params.wealth.rhos, n)
-    omega = params.wealth.omegas[omega_idx]
-    return Agents(t1, t2, s, eps, omega, omega_idx)
+    t2 -= np.multiply(t2 > m, m, dtype=school)
+    u = rng.random(n)
+    s = params.cdf.ppf(u)  # a new array: u is free for the next draws
+    shock = _draw_index(rng, (params.pi, 1.0 - 2.0 * params.pi, params.pi), u)
+    omega_idx = _draw_index(rng, params.wealth.rhos, u)
+    # the shock e * (-1.0, 0.0, 1.0)[i], each product as that lookup gives it
+    eps = np.subtract(shock, 1.0, out=u)
+    eps *= params.e
+    return Agents(t1, t2, s, eps, omega_idx, params.wealth.omegas)
 
 
 def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
                   rng: np.random.Generator) -> np.ndarray:
-    """Residency per agent: 0 for n0, else the neighborhood index 1..m."""
+    """Residency per agent: 0 for n0, else the neighborhood index 1..m, in
+    the smallest unsigned dtype that holds m."""
     lookup = dict(cutoffs)
     demand = np.zeros(agents.n, dtype=bool)  # signal above the type's cutoff
     for idx, (w, _) in enumerate(params.wealth.atoms):
@@ -161,7 +182,7 @@ def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
         above &= agents.omega_idx == idx
         demand |= above
     cap = int(agents.n * params.q / params.m)
-    residency = np.zeros(agents.n, dtype=np.int64)
+    residency = np.zeros(agents.n, dtype=np.min_scalar_type(params.m))
     for k in range(1, params.m + 1):
         idx = np.flatnonzero(demand & (agents.t1 == k))
         if idx.size > cap:
@@ -292,7 +313,7 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
 
 def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
     """No school choice: everyone attends their neighborhood school."""
-    return residency.copy()
+    return residency.astype(np.int64)
 
 
 def _among(values: np.ndarray, ids) -> np.ndarray:
@@ -418,7 +439,9 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
         k = next(k for k in range(1, m + 1) if seats[k])
         stack = [k]
         depth[k] = 0
-        while stack:
+        # the last students can take seats while schools remain stacked,
+        # whose top students would then be sought without end
+        while stack and left:
             # k's top student: its first unseated resident, else the first
             # unseated student in lottery order
             k = stack[-1]

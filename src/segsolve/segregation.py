@@ -5,7 +5,7 @@ import enum
 from dataclasses import dataclass
 
 from . import mechanisms as mx
-from .cdf import AssumptionReport, Uniform
+from .cdf import AssumptionReport, PiecewiseLinear, Power, SignalCdf, Uniform
 from .economy import EconomyParams
 from .equilibrium import Equilibrium, solve
 
@@ -114,6 +114,13 @@ def theorem2_threshold(pair: tuple[mx.Mechanism, mx.Mechanism], params: EconomyP
     return (mx.rejection(params, a) * c_a) / (mx.rejection(params, b) * c_b)
 
 
+def _is_uniform_shape(cdf: SignalCdf) -> bool:
+    """F(x) = x: every knot on the diagonal, or a power of one."""
+    if isinstance(cdf, Power):
+        return cdf.alpha == 1.0
+    return isinstance(cdf, PiecewiseLinear) and all(x == y for x, y in cdf.knots)
+
+
 def check_theorems(params: EconomyParams) -> AssumptionReport:
     """Solve all three mechanisms and assert every applicable ranking result."""
     N, DA, TTC = mx.CORE
@@ -168,7 +175,9 @@ def check_theorems(params: EconomyParams) -> AssumptionReport:
                        compare(c1[TTC], c1[N]) == Comparison.GREATER))
         checks.append(("binary: school seg TTC > DA",
                        compare(c1[TTC], c1[DA]) == Comparison.GREATER))
-        if 1.0 - params.q < params.wealth.poor_rho - 1e-12:
+        # N and DA seat the same profile when F is uniform, whatever its
+        # class, so the strict ranking needs F off the diagonal
+        if 1.0 - params.q < params.wealth.poor_rho - 1e-12 and not _is_uniform_shape(params.cdf):
             checks.append(("binary 1-q<rho_p: school seg DA > N",
                            compare(c1[DA], c1[N]) == Comparison.GREATER))
 

@@ -173,8 +173,7 @@ def sample_agents_reference(params, n, rng):
         size=n,
         p=[params.pi, 1.0 - 2.0 * params.pi, params.pi])
     omega_idx = rng.choice(len(params.wealth.atoms), size=n, p=params.wealth.rhos)
-    omega = params.wealth.omegas[omega_idx]
-    return mcsim.Agents(t1, t2, s, eps, omega, omega_idx)
+    return mcsim.Agents(t1, t2, s, eps, omega_idx, params.wealth.omegas)
 
 
 REFERENCE_RUNS = {

@@ -26,6 +26,12 @@ STDOUT_SHA256 = {
     # 2 x 200k-agent DA replications: every draw, assignment and statistic,
     # recorded while the shock and wealth draws still went through rng.choice
     ("simulate", "--example"): "821532b27f61d0396432f4212e27a24185c7a911eeee3aab941b96b7254dbe04",
+    # the same under N and TTC, recorded while agents still carried int64
+    # school columns and a per-agent omega array
+    ("simulate", "--example", "--mech", "n"):
+        "d7be26ef0f8168209cf10095401e1067b6ba4700088eea00381ff2749f8f1353",
+    ("simulate", "--example", "--mech", "ttc"):
+        "4d6c752ab55c686bd37ad4e239d4f29fcb8d41e14f717d36e194985b33671b31",
 }
 
 # (poor share c1 %, poor, rich, total, poor share of quality %) per row

@@ -6,7 +6,7 @@ from conftest import SIGN_FLIP_CONFIG
 
 import segsolve as ss
 from segsolve import mechanisms as mx
-from segsolve.cdf import Power, SingleKink
+from segsolve.cdf import Power, SingleKink, Uniform
 from segsolve.economy import EconomyParams, example_economy
 from segsolve.equilibrium import solve
 from segsolve.segregation import (Comparison, SignMismatchError, check_theorems,
@@ -121,3 +121,17 @@ class TestCheckTheorems:
     def test_power_economy_passes(self):
         p = dataclasses.replace(example_economy(), cdf=Power(0.5))
         assert check_theorems(p).passed
+
+    @pytest.mark.parametrize("cdf, ranked", [
+        (Uniform(), False), (SingleKink(0.5, 0.5), False), (Power(1.0), False),
+        (SingleKink(0.4, 0.5), True), (Power(0.9), True),
+    ], ids=["uniform", "diagonal_kink", "power_one", "kink", "power"])
+    def test_binary_ranking_with_more_seats_than_rich(self, cdf, ranked):
+        # binary wealth, g = 0, e = 1 and 1 - q < rho_p: DA is strictly more
+        # segregated than N, except on uniform F, where the two seat the
+        # same profile; a uniform F written as any class used to fail there
+        p = dataclasses.replace(example_economy(), q=0.6, cdf=cdf)
+        report = check_theorems(p)
+        assert report.passed, report.failures()
+        names = [name for name, _ in report.checks]
+        assert ("binary 1-q<rho_p: school seg DA > N" in names) == ranked
