@@ -10,14 +10,16 @@ batch of one CDF or of a whole grid, so the two agree bit for bit. For
 `Power` F, d comes from a monotone bisection that raises ConvergenceError
 if it stops at MAX_ITER.
 
-`solve_policy` calls the kernel on the price p: under DA_L and DA_WL each
-cutoff is affine in p for a fixed rejection rate r, so one kernel call
-clears the housing market at a whole batch of r values. The rejection
-fixed point is bracketed by a batched scan that counts every sign change,
-then refined by batched k-section.
+`solve_policy` finds the DA_L / DA_WL fixed point (r, p) exactly. At an
+interior clearing seat accounting ties r to the price alone, so on each
+piece of F the clearing residual is a quadratic in p, whose roots
+`_policy_roots` enumerates piece by piece. One kernel call (`_policy_gap`,
+cutoffs affine in p at each r) then prices and verifies every root.
 """
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,15 +31,6 @@ from .economy import (EconomyParams, check_assumption1, check_assumption2,
 
 RESIDUAL_TOL = 1e-11
 MAX_ITER = 200
-
-# solve_policy: price search interval [0, POLICY_MAX_PRICE], the r scan that
-# brackets the fixed point, interior points per k-section round, the
-# bracket width that ends it, and the round cap
-POLICY_MAX_PRICE = 4.0
-POLICY_SCAN = np.linspace(0.05, 0.999, 40)
-POLICY_POINTS = 64
-POLICY_R_TOL = 1e-12
-POLICY_MAX_ROUNDS = 12
 
 
 class SolveError(RuntimeError):
@@ -61,17 +54,17 @@ class ConvergenceError(SolveError):
 
 
 class NoFixedPointError(SolveError):
-    """Policy rejection fixed point could not be bracketed."""
+    """The policy has no one verified rejection fixed point at a clearing price p > 0."""
 
 
 class MultipleFixedPointsError(NoFixedPointError):
-    """The policy rejection gap changes sign more than once."""
+    """The policy has more than one rejection fixed point."""
 
     def __init__(self, mech: mx.Mechanism, brackets: tuple[tuple[float, float], ...]):
-        self.brackets = brackets
-        named = ", ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in brackets)
-        super().__init__(
-            f"{len(brackets)} rejection fixed points bracketed for {mech.value}: {named}")
+        self.brackets = brackets  # (lo, hi) of r per fixed point; lo == hi where exact
+        named = ", ".join(f"{lo:.6g}" if lo == hi else f"({lo:.6g}, {hi:.6g})"
+                          for lo, hi in brackets)
+        super().__init__(f"{len(brackets)} rejection fixed points for {mech.value}: r = {named}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class Equilibrium:
     cutoffs: tuple[tuple[float, float], ...]  # (omega, s), poorest first
     e_s: float
     residual: float
-    iterations: int  # bisection steps or policy k-section rounds; 0 for an exact root
+    iterations: int  # bisection steps; 0 for an exact root, as every policy one is
     params: EconomyParams = field(repr=False, compare=False)
     r_by_omega: tuple[tuple[float, float], ...] | None = None
 
@@ -262,8 +255,9 @@ def _policy_gap(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
     clears, the clearing price, the cutoffs (len(r), types) and the
     clearing residual at p = 0.
 
-    The price is the kernel's root in [0, POLICY_MAX_PRICE]. Where the
-    market clears or overshoots at p = 0 the price is 0, the corner.
+    The price is the kernel's root; where the market clears or overshoots
+    at p = 0 it is 0, the corner. Once every cutoff passes F's last knot
+    the residual is q > 0, so that price bounds the kernel's search.
     """
     f, rhos, target = params.cdf.batch, params.wealth.rhos, 1.0 - params.q
 
@@ -273,71 +267,148 @@ def _policy_gap(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
     alpha, beta = _policy_cutoffs(mech, r, params)
     # the kernel's residual at p = 0, bit for bit
     at_zero = _weighted(cdf_at(alpha), rhos) - target
-    p = np.where(at_zero >= 0.0, 0.0,
-                 affine_root(f, rhos, alpha, beta, POLICY_MAX_PRICE, target))
-    if np.isnan(p).any():
-        raise NoFixedPointError("housing market cannot clear at this rejection rate")
+    p_max = ((f.xs[0, -1] - alpha) / beta).max(axis=1)
+    p = np.where(at_zero >= 0.0, 0.0, affine_root(f, rhos, alpha, beta, p_max, target))
     cuts = alpha + beta * p[:, None]
     return r - mx.implied_rejection(mech, cdf_at(cuts), params), p, cuts, at_zero
 
 
-def _bracket(mech: mx.Mechanism, rs: np.ndarray, gaps: np.ndarray) -> int:
-    """The one i where the gap changes sign between rs[i] and rs[i + 1],
-    zero counting as negative; raises if it changes sign never or more
-    than once."""
-    side = gaps <= 0.0
-    changes = np.flatnonzero(side[:-1] != side[1:])
-    if changes.size == 0:
-        raise NoFixedPointError(f"no rejection fixed point bracketed for {mech.value}")
-    if changes.size > 1:
-        raise MultipleFixedPointsError(
-            mech, tuple((float(rs[i]), float(rs[i + 1])) for i in changes))
-    return int(changes[0])
+def _quadratic_roots(a2: float, a1: float, a0: float) -> tuple[float, ...]:
+    """The real roots of a2 x^2 + a1 x + a0 = 0, by the cancellation-free
+    form of the quadratic formula; the one root of a line where a2 = 0."""
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0.0:
+        return ()
+    half = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+    if half == 0.0:  # a1 = 0 and a2 a0 = 0
+        return (0.0,) if a2 != 0.0 else ()
+    return (a0 / half,) if a2 == 0.0 else (half / a2, a0 / half)
+
+
+def _policy_roots(mech: mx.Mechanism, params: EconomyParams) -> tuple[list[float], float]:
+    """The rejection rate r of every policy fixed point whose housing market
+    clears at a price p >= 0, ascending, and r0, the rate that seat
+    accounting implies if the market clears at p = 0 (0 if none).
+
+    Where the market clears the vacated seats are pi q, so r = 1 - pi q / E
+    with E the n0 mass of the lottery's types: 1 - q less that of the rest,
+    whose cutoffs are affine in p (r_w = 1). Put into the lottery's gain
+    line, that makes each lottery cutoff N(p) / D(p), N quadratic and D
+    linear and the same for every lottery type, wherever E is linear. The
+    pieces end where a rest cutoff meets a knot of F (linear in p), where a
+    lottery cutoff does (a quadratic) and where E = pi q (r = 0); on each,
+    the clearing residual times D is a quadratic, solved exactly. Past the
+    last piece every cutoff is above F's last knot and the residual is q.
+    """
+    f = params.cdf
+    if not isinstance(f, PiecewiseLinear):
+        raise SolveError(
+            f"the policy fixed point needs piecewise-linear F, not {type(f).__name__}")
+    xs, ys = f._xs, f._ys
+    # F(s) = level[j] + slope[j] s on segment j = bisect_right(xs, s)
+    slope = [0.0, *((y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])), 0.0]
+    level = [ys[0], *(y - m * x for x, y, m in zip(xs, ys, slope[1:-1])), ys[-1]]
+
+    def segment(s):
+        j = bisect.bisect_right(xs, s)
+        return level[j], slope[j]
+
+    # the lottery's types, rejected at its rate r; the rest are rejected for sure
+    in_lottery = mx.policy_rejection(mech, 0.0, params.wealth.omegas, params) == 0.0
+    lottery = [atom for atom, inside in zip(params.wealth.atoms, in_lottery) if inside]
+    # the lottery's gain line (value at s = 0, slope) at r = 0 and r = 1; at
+    # r = 1 it is the rest's line too
+    (z0, z1), (k0, k1) = (v.tolist() for v in mx.policy_gain(
+        mech, np.array([0.0, 1.0]), params.wealth.poorest, params))
+    vacated, target = params.pi * params.q, 1.0 - params.q
+    a = -z1 / k1  # the rest's cutoffs a + b p
+    rest = [(w / k1, rho) for (w, rho), inside in zip(params.wealth.atoms, in_lottery)
+            if not inside]
+    fa, fb = segment(a)
+    e_zero = target - (fa + fb * a) * sum(rho for _, rho in rest)
+    r_zero = 1.0 - vacated / e_zero if e_zero > vacated else 0.0
+    starts = sorted({0.0, *(t for b, _ in rest for x in xs if (t := (x - a) / b) > 0.0)})
+    roots = []
+    for lo, hi in zip(starts, starts[1:] + [math.inf]):
+        # on this piece E = e0 + e1 p; at r = 1 - vacated / E the lottery's
+        # line, times E, puts a type w's cutoff at N / D with
+        # N = w p E - z1 E + (z1 - z0) vacated and D = k1 E - (k1 - k0) vacated
+        mid = lo + 1.0 if hi == math.inf else 0.5 * (lo + hi)
+        e0, e1 = target, 0.0
+        for b, rho in rest:
+            fa, fb = segment(a + b * mid)
+            e0 -= rho * (fa + fb * a)
+            e1 -= rho * fb * b
+        d0, d1 = k1 * e0 - (k1 - k0) * vacated, k1 * e1
+        numer = [(rho, w * e1, w * e0 - z1 * e1, (z1 - z0) * vacated - z1 * e0)
+                 for w, rho in lottery]
+        # where a lottery cutoff meets a knot, N = x D, and where E = vacated
+        breaks = [t for _, n2, n1, n0 in numer for x in xs
+                  for t in _quadratic_roots(n2, n1 - x * d1, n0 - x * d0)]
+        if e1 != 0.0:
+            breaks.append((vacated - e0) / e1)
+        ends = sorted(t for t in breaks if lo < t < hi)
+        for u, v in zip([lo] + ends, ends + [hi]):
+            mid = 0.5 * (u + v)
+            if v == math.inf or e0 + e1 * mid <= vacated:
+                continue
+            # the clearing residual sum_lottery rho F(N / D) - E, times D
+            c2, c1, c0 = -e1 * d1, -(e1 * d0 + e0 * d1), -e0 * d0
+            for rho, n2, n1, n0 in numer:
+                fa, fb = segment((n0 + mid * (n1 + mid * n2)) / (d0 + d1 * mid))
+                c2 += rho * fb * n2
+                c1 += rho * (fa * d1 + fb * n1)
+                c0 += rho * (fa * d0 + fb * n0)
+            roots += [1.0 - vacated / (e0 + e1 * p) for p in _quadratic_roots(c2, c1, c0)
+                      if u <= p <= v]
+    roots.sort()
+    return [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-12], r_zero
 
 
 def solve_policy(params: EconomyParams, mech) -> Equilibrium:
     """Joint fixed point (r, p) for the desegregation policy mechanisms.
 
-    For each r the housing market clears at the exact kernel price; the
-    rejection rate r must equal the one seat accounting implies. A batched
-    scan over POLICY_SCAN brackets the fixed point and raises if the gap
-    changes sign never or more than once; batched k-section with
-    POLICY_POINTS interior points per round then narrows the bracket below
-    POLICY_R_TOL, raising ConvergenceError after POLICY_MAX_ROUNDS rounds.
+    `_policy_roots` enumerates every fixed point exactly. One `_policy_gap`
+    call prices each at the kernel's clearing price and verifies its gap
+    r - implied_r to 1e-12. It raises NoFixedPointError when there is no
+    fixed point or when it clears the market only at the p = 0 corner, and
+    MultipleFixedPointsError (naming each) when there are several.
     """
     mech = mx.Mechanism(mech)
     if mech not in mx.POLICY:
         raise ValueError(f"solve_policy handles da_l/da_wl; got {mech.value}")
     if not is_example_profile(params):
         raise ValueError("policy mechanisms are defined on the example profile only")
-    scan = _policy_gap(mech, POLICY_SCAN, params)[0]
-    i = _bracket(mech, POLICY_SCAN, scan)
-    lo, hi, gap_lo, gap_hi = POLICY_SCAN[i], POLICY_SCAN[i + 1], scan[i], scan[i + 1]
-    rounds = 0
-    while hi - lo >= POLICY_R_TOL:
-        if rounds == POLICY_MAX_ROUNDS:
-            raise ConvergenceError(
-                f"{mech.value} fixed point still bracketed by [{lo!r}, {hi!r}] "
-                f"after {rounds} rounds")
-        rounds += 1
-        rs = np.concatenate([[lo], lo + (hi - lo) * np.arange(1, POLICY_POINTS + 1)
-                             / (POLICY_POINTS + 1), [hi]])
-        gaps = np.concatenate([[gap_lo], _policy_gap(mech, rs[1:-1], params)[0], [gap_hi]])
-        i = _bracket(mech, rs, gaps)
-        lo, hi, gap_lo, gap_hi = rs[i], rs[i + 1], gaps[i], gaps[i + 1]
-    r = float(0.5 * (lo + hi))
-    _, p, cuts, at_zero = _policy_gap(mech, np.array([r]), params)
-    if at_zero[0] > 0.0:
+    roots, r_zero = _policy_roots(mech, params)
+    gaps, prices, cuts, at_zero = _policy_gap(mech, np.array([0.0, r_zero, *roots]), params)
+    loose = np.flatnonzero(np.abs(gaps[2:]) > 1e-12)
+    if loose.size:
+        i = loose[0]
         raise NoFixedPointError(
-            f"{mech.value} fixed point r={r:.6g} clears the housing market only at "
-            f"the p = 0 corner (residual {at_zero[0]:.3g} there)")
-    cuts = tuple(zip(params.wealth.omegas.tolist(), cuts[0].tolist()))
+            f"{mech.value} fixed point r={roots[i]!r} leaves a gap of {gaps[2 + i]:.3g}")
+    # p = 0 clears the market for every r up to some r_c, the corner, and the
+    # gap rises in r there. So a fixed point lies in the corner iff the gap
+    # is negative at r = 0 and r_zero < r_c: p = 0 overfills the market at r_zero.
+    corner = gaps[0] < 0.0 < at_zero[1]
+    found = [(r, r) for r in roots]
+    if corner:
+        found.insert(0, (r_zero, roots[0] if roots else 1.0))
+    if len(found) > 1:
+        raise MultipleFixedPointsError(mech, tuple(found))
+    if corner:
+        raise NoFixedPointError(
+            f"{mech.value} fixed point in ({r_zero:.6g}, 1] clears the housing market only "
+            f"at the p = 0 corner (residual {at_zero[1]:.3g} there at r={r_zero:.6g})")
+    if not found:
+        raise NoFixedPointError(f"no rejection fixed point for {mech.value}")
+    r = roots[0]
+    cuts = tuple(zip(params.wealth.omegas.tolist(), cuts[2].tolist()))
     rhos = [rho for _, rho in params.wealth.atoms]
     e_s = sum(rho * s for (_, s), rho in zip(cuts, rhos))
     res = sum(rho * _cdf_at(params.cdf, s) for (_, s), rho in zip(cuts, rhos)) - (1.0 - params.q)
     r_by_omega = tuple((w, float(mx.policy_rejection(mech, r, w, params))) for w, _ in cuts)
-    return Equilibrium(mech, r, float("nan"), float(p[0]), float("nan"),
-                       cuts, e_s, res, rounds, params, r_by_omega)
+    return Equilibrium(mech, r, float("nan"), float(prices[2]), float("nan"),
+                       cuts, e_s, res, 0, params, r_by_omega)
 
 
 def verify_lemma1(params: EconomyParams, mech) -> AssumptionReport:

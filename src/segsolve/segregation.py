@@ -5,7 +5,7 @@ import enum
 from dataclasses import dataclass
 
 from . import mechanisms as mx
-from .cdf import AssumptionReport, PiecewiseLinear, Power, SignalCdf, Uniform
+from .cdf import AssumptionReport, PiecewiseLinear, Power, SignalCdf
 from .economy import EconomyParams
 from .equilibrium import Equilibrium, solve
 
@@ -161,8 +161,8 @@ def check_theorems(params: EconomyParams) -> AssumptionReport:
     if params.e - params.g > 1.0 - params.q + 1e-12:
         checks.append(("p^DA < p^TTC", eqs[DA].p < eqs[TTC].p))
 
-    # uniform-F exact equalities
-    if isinstance(params.cdf, Uniform):
+    # uniform-F exact equalities, whatever the CDF's class
+    if _is_uniform_shape(params.cdf):
         diff = max(abs(c1[N].mass(w) - c1[DA].mass(w)) for w in params.wealth.omegas)
         checks.append(("uniform: c1 profiles N = DA", diff <= 1e-10))
         checks.append(("uniform: school seg TTC > N",

@@ -19,7 +19,8 @@ import segsolve.equilibrium as equilibrium
 from segsolve import mechanisms as mx
 from segsolve.cdf import (PiecewiseLinearBatch, Power, SingleKink, Uniform,
                           single_kink_grid)
-from segsolve.economy import EconomyParams, binary_wealth, example_economy
+from segsolve.economy import (EconomyError, EconomyParams, binary_wealth,
+                              example_economy)
 from segsolve.equilibrium import (AssumptionError, BracketFailureError,
                                   ConvergenceError, InteriorViolationError,
                                   MultipleFixedPointsError, NoFixedPointError,
@@ -346,8 +347,23 @@ class TestPolicies:
         eq = solve_policy(example_economy(), mech)
         assert eq.r == pytest.approx(float.fromhex(want[0]), rel=0.0, abs=1e-12)
         assert eq.p == pytest.approx(float.fromhex(want[1]), rel=0.0, abs=1e-12)
-        # 64 points a round narrow the scan's 0.024-wide bracket below 1e-12 in 6
-        assert eq.iterations == 6
+        # every root is exact, as for a piecewise-linear solve
+        assert eq.iterations == 0
+
+    def test_lottery_rate_is_exact(self):
+        # the vacated seats pi q over the whole n0 mass 1 - q
+        p = example_economy()
+        r = solve_policy(p, "da_l").r
+        assert abs(r - (1.0 - p.pi * p.q / (1.0 - p.q))) <= 2 * math.ulp(r)
+
+    def test_weighted_lottery_is_exact(self):
+        # the example's DA_WL fixed point solved to 40 digits (mpmath findroot
+        # on the clearing and seat-accounting equations, q = 0.4, pi = 1/3)
+        eq = solve_policy(example_economy(), "da_wl")
+        r = 0.7108756669838427637543596409960824736203
+        p = 0.5925141112168364768070087692209163800957
+        assert abs(eq.r - r) <= 2 * math.ulp(r)
+        assert abs(eq.p - p) <= 2 * math.ulp(p)
 
     @pytest.mark.parametrize("mech", ["da_l", "da_wl"])
     def test_kernel_price_matches_bisection(self, mech):
@@ -367,44 +383,149 @@ class TestPolicies:
         assert (corner > 0) == (mech == "da_l")
 
     def test_two_sign_changes_raise(self, monkeypatch):
+        # two enumerated roots that both verify: the error names each
         original = equilibrium._policy_gap
-
-        def two_roots(mech, r, params):
-            return ((r - 0.3) * (r - 0.7), *original(mech, r, params)[1:])
-
-        monkeypatch.setattr(equilibrium, "_policy_gap", two_roots)
-        with pytest.raises(MultipleFixedPointsError) as err:
+        monkeypatch.setattr(equilibrium, "_policy_roots", lambda mech, params: ([0.3, 0.7], 0.0))
+        monkeypatch.setattr(equilibrium, "_policy_gap", lambda mech, r, params: (
+            (r - 0.3) * (r - 0.7), *original(mech, r, params)[1:]))
+        with pytest.raises(MultipleFixedPointsError, match=r"r = 0\.3, 0\.7") as err:
             solve_policy(example_economy(), "da_l")
         assert isinstance(err.value, NoFixedPointError)
-        (lo1, hi1), (lo2, hi2) = err.value.brackets
-        assert lo1 < 0.3 < hi1 and lo2 < 0.7 < hi2
+        assert err.value.brackets == ((0.3, 0.3), (0.7, 0.7))
 
     def test_no_sign_change_raises(self, monkeypatch):
-        original = equilibrium._policy_gap
-        monkeypatch.setattr(equilibrium, "_policy_gap", lambda mech, r, params: (
-            r + 1.0, *original(mech, r, params)[1:]))
+        original = equilibrium._policy_roots
+        monkeypatch.setattr(equilibrium, "_policy_roots", lambda mech, params: (
+            [], original(mech, params)[1]))
         with pytest.raises(NoFixedPointError) as err:
             solve_policy(example_economy(), "da_wl")
         assert not isinstance(err.value, MultipleFixedPointsError)
 
-    def test_round_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "POLICY_MAX_ROUNDS", 1)
-        with pytest.raises(ConvergenceError):
-            solve_policy(example_economy(), "da_l")
+    def test_unverified_root_raises(self, monkeypatch):
+        # a root 1e-9 off leaves a gap of about 1e-9, above the 1e-12 allowed
+        r = solve_policy(example_economy(), "da_wl").r
+        monkeypatch.setattr(equilibrium, "_policy_roots", lambda mech, params: ([r + 1e-9], 0.0))
+        with pytest.raises(NoFixedPointError, match="leaves a gap"):
+            solve_policy(example_economy(), "da_wl")
+
+    @pytest.mark.parametrize("mech", ["da_l", "da_wl"])
+    def test_fixed_point_on_a_knot(self, mech, monkeypatch):
+        # a knot on the diagonal at a fixed-point cutoff leaves F uniform and
+        # puts the root on the border of two pieces, where it is found once
+        monkeypatch.setattr(equilibrium, "is_example_profile", lambda params: True)
+        want = solve_policy(example_economy(), mech)
+        for _, s in want.cutoffs:
+            eq = solve_policy(dataclasses.replace(example_economy(), cdf=SingleKink(s, s)), mech)
+            assert eq.r == pytest.approx(want.r, rel=0.0, abs=1e-15)
+            assert eq.p == pytest.approx(want.p, rel=0.0, abs=1e-15)
+
+    def test_zero_rate_is_not_a_corner(self, monkeypatch):
+        # the lottery's pool never exceeds the vacated seats, so the gap is r
+        # itself on (0, 1]; p = 0 overfills the market near r = 0, but the
+        # gap does not cross zero there
+        monkeypatch.setattr(equilibrium, "is_example_profile", lambda params: True)
+        p = EconomyParams.from_config(ZERO_RATE_CONFIG)
+        rs = np.linspace(1e-4, 0.9999, 2001)
+        gaps, _, _, at_zero = equilibrium._policy_gap(mx.Mechanism.DA_WL, rs, p)
+        assert (gaps == rs).all() and at_zero[0] > 0.0
+        with pytest.raises(NoFixedPointError, match="no rejection fixed point"):
+            solve_policy(p, "da_wl")
 
     @pytest.mark.parametrize("mech", ["da_l", "da_wl"])
     def test_price_corner_at_fixed_point_raises(self, mech, monkeypatch):
-        # raising every cutoff by 1 leaves the market overfull at p = 0 for
-        # r near the fixed point, so the gap's root sits at the corner
-        original = equilibrium._policy_cutoffs
-
-        def raised(mech, r, params):
-            alpha, beta = original(mech, r, params)
-            return alpha + 1.0, beta
-
-        monkeypatch.setattr(equilibrium, "_policy_cutoffs", raised)
+        # the gap r - implied_r crosses zero once, where the market clears
+        # only at p = 0 (it is overfull there)
+        monkeypatch.setattr(equilibrium, "is_example_profile", lambda params: True)
+        p = EconomyParams.from_config(CORNER_CONFIG)
+        rs = np.linspace(1e-4, 0.9999, 2001)
+        gaps, _, _, at_zero = equilibrium._policy_gap(mx.Mechanism(mech), rs, p)
+        (i,) = np.flatnonzero(np.diff(gaps <= 0.0))
+        assert at_zero[i] > 0.0 and at_zero[i + 1] > 0.0
+        assert equilibrium._policy_roots(mx.Mechanism(mech), p)[0] == []
         with pytest.raises(NoFixedPointError, match="p = 0 corner"):
-            solve_policy(example_economy(), mech)
+            solve_policy(p, mech)
+
+    def test_power_cdf_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "is_example_profile", lambda params: True)
+        p = dataclasses.replace(example_economy(), cdf=Power(0.7))
+        for mech in mx.POLICY:
+            with pytest.raises(ss.SolveError, match="Power"):
+                solve_policy(p, mech)
+
+    def test_fixed_point_below_the_old_scan(self, monkeypatch):
+        # DA_WL's gap is r - 0.04416 at a constant price 0.4216 here; the 40
+        # rates that once bracketed the fixed point started at r = 0.05
+        monkeypatch.setattr(equilibrium, "is_example_profile", lambda params: True)
+        eq = solve_policy(EconomyParams.from_config(LOW_RATE_CONFIG), "da_wl")
+        assert eq.r == pytest.approx(0.04416023298028049, abs=1e-12)
+        assert eq.p == pytest.approx(0.4216, abs=1e-4)
+        assert abs(eq.residual) < 1e-12
+
+
+# the DA_L and DA_WL fixed points of this economy clear only at p = 0
+CORNER_CONFIG = {"m": 2, "q": 0.74, "g": 0.0, "e": 0.88, "pi": 0.42,
+                 "wealth": [[1.0144, 0.7], [0.9664, 0.3]], "cdf": {"type": "uniform"}}
+# DA_WL: the poorest type's n0 mass stays below the vacated seats pi q
+ZERO_RATE_CONFIG = {
+    "m": 2, "q": 0.7366531360374875, "g": 0.06861029169497633, "e": 0.9072868975765855,
+    "pi": 0.36230903454445135,
+    "wealth": [[1.0317078346502155, 0.2765769970826961], [1.0246586660353847, 0.2124393027948391],
+               [0.9942649345558081, 0.17783634907502732], [0.9610135744113771, 0.3331473510474374]],
+    "cdf": {"type": "single_kink", "x": 0.6471725312442375, "y": 0.8269385283193493}}
+# a seeded bench config (draw_configs(6), the sixth) with three wealth types
+LOW_RATE_CONFIG = {
+    "m": 2, "q": 0.551590720825706, "g": 0.06271266033128471, "e": 0.778444962046129,
+    "pi": 0.37596151547457474,
+    "wealth": [[0.979649795013341, 0.44643515898036484], [0.9904835486848975, 0.33660705114870276],
+               [1.0566393657512323, 0.21695778987093248]],
+    "cdf": {"type": "single_kink", "x": 0.5605837395347567, "y": 0.6403296545856169}}
+
+
+def _scan_crossings(mech, params, rs):
+    """The (lo, hi) of each sign change of the gap on the grid rs, split by
+    whether the market clears at p = 0 at both ends (the corner)."""
+    gaps, _, _, at_zero = equilibrium._policy_gap(mech, rs, params)
+    changes = np.flatnonzero(np.diff(gaps <= 0.0))
+    corner = [i for i in changes if at_zero[i] >= 0.0 and at_zero[i + 1] >= 0.0]
+    inner = [(rs[i], rs[i + 1]) for i in changes if i not in corner]
+    return inner, len(corner)
+
+
+def test_policy_roots_match_a_fine_scan(monkeypatch):
+    """On 150 piecewise-linear economies, a third of them with a random
+    concave F (flat-topped one time in three), each policy's enumerated
+    roots fall one to each sign change of the gap on a 2,001-point grid
+    of (1e-4, 0.9999), and solve_policy names the corner exactly when
+    the grid's crossing lies there."""
+    monkeypatch.setattr(equilibrium, "is_example_profile", lambda params: True)
+    rng = random.Random(20260)
+    rs = np.linspace(1e-4, 0.9999, 2001)
+    seen, outcomes = 0, {"solved": 0, "corner": 0, "none": 0}
+    while seen < 150:
+        params, _ = random_economy(rng)
+        if not isinstance(params.cdf, ss.PiecewiseLinear):
+            continue
+        if seen % 3 == 0:
+            try:
+                params = dataclasses.replace(params, cdf=random_concave_cdf(rng))
+            except EconomyError:
+                continue
+        seen += 1
+        for mech in mx.POLICY:
+            roots, _ = equilibrium._policy_roots(mech, params)
+            inner, corner = _scan_crossings(mech, params, rs)
+            inside = [r for r in roots if rs[0] < r < rs[-1]]
+            assert len(inside) == len(inner), (params, mech, roots, inner)
+            assert all(lo <= r <= hi for r, (lo, hi) in zip(inside, inner))
+            try:
+                eq = solve_policy(params, mech)
+                outcomes["solved"] += 1
+                assert (eq.r,) == tuple(roots) and not corner
+            except NoFixedPointError as err:
+                named = "p = 0 corner" in str(err)
+                outcomes["corner" if named else "none"] += 1
+                assert named == bool(corner), (params, mech, err)
+    assert outcomes["solved"] > 250 and outcomes["corner"] > 0
 
 
 class TestLemma1:

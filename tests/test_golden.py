@@ -32,6 +32,9 @@ STDOUT_SHA256 = {
         "d7be26ef0f8168209cf10095401e1067b6ba4700088eea00381ff2749f8f1353",
     ("simulate", "--example", "--mech", "ttc"):
         "4d6c752ab55c686bd37ad4e239d4f29fcb8d41e14f717d36e194985b33671b31",
+    # both policy fixed points, recorded when solve_policy became exact
+    ("solve", "--example", "--mech", "da_l,da_wl"):
+        "c4467d9b42a1871cc565fc26949ac49b8eb33eeb6deecbbebeeedd86ae242ec4",
 }
 
 # (poor share c1 %, poor, rich, total, poor share of quality %) per row
@@ -53,13 +56,14 @@ TABLE1 = {
 }
 
 # (n1 %, c1 %) per row, recorded before the policies read DA's row of
-# CORE_ALGEBRA and the lottery entry in place of the example's constants
+# CORE_ALGEBRA and the lottery entry in place of the example's constants;
+# the long rows since solve_policy's fixed point is exact
 TABLE2 = {
     "da": (32.8125, 40.62500000000001),
     "short_l": (32.8125, 42.36111111111111),
     "short_wl": (32.8125, 55.208333333333336),
-    "long_l": (35.74218750000196, 43.66319444444846),
-    "long_wl": (9.70934637152067, 39.80623091433878),
+    "long_l": (35.74218750000001, 43.66319444444444),
+    "long_wl": (9.70934637151222, 39.806230914341484),
 }
 
 

@@ -1,13 +1,15 @@
 """Segregation profiles, expansion rates, and the ranking theorems."""
 import dataclasses
+import itertools
 
 import pytest
 from conftest import SIGN_FLIP_CONFIG
 
 import segsolve as ss
 from segsolve import mechanisms as mx
-from segsolve.cdf import Power, SingleKink, Uniform
-from segsolve.economy import EconomyParams, example_economy
+from segsolve.cdf import Power, SingleKink, Uniform, single_kink_grid
+from segsolve.economy import (EconomyParams, binary_wealth, check_assumption1,
+                              check_assumption2, example_economy)
 from segsolve.equilibrium import solve
 from segsolve.segregation import (Comparison, SignMismatchError, check_theorems,
                                   compare, expansion_rate, neighborhood_profile,
@@ -135,3 +137,23 @@ class TestCheckTheorems:
         assert report.passed, report.failures()
         names = [name for name, _ in report.checks]
         assert ("binary 1-q<rho_p: school seg DA > N" in names) == ranked
+        # the uniform equalities run on the shape of F, not its class
+        assert ("uniform: c1 profiles N = DA" in names) == (not ranked)
+
+    def test_every_uniform_kink_of_the_cube_passes(self):
+        # the on-diagonal kinks of the default step-0.1 sweep-cube that pass
+        # both assumptions: 1,152 of its 1,764 (9 per cell)
+        grid = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+        kinks = [x for x, y in zip(*single_kink_grid(0.1)) if x == y]
+        checked = 0
+        for rho_p, q, pi in itertools.product(grid, grid, [0.1, 0.2, 0.3, 0.4]):
+            for x in kinks:
+                p = EconomyParams(m=2, q=q, g=0.0, e=1.0, pi=pi,
+                                  wealth=binary_wealth(rho_p), cdf=SingleKink(x, x))
+                if not (check_assumption1(p).passed and check_assumption2(p).passed):
+                    continue
+                checked += 1
+                report = check_theorems(p)
+                assert report.passed, (rho_p, q, pi, x, report.failures())
+                assert "uniform: school seg TTC > N" in [name for name, _ in report.checks]
+        assert checked == 1152
