@@ -7,8 +7,8 @@ from .economy import (EconomyError, EconomyParams, WealthDist, binary_wealth,
 from .equilibrium import (AssumptionError, BracketFailureError,
                           ConvergenceError, Equilibrium,
                           InteriorViolationError, MultipleFixedPointsError,
-                          NoFixedPointError, SolveError, solve, solve_policy,
-                          verify_lemma1)
+                          NoFixedPointError, SolveError, solve, solve_core,
+                          solve_policy, verify_lemma1)
 from .mechanisms import (CORE, CORE_ALGEBRA, AggregateFlows, CoreAlgebra,
                          DegenerateChoiceError, Mechanism, aggregate_flows,
                          delta_u, policy_delta_u, r_da_uniform, rejection)

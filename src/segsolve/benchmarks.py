@@ -15,7 +15,7 @@ import numpy as np
 
 from . import mechanisms as mx
 from .economy import EconomyParams, example_economy, is_example_profile
-from .equilibrium import affine_root, solve, solve_policy
+from .equilibrium import affine_root, solve, solve_core, solve_policy
 from .segregation import make_profile, school_masses, school_profile
 
 
@@ -88,13 +88,16 @@ def _example_profile(params: EconomyParams | None) -> EconomyParams:
     return params
 
 
-def _core_outcome(scenario: str, params: EconomyParams):
-    """(c1 masses, quality by type) for the N/DA/TTC table rows; a `_short`
-    row keeps the housing locations of N."""
+def _core_mechs(scenario: str) -> tuple[mx.Mechanism, mx.Mechanism]:
+    """(school mechanism, housing mechanism) of a N/DA/TTC table row; a
+    `_short` row keeps the housing locations of N."""
     mech = mx.Mechanism(scenario.removesuffix("_short"))
-    located = mx.Mechanism.N if scenario.endswith("_short") else mech
-    cutoffs = solve(params, located).cutoffs
-    r = mx.rejection(params, mech)
+    return mech, mx.Mechanism.N if scenario.endswith("_short") else mech
+
+
+def _core_outcome(mech: mx.Mechanism, cutoffs, r: float, params: EconomyParams):
+    """(c1 masses, quality by type) of a N/DA/TTC table row: mech's school
+    stage at rejection rate r on the housing cutoffs."""
     rhos = dict(params.wealth.atoms)
     quality = mx.CORE_ALGEBRA[mech].school_quality
     masses = [(w, rhos[w] * m) for w, m in school_masses(params, mech, r, cutoffs)]
@@ -168,7 +171,9 @@ def _row(scenario: str, masses, quality) -> MatchQualityRow:
 def match_quality(scenario: str, params: EconomyParams | None = None) -> MatchQualityRow:
     params = params or example_economy()
     if scenario in CORE_SCENARIOS:
-        return _row(scenario, *_core_outcome(scenario, params))
+        mech, located = _core_mechs(scenario)
+        return _row(scenario, *_core_outcome(mech, solve(params, located).cutoffs,
+                                             mx.rejection(params, mech), params))
     if scenario == "no_priority":
         return no_priority_outcome(params)[0]
     if scenario == "auction":
@@ -177,8 +182,19 @@ def match_quality(scenario: str, params: EconomyParams | None = None) -> MatchQu
 
 
 def table_one(params: EconomyParams | None = None) -> list[MatchQualityRow]:
+    """Every row of the match-quality table; the N/DA/TTC rows share one
+    `solve_core` pass and take r from its equilibria (r is mx.rejection's)."""
     params = _example_profile(params)
-    return [match_quality(s, params) for s in TABLE1_SCENARIOS]
+    eqs = dict(zip(mx.CORE, solve_core(params)))
+    rows = []
+    for scenario in TABLE1_SCENARIOS:
+        if scenario in CORE_SCENARIOS:
+            mech, located = _core_mechs(scenario)
+            outcome = _core_outcome(mech, eqs[located].cutoffs, eqs[mech].r, params)
+            rows.append(_row(scenario, *outcome))
+        else:
+            rows.append(match_quality(scenario, params))
+    return rows
 
 
 def _policy_row(policy: str, mech: mx.Mechanism, cutoffs, r, params: EconomyParams) -> PolicyRow:

@@ -187,15 +187,21 @@ def _price_interval(params, mech, r_hat, s_hat):
     return r_hat * gamma(s_hat, params), r_hat * gamma(1.0 - params.q, params)
 
 
-def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
-    """Price interval [p_hat, p_bar] supporting an interior equilibrium:
-    r gamma(s) at s = F^-1(1-q) and at s = 1-q."""
+def rejection_and_bounds(params: EconomyParams, mech) -> tuple[float, float, float]:
+    """(r, p_hat, p_bar): the mechanism's rejection rate r and the price
+    interval [p_hat, p_bar] supporting an interior equilibrium, r gamma(s)
+    at s = F^-1(1-q) and at s = 1-q."""
     mech = mx.Mechanism(mech)
-    p_hat, p_bar = _price_interval(params, mech, mx.rejection(params, mech),
-                                   params.cdf.inverse(1.0 - params.q))
+    r_hat = mx.rejection(params, mech)
+    p_hat, p_bar = _price_interval(params, mech, r_hat, params.cdf.inverse(1.0 - params.q))
     if p_hat > p_bar + 1e-12:
         raise EconomyError(f"price bounds inverted for {mech.value}: {p_hat} > {p_bar}")
-    return p_hat, p_bar
+    return r_hat, p_hat, p_bar
+
+
+def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
+    """The price interval [p_hat, p_bar] of `rejection_and_bounds`."""
+    return rejection_and_bounds(params, mech)[1:]
 
 
 def _utility_signs(params, mech, r_hat, p_hat, p_bar):
@@ -222,15 +228,14 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
     for mech in mechs:
         mech = mx.Mechanism(mech)
         try:
-            r_hat = mx.rejection(params, mech)
-            p_hat, p_bar = price_bounds(params, mech)
+            r_hat, p_hat, p_bar = rejection_and_bounds(params, mech)
         except (mx.DegenerateChoiceError, EconomyError) as exc:
             checks.append((f"{mech.value}: bounds ({exc})", False))
             continue
         below, above = _utility_signs(params, mech, r_hat, p_hat, p_bar)
-        for omega, lo, hi in zip(params.wealth.omegas, below, above):
-            checks.append((f"{mech.value}: du(g)<0 at omega={omega}", bool(lo)))
-            checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", bool(hi)))
+        for omega, lo, hi in zip(params.wealth.omegas.tolist(), below.tolist(), above.tolist()):
+            checks.append((f"{mech.value}: du(g)<0 at omega={omega}", lo))
+            checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", hi))
     return AssumptionReport("assumption2", tuple(checks))
 
 

@@ -4,11 +4,14 @@ One exact kernel, `affine_root`, serves every piecewise-linear market: when
 each type's cutoff is affine in one unknown x, the clearing residual
 sum_t rho_t F(alpha_t + beta_t x) - target is piecewise linear and
 nondecreasing in x, so it is evaluated at its breakpoints and solved
-linearly on the bracketing segment, for a batch of rows at once. `solve`
-and the kink sweep call it on the dispersion d (alpha = a, beta = w), a
-batch of one CDF or of a whole grid, so the two agree bit for bit. For
-`Power` F, d comes from a monotone bisection that raises ConvergenceError
-if it stops at MAX_ITER.
+linearly on the bracketing segment, for a batch of rows at once. The kink
+sweep calls it on the dispersion d (alpha = a, beta = w) for a whole grid
+of CDFs, and `solve_core` for one economy: it checks assumptions 1 and 2
+once for all the core mechanisms asked for and stacks their intercepts a
+into one batch, so that every row agrees bit for bit with a solve of its
+mechanism alone. `solve` is `solve_core` on one mechanism. For `Power` F,
+d comes from a monotone bisection per mechanism that raises
+ConvergenceError if it stops at MAX_ITER.
 
 `solve_policy` finds the DA_L / DA_WL fixed point (r, p) exactly. At an
 interior clearing seat accounting ties r to the price alone, so on each
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +31,7 @@ import numpy as np
 from . import mechanisms as mx
 from .cdf import AssumptionReport, PiecewiseLinear, PiecewiseLinearBatch
 from .economy import (EconomyParams, check_assumption1, check_assumption2,
-                      is_example_profile, price_bounds)
+                      is_example_profile, rejection_and_bounds)
 
 RESIDUAL_TOL = 1e-11
 MAX_ITER = 200
@@ -99,13 +103,21 @@ class Equilibrium:
         }
 
 
-def _require_assumptions(params: EconomyParams, mech: mx.Mechanism) -> None:
+def _assumption_failures(params: EconomyParams, mechs) -> dict:
+    """The AssumptionError message of each mechanism in mechs that fails
+    assumption 1 or 2, from one check of each over all of them."""
     a1 = check_assumption1(params)
     if not a1.passed:
-        raise AssumptionError(f"assumption 1 fails: {a1.failures()}")
-    a2 = check_assumption2(params, mechs=(mech,))
-    if not a2.passed:
-        raise AssumptionError(f"assumption 2 fails for {mech.value}: {a2.failures()}")
+        return dict.fromkeys(mechs, f"assumption 1 fails: {a1.failures()}")
+    a2 = check_assumption2(params, mechs=mechs)
+    failed = {}
+    for mech in mechs:
+        # check_assumption2 names each check "<mech>: ..."
+        names = [name for name, ok in a2.checks
+                 if not ok and name.startswith(f"{mech.value}: ")]
+        if names:
+            failed[mech] = f"assumption 2 fails for {mech.value}: {names}"
+    return failed
 
 
 def _cdf_at(f, s: float) -> float:
@@ -193,14 +205,41 @@ def _equilibrium(params: EconomyParams, mech: mx.Mechanism, r: float, a: float,
     return Equilibrium(mech, r, d, p, a, cutoffs, e_s, residual, iterations, params)
 
 
-def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
-    """The unique market-clearing cutoff profile: exact for piecewise-linear
-    F, by bisection on the dispersion d otherwise."""
-    mech = mx.Mechanism(mech)
-    if mech not in mx.CORE:
-        raise ValueError(f"solve handles n/da/ttc; got {mech.value}")
-    if check:
-        _require_assumptions(params, mech)
+def solve_core(params: EconomyParams, mechs=mx.CORE,
+               check: bool = True) -> Iterator[Equilibrium]:
+    """The unique market-clearing cutoff profile of each core mechanism in
+    mechs, in order, from one pass over the economy.
+
+    The call checks assumptions 1 and 2 once for all of mechs and, for
+    piecewise-linear F, finds every dispersion root with one
+    `dispersion_root` call over the stacked intercepts: each row is the root
+    a call per mechanism finds, bit for bit. `Power` F is solved by
+    bisection on d, one mechanism at a time. The returned iterator yields
+    the equilibria and raises a mechanism's error when it reaches it, so a
+    caller that handles each in turn meets the first failure in the order
+    of mechs, as with one `solve` call after another.
+    """
+    mechs = [mx.Mechanism(m) for m in mechs]
+    for mech in mechs:
+        if mech not in mx.CORE:
+            raise ValueError(f"solve handles n/da/ttc; got {mech.value}")
+    unique = list(dict.fromkeys(mechs))
+    failed = _assumption_failures(params, unique) if check else {}
+    roots = {}
+    todo = [m for m in unique if m not in failed]
+    if isinstance(params.cdf, PiecewiseLinear) and todo:
+        a = [mx.CORE_ALGEBRA[m].intercept(params) for m in todo]
+        roots = dict(zip(todo, dispersion_root(params, params.cdf.batch, a).tolist()))
+    return (_solve_one(params, mech, failed.get(mech), roots.get(mech)) for mech in mechs)
+
+
+def _solve_one(params: EconomyParams, mech: mx.Mechanism, failure: str | None,
+               d: float | None) -> Equilibrium:
+    """One mechanism's equilibrium, given its assumption failure message
+    (None if it passed or was not checked) and its exact dispersion root d
+    (nan if unbracketed; None for bisection)."""
+    if failure is not None:
+        raise AssumptionError(failure)
     r = mx.rejection(params, mech)
     a = mx.CORE_ALGEBRA[mech].intercept(params)
     f = params.cdf
@@ -217,9 +256,8 @@ def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
             f"no dispersion root in [0, {d_max:.6g}] for {mech.value} "
             f"(residuals {residual(0.0):.3g}, {residual(d_max):.3g})")
 
-    if isinstance(f, PiecewiseLinear):
-        d = float(dispersion_root(params, f.batch, a)[0])
-        if np.isnan(d):
+    if d is not None:
+        if math.isnan(d):
             raise bracket_failure()
         return _equilibrium(params, mech, r, a, d, residual(d), 0)
     lo, hi = 0.0, d_max
@@ -238,6 +276,12 @@ def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
     raise ConvergenceError(
         f"bisection for {mech.value} stopped after {MAX_ITER} steps "
         f"with residual {res:.3g}")
+
+
+def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
+    """The unique market-clearing cutoff profile of one core mechanism:
+    `solve_core` on that mechanism alone."""
+    return next(solve_core(params, (mech,), check))
 
 
 def _policy_cutoffs(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
@@ -411,30 +455,38 @@ def solve_policy(params: EconomyParams, mech) -> Equilibrium:
                        cuts, e_s, res, 0, params, r_by_omega)
 
 
+# verify_lemma1's signal grid on [0, 1], increasing
+_LEMMA1_GRID = np.arange(0.0, 1.0 + 1e-9, 1e-3)
+_LEMMA1_GRID.flags.writeable = False
+
+
 def verify_lemma1(params: EconomyParams, mech) -> AssumptionReport:
     """Grid regression of the utility-gain monotonicity properties."""
     mech = mx.Mechanism(mech)
-    r_hat = mx.rejection(params, mech)
-    p_hat, p_bar = price_bounds(params, mech)
-    grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
-    below = grid <= params.g + 1e-12
-    above = grid >= params.g - 1e-12
+    r_hat, p_hat, p_bar = rejection_and_bounds(params, mech)
+    grid = _LEMMA1_GRID
+    # the grid increases, so its points <= g + 1e-12 are a prefix and its
+    # points >= g - 1e-12 a suffix
+    below = grid.searchsorted(params.g + 1e-12, side="right")
+    above = grid.searchsorted(params.g - 1e-12, side="left")
     omegas, rs, prices = params.wealth.omegas, list({r_hat, 1.0}), (0.0, p_hat, p_bar)
-    # every (omega, r, p) at once, as (omegas, rs, prices, grid)
-    at_zero = mx.delta_u(mech, np.array(rs), 0.0, params.g, omegas[:, None], params)
-    du = mx.delta_u(mech, np.array(rs)[:, None, None], np.array(prices)[:, None], grid,
-                    omegas[:, None, None, None], params)
-    weak = np.all(np.diff(du[..., below]) >= -1e-12, axis=-1)
-    strict = np.all(np.diff(du[..., above]) > 0.0, axis=-1)
+    # every (omega, r, p) at once, as (omegas, rs, prices, signals): the
+    # grid, then g, where the gain at p = 0 is checked
+    du = mx.delta_u(mech, np.array(rs)[:, None, None], np.array(prices)[:, None],
+                    np.append(grid, params.g), omegas[:, None, None, None], params)
+    at_zero = (du[:, :, 0, -1] >= -1e-12).tolist()
+    # steps between neighbouring grid points, as np.diff takes them
+    # (below >= 1, since the grid starts at 0 <= g)
+    weak = ((du[..., 1:below] - du[..., :below - 1]) >= -1e-12).all(axis=-1).tolist()
+    strict = ((du[..., above + 1:-1] - du[..., above:-2]) > 0.0).all(axis=-1).tolist()
+    r_names = [f"{r:.3g}" for r in rs]
+    p_names = [f"{p:.3g}" for p in prices]
     checks = []
-    for i, omega in enumerate(omegas):
-        for j, r in enumerate(rs):
-            checks.append((f"du(r={r:.3g},0|g,{omega})>=0", bool(at_zero[i, j] >= -1e-12)))
-            for k, p in enumerate(prices):
-                checks.append((
-                    f"weak increase on [0,g] (r={r:.3g},p={p:.3g},w={omega})",
-                    bool(weak[i, j, k])))
-                checks.append((
-                    f"strict increase on [g,1] (r={r:.3g},p={p:.3g},w={omega})",
-                    bool(strict[i, j, k])))
+    for i, omega in enumerate(map(str, omegas.tolist())):
+        for j, r in enumerate(r_names):
+            checks.append((f"du(r={r},0|g,{omega})>=0", at_zero[i][j]))
+            for k, p in enumerate(p_names):
+                checks.append((f"weak increase on [0,g] (r={r},p={p},w={omega})", weak[i][j][k]))
+                checks.append((f"strict increase on [g,1] (r={r},p={p},w={omega})",
+                               strict[i][j][k]))
     return AssumptionReport("lemma1", tuple(checks))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from . import mechanisms as mx
 from .cdf import AssumptionReport, PiecewiseLinear, Power, SignalCdf
 from .economy import EconomyParams
-from .equilibrium import Equilibrium, solve
+from .equilibrium import Equilibrium, solve_core
 
 EQUAL_TOL = 1e-9
 
@@ -104,14 +104,20 @@ def compare(a: SegregationProfile, b: SegregationProfile) -> Comparison:
     return Comparison.EQUAL
 
 
+def _threshold(a: mx.Mechanism, b: mx.Mechanism, r_a: float, r_b: float,
+               params: EconomyParams) -> float:
+    """(r_A c_A) / (r_B c_B) given the rejection rates r_A and r_B."""
+    c_a = mx.CORE_ALGEBRA[a].c(params)
+    c_b = mx.CORE_ALGEBRA[b].c(params)
+    return (r_a * c_a) / (r_b * c_b)
+
+
 def theorem2_threshold(pair: tuple[mx.Mechanism, mx.Mechanism], params: EconomyParams) -> float:
     """Expansion-rate threshold (r_A c_A) / (r_B c_B) of Theorem 2 for A before B in CORE."""
     a, b = (mx.Mechanism(m) for m in pair)
     if not (a in mx.CORE and b in mx.CORE and mx.CORE.index(a) < mx.CORE.index(b)):
         raise ValueError(f"no threshold for pair {(a, b)}")
-    c_a = mx.CORE_ALGEBRA[a].c(params)
-    c_b = mx.CORE_ALGEBRA[b].c(params)
-    return (mx.rejection(params, a) * c_a) / (mx.rejection(params, b) * c_b)
+    return _threshold(a, b, mx.rejection(params, a), mx.rejection(params, b), params)
 
 
 def _is_uniform_shape(cdf: SignalCdf) -> bool:
@@ -121,10 +127,12 @@ def _is_uniform_shape(cdf: SignalCdf) -> bool:
     return isinstance(cdf, PiecewiseLinear) and all(x == y for x, y in cdf.knots)
 
 
-def check_theorems(params: EconomyParams) -> AssumptionReport:
-    """Solve all three mechanisms and assert every applicable ranking result."""
+def check_theorems(params: EconomyParams, eqs=None) -> AssumptionReport:
+    """Assert every applicable ranking result on the N, DA and TTC
+    equilibria eqs of params, in that order; with eqs None, one
+    `solve_core` pass solves them, checking assumptions 1 and 2."""
     N, DA, TTC = mx.CORE
-    eqs = {mech: solve(params, mech) for mech in mx.CORE}
+    eqs = dict(zip(mx.CORE, solve_core(params) if eqs is None else eqs))
     n1 = {mech: neighborhood_profile(eqs[mech])[0] for mech in mx.CORE}
     c1 = {mech: school_profile(eqs[mech]) for mech in mx.CORE}
     checks: list[tuple[str, bool]] = []
@@ -141,7 +149,7 @@ def check_theorems(params: EconomyParams) -> AssumptionReport:
     # school segregation sufficient conditions, over the types that keep their
     # representation sign; the "smaller" direction holds only for pairs from N
     for (a, b), two_sided in (((N, DA), True), ((N, TTC), True), ((DA, TTC), False)):
-        thr = theorem2_threshold((a, b), params)
+        thr = _threshold(a, b, eqs[a].r, eqs[b].r, params)  # r is mx.rejection's
         rates = []
         for w in params.wealth.omegas:
             try:

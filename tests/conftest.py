@@ -1,5 +1,6 @@
-"""Shared fixtures and the random valid-economy sampler."""
+"""Shared fixtures, the random valid-economy sampler and a call counter."""
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -120,3 +121,23 @@ def random_economy(rng: random.Random, uniform_binary: bool = False,
             continue
         return params, eqs
     raise RuntimeError("could not sample a valid economy")
+
+
+def count_calls(monkeypatch, names):
+    """Count calls to each "<module>.<function>" of segsolve in `names`,
+    wherever a segsolve module binds the function, as the bench tracer does."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "segsolve"]
+    for name in names:
+        module, attr = name.split(".")
+        fn = getattr(sys.modules[f"segsolve.{module}"], attr)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return counts

@@ -9,7 +9,7 @@ from segsolve.cdf import Power
 from segsolve.economy import example_economy
 from segsolve.equilibrium import solve
 
-from conftest import random_economy
+from conftest import count_calls, random_economy
 
 
 class TestRounding:
@@ -89,6 +89,18 @@ class TestTableOne:
         (_, s), _ = solve(p, "n").cutoffs
         want = 100.0 * 0.5 * (0.5 / 1.5) * (1.0 - s ** 1.5)
         assert bm.match_quality("n", p).poor_quality == pytest.approx(want, abs=1e-12)
+
+    def test_one_solve_per_core_mechanism(self, monkeypatch):
+        # one solve_core pass: one check of each assumption, one root call,
+        # and one `rejection` per mechanism in assumption 2 and in the solve;
+        # the rows reuse each equilibrium's r. One checked solve per row made
+        # 5 passes, 5 root calls and 20 `rejection` calls.
+        want = {"economy.check_assumption1": 1, "economy.check_assumption2": 1,
+                "mechanisms.rejection": 6, "equilibrium.dispersion_root": 1}
+        counts = count_calls(monkeypatch, list(want))
+        rows = bm.table_one()
+        assert counts == want
+        assert [row.rounded() for row in rows] == list(bm.REFERENCE_TABLE1.values())
 
 
 class TestTableTwo:

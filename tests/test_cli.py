@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import SIGN_FLIP_CONFIG
+from conftest import SIGN_FLIP_CONFIG, count_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import STDOUT_SHA256
@@ -206,7 +206,7 @@ class TestCheck:
     def test_theorem_failure_exit_6(self, capsys, monkeypatch):
         from segsolve.economy import AssumptionReport
 
-        def fake_check(params):
+        def fake_check(params, eqs=None):
             return AssumptionReport("theorems", (("forced failure", False),))
 
         monkeypatch.setattr(cli, "check_theorems", fake_check)
@@ -314,6 +314,10 @@ BASES = [dict(example_economy().to_config(), cdf=cdf, **ge) for cdf, ge in (
     ({"type": "single_kink", "x": 0.3, "y": 0.6}, {"g": 0.05, "e": 0.9}),
     ({"type": "piecewise", "knots": [[0, 0], [0.4, 0.55], [0.8, 0.9], [1, 1]]}, {}),
     ({"type": "power", "alpha": 0.5}, {"g": 0.05, "e": 0.9}),
+    # the single-kink and power bases above fail assumption 2; these pass
+    # both assumptions, so their fuzzed neighbors reach the solver
+    ({"type": "single_kink", "x": 0.3, "y": 0.6}, {"g": 0.02, "e": 0.95}),
+    ({"type": "power", "alpha": 0.5}, {"g": 0.05, "e": 0.95}),
 )]
 NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0.5, 1.0, -1e-300, 1e308, 10**400]),
@@ -375,14 +379,31 @@ def test_fuzzed_config_exits_cleanly(tmp_path_factory, command, base, mutations)
 # two of its three types and has no p^N <= p^DA, uniform or binary check;
 # the single-kink base fails assumption 2 for TTC; the piecewise base checks
 # every school-segregation pair.
+EMPTY = sha256(b"")
 CHECK_CONFIG_GOLDEN = {
     "sign_flip": (0, "71631dc2b382cdb560dafb289d7c7f49bb33ea8bf742268bfae2625783e22325", ""),
     "single_kink": (cli.EXIT_ASSUMPTION,
                     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                     "assumption 2 fails: ['ttc: du(e-g)>0 at omega=1.125']\n"),
     "piecewise": (0, "680f5f530a8a0b43d1d50501987bc6c7ee2fe6248753fee883ed7204fc3bcb63", ""),
+    "power": (cli.EXIT_ASSUMPTION, EMPTY,
+              "assumption 2 fails: ['ttc: du(e-g)>0 at omega=1.125']\n"),
+    "single_kink_inside": (
+        0, "b8a3228b80c825792faff29bae997f9ec78f5c51434dc48fbce41d3d171da2c2", ""),
+    "power_inside": (0, "7142e7de8a4588130bfa303097a4630a320a53f0589c28da844fd9177bce7d32", ""),
+    "four_types": (0, "731416de279fab922c785c56aefdeec25a298b00200741941c9dcdb8e06ef4fa", ""),
+    "example_q08": (cli.EXIT_ASSUMPTION, EMPTY,
+                    "assumption 2 fails: ['ttc: du(g)<0 at omega=0.875']\n"),
 }
-CHECK_CONFIGS = {"sign_flip": SIGN_FLIP_CONFIG, "single_kink": BASES[1], "piecewise": BASES[2]}
+# Four wealth types and g > 0 with the piecewise base's F: every check
+# passes, and the [0, g] part of verify_lemma1's grid is not trivial.
+FOUR_TYPES_CONFIG = dict(BASES[2], q=0.5, g=0.03, e=0.9,
+                         wealth=[[1.15, 0.2], [1.05, 0.3], [0.95, 0.3], [0.85, 0.2]])
+CHECK_CONFIGS = {"sign_flip": SIGN_FLIP_CONFIG, "single_kink": BASES[1], "piecewise": BASES[2],
+                 "power": BASES[3], "single_kink_inside": BASES[4], "power_inside": BASES[5],
+                 "four_types": FOUR_TYPES_CONFIG,
+                 # TTC fails assumption 2 and DA_L has its fixed point in the p = 0 corner
+                 "example_q08": dict(example_economy().to_config(), q=0.8)}
 
 
 @pytest.mark.parametrize("name", list(CHECK_CONFIG_GOLDEN))
@@ -392,3 +413,82 @@ def test_check_config_digest(name, tmp_path, capsys):
     code = cli.main(["check", "--config", str(path)])
     captured = capsys.readouterr()
     assert (code, sha256(captured.out.encode()), captured.err) == CHECK_CONFIG_GOLDEN[name]
+
+
+# sha256 of the stderr "assumption 2 fails for ttc: [...]" on the single-kink
+# and power bases, and on example_q08
+TTC_A2 = "a749ea810823eb048150a0a978ebaaf45124499b940923a8f8eb4b55a729e6c9"
+Q08_A2 = "89ebbc5bdebd39088f14c5fcba5b281a4235920a4798698beae0d95c25116022"
+# (exit code, stdout sha256, stderr sha256) of `solve` and `compare` on
+# CHECK_CONFIGS, recorded before the core mechanisms were solved in one
+# pass. A mixed list reports the first mechanism, in its order, that fails:
+# on example_q08, DA_L (exit 4) before TTC (exit 3), and TTC before DA_L.
+CONFIG_GOLDEN = {
+    ("solve", "sign_flip"):
+        (0, "1cbd0274acd9456af9907937b7109da1c055423c78b0bbc74857ae1ca3786b11", EMPTY),
+    ("compare", "sign_flip"):
+        (0, "099b42faa111819ff80ea6d0fba7d9d9d4d4db74392ed8883921d523537a6a11", EMPTY),
+    ("solve", "single_kink"): (cli.EXIT_ASSUMPTION, EMPTY, TTC_A2),
+    ("compare", "single_kink"): (cli.EXIT_ASSUMPTION, EMPTY, TTC_A2),
+    ("solve --mech ttc,n,ttc", "single_kink"): (cli.EXIT_ASSUMPTION, EMPTY, TTC_A2),
+    ("solve", "piecewise"):
+        (0, "835d5c50b87025e24cc98b7d98b8268b86688910f68d61ad328e0a18e77dec19", EMPTY),
+    ("compare", "piecewise"):
+        (0, "f3241a08c17d8ae01dab82fbeac34b1958722b6fc4f906b5df8b46999765262c", EMPTY),
+    ("solve", "power"): (cli.EXIT_ASSUMPTION, EMPTY, TTC_A2),
+    ("compare", "power"): (cli.EXIT_ASSUMPTION, EMPTY, TTC_A2),
+    ("solve", "single_kink_inside"):
+        (0, "c293833c9173c512179e8e46469c9124d6c1f6834d0018e982258c0d45fca200", EMPTY),
+    ("compare", "single_kink_inside"):
+        (0, "c70c75840f42aeaefee9c938ea9cff643c159477d2ce9e61e8cb1e2fa889ec38", EMPTY),
+    ("solve", "power_inside"):
+        (0, "2cc347a4a61cafbf172733b4f0f3fc9dd6eac6e93e861914bbeefc92966972de", EMPTY),
+    ("compare", "power_inside"):
+        (0, "5cb42f296de31914ab3f231e5a274b256f0d3e8e83c6c38c7e078d0c7e285ea6", EMPTY),
+    ("solve", "four_types"):
+        (0, "a3e00975b2d336c27f1755694745f29481b6ee95adf247fe4f5d66899331d1d0", EMPTY),
+    ("compare", "four_types"):
+        (0, "02f4e3caa836137c6ea97acbda38809e1d56918785a52bed0c48be090d387736", EMPTY),
+    ("solve", "example_q08"): (cli.EXIT_ASSUMPTION, EMPTY, Q08_A2),
+    ("compare", "example_q08"): (cli.EXIT_ASSUMPTION, EMPTY, Q08_A2),
+    ("solve --mech n,da_l,ttc", "example_q08"): (
+        cli.EXIT_SOLVER, EMPTY, "76b496aec739d3196aa314e926f35813f780ad3b3e0744cfa7aef8a37be36ed5"),
+    ("solve --mech ttc,da_l", "example_q08"): (cli.EXIT_ASSUMPTION, EMPTY, Q08_A2),
+    ("compare --mech da,da", "example_q08"):
+        (0, "bbe60eee4f60d099207a5eee8c841163f9df25de5b8e92773bda014be6a60896", EMPTY),
+}
+
+
+@pytest.mark.parametrize("argv, name", list(CONFIG_GOLDEN), ids=lambda v: v.replace(" ", "_"))
+def test_config_digest(argv, name, tmp_path, capsys):
+    path = tmp_path / "economy.json"
+    path.write_text(json.dumps(CHECK_CONFIGS[name]))
+    command, *rest = argv.split()
+    code = cli.main([command, "--config", str(path), *rest])
+    captured = capsys.readouterr()
+    got = (code, sha256(captured.out.encode()), sha256(captured.err.encode()))
+    assert got == CONFIG_GOLDEN[argv, name]
+
+
+# Per command on a piecewise-linear economy: one check of each assumption and
+# one dispersion_root call over the three mechanisms. `rejection` runs once
+# per mechanism in assumption 2, in the solve and, under `check`, in
+# verify_lemma1. One `solve` per mechanism made 4, 3 and 3 passes of each
+# assumption, 3 dispersion_root calls, and 27, 9 and 9 `rejection` calls.
+ONE_PASS_CALLS = {
+    "check": {"economy.check_assumption1": 1, "economy.check_assumption2": 1,
+              "mechanisms.rejection": 9, "equilibrium.dispersion_root": 1},
+    "solve": {"economy.check_assumption1": 1, "economy.check_assumption2": 1,
+              "mechanisms.rejection": 6, "equilibrium.dispersion_root": 1},
+    "compare": {"economy.check_assumption1": 1, "economy.check_assumption2": 1,
+                "mechanisms.rejection": 6, "equilibrium.dispersion_root": 1},
+}
+
+
+@pytest.mark.parametrize("command", list(ONE_PASS_CALLS))
+def test_one_pass_per_command(command, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "economy.json"
+    path.write_text(json.dumps(FOUR_TYPES_CONFIG))
+    counts = count_calls(monkeypatch, list(ONE_PASS_CALLS[command]))
+    assert cli.main([command, "--config", str(path)]) == 0
+    assert counts == ONE_PASS_CALLS[command]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,8 +26,9 @@ from segsolve.equilibrium import (AssumptionError, BracketFailureError,
                                   ConvergenceError, InteriorViolationError,
                                   MultipleFixedPointsError, NoFixedPointError,
                                   dispersion_root, interior, max_dispersion,
-                                  solve, solve_policy, verify_lemma1)
+                                  solve, solve_core, solve_policy, verify_lemma1)
 from kernel_reference import PiecewiseLinearBatchReference, affine_root_reference
+from lemma1_reference import verify_lemma1_reference
 from policy_reference import clear_price_reference
 
 # worked-example equilibrium values, derived from the closed forms:
@@ -211,6 +213,89 @@ class TestExactRoot:
         monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
         with pytest.raises(ConvergenceError):
             solve(p, "da")
+
+
+def _outcome(call):
+    """call()'s result, or the type and message of what it raised."""
+    try:
+        return call()
+    except (equilibrium.SolveError, mx.DegenerateChoiceError) as exc:
+        return type(exc), str(exc)
+
+
+def _each(equilibria):
+    """The outcome of each equilibrium the iterator yields, until it raises."""
+    out = []
+    while True:
+        got = _outcome(lambda: next(equilibria, None))
+        if got is None:
+            return out
+        out.append(got)
+        if isinstance(got, tuple):
+            return out
+
+
+class TestSolveCore:
+    """One pass over an economy gives what one `solve` per mechanism gives."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_roots_match_one_at_a_time(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            params, _ = random_economy(rng)
+            if rng.random() < 0.5:
+                params = dataclasses.replace(params, cdf=random_concave_cdf(rng))
+            together = _each(solve_core(params))
+            alone = []
+            for mech in mx.CORE:  # up to the first failure, as solve_core raises it
+                alone.append(_outcome(lambda: solve(params, mech)))
+                if isinstance(alone[-1], tuple):
+                    break
+            assert together == alone
+            for eq in together:
+                if isinstance(eq, equilibrium.Equilibrium) and eq.iterations == 0:
+                    root = dispersion_root(params, params.cdf.batch, eq.intercept)
+                    assert eq.d.hex() == float(root[0]).hex()
+
+    def test_unchecked_kink_grid_matches_one_at_a_time(self):
+        # every outcome on the step-0.05 kink grid, bracket and interior
+        # failures included, is the one a solve of that mechanism alone gives
+        base = EconomyParams(m=2, q=0.25, g=0.0, e=1.0, pi=0.45,
+                             wealth=binary_wealth(0.5, spread=1.2), cdf=Uniform())
+        seen = set()
+        for x, y in zip(*(v.tolist() for v in single_kink_grid(0.05))):
+            params = dataclasses.replace(base, cdf=SingleKink(x, y))
+            together = _each(solve_core(params, mx.CORE, check=False))
+            for mech, got in zip(mx.CORE, together):
+                want = _outcome(lambda: solve(params, mech, check=False))
+                assert got == want
+                seen.add(want[0] if isinstance(want, tuple) else "solved")
+        assert seen == {"solved", BracketFailureError, InteriorViolationError}
+
+    def test_failure_raised_in_order(self):
+        # TTC fails assumption 2 here; N before it and DA after it solve
+        p = dataclasses.replace(example_economy(), q=0.8)
+        it = solve_core(p, ("n", "ttc", "da"))
+        assert next(it) == solve(p, "n")
+        with pytest.raises(AssumptionError, match="assumption 2 fails for ttc: "):
+            next(it)
+        assert tuple(solve_core(p, ("da", "n"))) == (solve(p, "da"), solve(p, "n"))
+
+    def test_assumption1_failure_for_every_mechanism(self):
+        p = EconomyParams(m=2, q=0.4, g=0.3, e=0.6, pi=0.25,
+                          wealth=binary_wealth(0.5), cdf=Uniform())
+        for mechs in (mx.CORE, ("ttc",)):
+            with pytest.raises(AssumptionError, match="^assumption 1 fails: "):
+                next(solve_core(p, mechs))
+
+    def test_repeated_mechanism(self):
+        p = example_economy()
+        assert tuple(solve_core(p, ("da", "n", "da"))) == (solve(p, "da"), solve(p, "n"),
+                                                          solve(p, "da"))
+
+    def test_rejects_policy_mechanism(self):
+        with pytest.raises(ValueError):
+            solve_core(example_economy(), ("n", "da_l"))
 
 
 class TestClosedFormUniform:
@@ -533,3 +618,57 @@ class TestLemma1:
         p = example_economy()
         for mech in ("n", "da", "ttc"):
             assert verify_lemma1(p, mech).passed
+
+    @pytest.mark.parametrize("wiggle", [None, 0.5, 1.0])
+    def test_matches_mask_reference(self, wiggle, monkeypatch):
+        # the same names and verdicts as the mask-based body, or the same
+        # error: on valid economies, most with g > 0, on raw draws that need
+        # not pass either assumption, and with g 1e-12 off a grid point, so
+        # that the point is the last of [0, g] or the first of [g, 1]. Every
+        # check passes on the true gain, so `wiggle` w lowers it by 1e-3 for
+        # poor types above w g, which fails their checks on [0, g] (if a
+        # grid point lies in (w g, g + 1e-12]) and on [g, 1], and at g for
+        # w < 1.
+        if wiggle is not None:
+            gain = mx.delta_u
+            monkeypatch.setattr(mx, "delta_u", lambda mech, r, p, s, omega, params: gain(
+                mech, r, p, s, omega, params)
+                - 1e-3 * (np.asarray(omega) > 1.0) * (np.asarray(s) > wiggle * params.g))
+        rng = random.Random(5)
+        economies = [random_economy(rng)[0] for _ in range(60)]
+        while len(economies) < 120:
+            try:
+                economies.append(EconomyParams(
+                    m=2, q=rng.uniform(0.05, 0.95), g=rng.uniform(0.0, 0.3),
+                    e=rng.uniform(0.3, 0.7), pi=rng.uniform(0.01, 0.49),
+                    wealth=_random_wealth(rng), cdf=random_concave_cdf(rng)))
+            except EconomyError:
+                pass
+        grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
+        drawn = len(economies)
+        for base, k in zip(economies[:40:2], range(10, 50, 2)):
+            # g + 1e-12 and g - 1e-12 exactly on grid point k
+            for sign in (-1.0, 1.0):
+                g = grid[k] + sign * 1e-12
+                while g - sign * 1e-12 != grid[k]:
+                    g = np.nextafter(g, grid[k])
+                try:
+                    economies.append(dataclasses.replace(base, g=float(g)))
+                except EconomyError:  # e < g or e + g > 1
+                    pass
+        assert len(economies) - drawn >= 30
+        verdicts = set()
+        for p in economies:
+            for mech in mx.CORE:
+                try:
+                    want = verify_lemma1_reference(p, mech)
+                except (mx.DegenerateChoiceError, EconomyError) as exc:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        verify_lemma1(p, mech)
+                    verdicts.add(type(exc))
+                    continue
+                assert verify_lemma1(p, mech) == want
+                verdicts.update(ok for _, ok in want.checks)
+        assert verdicts == {True, wiggle is None, mx.DegenerateChoiceError}
+        # the [0, g] prefix holds more than the grid's first point
+        assert sum(p.g > 2e-3 for p in economies) > 60

@@ -1,16 +1,18 @@
 """Segregation profiles, expansion rates, and the ranking theorems."""
 import dataclasses
 import itertools
+import random
 
 import pytest
-from conftest import SIGN_FLIP_CONFIG
+from conftest import SIGN_FLIP_CONFIG, random_economy
 
 import segsolve as ss
+import segsolve.segregation as segregation
 from segsolve import mechanisms as mx
 from segsolve.cdf import Power, SingleKink, Uniform, single_kink_grid
 from segsolve.economy import (EconomyParams, binary_wealth, check_assumption1,
                               check_assumption2, example_economy)
-from segsolve.equilibrium import solve
+from segsolve.equilibrium import solve, solve_core
 from segsolve.segregation import (Comparison, SignMismatchError, check_theorems,
                                   compare, expansion_rate, neighborhood_profile,
                                   school_profile, theorem2_threshold)
@@ -115,6 +117,19 @@ class TestCheckTheorems:
         assert "d^N < d^DA" in names
         assert "p^DA < p^TTC" in names
         assert "uniform: c1 profiles N = DA" in names
+
+    def test_given_equilibria_give_the_same_report(self):
+        # the equilibria handed in, unchecked, give the report of a checked
+        # solve, and the Theorem 2 thresholds from their r are theorem2_threshold's
+        rng = random.Random(4)
+        for _ in range(20):
+            p, eqs = random_economy(rng)
+            report = check_theorems(p)
+            assert check_theorems(p, solve_core(p, check=False)) == report
+            assert check_theorems(p, [eqs[mech] for mech in mx.CORE]) == report
+            for a, b in itertools.combinations(mx.CORE, 2):
+                assert (theorem2_threshold((a, b), p)
+                        == segregation._threshold(a, b, eqs[a].r, eqs[b].r, p))
 
     def test_kink_economy_passes(self):
         p = dataclasses.replace(example_economy(), cdf=SingleKink(0.3, 0.6))
