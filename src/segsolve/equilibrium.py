@@ -192,14 +192,20 @@ def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
                        max_dispersion(params, a), 1.0 - params.q)
 
 
-def _equilibrium(params: EconomyParams, mech: mx.Mechanism, r: float, a: float,
-                 d: float, residual: float, iterations: int) -> Equilibrium:
-    """Cutoffs s_w = a + d w, checked interior, priced at p = r kappa d."""
-    cutoffs = tuple((w, a + d * w) for w, _ in params.wealth.atoms)
+def _check_interior(params: EconomyParams, cutoffs) -> None:
+    """Raise InteriorViolationError unless every (omega, s) cutoff lies in
+    (g, e - g)."""
     for w, s in cutoffs:
         if not interior(params, s):
             raise InteriorViolationError(
                 f"cutoff {s:.6g} for omega={w} outside ({params.g}, {params.e - params.g})")
+
+
+def _equilibrium(params: EconomyParams, mech: mx.Mechanism, r: float, a: float,
+                 d: float, residual: float, iterations: int) -> Equilibrium:
+    """Cutoffs s_w = a + d w, checked interior, priced at p = r kappa d."""
+    cutoffs = tuple((w, a + d * w) for w, _ in params.wealth.atoms)
+    _check_interior(params, cutoffs)
     p = r * mx.CORE_ALGEBRA[mech].kappa(params) * d
     e_s = sum(rho * s for (_, s), (_, rho) in zip(cutoffs, params.wealth.atoms))
     return Equilibrium(mech, r, d, p, a, cutoffs, e_s, residual, iterations, params)
@@ -415,8 +421,10 @@ def solve_policy(params: EconomyParams, mech) -> Equilibrium:
     `_policy_roots` enumerates every fixed point exactly. One `_policy_gap`
     call prices each at the kernel's clearing price and verifies its gap
     r - implied_r to 1e-12. It raises NoFixedPointError when there is no
-    fixed point or when it clears the market only at the p = 0 corner, and
-    MultipleFixedPointsError (naming each) when there are several.
+    fixed point or when it clears the market only at the p = 0 corner,
+    MultipleFixedPointsError (naming each) when there are several, and
+    InteriorViolationError when a cutoff of the one fixed point leaves
+    (g, e - g).
     """
     mech = mx.Mechanism(mech)
     if mech not in mx.POLICY:
@@ -447,6 +455,7 @@ def solve_policy(params: EconomyParams, mech) -> Equilibrium:
         raise NoFixedPointError(f"no rejection fixed point for {mech.value}")
     r = roots[0]
     cuts = tuple(zip(params.wealth.omegas.tolist(), cuts[2].tolist()))
+    _check_interior(params, cuts)
     rhos = [rho for _, rho in params.wealth.atoms]
     e_s = sum(rho * s for (_, s), rho in zip(cuts, rhos))
     res = sum(rho * _cdf_at(params.cdf, s) for (_, s), rho in zip(cuts, rhos)) - (1.0 - params.q)

@@ -3,12 +3,14 @@
 A replication draws n students (signal, shock, wealth type, primary and
 secondary school among m), houses the demanders of each neighborhood up to
 its cap, draws one lottery number per student, and runs N, DA or TTC
-(`run_mechanism`). Each student ranks their two fitting schools and c0;
-school k ranks its residents first, then everyone else, both in lottery
+(`run_mechanism`). Each student ranks their two fitting schools and c0,
+with c0 first or second; c0 never fills, so DA and TTC read only each
+student's first choice and seat at c0 whoever that school turns away.
+School k ranks its residents first, then everyone else, both in lottery
 order. Any m >= 2 works. `check_da_stability` and `find_ttc_improvement`
-verify the assignments; the tests also hold the per-student TTC loop and
-the per-round lexsort DA that `run_ttc_finite` and `run_da_finite`
-replaced, as references they must match exactly.
+verify the assignments on the whole rankings; the tests also hold the
+per-student TTC loop and the per-round lexsort DA that `run_ttc_finite`
+and `run_da_finite` replaced, as references they must match exactly.
 
 Neither mechanism sorts the whole lottery: DA cuts each oversubscribed
 school by one partition, and TTC sorts its residents and a head of the
@@ -197,7 +199,8 @@ def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     The utilities are fit = s + eps at the primary school, -fit at the
     secondary and g >= 0 at c0, so the order follows from where fit lies
     against -g, 0 and g. Exact utility ties break toward the lower school
-    index, and c0 has the lowest.
+    index, and c0 has the lowest. At most one of fit and -fit beats g >= 0,
+    so c0 is always first or second.
 
     The result holds the school ids in the smallest unsigned dtype that
     holds m, and is the (n, 3) transpose of a C-ordered (3, n) buffer, so
@@ -228,8 +231,8 @@ def school_capacities(n: int, params: EconomyParams) -> np.ndarray:
 
 def _seat_dtype(m: int) -> np.dtype:
     """The smallest signed integer dtype that holds -1 (no seat yet) and
-    every school id 0..m: DA and TTC seat students in it and widen the
-    result to int64 once."""
+    every school id 0..m: TTC seats students in it and widens the result
+    to int64 once."""
     return np.min_scalar_type(-m - 1)
 
 
@@ -275,40 +278,37 @@ def _past_best(values: np.ndarray, keep: int) -> np.ndarray:
 
 
 def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
-                  lottery: np.ndarray, prefs: np.ndarray | None = None) -> np.ndarray:
+                  lottery: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     """Student-proposing deferred acceptance with resident priority and a
     single tie-breaking lottery number per student.
 
-    School k ranks its residents first, then everyone else, each group in
-    lottery order. So an oversubscribed school with cap seats keeps every
-    resident of its pool and the best non-residents when its residents fit,
-    else its cap best residents: only the group that straddles the cap is
-    cut, by lottery (`_past_best`), and the lottery is never sorted whole.
+    `first` is each student's first choice (0 for c0, `preferences(...)[:, 0]`
+    if not given). Every list puts c0 first or second and c0 never fills, so
+    DA ends after one round: each school keeps its best applicants and seats
+    the rest at c0. School k ranks its residents first, then everyone else,
+    each group in lottery order. So an oversubscribed school with cap seats
+    keeps every resident of its pool and the best non-residents when its
+    residents fit, else its cap best residents: only the group that
+    straddles the cap is cut, by lottery (`_past_best`), and the lottery is
+    never sorted whole.
     """
-    if prefs is None:
-        prefs = preferences(agents, params)
-    caps = school_capacities(agents.n, params)
-    ptr = np.zeros(agents.n, dtype=np.uint8)
-    cur = prefs[:, 0].astype(_seat_dtype(params.m))  # round 1: everyone proposes to their top
-    while True:  # tentatively hold; trim oversubscribed schools
-        for k in range(1, params.m + 1):
-            pool = np.flatnonzero(cur == k)
-            cap = caps[k]
-            if pool.size <= cap:
-                continue
-            local = residency[pool] == k
-            left = cap - np.count_nonzero(local)  # seats after every resident
-            if left < 0:  # the residents alone overfill k: no non-resident stays
-                group, keep, out = np.compress(local, pool), cap, np.compress(~local, pool)
-            else:
-                group, keep, out = np.compress(~local, pool), left, pool[:0]
-            rejected = np.concatenate([out, group[_past_best(lottery[group], keep)]])
-            cur[rejected] = -1
-            ptr[rejected] += 1
-        free = np.flatnonzero(cur == -1)
-        if free.size == 0:
-            return cur.astype(np.int64)
-        cur[free] = prefs[free, ptr[free]]
+    if first is None:
+        first = preferences(agents, params)[:, 0]
+    cap = school_capacities(agents.n, params)[1]
+    cur = first.astype(np.int64)
+    for k in range(1, params.m + 1):
+        pool = np.flatnonzero(first == k)
+        if pool.size <= cap:
+            continue
+        local = residency[pool] == k
+        left = cap - np.count_nonzero(local)  # seats after every resident
+        if left < 0:  # the residents alone overfill k: no non-resident stays
+            group, keep = np.compress(local, pool), cap
+            cur[np.compress(~local, pool)] = 0
+        else:
+            group, keep = np.compress(~local, pool), left
+        cur[group[_past_best(lottery[group], keep)]] = 0
+    return cur
 
 
 def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
@@ -316,125 +316,92 @@ def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
     return residency.astype(np.int64)
 
 
-def _among(values: np.ndarray, ids) -> np.ndarray:
-    """Mask of `values` equal to one of a few `ids`: one compare per id,
-    where `np.isin` or a table lookup would first cast `values` to intp."""
-    mask = np.zeros(values.shape, dtype=bool)
-    for i in ids:
-        mask |= values == i
-    return mask
-
-
 def _resident_blocks(residency: np.ndarray, lottery: np.ndarray,
-                     dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Every housed student, by school and then in lottery order (ties by
-    index), and each one's school in `dtype`: the residents' lottery
-    numbers are sorted, and the small school ids then sorted stably."""
-    housed = np.flatnonzero(residency > 0)
+                     first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every housed student whose first choice is a school, by school and
+    then in lottery order (ties by index), and each one's school: the
+    residents' lottery numbers are sorted, and the small school ids then
+    sorted stably."""
+    housed = np.flatnonzero((residency > 0) & (first > 0))
     housed = housed[_lottery_order(lottery[housed])]
-    home = residency[housed].astype(dtype)
+    home = residency[housed]
     by_school = np.argsort(home, kind="stable")
     return housed[by_school], home[by_school]
 
 
 def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
-                   lottery: np.ndarray, prefs: np.ndarray | None = None) -> np.ndarray:
+                   lottery: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     """Top trading cycles with counters; c0 has unlimited seats.
 
+    `first` is each student's first choice (0 for c0, `preferences(...)[:, 0]`
+    if not given). Every list puts c0 first or second and c0 never fills, so
+    a student points at `first` until it fills and is then seated at c0:
+    those whose first choice is c0 at once, the rest by one pass when their
+    school fills.
+
     School k ranks its residents in lottery order, then everyone in lottery
-    order (its residents are all seated by the time it gets there), so one
-    resident block per school, sorted by lottery, and the lottery order
-    give every priority list. That order is read only by the scan for the
-    first unseated student, which in most markets stays within a few
-    sqrt(n) of the front: it is sorted as a head of about 4 sqrt(n)
-    students (`_lottery_prefix`), four times as long each time the scan
-    runs past it. Each student points to their first listed school with
-    seats left, their target; when a school fills, one numpy pass retargets
-    the unseated students who pointed at it.
-    A student whose target is c0 is seated there at once. The rest are
-    seated by a walk over the school graph, k -> target of k's top student:
-    a self-pointer (k's top student targets k) takes a seat in place, and a
-    cycle of schools seats each school's top student at the next school. A
-    school that fills is closed at once, and its students retarget. A
+    order, so one resident block per school, sorted by lottery, and the
+    lottery order give every priority list. Past its block, every school's
+    top student is the first unseated student in lottery order, which in
+    most markets stays within a few sqrt(n) of the front: that order is
+    sorted as a head of about 4 sqrt(n) students (`_lottery_prefix`), four
+    times as long each time the scan runs past it.
+    A walk over the school graph, k -> first choice of k's top student,
+    seats the others: a self-pointer takes a seat in place, and a cycle of
+    schools seats each school's top student at the next school. A
     self-pointer can seat the top student of the school below on the walk's
     stack; that school's edge is then gone and the walk steps back to it.
 
-    Between two retargets, a resident of an open school k is only ever
-    seated at the head of k's resident block: as k's top student, or as the
-    lottery head of another school, who is the first unseated student in
-    lottery order and so, if a resident of k, k's head. So each retarget
-    rebuilds the blocks from the unseated residents and marks those who do
-    not target their own school, and until the next retarget these marks
-    tell how far a run of cycles reaches. Two steps clear such a run at once:
-    - self run: k's head targets k. The residents of k from the head to the
+    A resident of k takes a school seat only as the head of k's block: as
+    k's top student, or as another school's lottery head, the first
+    unseated student in lottery order and so k's head. Only a seat at c0,
+    when the school a resident wants fills, comes out of turn. So `marked`,
+    the block positions of the residents who want another school, built
+    once, bounds how far a run of cycles reaches; a mark whose resident was
+    seated at c0 only ends a run early. Two steps clear such a run at once:
+    - self run: k's head wants k. The residents of k from the head to the
       next marked one, at most k's seats left, take seats at k in turn.
     - swap run (m = 2 only): the walk closes the cycle k <-> j on two
       resident heads. The next marked residents of k and j then trade pair
       by pair, each pair after the self runs before it, for as many pairs as
       both blocks hold and both schools' seats allow. Each school uses one
-      seat per student of its own block that the run seats.
+      seat per student of its own block that the run seats. Both schools
+      are open, so neither block has a resident seated out of turn.
     Longer cycles, lottery heads and cycles at m >= 3 take one step each.
 
     TTC's outcome does not depend on the order in which cycles are cleared
     (Abdulkadiroglu & Sonmez, AER 2003), so this equals the per-student
     loop that the tests keep as a reference.
     """
-    if prefs is None:
-        prefs = preferences(agents, params)
+    if first is None:
+        first = preferences(agents, params)[:, 0]
     n, m = agents.n, params.m
     seats = school_capacities(n, params).tolist()
     assigned = np.full(n, -1, dtype=_seat_dtype(m))
-    target = np.empty(n, dtype=prefs.dtype)
-    queue, at = _resident_blocks(residency, lottery, prefs.dtype)
-    res_pos = [0] * (m + 1)   # school k's block: queue[res_pos[k]:res_end[k]]
-    res_end = [0] * (m + 1)
-    marked = run_end = res = None  # set by retarget()
-    was_open = np.ones(m + 1, dtype=bool)
+    assigned[first == 0] = 0
+    left = np.count_nonzero(assigned)  # the unseated, at -1
+    queue, at = _resident_blocks(residency, lottery, first)
+    res_end = np.searchsorted(at, np.arange(m + 1, dtype=at.dtype), side="right").tolist()
+    res_pos = [0] + res_end[:-1]  # school k's block: queue[res_pos[k]:res_end[k]]
+    marked = np.append(np.flatnonzero(first[queue] != at), queue.size)
+    run_end = memoryview(np.repeat(marked, np.diff(marked, prepend=-1)))  # next mark
+    res = memoryview(queue)
 
-    def retarget(stale: np.ndarray | slice | None = None) -> int:
-        """Point each student in `stale` (an index array, slice(None) for
-        everyone, by default each unseated one whose target school has
-        filled since the last call) at their first listed school with seats
-        left (c0 always has some); seat those who point at c0 there. Schools
-        only ever close, so no other target changes. Then drop the seated
-        residents from the blocks, which keep their order. `marked` holds,
-        in order, the positions of the block residents who do not target
-        their own school and the sentinel queue.size; run_end[p] is the
-        first of them at or after p."""
-        nonlocal queue, at, marked, run_end, res, was_open
-        is_open = np.array(seats) > 0
-        if stale is None:
-            filled = _among(target, np.flatnonzero(was_open & ~is_open))
-            filled &= assigned < 0
-            stale = np.flatnonzero(filled)
-        was_open = is_open
-        rows = (lambda pos: pos) if isinstance(stale, slice) else stale.__getitem__
-        goal = prefs[stale, 0].copy()  # a view of prefs when stale is a slice
-        closed = np.flatnonzero(~is_open)
-        if closed.size:
-            for col in range(1, prefs.shape[1]):
-                shut = np.flatnonzero(_among(goal, closed))
-                goal[shut] = prefs[rows(shut), col]
-        target[stale] = goal
-        to_c0 = rows(np.flatnonzero(goal == 0))
-        assigned[to_c0] = 0
-        unseated = assigned[queue] < 0
-        queue, at = np.compress(unseated, queue), np.compress(unseated, at)
-        res_end[:] = np.searchsorted(at, np.arange(m + 1, dtype=at.dtype), side="right").tolist()
-        res_pos[:] = [0] + res_end[:-1]
-        marked = np.append(np.flatnonzero(target[queue] != at), queue.size)
-        run_end = memoryview(np.repeat(marked, np.diff(marked, prepend=-1)))
-        res = memoryview(queue)
-        return to_c0.size
+    def close(k: int) -> int:
+        """Seat at c0 every unseated student whose first choice is k, which
+        has filled; return how many."""
+        stale = np.flatnonzero(first == k)
+        stale = stale[assigned[stale] < 0]
+        assigned[stale] = 0
+        return stale.size
 
-    lot_pos = [0] * (m + 1)
     top = [-1] * (m + 1)      # a stacked school's top student
     depth = [-1] * (m + 1)    # a school's place on the walk's stack; -1 off it
     span = 4 * math.isqrt(n)
     head = _lottery_prefix(lottery, span)
-    asg, tgt, lot = (memoryview(a) for a in (assigned, target, head))
+    h = 0                     # no unseated student precedes head[h] in lottery order
+    asg, tgt, lot = (memoryview(a) for a in (assigned, first, head))
 
-    left = n - retarget(slice(None))
     while left:
         k = next(k for k in range(1, m + 1) if seats[k])
         stack = [k]
@@ -452,7 +419,6 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
             if p < end:
                 t = res[p]
             else:
-                h = lot_pos[k]
                 while True:
                     while h < len(lot) and asg[lot[h]] >= 0:
                         h += 1
@@ -462,7 +428,6 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                     span *= 4
                     head = _lottery_prefix(lottery, span)
                     lot = memoryview(head)
-                lot_pos[k] = h
                 t = lot[h]
             j = tgt[t]
             if j == k:  # self-pointer; a resident head starts a self run
@@ -474,7 +439,7 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                 left -= run
                 seats[k] -= run
                 if not seats[k]:
-                    left -= retarget()
+                    left -= close(k)
                     stack.pop()
                     depth[k] = -1
                 elif len(stack) > 1 and top[stack[-2]] == t:
@@ -491,7 +456,8 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
             if m == 2 and p < end and res_pos[j] < res_end[j]:
                 # a swap run on the resident heads of k and j (j's top is its
                 # head while its block holds any); at m = 2 every marked
-                # resident of either school targets the other
+                # resident of either school wants the other, as no block
+                # holds a student whose first choice is c0
                 pj = res_pos[j]
                 ik, ij, ck, cj = np.searchsorted(marked, (
                     p, pj, min(end, p + seats[k]), min(res_end[j], pj + seats[j])))
@@ -499,29 +465,27 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                 for s, a, b in ((k, p, int(marked[ik + pairs - 1]) + 1),
                                 (j, pj, int(marked[ij + pairs - 1]) + 1)):
                     seated = queue[a:b]
-                    assigned[seated] = target[seated]
+                    assigned[seated] = first[seated]
                     res_pos[s] = b
                     seats[s] -= b - a
                     left -= b - a
                 depth[k] = depth[j] = -1
                 del stack[start:]
-                if not (seats[k] and seats[j]):
-                    left -= retarget()
+                for s in (k, j):
+                    if not seats[s]:
+                        left -= close(s)
                 continue
             # cycle stack[start:]: each school's top takes a seat at the next
-            closed = False
             for c in stack[start:]:
                 t = top[c]
                 d = tgt[t]
                 asg[t] = d
                 seats[d] -= 1
                 if not seats[d]:
-                    closed = True
+                    left -= close(d)
                 depth[c] = -1
             left -= len(stack) - start
             del stack[start:]
-            if closed:
-                left -= retarget()
     return assigned.astype(np.int64)
 
 
@@ -612,7 +576,7 @@ def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
 
 
 # Finite algorithm per core mechanism, each called as
-# run(agents, residency, params, lottery, prefs). The lambdas look the
+# run(agents, residency, params, lottery, first). The lambdas look the
 # functions up when called, so a rebound module attribute (a tracer's
 # wrapper, a test double) is the one that runs.
 _FINITE_RUNS = {
@@ -624,12 +588,13 @@ _FINITE_RUNS = {
 
 def run_mechanism(agents: Agents, residency: np.ndarray, params: EconomyParams,
                   mech: mx.Mechanism, lottery: np.ndarray,
-                  prefs: np.ndarray | None = None) -> np.ndarray:
-    """School per agent under a core mechanism; `prefs` are built if not given."""
+                  first: np.ndarray | None = None) -> np.ndarray:
+    """School per agent under a core mechanism; `first`, each student's
+    first choice, is built if not given."""
     mech = mx.Mechanism(mech)
     if mech not in _FINITE_RUNS:
         raise ValueError(f"no finite algorithm for {mech.value}")
-    return _FINITE_RUNS[mech](agents, residency, params, lottery, prefs)
+    return _FINITE_RUNS[mech](agents, residency, params, lottery, first)
 
 
 def _seat_values(agents: Agents, assignment: np.ndarray) -> np.ndarray:
@@ -650,26 +615,25 @@ def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, 
     params = config.params
     agents = sample_agents(params, config.n_agents, rng)
     residency = housing_stage(agents, config.cutoffs, params, rng)
-    prefs = preferences(agents, params)
+    first = preferences(agents, params)[:, 0]
     # the rankings draw nothing, so the lottery comes next in the stream; it
     # lives only as long as the mechanism's call
     assignment = run_mechanism(agents, residency, params, config.mech,
-                               rng.random(config.n_agents), prefs)
+                               rng.random(config.n_agents), first)
 
     n = agents.n
     stats: dict[str, float] = {}
-    top = prefs[:, 0]
     if config.mech == mx.Mechanism.TTC:
         # cross-zone residents trade through cycles; only n0 residents
         # face the tie-breaking lottery
         applicants = residency == 0
     else:
-        applicants = residency != top
-    applicants &= top >= 1
+        applicants = residency != first
+    applicants &= first >= 1
     total = np.count_nonzero(applicants)
-    applicants &= assignment != top  # the rejected ones
+    applicants &= assignment != first  # the rejected ones
     stats["r"] = float(np.count_nonzero(applicants)) / total if total else float("nan")
-    del prefs, top, applicants  # freed before the value pass, the peak under N
+    del first, applicants  # freed before the value pass, the peak under N
 
     value = _seat_values(agents, assignment)
 

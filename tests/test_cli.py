@@ -96,6 +96,24 @@ class TestSolve:
         assert cli.main(["solve", "--config", str(path)]) == cli.EXIT_ASSUMPTION
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_policy_over_q_exits_cleanly(command, tmp_path, capsys):
+    # at low q, and for DA_WL at q = 0.6-0.7, the one fixed point puts a
+    # cutoff outside (g, e - g): that exits 4 with one line, as a core
+    # mechanism's does, where it used to raise CdfError from the profiles
+    codes = {}
+    for i in range(1, 20):
+        path = write_config(tmp_path, q=i / 20)
+        for mech in ("da_l", "da_wl"):
+            codes[mech, i] = cli.main([command, "--config", path, "--mech", mech])
+            err = capsys.readouterr().err
+            assert codes[mech, i] in (0, cli.EXIT_SOLVER), (i, mech, err)
+            assert len(err.splitlines()) == (0 if codes[mech, i] == 0 else 1), (i, mech, err)
+            if i in (1, 3) or (mech == "da_wl" and i in (5, 12, 14)):
+                assert "outside" in err, (i, mech, err)
+    assert codes["da_l", 10] == codes["da_wl", 10] == 0
+
+
 class TestCompare:
     def test_csv_shape(self, capsys):
         assert cli.main(["compare", "--example", "--mech", "n,da"]) == 0

@@ -539,12 +539,17 @@ class TestPolicies:
 
     def test_fixed_point_below_the_old_scan(self, monkeypatch):
         # DA_WL's gap is r - 0.04416 at a constant price 0.4216 here; the 40
-        # rates that once bracketed the fixed point started at r = 0.05
+        # rates that once bracketed the fixed point started at r = 0.05. The
+        # richest type's cutoff there, 1.8455, lies past e - g, so
+        # solve_policy rejects the fixed point as _equilibrium would
         monkeypatch.setattr(equilibrium, "is_example_profile", lambda params: True)
-        eq = solve_policy(EconomyParams.from_config(LOW_RATE_CONFIG), "da_wl")
-        assert eq.r == pytest.approx(0.04416023298028049, abs=1e-12)
-        assert eq.p == pytest.approx(0.4216, abs=1e-4)
-        assert abs(eq.residual) < 1e-12
+        params = EconomyParams.from_config(LOW_RATE_CONFIG)
+        roots, _ = equilibrium._policy_roots(mx.Mechanism.DA_WL, params)
+        assert roots == [pytest.approx(0.04416023298028049, abs=1e-12)]
+        gaps, prices, _, _ = equilibrium._policy_gap(mx.Mechanism.DA_WL, np.array(roots), params)
+        assert abs(gaps[0]) < 1e-12 and prices[0] == pytest.approx(0.4216, abs=1e-4)
+        with pytest.raises(InteriorViolationError, match=r"cutoff 1\.8455 for omega=1\.0566"):
+            solve_policy(params, "da_wl")
 
 
 # the DA_L and DA_WL fixed points of this economy clear only at p = 0
@@ -581,11 +586,12 @@ def test_policy_roots_match_a_fine_scan(monkeypatch):
     concave F (flat-topped one time in three), each policy's enumerated
     roots fall one to each sign change of the gap on a 2,001-point grid
     of (1e-4, 0.9999), and solve_policy names the corner exactly when
-    the grid's crossing lies there."""
+    the grid's crossing lies there. A lone root whose cutoffs leave
+    (g, e - g) is rejected as interior."""
     monkeypatch.setattr(equilibrium, "is_example_profile", lambda params: True)
     rng = random.Random(20260)
     rs = np.linspace(1e-4, 0.9999, 2001)
-    seen, outcomes = 0, {"solved": 0, "corner": 0, "none": 0}
+    seen, outcomes = 0, {"solved": 0, "interior": 0, "corner": 0, "none": 0}
     while seen < 150:
         params, _ = random_economy(rng)
         if not isinstance(params.cdf, ss.PiecewiseLinear):
@@ -606,11 +612,17 @@ def test_policy_roots_match_a_fine_scan(monkeypatch):
                 eq = solve_policy(params, mech)
                 outcomes["solved"] += 1
                 assert (eq.r,) == tuple(roots) and not corner
+            except InteriorViolationError:
+                outcomes["interior"] += 1
+                assert len(roots) == 1 and not corner, (params, mech, roots)
+                _, _, cuts, _ = equilibrium._policy_gap(mech, np.array(roots), params)
+                assert not np.all(interior(params, cuts)), (params, mech, cuts)
             except NoFixedPointError as err:
                 named = "p = 0 corner" in str(err)
                 outcomes["corner" if named else "none"] += 1
                 assert named == bool(corner), (params, mech, err)
-    assert outcomes["solved"] > 250 and outcomes["corner"] > 0
+    assert outcomes["solved"] + outcomes["interior"] > 250, outcomes
+    assert outcomes["interior"] > 0 and outcomes["corner"] > 0, outcomes
 
 
 class TestLemma1:
