@@ -136,6 +136,11 @@ class PiecewiseLinear(SignalCdf):
 class Uniform(PiecewiseLinear):
     knots: tuple[tuple[float, float], ...] = ((0.0, 0.0), (1.0, 1.0))
 
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        # F is the identity on [0, 1], so a copy equals the interpolation
+        # value for value there and costs a fraction of it
+        return np.array(u, dtype=np.float64)
+
     def to_config(self) -> dict:
         return {"type": "uniform"}
 

@@ -14,10 +14,12 @@ and `run_da_finite` replaced, as references they must match exactly.
 
 Neither mechanism sorts the whole lottery: DA cuts each oversubscribed
 school by one partition, and TTC sorts its residents and a head of the
-lottery order. The stages work in place where they can. The students'
-school and wealth-type columns, the residency, the rankings and the seats
-are held in the smallest integer dtypes that fit m or the type count, and
-only the assignment a mechanism returns is int64 (see MAX_AGENTS).
+lottery order. The stages work in place where they can, and pick out a
+school's applicants by boolean masks, not index lists. The students' school
+and wealth-type columns, the residency, the rankings and the seats are held
+in the smallest integer dtypes that fit m or the type count, and a
+mechanism returns its assignment in the residency's dtype, one byte per
+student for m < 256 (see MAX_AGENTS).
 """
 from __future__ import annotations
 
@@ -30,10 +32,10 @@ from . import mechanisms as mx
 from .economy import EconomyParams
 
 
-# A DA plus TTC replication peaks at 51-55 bytes per agent above the
-# interpreter and the solved economy (ru_maxrss at 200k and 1M agents; the
-# arrays themselves peak at 47-53, by tracemalloc), so the cap keeps one
-# run near 0.3 GB.
+# A DA plus TTC replication peaks at 47-48 bytes per agent above the
+# interpreter, the solved economy and a small warm-up replication
+# (ru_maxrss at 200k and 1M agents; the arrays themselves peak at 40-45, by
+# tracemalloc), so the cap keeps one run near 0.25 GB.
 MAX_AGENTS = 5_000_000
 
 
@@ -231,8 +233,8 @@ def school_capacities(n: int, params: EconomyParams) -> np.ndarray:
 
 def _seat_dtype(m: int) -> np.dtype:
     """The smallest signed integer dtype that holds -1 (no seat yet) and
-    every school id 0..m: TTC seats students in it and widens the result
-    to int64 once."""
+    every school id 0..m: TTC seats students in it and converts the result
+    to the residency's dtype once, when every seat is taken."""
     return np.min_scalar_type(-m - 1)
 
 
@@ -290,30 +292,39 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     keeps every resident of its pool and the best non-residents when its
     residents fit, else its cap best residents: only the group that
     straddles the cap is cut, by lottery (`_past_best`), and the lottery is
-    never sorted whole.
+    never sorted whole. The applicants and their groups are boolean masks;
+    only the straddling group becomes an index list.
+
+    The result is a copy of `first` in the residency's dtype, with the
+    rejected students set to c0.
     """
     if first is None:
         first = preferences(agents, params)[:, 0]
     cap = school_capacities(agents.n, params)[1]
-    cur = first.astype(np.int64)
+    cur = first.astype(residency.dtype)
+    applied = np.empty(agents.n, dtype=bool)  # k's applicants, then a group of them
+    local = np.empty(agents.n, dtype=bool)    # k's residents, then those who apply
     for k in range(1, params.m + 1):
-        pool = np.flatnonzero(first == k)
-        if pool.size <= cap:
+        np.equal(first, k, out=applied)
+        if np.count_nonzero(applied) <= cap:
             continue
-        local = residency[pool] == k
+        np.equal(residency, k, out=local)
+        local &= applied
+        applied ^= local  # the non-residents who apply
         left = cap - np.count_nonzero(local)  # seats after every resident
         if left < 0:  # the residents alone overfill k: no non-resident stays
-            group, keep = np.compress(local, pool), cap
-            cur[np.compress(~local, pool)] = 0
+            cur *= ~applied  # a product, faster than a masked store
+            group, keep = np.flatnonzero(local), cap
         else:
-            group, keep = np.compress(~local, pool), left
+            group, keep = np.flatnonzero(applied), left
         cur[group[_past_best(lottery[group], keep)]] = 0
     return cur
 
 
 def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
-    """No school choice: everyone attends their neighborhood school."""
-    return residency.astype(np.int64)
+    """No school choice: everyone attends their neighborhood school. The
+    result is a copy of the residency."""
+    return residency.copy()
 
 
 def _resident_blocks(residency: np.ndarray, lottery: np.ndarray,
@@ -368,6 +379,11 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
       seat per student of its own block that the run seats. Both schools
       are open, so neither block has a resident seated out of turn.
     Longer cycles, lottery heads and cycles at m >= 3 take one step each.
+    When a school fills, one pass over a boolean mask seats at c0 every
+    student still pointing at it.
+
+    The seats are kept in `_seat_dtype(m)` and returned in the residency's
+    dtype.
 
     TTC's outcome does not depend on the order in which cycles are cleared
     (Abdulkadiroglu & Sonmez, AER 2003), so this equals the per-student
@@ -390,10 +406,10 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     def close(k: int) -> int:
         """Seat at c0 every unseated student whose first choice is k, which
         has filled; return how many."""
-        stale = np.flatnonzero(first == k)
-        stale = stale[assigned[stale] < 0]
-        assigned[stale] = 0
-        return stale.size
+        stale = first == k
+        stale &= assigned < 0
+        np.add(assigned, stale, out=assigned)  # -1 + 1, faster than a masked store
+        return np.count_nonzero(stale)
 
     top = [-1] * (m + 1)      # a stacked school's top student
     depth = [-1] * (m + 1)    # a school's place on the walk's stack; -1 off it
@@ -486,7 +502,7 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                 depth[c] = -1
             left -= len(stack) - start
             del stack[start:]
-    return assigned.astype(np.int64)
+    return assigned.astype(residency.dtype)
 
 
 def _rank_table(prefs: np.ndarray, m: int) -> np.ndarray:
@@ -589,8 +605,8 @@ _FINITE_RUNS = {
 def run_mechanism(agents: Agents, residency: np.ndarray, params: EconomyParams,
                   mech: mx.Mechanism, lottery: np.ndarray,
                   first: np.ndarray | None = None) -> np.ndarray:
-    """School per agent under a core mechanism; `first`, each student's
-    first choice, is built if not given."""
+    """School per agent under a core mechanism, in the residency's dtype;
+    `first`, each student's first choice, is built if not given."""
     mech = mx.Mechanism(mech)
     if mech not in _FINITE_RUNS:
         raise ValueError(f"no finite algorithm for {mech.value}")

@@ -59,18 +59,10 @@ def flows_at(params, fs, fg, feg, fepg) -> tuple[float, float, float]:
     return D, S, X
 
 
-def _anchors(params) -> tuple[float, float, float]:
-    return tuple(params.cdf.value(x) for x in anchor_points(params))
-
-
 def aggregate_flows(params) -> AggregateFlows:
     """The flows at any market-clearing cutoff profile, where F(s) = 1 - q."""
-    return AggregateFlows(*flows_at(params, 1.0 - params.q, *_anchors(params)))
-
-
-def type_flows(params, s: float) -> tuple[float, float, float]:
-    """Flows conditional on cutoff signal s: D(s), S(s), X(s)."""
-    return flows_at(params, params.cdf.value(s), *_anchors(params))
+    anchors = (params.cdf.value(x) for x in anchor_points(params))
+    return AggregateFlows(*flows_at(params, 1.0 - params.q, *anchors))
 
 
 @dataclass(frozen=True)

@@ -313,6 +313,7 @@ def test_criterion_11_flow_invariance():
             room = 0.8 * min(1.0 - params.q - lo, hi - (1.0 - params.q))
             rhos = params.wealth.rhos
             k = len(rhos)
+            anchors = [f.value(x) for x in mx.anchor_points(params)]
             for _ in range(50):
                 # market-clearing F-profile: mean 1-q, centered perturbation
                 delta = np.array([rng.uniform(-1.0, 1.0) for _ in range(k)])
@@ -322,7 +323,7 @@ def test_criterion_11_flow_invariance():
                 cuts = [f.inverse(v) for v in fs]
                 D = S = X = 0.0
                 for rho, s in zip(rhos, cuts):
-                    d_s, s_s, x_s = mx.type_flows(params, s)
+                    d_s, s_s, x_s = mx.flows_at(params, f.value(s), *anchors)
                     D += rho * d_s
                     S += rho * s_s
                     X += rho * x_s
@@ -330,6 +331,8 @@ def test_criterion_11_flow_invariance():
                 assert S == pytest.approx(fl.S, abs=1e-12)
                 assert X == pytest.approx(fl.X, abs=1e-12)
             # D(s) - S(s) - F(s) constant over an s-grid
-            vals = [mx.type_flows(params, s)[0] - mx.type_flows(params, s)[1]
-                    - f.value(s) for s in np.linspace(0.05, 0.95, 19)]
+            vals = []
+            for s in np.linspace(0.05, 0.95, 19):
+                d_s, s_s, _ = mx.flows_at(params, f.value(s), *anchors)
+                vals.append(d_s - s_s - f.value(s))
             assert max(vals) - min(vals) < 1e-12

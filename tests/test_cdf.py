@@ -98,6 +98,17 @@ class TestPpf:
         back = np.array([f.value(x) for x in f.ppf(u)])
         np.testing.assert_allclose(back, u, atol=1e-10)
 
+    def test_uniform_is_a_new_copy_of_u(self):
+        # sample_agents draws into u again after ppf, so the signals must
+        # not share its memory; they equal the interpolation value for value
+        f = Uniform()
+        u = np.concatenate([[0.0, 1.0, 5e-324, 0.5, np.nextafter(1.0, 0.0)],
+                            np.random.default_rng(0).random(1_000)])
+        s = f.ppf(u)
+        assert s.dtype == np.float64 and s.tobytes() == u.tobytes()
+        assert not np.shares_memory(s, u)
+        assert np.array_equal(s, PiecewiseLinear.ppf(f, u))
+
 
 class TestEnumerate:
     def test_count_at_step_01(self):

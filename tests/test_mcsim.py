@@ -43,13 +43,13 @@ def _market(params, n, seed, cutoffs):
     return agents, residency, rng.random(n)
 
 
-def _hand_market(top, residency, q):
+def _hand_market(top, residency, q, m=2):
     """Students at g = 0 with shocks of 0 and positive signals, so student i
     ranks school top[i] first and c0 second; lottery order is index order."""
     n = len(top)
-    params = dataclasses.replace(example_economy(), q=q)
+    params = dataclasses.replace(example_economy(), q=q, m=m)
     t1 = np.array(top, dtype=np.int64)
-    agents = mcsim.Agents(t1=t1, t2=3 - t1, s=np.full(n, 0.5), eps=np.zeros(n),
+    agents = mcsim.Agents(t1=t1, t2=t1 % m + 1, s=np.full(n, 0.5), eps=np.zeros(n),
                           omega_idx=np.zeros(n, dtype=np.int64), omegas=np.ones(1))
     return params, agents, np.array(residency, dtype=np.int64), np.arange(n) / n
 
@@ -132,7 +132,7 @@ class TestSampling:
     def test_column_dtypes(self, m, school, home):
         # the school ids hold the wrap sum t1 + shift <= 2m - 1, the
         # residency holds m and the wealth types their count; every
-        # mechanism seats in int64
+        # mechanism returns its seats in the residency's dtype
         params = dataclasses.replace(example_economy(), m=m)
         rng = np.random.default_rng(m)
         agents = mcsim.sample_agents(params, 2_000, rng)
@@ -146,7 +146,7 @@ class TestSampling:
         lottery = rng.random(agents.n)
         for mech in mx.CORE:
             asg = mcsim.run_mechanism(agents, residency, params, mech, lottery)
-            assert asg.dtype == np.int64, mech
+            assert asg.dtype == residency.dtype, mech
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 300])
     def test_draw_index_is_generator_choice(self, k):
@@ -334,6 +334,32 @@ class TestTtcFinite:
             [1, 1, 1, 1, 1, 2, 2, 2, 2, 2], [1] * 5 + [0] * 5, q=0.6)
         asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
         assert asg.tolist() == [1, 1, 1, 0, 0, 2, 2, 2, 0, 0]
+        assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
+
+    @pytest.mark.parametrize("top, residency, seats, want", [
+        # 0 takes a seat at 1; 5 and 1 trade 2 for 3, and 2 takes 3's last
+        # seat: 3 fills with 1 and 2 seated and 6 not. Student 3 then fills
+        # 1, whose applicant 4 and school 2's unseated resident 7 go to c0
+        ([1, 3, 3, 1, 1, 2, 3, 1, 2], [1, 2, 2, 0, 0, 3, 0, 2, 0], 2,
+         [1, 3, 3, 1, 0, 2, 0, 0, 2]),
+        # 0 takes a seat at 1 and the marked 1 stops the self run; 1 and 4
+        # trade 1 for 2, which fills 1 with 0 and 4 seated and its own
+        # residents 2 and 3 not, while schools 2 and 3 hold unseated
+        # residents 5 and 7. 7 sits down at 3, and 5, the top of both 2 and
+        # 3, takes 3's last seat
+        ([1, 2, 1, 1, 1, 3, 1, 3, 2, 3], [1, 1, 1, 1, 2, 2, 0, 3, 0, 0], 2,
+         [1, 2, 0, 0, 1, 3, 0, 3, 2, 0]),
+        # one seat a school and the cycle 1 -> 2 -> 3 -> 1 on resident heads:
+        # 0's seat fills 2 while 1 and 2, the heads of 2 and 3, are unseated
+        ([2, 3, 1, 1, 1, 2, 3], [1, 2, 3, 0, 2, 0, 0], 1, [2, 3, 1, 0, 0, 0, 0]),
+    ], ids=["lottery_head_fills", "cycle_fills_own_block", "three_cycle"])
+    def test_school_fills_at_m3_with_blocks_open(self, top, residency, seats, want):
+        n = len(top)
+        params, agents, residency, lottery = _hand_market(
+            top, residency, q=(3 * seats + 0.5) / n, m=3)
+        assert mcsim.school_capacities(n, params)[1:].tolist() == [seats] * 3
+        asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+        assert asg.tolist() == want
         assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
 
     def test_residents_weakly_improve(self):
@@ -647,6 +673,13 @@ class TestImprovementSearch:
         assert mcsim.find_ttc_improvement(agents, np.array([2, 1, 0, 0]), params) == [0, 1]
         assert mcsim.find_ttc_improvement(agents, np.array([1, 2, 0, 0]), params) is None
 
+    def test_upgrade_to_the_empty_last_school(self):
+        # school m = 2 holds no student and 1, seated at c0, ranks it first:
+        # 1 upgrades to a free seat there alone
+        params, agents, _, _ = _hand_market([1, 2, 1, 2], [0] * 4, q=0.5)
+        assignment = np.array([1, 0, 0, 0], dtype=np.uint8)
+        assert mcsim.find_ttc_improvement(agents, assignment, params) == [1]
+
 
 class TestRunMechanism:
     def test_first_choices_pass_through(self):
@@ -770,13 +803,15 @@ def test_seat_values_match_the_nested_where():
 
 class TestWorkingSet:
     """The tracemalloc peak of one replication, above what was allocated
-    before it, per agent: 47 bytes under N, 53 under DA and 48 under TTC at
-    50k agents on the example. Int64 school and type columns, a per-agent
-    omega array and an int64 residency peaked at 83, 89 and 86; full-size
-    int64 temporaries and a full lottery sort before them at 137, 137 and
-    151. The bound leaves about 15% headroom."""
+    before it, per agent: 40 bytes under N, 43 under DA and 45 under TTC at
+    50k agents on the example, where TTC peaks in `_resident_blocks`. Int64
+    assignments and index lists of a school's applicants peaked at 47, 53
+    and 48; int64 school and type columns, a per-agent omega array and an
+    int64 residency before them at 83, 89 and 86; full-size int64
+    temporaries and a full lottery sort before those at 137, 137 and 151.
+    The bound leaves about 15% headroom."""
 
-    BYTES_PER_AGENT = 61
+    BYTES_PER_AGENT = 52
 
     @pytest.mark.parametrize("mech", ["n", "da", "ttc"])
     def test_replication_peak_per_agent(self, mech):

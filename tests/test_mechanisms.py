@@ -27,15 +27,17 @@ class TestFlows:
         # at F(s) = 1-q the conditional flows equal the aggregates
         p = example_economy()
         s = p.cdf.inverse(1.0 - p.q)
-        D, S, X = mx.type_flows(p, s)
+        anchors = [p.cdf.value(x) for x in mx.anchor_points(p)]
+        D, S, X = mx.flows_at(p, p.cdf.value(s), *anchors)
         fl = mx.aggregate_flows(p)
         assert (D, S, X) == pytest.approx((fl.D, fl.S, fl.X), abs=1e-12)
 
     def test_d_minus_s_minus_f_constant(self):
         p = example_economy()
+        anchors = [p.cdf.value(x) for x in mx.anchor_points(p)]
         vals = []
         for s in np.linspace(0.1, 0.9, 9):
-            D, S, _ = mx.type_flows(p, s)
+            D, S, _ = mx.flows_at(p, p.cdf.value(s), *anchors)
             vals.append(D - S - p.cdf.value(s))
         assert max(vals) - min(vals) < 1e-12
 
