@@ -13,13 +13,14 @@ per-student TTC loop and the per-round lexsort DA that `run_ttc_finite`
 and `run_da_finite` replaced, as references they must match exactly.
 
 Neither mechanism sorts the whole lottery: DA cuts each oversubscribed
-school by one partition, and TTC sorts its residents and a head of the
-lottery order. The stages work in place where they can, and pick out a
-school's applicants by boolean masks, not index lists. The students' school
-and wealth-type columns, the residency, the rankings and the seats are held
-in the smallest integer dtypes that fit m or the type count, and a
-mechanism returns its assignment in the residency's dtype, one byte per
-student for m < 256 (see MAX_AGENTS).
+school by one partition, and TTC seats the residents who want their own
+school first and sorts the other residents and a head of the lottery order.
+The stages work in place where they can, and pick out a school's applicants
+by boolean masks, not index lists. The students' school and wealth-type
+columns, the residency, the rankings and the seats are held in the smallest
+integer dtypes that fit m or the type count, and a mechanism returns its
+assignment in the residency's dtype, one byte per student for m < 256 (see
+MAX_AGENTS).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .economy import EconomyParams
 
 # A DA plus TTC replication peaks at 47-48 bytes per agent above the
 # interpreter, the solved economy and a small warm-up replication
-# (ru_maxrss at 200k and 1M agents; the arrays themselves peak at 40-45, by
+# (ru_maxrss at 200k and 1M agents; the arrays themselves peak at 40-43, by
 # tracemalloc), so the cap keeps one run near 0.25 GB.
 MAX_AGENTS = 5_000_000
 
@@ -178,7 +179,8 @@ def sample_agents(params: EconomyParams, n: int, rng: np.random.Generator) -> Ag
 def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
                   rng: np.random.Generator) -> np.ndarray:
     """Residency per agent: 0 for n0, else the neighborhood index 1..m, in
-    the smallest unsigned dtype that holds m."""
+    the smallest unsigned dtype that holds m. Only a zone over its cap
+    becomes an index list, of which `rng.choice` keeps cap."""
     lookup = dict(cutoffs)
     demand = np.zeros(agents.n, dtype=bool)  # signal above the type's cutoff
     for idx, (w, _) in enumerate(params.wealth.atoms):
@@ -186,12 +188,14 @@ def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
         above &= agents.omega_idx == idx
         demand |= above
     cap = int(agents.n * params.q / params.m)
-    residency = np.zeros(agents.n, dtype=np.min_scalar_type(params.m))
+    residency = np.multiply(agents.t1, demand, dtype=np.min_scalar_type(params.m),
+                            casting="unsafe")  # t1 <= m fits
     for k in range(1, params.m + 1):
-        idx = np.flatnonzero(demand & (agents.t1 == k))
-        if idx.size > cap:
-            idx = rng.choice(idx, size=cap, replace=False)
-        residency[idx] = k
+        np.equal(residency, k, out=demand)
+        if np.count_nonzero(demand) > cap:
+            idx = np.flatnonzero(demand)
+            residency[idx] = 0
+            residency[rng.choice(idx, size=cap, replace=False)] = k
     return residency
 
 
@@ -328,12 +332,11 @@ def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
 
 
 def _resident_blocks(residency: np.ndarray, lottery: np.ndarray,
-                     first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every housed student whose first choice is a school, by school and
-    then in lottery order (ties by index), and each one's school: the
-    residents' lottery numbers are sorted, and the small school ids then
-    sorted stably."""
-    housed = np.flatnonzero((residency > 0) & (first > 0))
+                     queued: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The housed students of the mask `queued`, by school and then in
+    lottery order (ties by index), and each one's school: their lottery
+    numbers are sorted, and the small school ids then sorted stably."""
+    housed = np.flatnonzero(queued)
     housed = housed[_lottery_order(lottery[housed])]
     home = residency[housed]
     by_school = np.argsort(home, kind="stable")
@@ -350,37 +353,32 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     those whose first choice is c0 at once, the rest by one pass when their
     school fills.
 
-    School k ranks its residents in lottery order, then everyone in lottery
-    order, so one resident block per school, sorted by lottery, and the
-    lottery order give every priority list. Past its block, every school's
-    top student is the first unseated student in lottery order, which in
-    most markets stays within a few sqrt(n) of the front: that order is
-    sorted as a head of about 4 sqrt(n) students (`_lottery_prefix`), four
-    times as long each time the scan runs past it.
+    School k ranks its block, its residents who want a school, in lottery
+    order, then everyone in lottery order. A seat at k goes only with a
+    cycle through k, which also seats k's top student, the block's head
+    while the block holds anyone. So a school whose block is no longer than
+    its seats cannot fill while the block holds anyone, and each resident
+    who wants it gets it: they are seated before the walk, by adding a mask,
+    and the block keeps only its traders, who want another school. The
+    housing stage caps each zone within the seats, so every simulated block
+    fits; a block longer than its seats keeps all its residents. Past its
+    block, every school's top student is the first unseated student in
+    lottery order, which in most markets stays within a few sqrt(n) of the
+    front: that order is sorted as a head of about 4 sqrt(n) students
+    (`_lottery_prefix`), four times as long each time the scan runs past it.
+
     A walk over the school graph, k -> first choice of k's top student,
     seats the others: a self-pointer takes a seat in place, and a cycle of
     schools seats each school's top student at the next school. A
     self-pointer can seat the top student of the school below on the walk's
     stack; that school's edge is then gone and the walk steps back to it.
-
-    A resident of k takes a school seat only as the head of k's block: as
-    k's top student, or as another school's lottery head, the first
-    unseated student in lottery order and so k's head. Only a seat at c0,
-    when the school a resident wants fills, comes out of turn. So `marked`,
-    the block positions of the residents who want another school, built
-    once, bounds how far a run of cycles reaches; a mark whose resident was
-    seated at c0 only ends a run early. Two steps clear such a run at once:
-    - self run: k's head wants k. The residents of k from the head to the
-      next marked one, at most k's seats left, take seats at k in turn.
-    - swap run (m = 2 only): the walk closes the cycle k <-> j on two
-      resident heads. The next marked residents of k and j then trade pair
-      by pair, each pair after the self runs before it, for as many pairs as
-      both blocks hold and both schools' seats allow. Each school uses one
-      seat per student of its own block that the run seats. Both schools
-      are open, so neither block has a resident seated out of turn.
-    Longer cycles, lottery heads and cycles at m >= 3 take one step each.
-    When a school fills, one pass over a boolean mask seats at c0 every
-    student still pointing at it.
+    At m = 2 a cycle k <-> j on the heads of two blocks of traders starts a
+    swap run: the next traders of both trade pair by pair, as many pairs as
+    the shorter block holds. A fitting school keeps a seat for each unseated
+    trader of its block, as each of its seats goes with its head, so the run
+    needs no seat bound. Every other cycle takes one step. When a school
+    fills, one pass over a boolean mask seats at c0 every student still
+    pointing at it.
 
     The seats are kept in `_seat_dtype(m)` and returned in the residency's
     dtype.
@@ -394,14 +392,6 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     n, m = agents.n, params.m
     seats = school_capacities(n, params).tolist()
     assigned = np.full(n, -1, dtype=_seat_dtype(m))
-    assigned[first == 0] = 0
-    left = np.count_nonzero(assigned)  # the unseated, at -1
-    queue, at = _resident_blocks(residency, lottery, first)
-    res_end = np.searchsorted(at, np.arange(m + 1, dtype=at.dtype), side="right").tolist()
-    res_pos = [0] + res_end[:-1]  # school k's block: queue[res_pos[k]:res_end[k]]
-    marked = np.append(np.flatnonzero(first[queue] != at), queue.size)
-    run_end = memoryview(np.repeat(marked, np.diff(marked, prepend=-1)))  # next mark
-    res = memoryview(queue)
 
     def close(k: int) -> int:
         """Seat at c0 every unseated student whose first choice is k, which
@@ -410,6 +400,28 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
         stale &= assigned < 0
         np.add(assigned, stale, out=assigned)  # -1 + 1, faster than a masked store
         return np.count_nonzero(stale)
+
+    mask = first == 0
+    np.add(assigned, mask, out=assigned)  # -1 + 1, faster than a masked store
+    queued = np.logical_and(residency, first)  # the blocks
+    fits = [False] * (m + 1)              # k's block holds traders only
+    for k in range(1, m + 1):
+        np.equal(residency, k, out=mask)
+        mask &= queued
+        if np.count_nonzero(mask) <= seats[k]:
+            fits[k] = True
+            mask &= first == k            # the residents who want k
+            queued ^= mask
+            assigned -= np.multiply(mask, -1 - k, dtype=assigned.dtype)  # -1 - (-1 - k)
+            seats[k] -= np.count_nonzero(mask)
+        if not seats[k]:
+            close(k)
+    left = np.count_nonzero(assigned < 0)  # the unseated
+    queue, at = _resident_blocks(residency, lottery, queued)
+    del queued
+    res_end = np.searchsorted(at, np.arange(m + 1, dtype=at.dtype), side="right").tolist()
+    res_pos = [0] + res_end[:-1]  # school k's block: queue[res_pos[k]:res_end[k]]
+    res = memoryview(queue)
 
     top = [-1] * (m + 1)      # a stacked school's top student
     depth = [-1] * (m + 1)    # a school's place on the walk's stack; -1 off it
@@ -446,14 +458,10 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                     lot = memoryview(head)
                 t = lot[h]
             j = tgt[t]
-            if j == k:  # self-pointer; a resident head starts a self run
-                run = min(end, p + seats[k], run_end[p]) - p if p < end else 1
-                if run > 1:
-                    assigned[queue[p:p + run]] = k
-                else:
-                    asg[t] = k
-                left -= run
-                seats[k] -= run
+            if j == k:  # self-pointer
+                asg[t] = k
+                left -= 1
+                seats[k] -= 1
                 if not seats[k]:
                     left -= close(k)
                     stack.pop()
@@ -469,27 +477,19 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                 stack.append(j)
                 continue
             start = depth[j]
-            if m == 2 and p < end and res_pos[j] < res_end[j]:
-                # a swap run on the resident heads of k and j (j's top is its
-                # head while its block holds any); at m = 2 every marked
-                # resident of either school wants the other, as no block
-                # holds a student whose first choice is c0
-                pj = res_pos[j]
-                ik, ij, ck, cj = np.searchsorted(marked, (
-                    p, pj, min(end, p + seats[k]), min(res_end[j], pj + seats[j])))
-                pairs = min(ck - ik, cj - ij)
-                for s, a, b in ((k, p, int(marked[ik + pairs - 1]) + 1),
-                                (j, pj, int(marked[ij + pairs - 1]) + 1)):
-                    seated = queue[a:b]
-                    assigned[seated] = first[seated]
-                    res_pos[s] = b
-                    seats[s] -= b - a
-                    left -= b - a
+            if m == 2 and fits[k] and fits[j] and p < end and res_pos[j] < res_end[j]:
+                # a swap run on the heads of k and j (j's top is its head
+                # while its block holds any)
+                pairs = min(end - p, res_end[j] - res_pos[j])
+                for s, a, d in ((k, p, j), (j, res_pos[j], k)):
+                    assigned[queue[a:a + pairs]] = d
+                    res_pos[s] = a + pairs
+                    seats[d] -= pairs
+                    if not seats[d]:
+                        left -= close(d)
+                left -= 2 * pairs
                 depth[k] = depth[j] = -1
                 del stack[start:]
-                for s in (k, j):
-                    if not seats[s]:
-                        left -= close(s)
                 continue
             # cycle stack[start:]: each school's top takes a seat at the next
             for c in stack[start:]:

@@ -1,4 +1,4 @@
-"""Earlier versions of six `mcsim` functions, kept as references.
+"""Earlier versions of seven `mcsim` functions, kept as references.
 
 `run_ttc_reference` is the per-agent top trading cycles loop that
 `mcsim.run_ttc_finite` replaced with a school-level cycle walk. TTC's outcome
@@ -14,12 +14,14 @@ replaced; its `argsort` rank only inverts rows that are permutations of
 student's three utilities with `np.lexsort`, where `mcsim.preferences` reads
 the order from the sign of the fit. `sample_agents_reference` draws the
 shocks and wealth types with `rng.choice`, where `mcsim.sample_agents`
-counts one uniform draw against the cumulative probabilities itself, and
+counts one uniform draw against the cumulative probabilities itself.
+`housing_stage_reference` builds an index list of every zone's demanders,
+where `mcsim.housing_stage` builds one only for a zone over its cap.
 `replication_stats_reference` computes each statistic with its own mask
 passes, where `mcsim.replication_stats` counts the cells with one
-`np.bincount`; it runs on the reference draws, rankings and mechanisms. Both
-pairs must agree bit for bit, the random stream included. `test_mcsim.py`
-runs them against the package on many markets.
+`np.bincount`; it runs on the reference draws, housing, rankings and
+mechanisms. These must agree bit for bit, the random stream included.
+`test_mcsim.py` runs them against the package on many markets.
 """
 import math
 
@@ -176,6 +178,25 @@ def sample_agents_reference(params, n, rng):
     return mcsim.Agents(t1, t2, s, eps, omega_idx, params.wealth.omegas)
 
 
+def housing_stage_reference(agents, cutoffs, params, rng):
+    """Residency per agent: each zone's demanders as an index list, of which
+    a zone over its cap keeps `cap` drawn by `rng.choice`."""
+    lookup = dict(cutoffs)
+    demand = np.zeros(agents.n, dtype=bool)  # signal above the type's cutoff
+    for idx, (w, _) in enumerate(params.wealth.atoms):
+        above = agents.s > lookup[w]
+        above &= agents.omega_idx == idx
+        demand |= above
+    cap = int(agents.n * params.q / params.m)
+    residency = np.zeros(agents.n, dtype=np.min_scalar_type(params.m))
+    for k in range(1, params.m + 1):
+        idx = np.flatnonzero(demand & (agents.t1 == k))
+        if idx.size > cap:
+            idx = rng.choice(idx, size=cap, replace=False)
+        residency[idx] = k
+    return residency
+
+
 REFERENCE_RUNS = {
     mx.Mechanism.N: lambda agents, residency, *_: residency.copy(),
     mx.Mechanism.DA: run_da_reference,
@@ -187,7 +208,7 @@ def replication_stats_reference(config, rng):
     """One replication's statistics, each from its own masks."""
     params = config.params
     agents = sample_agents_reference(params, config.n_agents, rng)
-    residency = mcsim.housing_stage(agents, config.cutoffs, params, rng)
+    residency = housing_stage_reference(agents, config.cutoffs, params, rng)
     lottery = rng.random(config.n_agents)
     prefs = preferences_reference(agents, params)
     assignment = REFERENCE_RUNS[config.mech](agents, residency, params, lottery, prefs)

@@ -16,8 +16,9 @@ from segsolve.equilibrium import solve
 
 from conftest import random_economy
 from mcsim_reference import (REFERENCE_RUNS, check_da_stability_reference,
-                             preferences_reference, replication_stats_reference,
-                             run_da_reference, run_ttc_reference, sample_agents_reference)
+                             housing_stage_reference, preferences_reference,
+                             replication_stats_reference, run_da_reference,
+                             run_ttc_reference, sample_agents_reference)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +184,28 @@ class TestHousing:
         assert np.all(agents.s[housed] > s_cut[housed])
         assert np.all(residency[housed] == agents.t1[housed])
 
+    @pytest.mark.parametrize("m", [2, 3, 200])
+    def test_matches_reference(self, m):
+        # the residency bytes and the next draw, on markets with a zone over
+        # its cap and without; the reference draws have int64 school columns
+        params = dataclasses.replace(example_economy(), m=m)
+        omegas = params.wealth.omegas.tolist()
+        over_cap = set()
+        for seed, cutoffs in enumerate([solve(params, "da").cutoffs, solve(params, "ttc").cutoffs,
+                                        tuple((w, 0.0) for w in omegas),
+                                        tuple((w, 0.95) for w in omegas)]):
+            sample = (mcsim.sample_agents, sample_agents_reference)[seed % 2]
+            agents = sample(params, 3_000, np.random.default_rng(seed))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = mcsim.housing_stage(agents, cutoffs, params, ours)
+            want = housing_stage_reference(agents, cutoffs, params, theirs)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, seed)
+            assert ours.random() == theirs.random(), (m, seed)
+            cut = np.array([dict(cutoffs)[w] for w in omegas])[agents.omega_idx]
+            demand = np.bincount(agents.t1[agents.s > cut], minlength=m + 1)[1:]
+            over_cap.add(bool(demand.max() > int(3_000 * params.q / m)))
+        assert over_cap == {False, True}
+
 
 class TestPreferences:
     def test_rankings_follow_expost_fit(self):
@@ -336,17 +359,54 @@ class TestTtcFinite:
         assert asg.tolist() == [1, 1, 1, 0, 0, 2, 2, 2, 0, 0]
         assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
 
+    def test_home_seat_behind_a_trader(self):
+        # 0 and 3 live at 1, which has two seats; 0 wants 2 and 3 wants 1.
+        # The block fits, so 3 takes a seat at 1 though 0 heads the block
+        # and 1 and 2 hold better lottery numbers; 1 takes the last seat
+        params, agents, residency, lottery = _hand_market(
+            [2, 1, 1, 1, 2], [1, 0, 0, 1, 0], q=0.9)
+        assert mcsim.school_capacities(5, params)[1:].tolist() == [2, 2]
+        asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+        assert asg.tolist() == [2, 1, 0, 1, 2]
+        assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
+
+    def test_blocks_longer_than_their_seats(self):
+        # residencies drawn at random, not by the housing stage, so a zone's
+        # residents who want a school can outnumber its seats; a third of
+        # the lotteries have ties, and some markets have no seats at all
+        rng = np.random.default_rng(22)
+        longer = fitting = seatless = 0
+        for trial in range(300):
+            m = (2, 3, 4)[trial % 3]
+            n = int(rng.integers(2 * m, 41))
+            seats = int(rng.integers(0, n // (2 * m) + 1))
+            params = dataclasses.replace(example_economy(), m=m, q=(m * seats + 0.5) / n,
+                                         g=0.05, e=0.95)
+            agents = mcsim.sample_agents(params, n, rng)
+            residency = rng.integers(0, m + 1, size=n).astype(np.uint8)
+            lottery = rng.random(n)
+            if trial % 3 == 1:
+                lottery = np.round(lottery, 1)
+            first = mcsim.preferences(agents, params)[:, 0]
+            blocks = np.bincount(residency[first > 0], minlength=m + 1)[1:]
+            longer += bool(blocks.max() > seats)
+            fitting += bool(blocks.min() <= seats)
+            seatless += seats == 0
+            asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+            assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery)), (
+                trial, m, n, seats)
+        assert longer > 100 and fitting > 50 and seatless > 20, (longer, fitting, seatless)
+
     @pytest.mark.parametrize("top, residency, seats, want", [
         # 0 takes a seat at 1; 5 and 1 trade 2 for 3, and 2 takes 3's last
         # seat: 3 fills with 1 and 2 seated and 6 not. Student 3 then fills
         # 1, whose applicant 4 and school 2's unseated resident 7 go to c0
         ([1, 3, 3, 1, 1, 2, 3, 1, 2], [1, 2, 2, 0, 0, 3, 0, 2, 0], 2,
          [1, 3, 3, 1, 0, 2, 0, 0, 2]),
-        # 0 takes a seat at 1 and the marked 1 stops the self run; 1 and 4
-        # trade 1 for 2, which fills 1 with 0 and 4 seated and its own
-        # residents 2 and 3 not, while schools 2 and 3 hold unseated
-        # residents 5 and 7. 7 sits down at 3, and 5, the top of both 2 and
-        # 3, takes 3's last seat
+        # 0 takes a seat at 1; 1 and 4 trade 1 for 2, which fills 1 with 0
+        # and 4 seated and its own residents 2 and 3 not, while schools 2
+        # and 3 hold unseated residents 5 and 7. 7 sits down at 3, and 5,
+        # the top of both 2 and 3, takes 3's last seat
         ([1, 2, 1, 1, 1, 3, 1, 3, 2, 3], [1, 1, 1, 1, 2, 2, 0, 3, 0, 0], 2,
          [1, 2, 0, 0, 1, 3, 0, 3, 2, 0]),
         # one seat a school and the cycle 1 -> 2 -> 3 -> 1 on resident heads:
@@ -386,6 +446,30 @@ TTC_VARIANTS = {
 }
 
 
+def _assert_cutoff_form(residency, first, lottery, asg):
+    """TTC's seats in cutoff form: every resident who wants their home school
+    is seated there; in each (home, first choice) group, the students seated
+    at their first choice are a head of the group in lottery order; and with
+    worst[b] the worst lottery number among the n0 students seated at b, a
+    resident of another zone who wants b, with a number at most worst[b], is
+    seated at b."""
+    got = asg == first
+    home = (residency == first) & (first > 0)
+    assert np.all(got[home])
+    order = np.argsort(lottery, kind="stable")
+    res, top, seated = residency[order], first[order], got[order]
+    m = int(max(residency.max(), first.max()))
+    for b in range(1, m + 1):
+        for h in range(m + 1):
+            group = seated[(res == h) & (top == b)]
+            assert np.all(group[:-1] >= group[1:]), (h, b)
+        admitted = (residency == 0) & (first == b) & got
+        if admitted.any():
+            movers = (residency > 0) & (residency != b) & (first == b)
+            movers &= lottery <= lottery[admitted].max()
+            assert np.all(got[movers]), b
+
+
 class TestTtcMatchesReference:
     """The school-level walk on first choices against the per-agent loop it
     replaced, which reads the whole lists."""
@@ -401,6 +485,7 @@ class TestTtcMatchesReference:
             asg = mcsim.run_ttc_finite(agents, residency, params, lottery, prefs[:, 0])
             ref = run_ttc_reference(agents, residency, params, lottery, prefs)
             assert np.array_equal(asg, ref), (variant, seed, int(np.sum(asg != ref)))
+            _assert_cutoff_form(residency, prefs[:, 0], lottery, asg)
 
     def test_lottery_ties_break_by_index(self):
         params = example_economy()
@@ -418,6 +503,25 @@ class TestTtcMatchesReference:
         assert np.array_equal(mcsim.run_ttc_finite(agents, residency, params, lottery,
                                                    prefs[:, 0]),
                               run_ttc_reference(agents, residency, params, lottery, prefs))
+
+
+class TestTtcCutoffForm:
+    """The cutoff form on simulated markets of every variant and at m = 7
+    (Leshno & Lo, "The Cutoff Structure of Top Trading Cycles in School
+    Choice", REStud 2021, under resident-then-lottery priority)."""
+
+    VARIANTS = {**TTC_VARIANTS, "m7": {"m": 7}}
+
+    @pytest.mark.parametrize("n", [1_000, 20_000, pytest.param(200_000, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_simulated_markets(self, variant, n):
+        params = dataclasses.replace(example_economy(), **self.VARIANTS[variant])
+        cutoffs = solve(params, "ttc").cutoffs
+        for seed in range(4):
+            agents, residency, lottery = _market(params, n, seed, cutoffs)
+            first = mcsim.preferences(agents, params)[:, 0]
+            asg = mcsim.run_ttc_finite(agents, residency, params, lottery, first)
+            _assert_cutoff_form(residency, first, lottery, asg)
 
 
 class TestDaMatchesReference:
@@ -803,15 +907,17 @@ def test_seat_values_match_the_nested_where():
 
 class TestWorkingSet:
     """The tracemalloc peak of one replication, above what was allocated
-    before it, per agent: 40 bytes under N, 43 under DA and 45 under TTC at
-    50k agents on the example, where TTC peaks in `_resident_blocks`. Int64
-    assignments and index lists of a school's applicants peaked at 47, 53
-    and 48; int64 school and type columns, a per-agent omega array and an
-    int64 residency before them at 83, 89 and 86; full-size int64
-    temporaries and a full lottery sort before those at 137, 137 and 151.
-    The bound leaves about 15% headroom."""
+    before it, per agent: 40 bytes under N, 43 under DA and 40 under TTC at
+    50k agents on the example. TTC peaks, as N does, in the statistics
+    after the mechanism: `_resident_blocks`, which sorts only the residents
+    who want another school, reaches 38. Sorting every housed student there
+    peaked at 45. Int64 assignments and index lists of a school's
+    applicants peaked at 47, 53 and 48; int64 school and type columns, a
+    per-agent omega array and an int64 residency before them at 83, 89 and
+    86; full-size int64 temporaries and a full lottery sort before those at
+    137, 137 and 151. The bound leaves about 15% headroom over DA's peak."""
 
-    BYTES_PER_AGENT = 52
+    BYTES_PER_AGENT = 50
 
     @pytest.mark.parametrize("mech", ["n", "da", "ttc"])
     def test_replication_peak_per_agent(self, mech):
