@@ -193,23 +193,25 @@ class PiecewiseLinearBatch:
         np.subtract(ys[:, 1:], ys[:, :-1], out=rise[:, 1:-1])
         object.__setattr__(self, "_segments", tuple(table.reshape(4, -1)))
         object.__setattr__(self, "_row_start", np.arange(0, rows * (k + 1), k + 1)[:, None])
-        object.__setattr__(self, "_knots", (np.ravel(xs), np.ravel(ys)))
+        object.__setattr__(self, "_knots", (xs.ravel(), ys.ravel()))
 
     @classmethod
-    def single_kinks(cls, kink_x: np.ndarray, kink_y: np.ndarray) -> "PiecewiseLinearBatch":
-        """The SingleKink CDFs at (kink_x[b], kink_y[b])."""
-        xs, ys = np.zeros((len(kink_x), 3)), np.zeros((len(kink_x), 3))
-        xs[:, 1], ys[:, 1] = kink_x, kink_y
-        xs[:, 2] = ys[:, 2] = 1.0
-        return cls(xs, ys)
+    def single_kinks(cls, kink_x: np.ndarray, kink_y: np.ndarray,
+                     copies: int = 1) -> "PiecewiseLinearBatch":
+        """The SingleKink CDFs at (kink_x[b], kink_y[b]), the whole list
+        `copies` times over."""
+        xs, ys = np.zeros((copies, len(kink_x), 3)), np.zeros((copies, len(kink_x), 3))
+        xs[..., 1], ys[..., 1] = kink_x, kink_y
+        xs[..., 2] = ys[..., 2] = 1.0
+        return cls(xs.reshape(-1, 3), ys.reshape(-1, 3))
 
     def value(self, x) -> np.ndarray:
-        """F_b(x_b) per row b: x is a scalar, a (B,) or a (B, P) array."""
+        """F_b(x_b) per row b: x is a scalar, a (B,) array or an array of
+        B rows, or of one row shared by every CDF."""
         x = np.asarray(x, dtype=float)
-        xs = self.xs
-        rows = len(xs)
-        pts = x.reshape(rows, -1) if x.ndim else np.full((rows, 1), float(x))
+        pts = x.reshape(len(x), -1) if x.ndim else x
         # flat segment index, row (K+1) + bisect_right(xs[row], x), one knot at a time
+        xs = self.xs
         at = (xs[:, :1] <= pts) + self._row_start
         for j in range(1, xs.shape[1]):
             at += xs[:, j:j + 1] <= pts
@@ -220,7 +222,7 @@ class PiecewiseLinearBatch:
         out *= rise.take(at)
         out /= run.take(at)
         out += y0.take(at)
-        return out.reshape((rows,) + x.shape[1:])
+        return out.reshape(out.shape[:1] + x.shape[1:])
 
     def inverse(self, y) -> np.ndarray:
         """F_b^-1(y_b) per row b: y is a scalar or a (B,) array."""
@@ -230,14 +232,16 @@ class PiecewiseLinearBatch:
         rows, k = self.xs.shape
         hit = y[..., None] <= self.ys[:, 1:] + 1e-15
         found = hit.any(axis=1)
-        # flat index of the first knot reaching y, row K + i
-        at = hit.argmax(axis=1) + np.arange(1, rows * k, k)
-        (x0, x1), (y0, y1) = ((knots.take(at - 1), knots.take(at)) for knots in self._knots)
+        # flat index of the knot before the first knot reaching y, row K + i,
+        # over that of the first
+        at = hit.argmax(axis=1) + np.arange(1, rows * k, k) - [[1], [0]]
+        knot_x, knot_y = self._knots
+        (x0, x1), (y0, y1) = knot_x.take(at), knot_y.take(at)
         flat = y1 == y0
         if (found & flat & (y1 < 1.0 - 1e-15)).any():
             raise CdfError("a probability lies on a flat segment below 1")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = x0 + (x1 - x0) * (y - y0) / (y1 - y0)
+        # flat segments divide by nothing: they read x0
+        inner = x0 + np.divide((x1 - x0) * (y - y0), y1 - y0, out=np.zeros(rows), where=~flat)
         return np.where(found, np.where(flat, x0, inner), self.xs[:, -1])
 
 
@@ -341,9 +345,11 @@ def single_kink_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
         raise CdfError(f"step {step} gives more than {MAX_KINKS} grid kinks")
     if abs(n * step - 1.0) > 1e-9 or n < 2:
         raise CdfError(f"step {step} does not divide 1 evenly")
-    grid = np.arange(1, n) * step
-    i, j = np.triu_indices(n - 1)
-    return grid[i], grid[j]
+    grid = np.empty((2, n - 1, n - 1))
+    grid[1] = np.arange(1, n) * step  # (x, y) of kink (i, j) is grid[:, i, j]
+    grid[0] = grid[1].T
+    upper = grid[0] <= grid[1]  # the grid increases, so this is i <= j
+    return grid[0][upper], grid[1][upper]
 
 
 def enumerate_single_kink(step: float) -> list[SignalCdf]:

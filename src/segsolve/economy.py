@@ -176,9 +176,10 @@ def check_assumption1(params: EconomyParams) -> AssumptionReport:
 
 
 def assumption1_mask(params, fg, feg) -> np.ndarray:
-    """check_assumption1(...).passed for each CDF of a batch in params.cdf,
-    given F(g) and F(e-g) per CDF."""
-    return np.logical_and.reduce([ok for _, ok in _assumption1_checks(params, fg, feg)])
+    """check_assumption1(...).passed for each CDF of a batch, given F(g) and
+    F(e-g) per CDF."""
+    (_, below), (_, above), (_, at_most_one) = _assumption1_checks(params, fg, feg)
+    return below & above & at_most_one
 
 
 def _price_interval(params, mech, r_hat, s_hat):
@@ -207,11 +208,12 @@ def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
 def _utility_signs(params, mech, r_hat, p_hat, p_bar):
     """(Delta u(g) < 0 at p_hat, Delta u(e-g) > 0 at p_bar) as two bool
     arrays over (types, *batch), poorest type first, from one delta_u call
-    over (types, corners) and the batch axes of the prices, which share
-    one shape."""
-    p = np.stack((p_hat, p_bar))
+    over (types, corners) and the batch axes of p_hat, against which r_hat
+    and p_bar broadcast."""
+    p = np.empty((2,) + np.shape(p_hat))
+    p[0], p[1] = p_hat, p_bar
     batch = (1,) * (p.ndim - 1)
-    s = np.reshape([params.g, params.e - params.g], (2,) + batch)
+    s = np.array((params.g, params.e - params.g)).reshape((2,) + batch)
     du = mx.delta_u(mech, r_hat, p, s, params.wealth.omegas.reshape((-1, 1) + batch), params)
     return du[:, 0] < 0.0, du[:, 1] > 0.0
 
@@ -241,16 +243,16 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
 
 def assumption2_mask(params, mech, r_hat, s_hat) -> np.ndarray:
     """check_assumption2(..., mechs=(mech,)).passed for each CDF of a batch,
-    given r_hat = mechanisms.rejection_rates(params, mech, ...) and
-    s_hat = F^-1(1-q) as arrays of one shape, one entry per CDF: a positive
-    r, ordered price bounds and the Delta u signs."""
+    given s_hat = F^-1(1-q), one entry per CDF, and
+    r_hat = mechanisms.rejection_rates(params, mech, ...), which broadcasts
+    against it: a positive r, ordered price bounds and the Delta u signs."""
     mech = mx.Mechanism(mech)
     p_hat, p_bar = _price_interval(params, mech, r_hat, s_hat)
     ok = (r_hat > 0.0) & ~(p_hat > p_bar + 1e-12)
     # delta_u needs r in (0, 1]; rows failing the bounds stay masked
     r_hat = np.where(ok, r_hat, 1.0)
     below, above = _utility_signs(params, mech, r_hat, p_hat, p_bar)
-    return ok & below.all(axis=0) & above.all(axis=0)
+    return ok & (below & above).all(axis=0)
 
 
 def example_economy() -> EconomyParams:

@@ -157,27 +157,28 @@ def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max,
     (rows, types) and x_max to (rows,); `cdfs` holds one CDF per row, or
     one CDF shared by every row.
     """
-    alpha, beta = (np.asarray(v, dtype=float)[..., None] for v in (alpha, beta))
-    x_max = np.reshape(x_max, (-1, 1, 1))
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    beta = np.asarray(beta, dtype=float)[..., None]
+    x_max = np.asarray(x_max, dtype=float).reshape(-1, 1, 1)
     knots = np.minimum(np.maximum((cdfs.xs[:, None, :] - alpha) / beta, 0.0), x_max)
+    # 0, x_max and the knots, sorted in place
     rows = len(knots)
-    ends = np.zeros((rows, 2))
-    ends[:, 1] = x_max[:, 0, 0]
-    x = np.sort(np.concatenate([ends, knots.reshape(rows, -1)], axis=1), axis=1)
+    x = np.empty((rows, 2 + knots[0].size))
+    x[:, 0], x[:, 1], x[:, 2:] = 0.0, x_max[:, 0, 0], knots.reshape(rows, -1)
+    x.sort(axis=1)
     # F at every type's cutoff alpha + beta x, as (rows, types, points);
     # cutoffs past an end of [0, 1] read F there, as the clamped scalar
     # residual does
     s = x[:, None, :] * beta
     s += alpha
-    fs = cdfs.value(s.reshape(len(cdfs.xs), -1)).reshape(s.shape)
-    res = _weighted(fs, rhos) - target
+    res = _weighted(cdfs.value(s), rhos) - target
     # the segment from the last negative residual to the first nonnegative
     # one; hi = 0 leaves the root at x = 0, where the residual is 0 if bracketed
-    hi = np.argmax(res >= 0.0, axis=1)
+    hi = (res >= 0.0).argmax(axis=1)
     # flat index of the segment's left end in the row-major (rows, points)
-    # x and res; its right end is the next point
-    at = np.maximum(hi - 1, 0) + np.arange(0, x.size, x.shape[1])
-    x0, x1, r0, r1 = x.take(at), x.take(at + 1), res.take(at), res.take(at + 1)
+    # x and res, over the index of its right end, the next point
+    at = np.maximum(hi - 1, 0) + np.arange(0, x.size, x.shape[1]) + [[0], [1]]
+    (x0, x1), (r0, r1) = x.take(at), res.take(at)
     root = x0 - np.divide(r0 * (x1 - x0), r1 - r0, out=np.zeros(rows), where=hi > 0)
     bracketed = (x_max[:, 0, 0] > 0.0) & (res[:, 0] <= 0.0) & (res[:, -1] >= 0.0)
     return np.where(bracketed, root, np.nan)
@@ -187,7 +188,7 @@ def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
     """Exact root d in [0, d_max] of sum_w rho_w F(a + d w) - (1-q), one
     per CDF of the batch; nan where [0, d_max] brackets no root. `a` is a
     scalar or one value per CDF."""
-    a = np.reshape(a, (-1, 1))
+    a = np.asarray(a, dtype=float).reshape(-1, 1)
     return affine_root(cdfs, params.wealth.rhos, a, params.wealth.omegas,
                        max_dispersion(params, a), 1.0 - params.q)
 
@@ -309,18 +310,15 @@ def _policy_gap(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
     at p = 0 it is 0, the corner. Once every cutoff passes F's last knot
     the residual is q > 0, so that price bounds the kernel's search.
     """
+    # F at a cutoff clamps it into the support, as the scalar F does
     f, rhos, target = params.cdf.batch, params.wealth.rhos, 1.0 - params.q
-
-    def cdf_at(s):  # F at each cutoff, clamped into the support
-        return f.value(s.reshape(1, -1)).reshape(s.shape)
-
     alpha, beta = _policy_cutoffs(mech, r, params)
     # the kernel's residual at p = 0, bit for bit
-    at_zero = _weighted(cdf_at(alpha), rhos) - target
+    at_zero = _weighted(f.value(alpha), rhos) - target
     p_max = ((f.xs[0, -1] - alpha) / beta).max(axis=1)
     p = np.where(at_zero >= 0.0, 0.0, affine_root(f, rhos, alpha, beta, p_max, target))
     cuts = alpha + beta * p[:, None]
-    return r - mx.implied_rejection(mech, cdf_at(cuts), params), p, cuts, at_zero
+    return r - mx.implied_rejection(mech, f.value(cuts), params), p, cuts, at_zero
 
 
 def _quadratic_roots(a2: float, a1: float, a0: float) -> tuple[float, ...]:

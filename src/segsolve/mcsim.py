@@ -61,6 +61,9 @@ class SimConfig:
             raise ValueError(f"need at most {MAX_AGENTS:,} agents")
         if self.n_agents * self.params.q < 100:
             raise ValueError("too few seats for meaningful rates")
+        # each zone's housing cap; every school has at least as many seats
+        if int(self.n_agents * self.params.q / self.params.m) < 1:
+            raise ValueError(f"too few agents for {self.params.m} schools: a school has no seat")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.seed < 0:

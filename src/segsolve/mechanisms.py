@@ -164,10 +164,11 @@ def rejection(params, mech: Mechanism) -> float:
     return min(r, 1.0)
 
 
-def rejection_rates(params, mech: Mechanism, flows: AggregateFlows) -> np.ndarray:
-    """`rejection` for each CDF of a batch in params.cdf, 0 where it would
-    raise, given the batch's aggregate flows."""
-    return np.minimum(np.maximum(0.0, _rejection_ratio(params, mech, lambda: flows)), 1.0)
+def rejection_rates(params, mech: Mechanism, flows: Callable[[], AggregateFlows]):
+    """`rejection` for each CDF of a batch, 0 where it would raise, with the
+    batch's aggregate flows from `flows()`; 1 under no choice, where they
+    are not needed."""
+    return np.minimum(np.maximum(0.0, _rejection_ratio(params, mech, flows)), 1.0)
 
 
 def r_da_uniform(params) -> float:
@@ -187,8 +188,7 @@ def delta_u(mech: Mechanism, r: float, p: float, s, omega: float, params):
     array s, and r and p that broadcast against it.
     """
     mech = Mechanism(mech)
-    r_ok = (0.0 < r) & (r <= 1.0)  # a bool, or a bool array for an array r
-    if not (r_ok.all() if isinstance(r_ok, np.ndarray) else r_ok):
+    if not np.logical_and.reduce((0.0 < r) & (r <= 1.0), axis=None):  # r scalar or array
         raise ValueError("r must lie in (0, 1]")
     s = np.asarray(s, dtype=float)
     lines = [CORE_ALGEBRA[mech].floor]

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import mechanisms as mx
-from .cdf import PiecewiseLinearBatch, SingleKink, single_kink_grid
+from .cdf import PiecewiseLinearBatch, Uniform, single_kink_grid
 from .economy import (EconomyParams, assumption1_mask, assumption2_mask,
                       binary_wealth)
 from .equilibrium import dispersion_root, interior
@@ -110,42 +109,43 @@ KINK_BLOCK = 2048
 
 
 def _stacked_shares(params_base: EconomyParams, kink_x, kink_y):
-    """(feasible, N's poor share, DA's poor share) for each kink, nan where
-    infeasible, from one batch of 2B rows: N's B kinks, then DA's.
+    """(feasible, [N's poor share, DA's poor share]) for each kink, nan
+    where infeasible, from one batch of 2B rows: N's B kinks, then DA's.
 
     One `value` call gives F at the anchor points (g, e - g, min(e + g, 1))
     for assumption 1 and the flows, one `inverse` call F^-1(1-q) for the
     price bounds, one `dispersion_root` call every row's root at its
     mechanism's intercept and one `value` call F at every cutoff. Each half
-    then applies its mechanism's rejection rate, Delta u signs (one
-    `delta_u` call) and school mass.
+    then applies its mechanism's rejection rate (N's needs no flows), Delta u
+    signs (one `delta_u` call) and school mass. The helpers read the economy
+    from params_base and take the CDFs as arrays, so none reads
+    params_base.cdf.
     """
-    mechs, n = (mx.Mechanism.N, mx.Mechanism.DA), len(kink_x)
-    cdfs = PiecewiseLinearBatch.single_kinks(np.concatenate((kink_x, kink_x)),
-                                             np.concatenate((kink_y, kink_y)))
-    # params_base with the stacked kinks as its CDF; grid kinks are valid CDFs
-    kinks = SimpleNamespace(**{**vars(params_base), "cdf": cdfs})
+    mechs, n, q = (mx.Mechanism.N, mx.Mechanism.DA), len(kink_x), params_base.q
+    cdfs = PiecewiseLinearBatch.single_kinks(kink_x, kink_y, copies=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        anchors = cdfs.value(np.broadcast_to(mx.anchor_points(kinks), (2 * n, 3))).T
-        s_hat = cdfs.inverse(1.0 - kinks.q)
-        ok = assumption1_mask(kinks, *anchors[:2])
-        a = np.repeat([mx.CORE_ALGEBRA[mech].intercept(kinks) for mech in mechs], n)
-        d = dispersion_root(kinks, cdfs, a)  # nan fails the interior test
-        cutoffs = a[:, None] + d[:, None] * kinks.wealth.omegas
-        ok &= interior(kinks, cutoffs).all(axis=1)
-        fs = cdfs.value(cutoffs)
-        unweighted = np.empty_like(fs)
+        # the root first: its temporaries, the batch's largest, are freed
+        # before the other per-row arrays are made
+        a = np.array([mx.CORE_ALGEBRA[mech].intercept(params_base) for mech in mechs]).repeat(n)
+        d = dispersion_root(params_base, cdfs, a)  # nan fails the interior test
+        s_hat = cdfs.inverse(1.0 - q)
+        anchors = cdfs.value([mx.anchor_points(params_base)]).T  # one row for every CDF
+        cutoffs = a[:, None] + d[:, None] * params_base.wealth.omegas
+        ok = (assumption1_mask(params_base, *anchors[:2])
+              & interior(params_base, cutoffs).all(axis=1))
+        unweighted = cdfs.value(cutoffs)  # F at the cutoffs, then each half's mass
         for half, mech in zip((slice(0, n), slice(n, None)), mechs):
-            flows = mx.AggregateFlows(*mx.flows_at(kinks, 1.0 - kinks.q, *anchors[:, half]))
-            r = np.broadcast_to(mx.rejection_rates(kinks, mech, flows), (n,))
-            ok[half] &= assumption2_mask(kinks, mech, r, s_hat[half])
-            unweighted[half] = mx.CORE_ALGEBRA[mech].school_mass(fs[half], r[:, None], kinks)
+            r = mx.rejection_rates(params_base, mech, lambda: mx.AggregateFlows(
+                *mx.flows_at(params_base, 1.0 - q, *anchors[:, half])))
+            ok[half] &= assumption2_mask(params_base, mech, r, s_hat[half])
+            unweighted[half] = mx.CORE_ALGEBRA[mech].school_mass(unweighted[half], r[..., None],
+                                                                 params_base)
         ok &= ~(unweighted < -EQUAL_TOL).any(axis=1)
-        masses = kinks.wealth.rhos * unweighted
+        masses = params_base.wealth.rhos * unweighted
         total = sum(masses.T)
-        share = np.where(ok & (total > 0.0), masses[:, 0] / total, np.nan)
+        share = np.where(total > 0.0, masses[:, 0] / total, np.nan)
     feasible = ok[:n] & ok[n:]
-    return feasible, np.where(feasible, share[:n], np.nan), np.where(feasible, share[n:], np.nan)
+    return feasible, np.where(feasible, share.reshape(2, n), np.nan)
 
 
 def kink_sweep(params_base: EconomyParams, step: float) -> KinkSweepResult:
@@ -156,9 +156,12 @@ def kink_sweep(params_base: EconomyParams, step: float) -> KinkSweepResult:
     if not params_base.wealth.is_binary():
         raise ValueError("kink sweep expects binary wealth")
     kink_x, kink_y = single_kink_grid(step)
-    blocks = [_stacked_shares(params_base, kink_x[i:i + KINK_BLOCK], kink_y[i:i + KINK_BLOCK])
-              for i in range(0, len(kink_x), KINK_BLOCK)]
-    feasible, share_n, share_da = map(np.concatenate, zip(*blocks))
+    feasible, shares = np.empty(len(kink_x), dtype=bool), np.empty((2, len(kink_x)))
+    for i in range(0, len(kink_x), KINK_BLOCK):
+        block = slice(i, i + KINK_BLOCK)
+        feasible[block], shares[:, block] = _stacked_shares(params_base, kink_x[block],
+                                                            kink_y[block])
+    share_n, share_da = shares
     return KinkSweepResult(step, kink_x, kink_y, share_n, share_da, share_da - share_n, feasible)
 
 
@@ -179,8 +182,9 @@ def da_less_segregated_count(result: KinkSweepResult, params_base: EconomyParams
 
 
 def _cube_cell(rho_p: float, q: float, pi: float, step: float) -> CubeCell:
+    # the sweep reads no CDF of the economy; Uniform is the cheapest to validate
     params = EconomyParams(m=2, q=q, g=0.0, e=1.0, pi=pi,
-                           wealth=binary_wealth(rho_p), cdf=SingleKink(0.5, 0.5))
+                           wealth=binary_wealth(rho_p), cdf=Uniform())
     result = kink_sweep(params, step)
     n_feasible, n_less = da_less_segregated_count(result, params)
     return CubeCell(rho_p, q, pi, n_feasible, n_less)

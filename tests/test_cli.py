@@ -154,6 +154,13 @@ class TestSweeps:
 
 
 class TestSimulate:
+    def test_market_without_seats_exits_2(self, tmp_path, capsys):
+        # 1,000 agents at q = 0.4 and m = 500: int(n q / m) = 0 seats a school
+        path = write_config(tmp_path, m=500)
+        assert cli.main(["simulate", "--config", path, "--n-agents", "1000"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no seat" in err and "Traceback" not in err
+
     def test_da_payload(self, capsys):
         assert cli.main(["simulate", "--example", "--mech", "da",
                          "--n-agents", "5000", "--replications", "2",

@@ -2,9 +2,14 @@
 import dataclasses
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import SIGN_FLIP_CONFIG, random_economy
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import draw_configs  # noqa: E402  the benchmark's seeded configs, read only
 
 import segsolve as ss
 import segsolve.segregation as segregation
@@ -154,6 +159,18 @@ class TestCheckTheorems:
         assert ("binary 1-q<rho_p: school seg DA > N" in names) == ranked
         # the uniform equalities run on the shape of F, not its class
         assert ("uniform: c1 profiles N = DA" in names) == (not ranked)
+
+    def test_every_bench_config_passes(self):
+        # the benchmark's paper configs of seeds 1-7, twelve a pass and the
+        # warm-up's: all four CDF families, each inside both assumptions
+        configs = []
+        for seed in range(1, 8):
+            drawn, warm_up = draw_configs(seed)
+            configs += [*drawn, warm_up]
+        assert len(configs) == 91
+        for cfg in configs:
+            report = check_theorems(EconomyParams.from_config(cfg))
+            assert report.passed, (cfg, report.failures())
 
     def test_every_uniform_kink_of_the_cube_passes(self):
         # the on-diagonal kinks of the default step-0.1 sweep-cube that pass

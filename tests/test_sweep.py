@@ -139,30 +139,48 @@ class TestBatchMatchesScalar:
         assert {(True, True), (True, False), (False, False)} <= pairs
 
 
+def _count_calls(monkeypatch, *layers) -> collections.Counter:
+    """Count the calls of each (owner, name) in layers by name."""
+    calls = collections.Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in layers:
+        count(owner, name)
+    return calls
+
+
 class TestStackedBatch:
     def test_one_call_per_layer(self, monkeypatch):
         # N and DA share each CDF evaluation, the inverse, the root and the
         # delta_u call of each mechanism: 11 value, 2 inverse, 2 affine_root
-        # and 8 delta_u calls when each mechanism ran on its own batch
-        calls = collections.Counter()
+        # and 8 delta_u calls when each mechanism ran on its own batch; only
+        # DA's half reads the flows. So does a cube cell, through one kink
+        # sweep.
+        calls = _count_calls(monkeypatch, (equilibrium, "affine_root"), (mx, "delta_u"),
+                             (mx, "flows_at"), (PiecewiseLinearBatch, "value"),
+                             (PiecewiseLinearBatch, "inverse"), (sweep, "kink_sweep"))
+        for run in (lambda: sweep.kink_sweep(example_economy(), 0.1),
+                    lambda: sweep.cube_sweep([0.5], [0.4], [0.3], 0.1)):
+            calls.clear()
+            run()
+            assert calls["kink_sweep"] == 1
+            assert calls["affine_root"] == 1
+            assert calls["delta_u"] == 2
+            assert calls["flows_at"] == 1
+            assert calls["value"] <= 3
+            assert calls["inverse"] == 1
 
-        def count(owner, name):
-            fn = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counted)
-
-        count(equilibrium, "affine_root")
-        count(mx, "delta_u")
-        count(PiecewiseLinearBatch, "value")
-        count(PiecewiseLinearBatch, "inverse")
-        sweep.kink_sweep(example_economy(), 0.1)
-        assert calls["affine_root"] == 1
-        assert calls["delta_u"] == 2
-        assert calls["value"] <= 3
-        assert calls["inverse"] == 1
+    def test_one_kink_sweep_per_cube_cell(self, monkeypatch):
+        calls = _count_calls(monkeypatch, (sweep, "kink_sweep"), (mx, "flows_at"))
+        cells = sweep.cube_sweep([0.3, 0.5], [0.4], [0.2, 0.3], 0.1).cells
+        assert len(cells) == calls["kink_sweep"] == calls["flows_at"] == 4
 
     def test_blocks_join_in_grid_order(self, monkeypatch):
         # 171 kinks in 25 blocks, the last of 3 kinks
