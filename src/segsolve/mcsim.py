@@ -5,9 +5,9 @@ secondary school among m), houses the demanders of each neighborhood up to
 its cap, draws one lottery number per student, and runs N, DA or TTC
 (`run_mechanism`). Each student ranks their two fitting schools and c0,
 with c0 first or second; c0 never fills, so DA and TTC read only each
-student's first choice and seat at c0 whoever that school turns away.
-School k ranks its residents first, then everyone else, both in lottery
-order. Any m >= 2 works. `check_da_stability` and `find_ttc_improvement`
+student's first choice (`first_choices`) and seat at c0 whoever that school
+turns away. School k ranks its residents first, then everyone else, both in
+lottery order. Any m >= 2 works. `check_da_stability` and `find_ttc_improvement`
 verify the assignments on the whole rankings; the tests also hold the
 per-student TTC loop and the per-round lexsort DA that `run_ttc_finite`
 and `run_da_finite` replaced, as references they must match exactly.
@@ -16,7 +16,8 @@ Neither mechanism sorts the whole lottery: DA cuts each oversubscribed
 school by one partition, and TTC seats the residents who want their own
 school first and sorts the other residents and a head of the lottery order.
 The stages work in place where they can, and pick out a school's applicants
-by boolean masks, not index lists. The students' school and wealth-type
+by boolean masks, not index lists; a replication's one full-length float
+column holds the fits, the lottery and the seat values in turn. The students' school and wealth-type
 columns, the residency, the rankings and the seats are held in the smallest
 integer dtypes that fit m or the type count, and a mechanism returns its
 assignment in the residency's dtype, one byte per student for m < 256 (see
@@ -33,11 +34,16 @@ from . import mechanisms as mx
 from .economy import EconomyParams
 
 
-# A DA plus TTC replication peaks at 47-48 bytes per agent above the
+# A DA plus TTC replication peaks at 41-42 bytes per agent above the
 # interpreter, the solved economy and a small warm-up replication
-# (ru_maxrss at 200k and 1M agents; the arrays themselves peak at 40-43, by
-# tracemalloc), so the cap keeps one run near 0.25 GB.
+# (ru_maxrss at 200k and 1M agents; the arrays themselves peak at 37-41.5,
+# by tracemalloc), so the cap keeps one run near 0.2 GB.
 MAX_AGENTS = 5_000_000
+# `estimate` spawns every replication's seed up front and keeps a row of
+# statistics per replication, about 1.3 kB of the two at peak per
+# replication (tracemalloc), so the cap keeps that bookkeeping near 13 MB;
+# a billion replications asked for over a terabyte before the first ran.
+MAX_REPLICATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,8 @@ class SimConfig:
             raise ValueError(f"too few agents for {self.params.m} schools: a school has no seat")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.replications > MAX_REPLICATIONS:
+            raise ValueError(f"need at most {MAX_REPLICATIONS:,} replications")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if sorted(w for w, _ in self.cutoffs) != sorted(self.params.wealth.omegas.tolist()):
@@ -202,6 +210,23 @@ def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
     return residency
 
 
+def _preferred(agents: Agents, fit: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each student's preferred fitting school, written into `out`: t1 when
+    its utility fit beats t2's -fit, else t2, an exact tie toward the lower
+    school index."""
+    t1, t2 = agents.t1, agents.t2
+    first1 = (fit > 0.0) | ((fit == 0.0) & (t1 < t2))  # primary before secondary
+    np.bitwise_xor(t1, t2, out=out, casting="unsafe")
+    out *= first1
+    np.bitwise_xor(out, t2, out=out, casting="unsafe")  # t1 if first1, else t2
+    return out
+
+
+def _beats_c0(fit: np.ndarray, g: float) -> np.ndarray:
+    """Whether a student's preferred fitting school beats c0's g >= 0."""
+    return (fit > g) | (fit < -g)
+
+
 def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     """Strict school rankings (n, 3): the two fitting schools and c0 (id 0).
 
@@ -216,18 +241,28 @@ def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     each column `prefs[:, j]`, every student's j-th choice, is contiguous.
     """
     fit = agents.s + agents.eps
-    t1, t2 = agents.t1, agents.t2
-    top = (fit > params.g) | (fit < -params.g)  # a fitting school beats c0
-    first1 = (fit > 0.0) | ((fit == 0.0) & (t1 < t2))  # primary before secondary
+    top = _beats_c0(fit, params.g)
     buf = np.empty((3, agents.n), dtype=np.min_scalar_type(params.m))
     head, hi, lo = buf  # hi, lo: the preferred fitting school, the other one
-    np.bitwise_xor(t1, t2, out=lo, casting="unsafe")
-    np.multiply(lo, first1, out=hi)
-    np.bitwise_xor(hi, t2, out=hi, casting="unsafe")  # t1 if first1, else t2
+    _preferred(agents, fit, hi)
+    np.bitwise_xor(agents.t1, agents.t2, out=lo, casting="unsafe")
     lo ^= hi  # (t1 ^ t2) ^ hi is the school hi is not
     np.multiply(hi, top, out=head)
     hi *= ~top
     return buf.T
+
+
+def first_choices(agents: Agents, params: EconomyParams,
+                  fit: np.ndarray | None = None) -> np.ndarray:
+    """`preferences(agents, params)[:, 0]`, each student's first choice, by
+    the same operations without the other two columns. `fit` holds each
+    student's s + eps (computed if not given), so a caller can build it in
+    a buffer it reuses."""
+    if fit is None:
+        fit = agents.s + agents.eps
+    first = _preferred(agents, fit, np.empty(agents.n, dtype=np.min_scalar_type(params.m)))
+    first *= _beats_c0(fit, params.g)
+    return first
 
 
 def school_capacities(n: int, params: EconomyParams) -> np.ndarray:
@@ -291,8 +326,8 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     """Student-proposing deferred acceptance with resident priority and a
     single tie-breaking lottery number per student.
 
-    `first` is each student's first choice (0 for c0, `preferences(...)[:, 0]`
-    if not given). Every list puts c0 first or second and c0 never fills, so
+    `first` is each student's first choice (0 for c0, `first_choices(...)` if
+    not given). Every list puts c0 first or second and c0 never fills, so
     DA ends after one round: each school keeps its best applicants and seats
     the rest at c0. School k ranks its residents first, then everyone else,
     each group in lottery order. So an oversubscribed school with cap seats
@@ -306,7 +341,7 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     rejected students set to c0.
     """
     if first is None:
-        first = preferences(agents, params)[:, 0]
+        first = first_choices(agents, params)
     cap = school_capacities(agents.n, params)[1]
     cur = first.astype(residency.dtype)
     applied = np.empty(agents.n, dtype=bool)  # k's applicants, then a group of them
@@ -350,8 +385,8 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                    lottery: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     """Top trading cycles with counters; c0 has unlimited seats.
 
-    `first` is each student's first choice (0 for c0, `preferences(...)[:, 0]`
-    if not given). Every list puts c0 first or second and c0 never fills, so
+    `first` is each student's first choice (0 for c0, `first_choices(...)` if
+    not given). Every list puts c0 first or second and c0 never fills, so
     a student points at `first` until it fills and is then seated at c0:
     those whose first choice is c0 at once, the rest by one pass when their
     school fills.
@@ -391,7 +426,7 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     loop that the tests keep as a reference.
     """
     if first is None:
-        first = preferences(agents, params)[:, 0]
+        first = first_choices(agents, params)
     n, m = agents.n, params.m
     seats = school_capacities(n, params).tolist()
     assigned = np.full(n, -1, dtype=_seat_dtype(m))
@@ -548,32 +583,57 @@ def check_da_stability(agents: Agents, residency: np.ndarray, assignment: np.nda
     return blocking
 
 
+def _has_cycle(graph: np.ndarray) -> bool:
+    """Whether the directed graph with boolean adjacency matrix `graph` has
+    a cycle: nodes with no edge to a node still in play, which lie on no
+    cycle, are dropped until none is left (acyclic) or none drops (each
+    node left has an edge to another, so a walk among them must repeat)."""
+    live = graph.any(axis=1)
+    while live.any():
+        kept = live & graph[:, live].any(axis=1)
+        if np.array_equal(kept, live):
+            return True
+        live = kept
+    return False
+
+
 def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
                          params: EconomyParams) -> list[int] | None:
     """Exhaustive Pareto-improvement search: a free-seat upgrade or a trading
-    cycle among students. Returns the improving group or None. O(n^2); use
-    at small n only."""
-    caps = school_capacities(agents.n, params).tolist()
-    rank = _rank_table(preferences(agents, params), params.m).tolist()
-    held = assignment.tolist()
-    counts = np.bincount(assignment, minlength=params.m + 1).tolist()
-    n = agents.n
-    schools = range(params.m + 1)
-    better: list[list[int]] = []
-    for i, (row, a) in enumerate(zip(rank, held)):
-        better.append([k for k in schools if k != a and row[k] < row[a]])
-        for k in better[-1]:
-            if k == 0 or counts[k] < caps[k]:
-                return [i]
+    cycle among students. Returns the improving group or None.
+
+    The upgrade is the lowest-index student who strictly prefers c0 or a
+    school with a free seat, found by one scan of the rank table. A trading
+    cycle runs along edges i -> j where j holds a school i strictly
+    prefers. Each such cycle maps to a cycle of the (m + 1)-node school
+    graph, with an edge a -> k when some holder of a strictly prefers k,
+    and a simple cycle of schools maps back to one of distinct holders. So
+    the student search, depth first from the lowest index and O(n^2), runs
+    only when the school graph has a cycle; use it at small n only."""
+    m = params.m
+    rank = _rank_table(preferences(agents, params), m)
+    held = assignment.astype(np.intp)
+    better = rank < rank[np.arange(agents.n), held][:, None]  # i strictly prefers k
+    free = np.bincount(held, minlength=m + 1) < school_capacities(agents.n, params)
+    free[0] = True  # c0 never fills
+    upgrade = (better & free).any(axis=1)
+    if upgrade.any():
+        return [int(np.argmax(upgrade))]
+    # graph[a, k]: some holder of a strictly prefers k
+    graph = (held == np.arange(m + 1)[:, None]) @ better
+    if not _has_cycle(graph):
+        return None
     # cycle search: edge i -> j when j holds a school i strictly prefers
-    holders = [np.flatnonzero(assignment == k).tolist() for k in schools]
+    prefers = [np.flatnonzero(row).tolist() for row in better]
+    holders = [np.flatnonzero(held == k).tolist() for k in range(m + 1)]
+    n = agents.n
     color = [0] * n
     parent_stack: list[int] = []
 
     def dfs(i: int) -> list[int] | None:
         color[i] = 1
         parent_stack.append(i)
-        for k in better[i]:
+        for k in prefers[i]:
             for j in holders[k]:
                 if color[j] == 1:
                     return parent_stack[parent_stack.index(j):]
@@ -606,24 +666,27 @@ _FINITE_RUNS = {
 
 
 def run_mechanism(agents: Agents, residency: np.ndarray, params: EconomyParams,
-                  mech: mx.Mechanism, lottery: np.ndarray,
+                  mech: mx.Mechanism, lottery: np.ndarray | None,
                   first: np.ndarray | None = None) -> np.ndarray:
     """School per agent under a core mechanism, in the residency's dtype;
-    `first`, each student's first choice, is built if not given."""
+    `first`, each student's first choice, is built if not given. N reads
+    neither, so its `lottery` may be None."""
     mech = mx.Mechanism(mech)
     if mech not in _FINITE_RUNS:
         raise ValueError(f"no finite algorithm for {mech.value}")
     return _FINITE_RUNS[mech](agents, residency, params, lottery, first)
 
 
-def _seat_values(agents: Agents, assignment: np.ndarray) -> np.ndarray:
+def _seat_values(agents: Agents, assignment: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Each student's match value, fit = s + eps at t1, -fit at t2 and +0.0
     at c0: `np.where(assignment == t1, fit, np.where(assignment == t2, -fit,
-    0.0))` bit for bit for finite fits, in one float array. fit * 0.0 is
-    -0.0 for a negative fit, so c0's seats are set to +0.0 after."""
+    0.0))` bit for bit for finite fits, in one float array, `out` if given.
+    fit * 0.0 is -0.0 for a negative fit, so c0's seats are set to +0.0
+    after."""
     at_t1 = assignment == agents.t1
     at_t2 = assignment == agents.t2
-    value = agents.s + agents.eps
+    value = np.add(agents.s, agents.eps, out=out)
     value *= np.subtract(at_t1, at_t2, dtype=np.int8)
     at_t1 |= at_t2
     value[np.flatnonzero(~at_t1)] = 0.0
@@ -631,14 +694,26 @@ def _seat_values(agents: Agents, assignment: np.ndarray) -> np.ndarray:
 
 
 def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, float]:
+    """One replication's statistics: the market is drawn (`sample_agents`,
+    `housing_stage`, then, except under N, which reads none, one lottery
+    number per student), its mechanism run, and the rejection rate, each
+    wealth type's masses in n1 and c1, the poor shares and the match
+    quality counted from it.
+
+    One full-length float column serves three uses in turn: the fits
+    s + eps, from which the first choices are built; the lottery, drawn
+    into it; and the seat values, written into it. So a replication
+    allocates, and the kernel faults in, one such column in place of three.
+    """
     params = config.params
     agents = sample_agents(params, config.n_agents, rng)
     residency = housing_stage(agents, config.cutoffs, params, rng)
-    first = preferences(agents, params)[:, 0]
-    # the rankings draw nothing, so the lottery comes next in the stream; it
-    # lives only as long as the mechanism's call
-    assignment = run_mechanism(agents, residency, params, config.mech,
-                               rng.random(config.n_agents), first)
+    column = np.add(agents.s, agents.eps)  # the fits
+    first = first_choices(agents, params, column)
+    # the first choices draw nothing, so the lottery comes next in the
+    # stream; under N nothing reads it and nothing is drawn after it
+    lottery = None if config.mech == mx.Mechanism.N else rng.random(out=column)
+    assignment = run_mechanism(agents, residency, params, config.mech, lottery, first)
 
     n = agents.n
     stats: dict[str, float] = {}
@@ -652,20 +727,23 @@ def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, 
     total = np.count_nonzero(applicants)
     applicants &= assignment != first  # the rejected ones
     stats["r"] = float(np.count_nonzero(applicants)) / total if total else float("nan")
-    del first, applicants  # freed before the value pass, the peak under N
+    del first, applicants  # freed before the value pass, the peak under N and TTC
 
-    value = _seat_values(agents, assignment)
+    value = _seat_values(agents, assignment, out=column)
 
     # agents per wealth type living in n1 and seated at c1: exact counts
     atoms = params.wealth.atoms
+    types = range(len(atoms))
     housed, seated = residency >= 1, assignment >= 1
-    n1, c1, quality = [], [], []
-    for idx in range(len(atoms)):
+    del residency, assignment
+    n1, c1 = [], []
+    for idx in types:
         sel = agents.omega_idx == idx
-        # the type's values in index order, as a boolean gather gives them
-        quality.append(float(np.sum(np.compress(sel, value))))
         n1.append(np.count_nonzero(sel & housed))
         c1.append(np.count_nonzero(sel & seated))
+    del housed, seated, sel  # freed before the gathers, which peaked above the value pass
+    # each type's values in index order, as a boolean gather gives them
+    quality = [float(np.sum(np.compress(agents.omega_idx == idx, value))) for idx in types]
     for (w, _), n1_w, c1_w in zip(atoms, n1, c1):
         stats[f"n1_mass[{w:.6g}]"] = float(n1_w) / n
         stats[f"c1_mass[{w:.6g}]"] = float(c1_w) / n

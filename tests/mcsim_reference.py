@@ -1,4 +1,4 @@
-"""Earlier versions of seven `mcsim` functions, kept as references.
+"""Earlier versions of eight `mcsim` functions, kept as references.
 
 `run_ttc_reference` is the per-agent top trading cycles loop that
 `mcsim.run_ttc_finite` replaced with a school-level cycle walk. TTC's outcome
@@ -21,7 +21,12 @@ where `mcsim.housing_stage` builds one only for a zone over its cap.
 passes, where `mcsim.replication_stats` counts the cells with one
 `np.bincount`; it runs on the reference draws, housing, rankings and
 mechanisms. These must agree bit for bit, the random stream included.
-`test_mcsim.py` runs them against the package on many markets.
+`find_ttc_improvement_reference` checks each student for a free-seat
+upgrade in a Python loop and then searches the student graph depth first,
+where `mcsim.find_ttc_improvement` finds the upgrade with one scan of the
+rank table and searches only when the school graph has a cycle; both must
+return the same group. `test_mcsim.py` runs them against the package on
+many markets.
 """
 import math
 
@@ -249,3 +254,47 @@ def replication_stats_reference(config, rng):
         sel = agents.omega_idx == idx
         stats[f"quality[{w:.6g}]"] = 100.0 * float(np.sum(value[sel])) / n
     return stats
+
+
+def find_ttc_improvement_reference(agents, assignment, params):
+    """Exhaustive Pareto-improvement search: a free-seat upgrade or a trading
+    cycle among students. Returns the improving group or None. O(n^2)."""
+    caps = mcsim.school_capacities(agents.n, params).tolist()
+    rank = mcsim._rank_table(mcsim.preferences(agents, params), params.m).tolist()
+    held = assignment.tolist()
+    counts = np.bincount(assignment, minlength=params.m + 1).tolist()
+    n = agents.n
+    schools = range(params.m + 1)
+    better = []
+    for i, (row, a) in enumerate(zip(rank, held)):
+        better.append([k for k in schools if k != a and row[k] < row[a]])
+        for k in better[-1]:
+            if k == 0 or counts[k] < caps[k]:
+                return [i]
+    # cycle search: edge i -> j when j holds a school i strictly prefers
+    holders = [np.flatnonzero(assignment == k).tolist() for k in schools]
+    color = [0] * n
+    parent_stack = []
+
+    def dfs(i):
+        color[i] = 1
+        parent_stack.append(i)
+        for k in better[i]:
+            for j in holders[k]:
+                if color[j] == 1:
+                    return parent_stack[parent_stack.index(j):]
+                if color[j] == 0:
+                    found = dfs(j)
+                    if found is not None:
+                        return found
+        color[i] = 2
+        parent_stack.pop()
+        return None
+
+    for i in range(n):
+        if color[i] == 0:
+            parent_stack.clear()
+            found = dfs(i)
+            if found is not None:
+                return found
+    return None

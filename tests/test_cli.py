@@ -202,6 +202,7 @@ BAD_ARGUMENTS = [
     ["sweep-cube", "--pi", "0.7"],
     ["simulate", "--example", "--n-agents", "10"],
     ["simulate", "--example", "--replications", "0"],
+    ["simulate", "--example", "--replications", "1000000000"],
     ["simulate", "--example", "--mech", "da_l"],
     ["simulate", "--example", "--mech", "da", "--n-agents", "100000000000"],
     ["simulate", "--example", "--seed", "-1"],

@@ -16,9 +16,9 @@ from segsolve.equilibrium import solve
 
 from conftest import random_economy
 from mcsim_reference import (REFERENCE_RUNS, check_da_stability_reference,
-                             housing_stage_reference, preferences_reference,
-                             replication_stats_reference, run_da_reference,
-                             run_ttc_reference, sample_agents_reference)
+                             find_ttc_improvement_reference, housing_stage_reference,
+                             preferences_reference, replication_stats_reference,
+                             run_da_reference, run_ttc_reference, sample_agents_reference)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,14 @@ class TestSampling:
         for n in (mcsim.MAX_AGENTS + 1, 10 ** 11):
             with pytest.raises(ValueError, match="at most 5,000,000 agents"):
                 mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=cuts, n_agents=n)
+        # estimate spawns every seed up front: a billion replications asked
+        # for hundreds of GB before the first ran
+        mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=cuts,
+                        replications=mcsim.MAX_REPLICATIONS)
+        for reps in (mcsim.MAX_REPLICATIONS + 1, 10 ** 9):
+            with pytest.raises(ValueError, match="at most 10,000 replications"):
+                mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=cuts,
+                                replications=reps)
         # SeedSequence rejects a negative seed only once a run starts
         with pytest.raises(ValueError, match="seed must be non-negative"):
             mcsim.SimConfig(params=p, mech=mx.Mechanism.DA, cutoffs=cuts, seed=-1)
@@ -239,6 +247,29 @@ class TestPreferences:
             agents = mcsim.sample_agents(params, 5_000, np.random.default_rng(seed))
             prefs = mcsim.preferences(agents, params)
             assert np.all((prefs[:, 0] == 0) | (prefs[:, 1] == 0)), (seed, params)
+
+    @pytest.mark.parametrize("g", [0.0, 0.0625])
+    def test_first_choices_are_the_first_column(self, g):
+        # sampled markets at m = 2, 3 and 200, then every tie of the fit,
+        # signed zeros included, against -g, 0 and g with the primary school
+        # above and below the secondary
+        params = dataclasses.replace(example_economy(), g=g, e=1.0 - g)
+        markets = []
+        for m, seed in ((2, 0), (3, 1), (200, 2)):
+            p = dataclasses.replace(params, m=m)
+            markets.append((p, mcsim.sample_agents(p, 5000, np.random.default_rng(seed))))
+        fits = np.array([-1.0, -g - 1e-9, -g, -g / 2, -0.0, 0.0, g / 2, g, g + 1e-9, 1.0])
+        pairs = np.array([(1, 2), (2, 1), (3, 1), (1, 3)])
+        t1, t2 = np.tile(pairs, (len(fits), 1)).T.astype(np.uint8)
+        fit = np.repeat(fits, len(pairs))
+        markets.append((dataclasses.replace(params, m=3), mcsim.Agents(
+            t1=t1, t2=t2, s=fit, eps=np.zeros(fit.size),
+            omega_idx=np.zeros(fit.size, dtype=np.uint8), omegas=np.ones(1))))
+        for p, agents in markets:
+            want = mcsim.preferences(agents, p)[:, 0]
+            for fit in (None, agents.s + agents.eps):
+                got = mcsim.first_choices(agents, p, fit)
+                assert got.dtype == want.dtype and np.array_equal(got, want), p.m
 
     @pytest.mark.parametrize("g", [0.0, 0.0625])
     def test_matches_lexsort_reference(self, g):
@@ -785,6 +816,119 @@ class TestImprovementSearch:
         assert mcsim.find_ttc_improvement(agents, assignment, params) == [1]
 
 
+def _school_graph_has_cycle(prefs, assignment) -> bool:
+    """Whether schools a1 -> a2 -> ... -> a1 each have a holder who strictly
+    prefers the next (an unlisted school ranks after every listed one), by
+    a depth-first search over the schools."""
+    edges = {}
+    for row, a in zip(prefs.tolist(), assignment.tolist()):
+        place = {k: r for r, k in enumerate(row)}
+        own = place.get(a, len(row))
+        edges.setdefault(a, set()).update(k for k, r in place.items() if r < own)
+    state = {}
+
+    def visit(a):
+        state[a] = 1
+        for k in edges.get(a, ()):
+            if state.get(k) == 1 or (k not in state and visit(k)):
+                return True
+        state[a] = 2
+        return False
+
+    return any(a not in state and visit(a) for a in list(edges))
+
+
+def _serial_dictatorship(prefs, caps, order):
+    """Each student in `order` takes their best school with a seat left;
+    c0, which every list holds, never fills. Pareto efficient."""
+    asg = np.zeros(len(prefs), dtype=np.uint8)
+    counts = [0] * len(caps)
+    for i in order:
+        k = next(k for k in prefs[i] if k == 0 or counts[k] < caps[k])
+        asg[i] = k
+        counts[k] += 1
+    return asg
+
+
+def _improvement_markets():
+    """(kind, m, params, agents, assignment, prefs) for the improvement
+    search: prefs is None for the model's own rankings and else the
+    rankings the search reads in their place. Kinds: unperturbed TTC
+    outcomes, a swap of two seated students, a seat freed at c0, and, on
+    random rankings that list c0, serial dictatorship outcomes with and
+    without a planted trading cycle of two or three students."""
+    for m in (2, 3, 4):
+        params = dataclasses.replace(example_economy(), m=m)
+        cutoffs = solve(params, "ttc").cutoffs
+        for seed in range(20):
+            rng = np.random.default_rng([m, seed])
+            n = int(rng.integers(40, 201))
+            agents, residency, lottery = _market(params, n, 1000 * m + seed, cutoffs)
+            asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+            yield "ttc", m, params, agents, asg, None
+            seated = np.flatnonzero(asg >= 1)
+            i = int(rng.choice(seated))
+            j = int(rng.choice(seated[asg[seated] != asg[i]]))
+            swapped = asg.copy()
+            swapped[i], swapped[j] = asg[j], asg[i]
+            yield "swap", m, params, agents, swapped, None
+            freed = asg.copy()
+            freed[int(rng.choice(seated))] = 0
+            yield "freed", m, params, agents, freed, None
+
+            caps = mcsim.school_capacities(n, params)
+            width = m + 1 if seed % 2 else 3  # full lists, or two schools and c0
+            prefs = np.array([rng.permutation(np.r_[0, rng.choice(np.arange(1, m + 1), width - 1,
+                                                                   replace=False)])
+                              for _ in range(n)])
+            asg = _serial_dictatorship(prefs, caps, rng.permutation(n))
+            yield "dictatorship", m, params, agents, asg, prefs
+            counts = np.bincount(asg, minlength=m + 1)
+            full = [k for k in range(1, m + 1) if counts[k] == caps[k]]
+            for size in (2, 3):
+                if len(full) < size:
+                    continue
+                # students at `size` full schools pass their seats one school
+                # back and rank the seat they gave up first, the one they
+                # now hold second and c0 last: none can upgrade alone
+                schools = rng.choice(full, size, replace=False)
+                group = [int(rng.choice(np.flatnonzero(asg == a))) for a in schools]
+                planted, ranked = asg.copy(), prefs.copy()
+                for idx, (i, a) in enumerate(zip(group, schools)):
+                    back = schools[idx - 1]
+                    planted[i] = back
+                    rest = [k for k in prefs[i] if k not in (a, back, 0)]
+                    ranked[i] = ([a, back] + rest + [0])[:width - 1] + [0]
+                yield f"cycle{size}", m, params, agents, planted, ranked
+
+
+class TestImprovementSearchMatchesReference:
+    def test_same_group_on_seeded_markets(self, monkeypatch):
+        found = {}
+        for kind, m, params, agents, asg, prefs in _improvement_markets():
+            with monkeypatch.context() as patch:
+                if prefs is None:
+                    prefs = mcsim.preferences(agents, params)
+                else:
+                    patch.setattr(mcsim, "preferences", lambda *_, p=prefs: p)
+                want = find_ttc_improvement_reference(agents, asg, params)
+                got = mcsim.find_ttc_improvement(agents, asg, params)
+            assert got == want, (kind, m, got, want)
+            size = 0 if want is None else min(len(want), 3)
+            found[kind, size] = found.get((kind, size), 0) + 1
+            # a trading cycle among students maps to one among schools, and
+            # with no upgrade left a school cycle maps back to a student one
+            if size >= 2:
+                assert _school_graph_has_cycle(prefs, asg), (kind, m, want)
+            if want is None:
+                assert not _school_graph_has_cycle(prefs, asg), (kind, m)
+        assert sum(found.values()) >= 300, found
+        assert found.get(("ttc", 0)) == 60 and found.get(("dictatorship", 0)) == 60, found
+        assert found.get(("swap", 1)) == 60 and found.get(("freed", 1)) == 60, found
+        for size in (2, 3):
+            assert sum(v for (kind, s), v in found.items() if s == size) >= 20, found
+
+
 class TestRunMechanism:
     def test_first_choices_pass_through(self):
         p, agents, residency, lottery = _small_market(15, mech="ttc")
@@ -799,8 +943,10 @@ class TestRunMechanism:
         with pytest.raises(ValueError, match="no finite algorithm"):
             mcsim.run_mechanism(agents, residency, p, "da_l", lottery)
 
-    @pytest.mark.parametrize("mech", ["da", "ttc"])
-    def test_preferences_built_once_per_replication(self, mech, monkeypatch):
+    @pytest.mark.parametrize("mech", ["n", "da", "ttc"])
+    def test_replication_builds_no_rankings(self, mech, monkeypatch):
+        # a replication reads only the first choices, built from the fits
+        # in its float column; no whole (n, 3) ranking is built
         calls = []
         original = mcsim.preferences
         monkeypatch.setattr(mcsim, "preferences",
@@ -810,7 +956,24 @@ class TestRunMechanism:
                               cutoffs=solve(p, mech).cutoffs, n_agents=2_000,
                               seed=17, replications=2)
         mcsim.estimate(cfg)
-        assert len(calls) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("mech", ["n", "da", "ttc"])
+    def test_replication_stream_layout(self, mech):
+        # the golden digests rest on this layout: sample_agents' draws, then
+        # housing_stage's, then one lottery number per student, which N,
+        # reading none, does not draw; nothing is drawn after it
+        params = example_economy()
+        cfg = mcsim.SimConfig(params=params, mech=mx.Mechanism(mech),
+                              cutoffs=solve(params, mech).cutoffs, n_agents=5_000)
+        for seed in range(3):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            mcsim.replication_stats(cfg, rng)
+            agents = mcsim.sample_agents(params, cfg.n_agents, twin)
+            mcsim.housing_stage(agents, cfg.cutoffs, params, twin)
+            if mech != "n":
+                twin.random(cfg.n_agents)
+            assert rng.bit_generator.state == twin.bit_generator.state, (mech, seed)
 
 
 class TestEstimates:
@@ -907,17 +1070,21 @@ def test_seat_values_match_the_nested_where():
 
 class TestWorkingSet:
     """The tracemalloc peak of one replication, above what was allocated
-    before it, per agent: 40 bytes under N, 43 under DA and 40 under TTC at
-    50k agents on the example. TTC peaks, as N does, in the statistics
-    after the mechanism: `_resident_blocks`, which sorts only the residents
-    who want another school, reaches 38. Sorting every housed student there
-    peaked at 45. Int64 assignments and index lists of a school's
+    before it, per agent: 37 bytes under N, 41.5 under DA and 37 under TTC
+    at 50k agents on the example. N and TTC peak in the seat values, at
+    the index list of the students seated at c0; DA peaks in its
+    mechanism. One float column holds the fits, the lottery and the seat
+    values in turn; a column for each, with the per-type gathers of the
+    values made while the housed and seated masks lived, peaked at 40, 43.5
+    and 40. `_resident_blocks`, which sorts only the residents who want
+    another school, reaches 38 under TTC; sorting every housed student
+    there peaked at 45. Int64 assignments and index lists of a school's
     applicants peaked at 47, 53 and 48; int64 school and type columns, a
     per-agent omega array and an int64 residency before them at 83, 89 and
     86; full-size int64 temporaries and a full lottery sort before those at
     137, 137 and 151. The bound leaves about 15% headroom over DA's peak."""
 
-    BYTES_PER_AGENT = 50
+    BYTES_PER_AGENT = 48
 
     @pytest.mark.parametrize("mech", ["n", "da", "ttc"])
     def test_replication_peak_per_agent(self, mech):
