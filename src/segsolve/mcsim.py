@@ -13,15 +13,17 @@ per-student TTC loop and the per-round lexsort DA that `run_ttc_finite`
 and `run_da_finite` replaced, as references they must match exactly.
 
 Neither mechanism sorts the whole lottery: DA cuts each oversubscribed
-school by one partition, and TTC seats the residents who want their own
-school first and sorts the other residents and a head of the lottery order.
-The stages work in place where they can, and pick out a school's applicants
-by boolean masks, not index lists; a replication's one full-length float
-column holds the fits, the lottery and the seat values in turn. The students' school and wealth-type
-columns, the residency, the rankings and the seats are held in the smallest
-integer dtypes that fit m or the type count, and a mechanism returns its
-assignment in the residency's dtype, one byte per student for m < 256 (see
-MAX_AGENTS).
+school by one partition of its lottery values, and TTC seats the residents
+who want their own school first and sorts the other residents and a head of
+the lottery order. The stages work in place where they can, and pick out a
+school's applicants by boolean masks, not index lists. Besides the signals,
+a replication has one full-length float column: the uniform draws of
+`sample_agents`, the fits, the lottery and the seat values in turn. The
+shock is held as its sign, one int8 per student. The students' school and
+wealth-type columns, the residency, the rankings and the seats are held in
+the smallest integer dtypes that fit m or the type count, and a mechanism
+returns its assignment in the residency's dtype, one byte per student for
+m < 256 (see MAX_AGENTS).
 """
 from __future__ import annotations
 
@@ -34,10 +36,10 @@ from . import mechanisms as mx
 from .economy import EconomyParams
 
 
-# A DA plus TTC replication peaks at 41-42 bytes per agent above the
+# An N, DA or TTC replication peaks at 28-32.5 bytes per agent above the
 # interpreter, the solved economy and a small warm-up replication
-# (ru_maxrss at 200k and 1M agents; the arrays themselves peak at 37-41.5,
-# by tracemalloc), so the cap keeps one run near 0.2 GB.
+# (ru_maxrss at 200k and 1M agents; the arrays themselves peak at 29-31,
+# by tracemalloc), so the cap keeps one run near 0.16 GB.
 MAX_AGENTS = 5_000_000
 # `estimate` spawns every replication's seed up front and keeps a row of
 # statistics per replication, about 1.3 kB of the two at peak per
@@ -78,6 +80,9 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if sorted(w for w, _ in self.cutoffs) != sorted(self.params.wealth.omegas.tolist()):
             raise ValueError(f"cutoffs must give one cutoff per wealth type, got {self.cutoffs}")
+        # a NaN cutoff compares false with every signal and houses nobody
+        if not all(math.isfinite(s) for _, s in self.cutoffs):
+            raise ValueError(f"cutoffs must be finite, got {self.cutoffs}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +92,13 @@ class Agents:
     wraps t2 from) and the wealth types in the smallest that holds their
     count; the code reading them takes any integer dtype. Each student's
     wealth index, `omega`, is looked up from the per-type table `omegas`
-    when read, so no per-student float column is built."""
+    when read, and each student's shock, `eps`, is the int8 `shock` times
+    `e`, so the signal is the one per-student float column."""
     t1: np.ndarray         # primary school, 1..m
     t2: np.ndarray         # secondary school, 1..m
     s: np.ndarray          # signal
-    eps: np.ndarray        # realized shock in {-e, 0, +e}
+    shock: np.ndarray      # shock sign, int8 in {-1, 0, +1}
+    e: float               # shock size
     omega_idx: np.ndarray  # wealth type, an index into omegas
     omegas: np.ndarray     # wealth index per type
 
@@ -103,6 +110,18 @@ class Agents:
     def omega(self) -> np.ndarray:
         """Each student's wealth index."""
         return self.omegas[self.omega_idx]
+
+    @property
+    def eps(self) -> np.ndarray:
+        """Each student's realized shock in {-e, 0, +e}."""
+        return np.multiply(self.shock, self.e, dtype=np.float64)
+
+    def fits(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Each student's fit s + eps, in `out` if given: eps + s, the same
+        bits, as addition commutes."""
+        fit = np.multiply(self.shock, self.e, out=out, dtype=np.float64)
+        fit += self.s
+        return fit
 
 
 @dataclass(frozen=True)
@@ -168,7 +187,16 @@ def _draw_index(rng: np.random.Generator, p, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def sample_agents(params: EconomyParams, n: int, rng: np.random.Generator) -> Agents:
+def sample_agents(params: EconomyParams, n: int, rng: np.random.Generator,
+                  scratch: np.ndarray | None = None) -> Agents:
+    """n students drawn from `rng`. The uniform draws go into `scratch`, a
+    C-contiguous float64 array of length n, which a caller can then reuse;
+    without it they go into a new one. Either way the draws, the columns and
+    the generator's state after are the same."""
+    if scratch is None:
+        scratch = np.empty(n)
+    elif scratch.dtype != np.float64 or scratch.shape != (n,) or not scratch.flags.c_contiguous:
+        raise ValueError(f"scratch must be a C-contiguous float64 array of length {n}")
     m = params.m
     school = np.min_scalar_type(2 * m - 1)
     # 32-bit draws give the values and the stream of the default int64
@@ -177,14 +205,13 @@ def sample_agents(params: EconomyParams, n: int, rng: np.random.Generator) -> Ag
     t2 = rng.integers(1, m, size=n, dtype=np.uint32).astype(school)  # the shift from t1
     t2 += t1  # in 2..2m-1, so one wrap gives (t1 - 1 + shift) % m + 1
     t2 -= np.multiply(t2 > m, m, dtype=school)
-    u = rng.random(n)
+    u = rng.random(out=scratch)
     s = params.cdf.ppf(u)  # a new array: u is free for the next draws
-    shock = _draw_index(rng, (params.pi, 1.0 - 2.0 * params.pi, params.pi), u)
+    # indices 0, 1, 2 of (-e, 0, +e), held as the signs -1, 0, +1
+    shock = _draw_index(rng, (params.pi, 1.0 - 2.0 * params.pi, params.pi), u).view(np.int8)
+    shock -= 1
     omega_idx = _draw_index(rng, params.wealth.rhos, u)
-    # the shock e * (-1.0, 0.0, 1.0)[i], each product as that lookup gives it
-    eps = np.subtract(shock, 1.0, out=u)
-    eps *= params.e
-    return Agents(t1, t2, s, eps, omega_idx, params.wealth.omegas)
+    return Agents(t1, t2, s, shock, params.e, omega_idx, params.wealth.omegas)
 
 
 def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
@@ -240,7 +267,7 @@ def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     holds m, and is the (n, 3) transpose of a C-ordered (3, n) buffer, so
     each column `prefs[:, j]`, every student's j-th choice, is contiguous.
     """
-    fit = agents.s + agents.eps
+    fit = agents.fits()
     top = _beats_c0(fit, params.g)
     buf = np.empty((3, agents.n), dtype=np.min_scalar_type(params.m))
     head, hi, lo = buf  # hi, lo: the preferred fitting school, the other one
@@ -259,7 +286,7 @@ def first_choices(agents: Agents, params: EconomyParams,
     student's s + eps (computed if not given), so a caller can build it in
     a buffer it reuses."""
     if fit is None:
-        fit = agents.s + agents.eps
+        fit = agents.fits()
     first = _preferred(agents, fit, np.empty(agents.n, dtype=np.min_scalar_type(params.m)))
     first *= _beats_c0(fit, params.g)
     return first
@@ -307,20 +334,6 @@ def _lottery_prefix(lottery: np.ndarray, size: int) -> np.ndarray:
     return _lottery_order(lottery)
 
 
-def _past_best(values: np.ndarray, keep: int) -> np.ndarray:
-    """Positions of `values` past its `keep` first in lottery order (ties by
-    position), for keep < values.size. One `np.argpartition` finds them
-    when the value at the cut is strictly above every value kept; a tie at
-    the cut (equal numbers, signed zeros) or a NaN there leaves the split to
-    a stable sort."""
-    if keep == 0:
-        return np.arange(values.size)
-    part = np.argpartition(values, keep)
-    if values[part[:keep]].max() < values[part[keep]]:
-        return part[keep:]
-    return _lottery_order(values)[keep:]
-
-
 def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                   lottery: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
     """Student-proposing deferred acceptance with resident priority and a
@@ -333,9 +346,14 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     each group in lottery order. So an oversubscribed school with cap seats
     keeps every resident of its pool and the best non-residents when its
     residents fit, else its cap best residents: only the group that
-    straddles the cap is cut, by lottery (`_past_best`), and the lottery is
-    never sorted whole. The applicants and their groups are boolean masks;
-    only the straddling group becomes an index list.
+    straddles the cap is cut, by lottery, and the lottery is never sorted
+    whole. The applicants and their groups are boolean masks. The group's
+    numbers, gathered by `np.compress`, are partitioned once at the last one
+    kept; when every number past it is above it or a NaN (which sorts last),
+    the group keeps exactly its numbers at most that bound, and the rest are
+    rejected by a product over the masks. A tie at the cut (equal numbers,
+    signed zeros), a NaN there, or nothing to keep leaves the split to a
+    stable sort of the group.
 
     The result is a copy of `first` in the residency's dtype, with the
     rejected students set to c0.
@@ -356,10 +374,21 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
         left = cap - np.count_nonzero(local)  # seats after every resident
         if left < 0:  # the residents alone overfill k: no non-resident stays
             cur *= ~applied  # a product, faster than a masked store
-            group, keep = np.flatnonzero(local), cap
+            group, spare, keep = local, applied, cap
         else:
-            group, keep = np.flatnonzero(applied), left
-        cur[group[_past_best(lottery[group], keep)]] = 0
+            group, spare, keep = applied, local, left
+        if keep:
+            vals = np.compress(group, lottery)
+            vals.partition(keep - 1)
+            bound, past = vals[keep - 1], np.fmin.reduce(vals[keep:])
+            del vals  # freed before the next school's gather
+            if past > bound:  # the group keeps exactly its numbers up to bound
+                np.less_equal(lottery, bound, out=spare)
+                spare |= np.logical_not(group, out=group)  # kept, or outside the group
+                cur *= spare
+                continue
+        idx = np.flatnonzero(group)
+        cur[idx[_lottery_order(lottery[idx])[keep:]]] = 0
     return cur
 
 
@@ -682,14 +711,17 @@ def _seat_values(agents: Agents, assignment: np.ndarray,
     """Each student's match value, fit = s + eps at t1, -fit at t2 and +0.0
     at c0: `np.where(assignment == t1, fit, np.where(assignment == t2, -fit,
     0.0))` bit for bit for finite fits, in one float array, `out` if given.
-    fit * 0.0 is -0.0 for a negative fit, so c0's seats are set to +0.0
-    after."""
+    fit * 0 is -0.0 for a negative fit, so c0's seats take 1 off and add it
+    back, which gives +0.0; every other value takes off 0 twice and keeps its
+    bits, -0.0 included."""
     at_t1 = assignment == agents.t1
     at_t2 = assignment == agents.t2
-    value = np.add(agents.s, agents.eps, out=out)
+    value = agents.fits(out=out)
     value *= np.subtract(at_t1, at_t2, dtype=np.int8)
     at_t1 |= at_t2
-    value[np.flatnonzero(~at_t1)] = 0.0
+    c0 = np.logical_not(at_t1, out=at_t1).view(np.int8)  # 1 at c0, else 0
+    value -= c0
+    value -= np.negative(c0, out=c0)
     return value
 
 
@@ -700,16 +732,17 @@ def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, 
     wealth type's masses in n1 and c1, the poor shares and the match
     quality counted from it.
 
-    One full-length float column serves three uses in turn: the fits
-    s + eps, from which the first choices are built; the lottery, drawn
-    into it; and the seat values, written into it. So a replication
-    allocates, and the kernel faults in, one such column in place of three.
+    One full-length float column, besides the signals, serves four uses in
+    turn: the uniform draws of `sample_agents`; the fits s + eps, from which
+    the first choices are built; the lottery, drawn into it; and the seat
+    values, written into it. So a replication allocates, and the kernel
+    faults in, one such column in place of four.
     """
     params = config.params
-    agents = sample_agents(params, config.n_agents, rng)
+    column = np.empty(config.n_agents)
+    agents = sample_agents(params, config.n_agents, rng, scratch=column)
     residency = housing_stage(agents, config.cutoffs, params, rng)
-    column = np.add(agents.s, agents.eps)  # the fits
-    first = first_choices(agents, params, column)
+    first = first_choices(agents, params, agents.fits(out=column))
     # the first choices draw nothing, so the lottery comes next in the
     # stream; under N nothing reads it and nothing is drawn after it
     lottery = None if config.mech == mx.Mechanism.N else rng.random(out=column)

@@ -13,8 +13,10 @@ replaced; its `argsort` rank only inverts rows that are permutations of
 {0, 1, 2}, so it holds at m = 2 only. `preferences_reference` sorts each
 student's three utilities with `np.lexsort`, where `mcsim.preferences` reads
 the order from the sign of the fit. `sample_agents_reference` draws the
-shocks and wealth types with `rng.choice`, where `mcsim.sample_agents`
-counts one uniform draw against the cumulative probabilities itself.
+shocks and wealth types with `rng.choice` and keeps each shock as the float
+e * (-1.0, 0.0, 1.0)[i], where `mcsim.sample_agents` counts one uniform draw
+against the cumulative probabilities itself and keeps the shock's sign in
+one byte.
 `housing_stage_reference` builds an index list of every zone's demanders,
 where `mcsim.housing_stage` builds one only for a zone over its cap.
 `replication_stats_reference` computes each statistic with its own mask
@@ -29,6 +31,7 @@ return the same group. `test_mcsim.py` runs them against the package on
 many markets.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,6 +171,22 @@ def check_da_stability_reference(agents, residency, assignment, params, lottery,
     return blocking
 
 
+@dataclass(frozen=True)
+class ReferenceAgents:
+    """The columns `sample_agents_reference` draws, with the float shocks
+    `eps` that `mcsim.Agents.eps` must give bit for bit."""
+    t1: np.ndarray
+    t2: np.ndarray
+    s: np.ndarray
+    eps: np.ndarray
+    omega_idx: np.ndarray
+    omegas: np.ndarray
+
+    @property
+    def n(self):
+        return self.t1.size
+
+
 def sample_agents_reference(params, n, rng):
     """Agents with the shock and the wealth type drawn by `rng.choice`."""
     m = params.m
@@ -180,7 +199,7 @@ def sample_agents_reference(params, n, rng):
         size=n,
         p=[params.pi, 1.0 - 2.0 * params.pi, params.pi])
     omega_idx = rng.choice(len(params.wealth.atoms), size=n, p=params.wealth.rhos)
-    return mcsim.Agents(t1, t2, s, eps, omega_idx, params.wealth.omegas)
+    return ReferenceAgents(t1, t2, s, eps, omega_idx, params.wealth.omegas)
 
 
 def housing_stage_reference(agents, cutoffs, params, rng):

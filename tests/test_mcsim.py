@@ -11,6 +11,7 @@ import pytest
 import segsolve as ss
 from segsolve import mcsim
 from segsolve import mechanisms as mx
+from segsolve.cdf import PiecewiseLinear, Power, SingleKink, Uniform
 from segsolve.economy import example_economy
 from segsolve.equilibrium import solve
 
@@ -44,14 +45,23 @@ def _market(params, n, seed, cutoffs):
     return agents, residency, rng.random(n)
 
 
+def _agents_with_fits(t1, t2, fit):
+    """Students of one wealth type whose fits s + eps are `fit` bit for bit:
+    a shock of sign 0 and size -0.0 is -0.0, and x + -0.0 is x for every x,
+    -0.0 included."""
+    n = len(fit)
+    return mcsim.Agents(t1=t1, t2=t2, s=np.asarray(fit, dtype=np.float64),
+                        shock=np.zeros(n, dtype=np.int8), e=-0.0,
+                        omega_idx=np.zeros(n, dtype=np.uint8), omegas=np.ones(1))
+
+
 def _hand_market(top, residency, q, m=2):
     """Students at g = 0 with shocks of 0 and positive signals, so student i
     ranks school top[i] first and c0 second; lottery order is index order."""
     n = len(top)
     params = dataclasses.replace(example_economy(), q=q, m=m)
     t1 = np.array(top, dtype=np.int64)
-    agents = mcsim.Agents(t1=t1, t2=t1 % m + 1, s=np.full(n, 0.5), eps=np.zeros(n),
-                          omega_idx=np.zeros(n, dtype=np.int64), omegas=np.ones(1))
+    agents = _agents_with_fits(t1, t1 % m + 1, np.full(n, 0.5))
     return params, agents, np.array(residency, dtype=np.int64), np.arange(n) / n
 
 
@@ -134,6 +144,14 @@ class TestSampling:
             mcsim.SimConfig(params=example_economy(), mech=mx.Mechanism.DA,
                             cutoffs=cutoffs, n_agents=5000)
 
+    @pytest.mark.parametrize("cut", [math.nan, math.inf, -math.inf])
+    def test_cutoffs_must_be_finite(self, cut):
+        # a NaN cutoff used to pass and house nobody of its type: at DA on
+        # ((1.125, nan), (0.875, 0.5)), n1_mass[1.125] and poor_share_n1 read 0.0
+        with pytest.raises(ValueError, match="cutoffs must be finite"):
+            mcsim.SimConfig(params=example_economy(), mech=mx.Mechanism.DA,
+                            cutoffs=((1.125, cut), (0.875, 0.5)), n_agents=5000)
+
     @pytest.mark.parametrize("m, school, home", [
         (2, np.uint8, np.uint8), (128, np.uint8, np.uint8),
         (129, np.uint16, np.uint8), (256, np.uint16, np.uint16),
@@ -175,6 +193,48 @@ class TestSampling:
                 assert got.dtype == np.min_scalar_type(k - 1), (k, got.dtype)
                 assert np.array_equal(got, want), (k, trial, n)
                 assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+    @pytest.mark.parametrize("m", [2, 3, 200])
+    def test_scratch_column_gives_the_same_draws(self, m):
+        # every CDF family: the uniform draws into a caller's column, into a
+        # new one and the reference's `rng.choice` draws give the same
+        # columns and leave the generator in the same state; the reference's
+        # float shocks are what `eps` gives
+        families = [Uniform(), Power(0.5), SingleKink(0.3, 0.6),
+                    PiecewiseLinear(((0.0, 0.0), (0.25, 0.4), (0.75, 0.9), (1.0, 1.0)))]
+        n = 3_001
+        for seed, cdf in enumerate(families):
+            params = dataclasses.replace(example_economy(), m=m, cdf=cdf)
+            gens = [np.random.default_rng(seed) for _ in range(3)]
+            scratch = np.full(n, np.nan)
+            plain = mcsim.sample_agents(params, n, gens[0])
+            into = mcsim.sample_agents(params, n, gens[1], scratch=scratch)
+            ref = sample_agents_reference(params, n, gens[2])
+            assert into.shock.dtype == np.int8 and set(np.unique(into.shock)) == {-1, 0, 1}
+            for column in ("t1", "t2", "s", "eps", "shock", "omega_idx"):
+                a, b = getattr(plain, column), getattr(into, column)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (m, cdf, column)
+            for column in ("s", "eps"):
+                a, b = getattr(into, column), getattr(ref, column)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (m, cdf, column)
+            for column in ("t1", "t2", "omega_idx"):
+                assert np.array_equal(getattr(into, column), getattr(ref, column)), (m, column)
+            assert np.array_equal(into.shock, np.sign(ref.eps))
+            assert not np.shares_memory(into.s, scratch)
+            assert (gens[0].bit_generator.state == gens[1].bit_generator.state
+                    == gens[2].bit_generator.state)
+
+    @pytest.mark.parametrize("scratch", [
+        np.empty(1_999), np.empty(2_001), np.empty(2_000, dtype=np.float32),
+        np.empty(2_000, dtype=np.int64), np.empty(4_000)[::2], np.empty((2_000, 1)),
+    ], ids=["short", "long", "float32", "int64", "strided", "2d"])
+    def test_bad_scratch_column_rejected(self, scratch):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="scratch must be"):
+            mcsim.sample_agents(example_economy(), 2_000, rng, scratch=scratch)
+        assert rng.bit_generator.state == state  # nothing drawn
 
 
 class TestHousing:
@@ -262,9 +322,7 @@ class TestPreferences:
         pairs = np.array([(1, 2), (2, 1), (3, 1), (1, 3)])
         t1, t2 = np.tile(pairs, (len(fits), 1)).T.astype(np.uint8)
         fit = np.repeat(fits, len(pairs))
-        markets.append((dataclasses.replace(params, m=3), mcsim.Agents(
-            t1=t1, t2=t2, s=fit, eps=np.zeros(fit.size),
-            omega_idx=np.zeros(fit.size, dtype=np.uint8), omegas=np.ones(1))))
+        markets.append((dataclasses.replace(params, m=3), _agents_with_fits(t1, t2, fit)))
         for p, agents in markets:
             want = mcsim.preferences(agents, p)[:, 0]
             for fit in (None, agents.s + agents.eps):
@@ -286,9 +344,7 @@ class TestPreferences:
         pairs = np.array([(1, 2), (2, 1), (3, 1), (1, 3)])
         fit = np.repeat(fits, len(pairs))
         t1, t2 = np.tile(pairs, (len(fits), 1)).T
-        n = fit.size
-        agents = mcsim.Agents(t1=t1, t2=t2, s=fit, eps=np.zeros(n),
-                              omega_idx=np.zeros(n, dtype=np.int64), omegas=np.ones(1))
+        agents = _agents_with_fits(t1, t2, fit)
         prefs = mcsim.preferences(agents, params)
         assert np.array_equal(prefs, preferences_reference(agents, params))
         # (fit, primary, secondary) -> ranking
@@ -665,20 +721,69 @@ class TestLotteryCutsMatchReference:
             # the cut sorts school 1's straddling group exactly when in doubt
             assert (order.size in sorts) == in_doubt, (cut, seed, sorts)
 
-    @pytest.mark.parametrize("lottery", [
-        [0.5] * 8,
-        [0.25, 0.5, 0.5, 0.125, 0.5, 0.75, 0.5, 0.0],
-        [0.0, -0.0, 0.0, -0.0, 0.5, np.nan, 0.25, -0.0],
-    ], ids=["all_equal", "ties", "signed_zero_and_nan"])
-    def test_da_residents_alone_overfill_a_school(self, lottery):
+    @pytest.mark.parametrize("lottery, in_doubt", [
+        ([0.5] * 8, True),
+        ([0.25, 0.5, 0.5, 0.125, 0.5, 0.75, 0.5, 0.0], False),
+        ([0.0, -0.0, 0.0, -0.0, 0.5, np.nan, 0.25, -0.0], True),
+        ([0.375, 0.125, np.nan, 0.25, 0.5, 0.75, 0.625, 0.0], False),
+        ([0.375, np.nan, np.nan, 0.25, 0.5, 0.75, 0.625, 0.0], True),
+        ([0.375, 0.125, 0.875, 0.25, 0.5, 0.75, 0.625, 0.0], False),
+    ], ids=["all_equal", "ties", "signed_zero_and_nan", "nan_past_the_cut",
+            "nan_at_the_cut", "distinct"])
+    def test_da_residents_alone_overfill_a_school(self, lottery, in_doubt, monkeypatch):
         # 0-3 live at 1 and 0-5 want it, with two seats a school: every
-        # non-resident is cut, and the residents by lottery
+        # non-resident is cut, and the residents by lottery, by value unless
+        # a tie or a NaN falls at the cut
+        sorts = []
+        original = mcsim._lottery_order
+        monkeypatch.setattr(mcsim, "_lottery_order",
+                            lambda values: sorts.append(values.size) or original(values))
         params, agents, residency, _ = _hand_market([1] * 6 + [2] * 2, [1] * 4 + [0] * 4,
                                                     q=0.5)
         lottery = np.array(lottery)
         asg = mcsim.run_da_finite(agents, residency, params, lottery)
         assert np.array_equal(asg, run_da_reference(agents, residency, params, lottery))
         assert np.count_nonzero(asg == 1) == 2 and set(np.flatnonzero(asg == 1)) <= {0, 1, 2, 3}
+        assert sorts == ([4] if in_doubt else [])
+
+    @pytest.mark.parametrize("lottery", [
+        [0.5] * 8,
+        [0.875, 0.125, 0.25, 0.0, -0.0, 0.5, np.nan, 0.75],
+    ], ids=["all_equal", "signed_zero_and_nan"])
+    def test_da_residents_exactly_fill_a_school(self, lottery):
+        # 0 and 1 live at 1 and fill its two seats: every other applicant,
+        # 2-4, is cut whatever their numbers, and nothing is kept by lottery;
+        # 5-7 apply to 2, which keeps two of them by lottery
+        params, agents, residency, _ = _hand_market([1] * 5 + [2] * 3, [1] * 2 + [0] * 6,
+                                                    q=0.5)
+        lottery = np.array(lottery)
+        asg = mcsim.run_da_finite(agents, residency, params, lottery)
+        assert np.array_equal(asg, run_da_reference(agents, residency, params, lottery))
+        assert asg[:5].tolist() == [1, 1, 0, 0, 0] and np.count_nonzero(asg == 2) == 2
+
+    def test_da_cuts_by_value_and_by_sort(self, monkeypatch):
+        # markets at m = 2 and 3 whose lotteries are rounded to 2, 3 or 4
+        # digits or left alone: each oversubscribed school is cut once, by
+        # value or, when a tie falls at the cut, by a sort; both must run
+        sorts = []
+        original = mcsim._lottery_order
+        monkeypatch.setattr(mcsim, "_lottery_order",
+                            lambda values: sorts.append(values.size) or original(values))
+        n, cuts = 3_000, 0
+        for m in (2, 3):
+            params = dataclasses.replace(example_economy(), m=m)
+            cutoffs = solve(params, "da").cutoffs
+            cap = mcsim.school_capacities(n, params)[1]
+            for seed, digits in enumerate((2, 3, 4, None)):
+                agents, residency, lottery = _market(params, n, seed, cutoffs)
+                if digits is not None:
+                    lottery = np.round(lottery, digits)
+                first = mcsim.first_choices(agents, params)
+                cuts += int(np.count_nonzero(np.bincount(first, minlength=m + 1)[1:] > cap))
+                asg = mcsim.run_da_finite(agents, residency, params, lottery, first)
+                assert np.array_equal(asg, run_da_reference(agents, residency, params, lottery)), (
+                    m, digits)
+        assert 0 < len(sorts) < cuts, (sorts, cuts)
 
     def test_ttc_lottery_heads_past_the_first_sorted_head(self, monkeypatch):
         # at delta_q = 0.05 the lottery heads run to about a tenth of the
@@ -1056,13 +1161,12 @@ class TestEstimates:
 
 
 def test_seat_values_match_the_nested_where():
-    # fits of every sign, both zeros included, each seated at t1, t2 and c0;
-    # x + -0.0 is x for every x, so s = fit and eps = -0.0 give fit exactly
+    # fits of every sign, both zeros included, each seated at t1, t2 and c0
     fit = np.repeat([-0.75, -0.0, 0.0, 0.5, -1e-300, 2.0], 3)
     n = fit.size
     t1 = np.tile([1, 2, 1], n // 3)
-    agents = mcsim.Agents(t1=t1, t2=3 - t1, s=fit, eps=np.full(n, -0.0),
-                          omega_idx=np.zeros(n, dtype=np.int64), omegas=np.ones(1))
+    agents = _agents_with_fits(t1, 3 - t1, fit)
+    assert agents.fits().tobytes() == fit.tobytes()
     assignment = np.tile([1, 1, 0], n // 3)  # seats at t1, t2 and c0
     want = np.where(assignment == agents.t1, fit, np.where(assignment == agents.t2, -fit, 0.0))
     assert mcsim._seat_values(agents, assignment).tobytes() == want.tobytes()
@@ -1070,21 +1174,26 @@ def test_seat_values_match_the_nested_where():
 
 class TestWorkingSet:
     """The tracemalloc peak of one replication, above what was allocated
-    before it, per agent: 37 bytes under N, 41.5 under DA and 37 under TTC
-    at 50k agents on the example. N and TTC peak in the seat values, at
-    the index list of the students seated at c0; DA peaks in its
-    mechanism. One float column holds the fits, the lottery and the seat
-    values in turn; a column for each, with the per-type gathers of the
-    values made while the housed and seated masks lived, peaked at 40, 43.5
-    and 40. `_resident_blocks`, which sorts only the residents who want
-    another school, reaches 38 under TTC; sorting every housed student
-    there peaked at 45. Int64 assignments and index lists of a school's
-    applicants peaked at 47, 53 and 48; int64 school and type columns, a
-    per-agent omega array and an int64 residency before them at 83, 89 and
-    86; full-size int64 temporaries and a full lottery sort before those at
-    137, 137 and 151. The bound leaves about 15% headroom over DA's peak."""
+    before it, per agent: 29 bytes under N, 31 under DA and 29.5 under TTC
+    at 50k agents on the example. The float column is allocated before the
+    draws, which go into it, and the shock is one int8 sign per student;
+    DA cuts a school by its lottery values, freed before the next school's
+    gather, and the seat values set c0's seats by int8 masks, not an index
+    list. With a float shock column, the draws in a column of their own and
+    c0's index list, the peaks were 37, 41.5 and 37, N and TTC in the seat
+    values and DA in its mechanism. One float column holds the fits, the
+    lottery and the seat values in turn; a column for each, with the
+    per-type gathers of the values made while the housed and seated masks
+    lived, peaked at 40, 43.5 and 40. `_resident_blocks`, which sorts only
+    the residents who want another school, reaches 38 under TTC; sorting
+    every housed student there peaked at 45. Int64 assignments and index
+    lists of a school's applicants peaked at 47, 53 and 48; int64 school and
+    type columns, a per-agent omega array and an int64 residency before them
+    at 83, 89 and 86; full-size int64 temporaries and a full lottery sort
+    before those at 137, 137 and 151. The bound leaves about 15% headroom
+    over DA's peak."""
 
-    BYTES_PER_AGENT = 48
+    BYTES_PER_AGENT = 36
 
     @pytest.mark.parametrize("mech", ["n", "da", "ttc"])
     def test_replication_peak_per_agent(self, mech):
@@ -1133,13 +1242,15 @@ class TestReplicationMatchesReference:
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             got = mcsim.sample_agents(params, n, ours)
             want = sample_agents_reference(params, n, theirs)
-            for f in dataclasses.fields(mcsim.Agents):
-                a, b = getattr(got, f.name), getattr(want, f.name)
+            for column in ("t1", "t2", "s", "eps", "omega_idx", "omegas"):
+                a, b = getattr(got, column), getattr(want, column)
                 # the package's integer columns are narrower than the
-                # reference's int64; tobytes also holds each float's sign bit
+                # reference's int64; tobytes also holds each float's sign bit,
+                # and the reference's float shocks are what `eps` must give
                 same = (np.array_equal(a, b) if a.dtype.kind in "iu"
                         else a.dtype == b.dtype and a.tobytes() == b.tobytes())
-                assert same, (name, seed, f.name)
+                assert same, (name, seed, column)
+            assert got.shock.dtype == np.int8 and got.e == params.e
             assert ours.bit_generator.state == theirs.bit_generator.state
             assert np.all(got.t1 != got.t2) and got.t2.min() >= 1 and got.t2.max() <= params.m
             prefs = mcsim.preferences(got, params)
