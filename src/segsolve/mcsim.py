@@ -7,9 +7,11 @@ its cap, draws one lottery number per student, and runs N, DA or TTC
 with c0 first or second; c0 never fills, so DA and TTC read only each
 student's first choice (`first_choices`) and seat at c0 whoever that school
 turns away. School k ranks its residents first, then everyone else, both in
-lottery order. Any m >= 2 works. `check_da_stability` and `find_ttc_improvement`
-verify the assignments on the whole rankings; the tests also hold the
-per-student TTC loop and the per-round lexsort DA that `run_ttc_finite`
+lottery order. Any m >= 2 works. `check_da_stability` lists the blocking
+pairs of an assignment on the whole rankings, and `find_ttc_improvement`
+finds a student who can move up to a free seat or c0, which on these
+rankings is the only Pareto improvement there can be. The tests also hold
+the per-student TTC loop and the per-round lexsort DA that `run_ttc_finite`
 and `run_da_finite` replaced, as references they must match exactly.
 
 Neither mechanism sorts the whole lottery: DA cuts each oversubscribed
@@ -585,18 +587,22 @@ def check_da_stability(agents: Agents, residency: np.ndarray, assignment: np.nda
                        params: EconomyParams, lottery: np.ndarray,
                        sample: np.ndarray | None = None) -> list[tuple[int, int]]:
     """Blocking pairs (i, k) under resident-then-lottery priorities, school by
-    school and in the order of `sample` (every agent when None); empty if
-    stable. A student blocks with k if they prefer k to their seat and k has
-    a free seat or admits someone with a worse (non-resident, lottery) key."""
+    school from c0 and in the order of `sample` (every agent when None);
+    empty if stable. A student blocks with k if they prefer k to their seat
+    and k has a free seat or admits someone with a worse (non-resident,
+    lottery) key; c0 never fills, so a student seated below c0 blocks with
+    it. Raises ValueError if a school holds more students than its seats."""
     caps = school_capacities(agents.n, params)
     idx = np.arange(agents.n) if sample is None else np.asarray(sample)
     rank = _rank_table(preferences(agents, params)[idx], params.m)
     held = assignment[idx]
     own = rank[np.arange(idx.size), held]
     blocking = []
-    for k in range(1, params.m + 1):
+    for k in range(params.m + 1):
         nonres = residency[idx] != k
         admitted = np.flatnonzero(assignment == k)
+        if admitted.size > caps[k]:
+            raise ValueError(f"school {k} holds {admitted.size} students, over its {caps[k]} seats")
         if admitted.size < caps[k]:
             outranks = np.ones(idx.size, dtype=bool)  # a free seat
         elif admitted.size == 0:
@@ -612,75 +618,33 @@ def check_da_stability(agents: Agents, residency: np.ndarray, assignment: np.nda
     return blocking
 
 
-def _has_cycle(graph: np.ndarray) -> bool:
-    """Whether the directed graph with boolean adjacency matrix `graph` has
-    a cycle: nodes with no edge to a node still in play, which lie on no
-    cycle, are dropped until none is left (acyclic) or none drops (each
-    node left has an edge to another, so a walk among them must repeat)."""
-    live = graph.any(axis=1)
-    while live.any():
-        kept = live & graph[:, live].any(axis=1)
-        if np.array_equal(kept, live):
-            return True
-        live = kept
-    return False
-
-
 def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
                          params: EconomyParams) -> list[int] | None:
-    """Exhaustive Pareto-improvement search: a free-seat upgrade or a trading
-    cycle among students. Returns the improving group or None.
+    """A Pareto improvement on the model's own rankings, or None: the
+    lowest-index student who strictly prefers c0 or a school with a free
+    seat, found by one scan of the rank table, as a group of one. Raises
+    ValueError if a school holds more students than its seats.
 
-    The upgrade is the lowest-index student who strictly prefers c0 or a
-    school with a free seat, found by one scan of the rank table. A trading
-    cycle runs along edges i -> j where j holds a school i strictly
-    prefers. Each such cycle maps to a cycle of the (m + 1)-node school
+    No trading cycle among students can be left once no such upgrade is:
+    `preferences()` puts c0 first or second, and c0 never fills. So a
+    student who cannot move up to a free seat holds either their first
+    choice or c0, and that first choice is ranked above c0. In the school
     graph, with an edge a -> k when some holder of a strictly prefers k,
-    and a simple cycle of schools maps back to one of distinct holders. So
-    the student search, depth first from the lowest index and O(n^2), runs
-    only when the school graph has a cycle; use it at small n only."""
+    only c0's holders then have edges, and no edge points into c0, so the
+    graph has no cycle, and a trading cycle of students would map to one."""
     m = params.m
     rank = _rank_table(preferences(agents, params), m)
     held = assignment.astype(np.intp)
+    counts = np.bincount(held, minlength=m + 1)
+    caps = school_capacities(agents.n, params)
+    if np.any(counts > caps):
+        k = int(np.argmax(counts > caps))
+        raise ValueError(f"school {k} holds {counts[k]} students, over its {caps[k]} seats")
     better = rank < rank[np.arange(agents.n), held][:, None]  # i strictly prefers k
-    free = np.bincount(held, minlength=m + 1) < school_capacities(agents.n, params)
+    free = counts < caps
     free[0] = True  # c0 never fills
     upgrade = (better & free).any(axis=1)
-    if upgrade.any():
-        return [int(np.argmax(upgrade))]
-    # graph[a, k]: some holder of a strictly prefers k
-    graph = (held == np.arange(m + 1)[:, None]) @ better
-    if not _has_cycle(graph):
-        return None
-    # cycle search: edge i -> j when j holds a school i strictly prefers
-    prefers = [np.flatnonzero(row).tolist() for row in better]
-    holders = [np.flatnonzero(held == k).tolist() for k in range(m + 1)]
-    n = agents.n
-    color = [0] * n
-    parent_stack: list[int] = []
-
-    def dfs(i: int) -> list[int] | None:
-        color[i] = 1
-        parent_stack.append(i)
-        for k in prefers[i]:
-            for j in holders[k]:
-                if color[j] == 1:
-                    return parent_stack[parent_stack.index(j):]
-                if color[j] == 0:
-                    found = dfs(j)
-                    if found is not None:
-                        return found
-        color[i] = 2
-        parent_stack.pop()
-        return None
-
-    for i in range(n):
-        if color[i] == 0:
-            parent_stack.clear()
-            found = dfs(i)
-            if found is not None:
-                return found
-    return None
+    return [int(np.argmax(upgrade))] if upgrade.any() else None
 
 
 # Finite algorithm per core mechanism, each called as

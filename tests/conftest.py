@@ -1,4 +1,5 @@
-"""Shared fixtures, the random valid-economy sampler and a call counter."""
+"""Shared fixtures, the random valid-economy sampler, a call counter and the
+cutoff-form check of finite TTC."""
 import random
 import sys
 
@@ -141,3 +142,27 @@ def count_calls(monkeypatch, names):
                 if value is fn:
                     monkeypatch.setattr(mod, key, counted)
     return counts
+
+
+def assert_ttc_cutoff_form(residency, first, lottery, asg):
+    """TTC's seats in cutoff form: every resident who wants their home school
+    is seated there; in each (home, first choice) group, the students seated
+    at their first choice are a head of the group in lottery order; and with
+    worst[b] the worst lottery number among the n0 students seated at b, a
+    resident of another zone who wants b, with a number at most worst[b], is
+    seated at b."""
+    got = asg == first
+    home = (residency == first) & (first > 0)
+    assert np.all(got[home])
+    order = np.argsort(lottery, kind="stable")
+    res, top, seated = residency[order], first[order], got[order]
+    m = int(max(residency.max(), first.max()))
+    for b in range(1, m + 1):
+        for h in range(m + 1):
+            group = seated[(res == h) & (top == b)]
+            assert np.all(group[:-1] >= group[1:]), (h, b)
+        admitted = (residency == 0) & (first == b) & got
+        if admitted.any():
+            movers = (residency > 0) & (residency != b) & (first == b)
+            movers &= lottery <= lottery[admitted].max()
+            assert np.all(got[movers]), b

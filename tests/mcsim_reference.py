@@ -23,12 +23,13 @@ where `mcsim.housing_stage` builds one only for a zone over its cap.
 passes, where `mcsim.replication_stats` counts the cells with one
 `np.bincount`; it runs on the reference draws, housing, rankings and
 mechanisms. These must agree bit for bit, the random stream included.
-`find_ttc_improvement_reference` checks each student for a free-seat
-upgrade in a Python loop and then searches the student graph depth first,
-where `mcsim.find_ttc_improvement` finds the upgrade with one scan of the
-rank table and searches only when the school graph has a cycle; both must
-return the same group. `test_mcsim.py` runs them against the package on
-many markets.
+`find_ttc_improvement_reference` is the exhaustive Pareto-improvement
+search: it checks each student for a free-seat upgrade in a Python loop and
+then searches the student graph depth first for a trading cycle, where
+`mcsim.find_ttc_improvement` scans the rank table for the upgrade only, as
+on the model's own rankings no trading cycle is left once no upgrade is.
+Both must return the same group, and the reference never a group of two or
+more. `test_mcsim.py` runs them against the package on many markets.
 """
 import math
 from dataclasses import dataclass
@@ -154,7 +155,7 @@ def check_da_stability_reference(agents, residency, assignment, params, lottery,
     rank = np.argsort(prefs, axis=1)  # rank[i, school] = position in i's list
     blocking = []
     agents_to_check = sample if sample is not None else np.arange(agents.n)
-    for k in range(1, params.m + 1):
+    for k in range(params.m + 1):
         admitted = np.flatnonzero(assignment == k)
         if admitted.size < caps[k]:
             worst = (2, math.inf)  # empty seat: anyone prefers in

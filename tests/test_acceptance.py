@@ -24,7 +24,7 @@ from segsolve.equilibrium import solve
 from segsolve.segregation import (check_theorems, neighborhood_profile,
                                   school_profile)
 
-from conftest import random_economy
+from conftest import assert_ttc_cutoff_form, random_economy
 
 
 class Budget:
@@ -227,15 +227,19 @@ def test_criterion_10_monte_carlo_oracle():
         assignment = mcsim.run_da_finite(agents, residency, p, lottery)
         assert mcsim.check_da_stability(agents, residency, assignment, p, lottery) == []
 
-        # efficiency: no improving cycle at small n, exhaustively
+        # TTC at full size: seats in cutoff form, no student who can move up
+        # to a free seat (on these rankings, Pareto efficiency), and not
+        # stable, as DA's check shows
         eq_ttc = solve(p, "ttc")
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            agents = mcsim.sample_agents(p, 200, rng)
-            residency = mcsim.housing_stage(agents, eq_ttc.cutoffs, p, rng)
-            lottery = rng.random(200)
-            assignment = mcsim.run_ttc_finite(agents, residency, p, lottery)
-            assert mcsim.find_ttc_improvement(agents, assignment, p) is None
+        rng = np.random.default_rng(42)
+        agents = mcsim.sample_agents(p, 200_000, rng)
+        residency = mcsim.housing_stage(agents, eq_ttc.cutoffs, p, rng)
+        lottery = rng.random(agents.n)
+        first = mcsim.first_choices(agents, p)
+        assignment = mcsim.run_ttc_finite(agents, residency, p, lottery, first)
+        assert_ttc_cutoff_form(residency, first, lottery, assignment)
+        assert mcsim.find_ttc_improvement(agents, assignment, p) is None
+        assert mcsim.check_da_stability(agents, residency, assignment, p, lottery)
 
 
 @pytest.mark.slow

@@ -15,7 +15,7 @@ from segsolve.cdf import PiecewiseLinear, Power, SingleKink, Uniform
 from segsolve.economy import example_economy
 from segsolve.equilibrium import solve
 
-from conftest import random_economy
+from conftest import assert_ttc_cutoff_form, random_economy
 from mcsim_reference import (REFERENCE_RUNS, check_da_stability_reference,
                              find_ttc_improvement_reference, housing_stage_reference,
                              preferences_reference, replication_stats_reference,
@@ -533,30 +533,6 @@ TTC_VARIANTS = {
 }
 
 
-def _assert_cutoff_form(residency, first, lottery, asg):
-    """TTC's seats in cutoff form: every resident who wants their home school
-    is seated there; in each (home, first choice) group, the students seated
-    at their first choice are a head of the group in lottery order; and with
-    worst[b] the worst lottery number among the n0 students seated at b, a
-    resident of another zone who wants b, with a number at most worst[b], is
-    seated at b."""
-    got = asg == first
-    home = (residency == first) & (first > 0)
-    assert np.all(got[home])
-    order = np.argsort(lottery, kind="stable")
-    res, top, seated = residency[order], first[order], got[order]
-    m = int(max(residency.max(), first.max()))
-    for b in range(1, m + 1):
-        for h in range(m + 1):
-            group = seated[(res == h) & (top == b)]
-            assert np.all(group[:-1] >= group[1:]), (h, b)
-        admitted = (residency == 0) & (first == b) & got
-        if admitted.any():
-            movers = (residency > 0) & (residency != b) & (first == b)
-            movers &= lottery <= lottery[admitted].max()
-            assert np.all(got[movers]), b
-
-
 class TestTtcMatchesReference:
     """The school-level walk on first choices against the per-agent loop it
     replaced, which reads the whole lists."""
@@ -572,7 +548,7 @@ class TestTtcMatchesReference:
             asg = mcsim.run_ttc_finite(agents, residency, params, lottery, prefs[:, 0])
             ref = run_ttc_reference(agents, residency, params, lottery, prefs)
             assert np.array_equal(asg, ref), (variant, seed, int(np.sum(asg != ref)))
-            _assert_cutoff_form(residency, prefs[:, 0], lottery, asg)
+            assert_ttc_cutoff_form(residency, prefs[:, 0], lottery, asg)
 
     def test_lottery_ties_break_by_index(self):
         params = example_economy()
@@ -608,7 +584,7 @@ class TestTtcCutoffForm:
             agents, residency, lottery = _market(params, n, seed, cutoffs)
             first = mcsim.preferences(agents, params)[:, 0]
             asg = mcsim.run_ttc_finite(agents, residency, params, lottery, first)
-            _assert_cutoff_form(residency, first, lottery, asg)
+            assert_ttc_cutoff_form(residency, first, lottery, asg)
 
 
 class TestDaMatchesReference:
@@ -880,6 +856,101 @@ class TestStabilityCheck:
         planted[j] = 0  # j ranks k above c0 and k now has a free seat
         assert (j, k) in mcsim.check_da_stability(agents, residency, planted, params, lottery)
 
+    def test_seat_below_c0_blocks_with_c0(self):
+        # student 2 ranks 1, c0, 2 and sits at 2: c0 always has a free seat.
+        # School 1's one seat holds 0, and school 2's holds 2 ahead of 3, the
+        # one other student who wants it, by lottery number
+        params, agents, residency, lottery = _hand_market([1, 1, 1, 2], [0] * 4, q=0.5)
+        asg = np.array([1, 0, 2, 0], dtype=np.uint8)
+        for check in (mcsim.check_da_stability, check_da_stability_reference):
+            assert check(agents, residency, asg, params, lottery) == [(2, 0)]
+
+
+class TestVerifiersCanFail:
+    def test_over_full_school_rejected(self):
+        # one seat at each school and two students in each
+        params, agents, residency, lottery = _hand_market([1, 2, 1, 2], [0] * 4, q=0.5)
+        assert mcsim.school_capacities(agents.n, params).tolist() == [4, 1, 1]
+        asg = np.array([1, 2, 1, 2], dtype=np.uint8)
+        with pytest.raises(ValueError, match="school 1 holds 2 students"):
+            mcsim.check_da_stability(agents, residency, asg, params, lottery)
+        with pytest.raises(ValueError, match="school 1 holds 2 students"):
+            mcsim.find_ttc_improvement(agents, asg, params)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_tell_the_mechanisms_apart(self, m):
+        # N wastes the seats of choosers; DA is stable; TTC is efficient but
+        # not stable: its trades seat students over others of better priority
+        params = dataclasses.replace(example_economy(), m=m)
+        agents, residency, lottery = _market(params, 20_000, 1, solve(params, "ttc").cutoffs)
+        asg = {mech: mcsim.run_mechanism(agents, residency, params, mech, lottery)
+               for mech in mx.CORE}
+        assert mcsim.find_ttc_improvement(agents, asg[mx.Mechanism.N], params) is not None
+        assert mcsim.find_ttc_improvement(agents, asg[mx.Mechanism.DA], params) is None
+        assert mcsim.find_ttc_improvement(agents, asg[mx.Mechanism.TTC], params) is None
+        stability = {mech: mcsim.check_da_stability(agents, residency, asg[mech], params, lottery)
+                     for mech in (mx.Mechanism.DA, mx.Mechanism.TTC)}
+        assert stability[mx.Mechanism.DA] == []
+        assert len(stability[mx.Mechanism.TTC]) > 1_000
+
+
+def _relabelling(m, rng):
+    """A random relabelling of schools 1..m that moves every school (a
+    Sattolo cycle); c0 keeps its label 0."""
+    perm = np.arange(m + 1)
+    for i in range(m, 1, -1):
+        j = int(rng.integers(1, i))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+class TestMetamorphicRelations:
+    """Exact relations between the outcomes of two related markets (Segura
+    et al., "A Survey on Metamorphic Testing", IEEE TSE 2016)."""
+
+    @pytest.mark.parametrize("m", [3, 4, 7])
+    def test_school_relabelling(self, m):
+        # relabelling the schools in t1, t2 and the residency relabels N's,
+        # DA's and TTC's assignments the same way, bit for bit
+        params = dataclasses.replace(example_economy(), m=m)
+        cutoffs = solve(params, "ttc").cutoffs
+        for seed in range(3):
+            agents, residency, lottery = _market(params, 20_000, seed, cutoffs)
+            perm = _relabelling(m, np.random.default_rng([m, seed]))
+            assert np.all(perm[1:] != np.arange(1, m + 1))
+            relabelled = dataclasses.replace(agents, t1=perm[agents.t1].astype(agents.t1.dtype),
+                                             t2=perm[agents.t2].astype(agents.t2.dtype))
+            moved = perm[residency].astype(residency.dtype)
+            for mech in mx.CORE:
+                asg = mcsim.run_mechanism(agents, residency, params, mech, lottery)
+                got = mcsim.run_mechanism(relabelled, moved, params, mech, lottery)
+                assert got.dtype == asg.dtype
+                assert np.array_equal(got, perm[asg]), (m, seed, mech)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_da_lottery_swap(self, m):
+        # swapping the lottery numbers of an admitted and a rejected
+        # non-resident applicant at one school swaps their seats and changes
+        # nothing else (Balinski & Sonmez, "A Tale of Two Mechanisms:
+        # Student Placement", JET 1999)
+        params = dataclasses.replace(example_economy(), m=m)
+        agents, residency, lottery = _market(params, 20_000, m, solve(params, "da").cutoffs)
+        first = mcsim.first_choices(agents, params)
+        asg = mcsim.run_da_finite(agents, residency, params, lottery, first)
+        rng = np.random.default_rng(m)
+        for k in range(1, m + 1):
+            applicants = (first == k) & (residency != k)
+            admitted = np.flatnonzero(applicants & (asg == k))
+            rejected = np.flatnonzero(applicants & (asg == 0))
+            assert admitted.size and rejected.size, k
+            for i, j in zip(rng.choice(admitted, 10), rng.choice(rejected, 10)):
+                swapped = lottery.copy()
+                swapped[[i, j]] = lottery[[j, i]]
+                want = asg.copy()
+                want[[i, j]] = asg[[j, i]]
+                got = mcsim.run_da_finite(agents, residency, params, swapped, first)
+                assert np.array_equal(got, want), (m, k, i, j)
+
 
 class TestImprovementSearch:
     @pytest.mark.parametrize("m", [3, 4])
@@ -899,19 +970,6 @@ class TestImprovementSearch:
             planted = asg.copy()
             planted[i], planted[j] = asg[j], asg[i]
             assert mcsim.find_ttc_improvement(agents, planted, params) == [min(i, j)]
-
-    def test_finds_a_trade_no_student_makes_alone(self, monkeypatch):
-        # schools 1 and 2 have one seat each, held by 0 and 1, and each of
-        # them ranks the other's seat first and c0 last: neither can upgrade
-        # alone, so only the cycle search finds the trade. 2 and 3 sit at
-        # c0, their first choice. The model's own rankings never put c0
-        # last, so the search reads these through `preferences`
-        params, agents, _, _ = _hand_market([1, 2, 1, 2], [0] * 4, q=0.5)
-        prefs = np.array([[1, 2, 0], [2, 1, 0], [0, 1, 2], [0, 2, 1]])
-        monkeypatch.setattr(mcsim, "preferences", lambda *_: prefs)
-        assert mcsim.school_capacities(agents.n, params)[1:].tolist() == [1, 1]
-        assert mcsim.find_ttc_improvement(agents, np.array([2, 1, 0, 0]), params) == [0, 1]
-        assert mcsim.find_ttc_improvement(agents, np.array([1, 2, 0, 0]), params) is None
 
     def test_upgrade_to_the_empty_last_school(self):
         # school m = 2 holds no student and 1, seated at c0, ranks it first:
@@ -943,25 +1001,11 @@ def _school_graph_has_cycle(prefs, assignment) -> bool:
     return any(a not in state and visit(a) for a in list(edges))
 
 
-def _serial_dictatorship(prefs, caps, order):
-    """Each student in `order` takes their best school with a seat left;
-    c0, which every list holds, never fills. Pareto efficient."""
-    asg = np.zeros(len(prefs), dtype=np.uint8)
-    counts = [0] * len(caps)
-    for i in order:
-        k = next(k for k in prefs[i] if k == 0 or counts[k] < caps[k])
-        asg[i] = k
-        counts[k] += 1
-    return asg
-
-
 def _improvement_markets():
-    """(kind, m, params, agents, assignment, prefs) for the improvement
-    search: prefs is None for the model's own rankings and else the
-    rankings the search reads in their place. Kinds: unperturbed TTC
-    outcomes, a swap of two seated students, a seat freed at c0, and, on
-    random rankings that list c0, serial dictatorship outcomes with and
-    without a planted trading cycle of two or three students."""
+    """(kind, m, params, agents, assignment) for the improvement search, on
+    the model's own rankings. Kinds: unperturbed TTC outcomes, a swap of two
+    seated students, a seat freed at c0, and N's and DA's outcomes of the
+    same market."""
     for m in (2, 3, 4):
         params = dataclasses.replace(example_economy(), m=m)
         cutoffs = solve(params, "ttc").cutoffs
@@ -970,68 +1014,37 @@ def _improvement_markets():
             n = int(rng.integers(40, 201))
             agents, residency, lottery = _market(params, n, 1000 * m + seed, cutoffs)
             asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
-            yield "ttc", m, params, agents, asg, None
+            yield "ttc", m, params, agents, asg
             seated = np.flatnonzero(asg >= 1)
             i = int(rng.choice(seated))
             j = int(rng.choice(seated[asg[seated] != asg[i]]))
             swapped = asg.copy()
             swapped[i], swapped[j] = asg[j], asg[i]
-            yield "swap", m, params, agents, swapped, None
+            yield "swap", m, params, agents, swapped
             freed = asg.copy()
             freed[int(rng.choice(seated))] = 0
-            yield "freed", m, params, agents, freed, None
-
-            caps = mcsim.school_capacities(n, params)
-            width = m + 1 if seed % 2 else 3  # full lists, or two schools and c0
-            prefs = np.array([rng.permutation(np.r_[0, rng.choice(np.arange(1, m + 1), width - 1,
-                                                                   replace=False)])
-                              for _ in range(n)])
-            asg = _serial_dictatorship(prefs, caps, rng.permutation(n))
-            yield "dictatorship", m, params, agents, asg, prefs
-            counts = np.bincount(asg, minlength=m + 1)
-            full = [k for k in range(1, m + 1) if counts[k] == caps[k]]
-            for size in (2, 3):
-                if len(full) < size:
-                    continue
-                # students at `size` full schools pass their seats one school
-                # back and rank the seat they gave up first, the one they
-                # now hold second and c0 last: none can upgrade alone
-                schools = rng.choice(full, size, replace=False)
-                group = [int(rng.choice(np.flatnonzero(asg == a))) for a in schools]
-                planted, ranked = asg.copy(), prefs.copy()
-                for idx, (i, a) in enumerate(zip(group, schools)):
-                    back = schools[idx - 1]
-                    planted[i] = back
-                    rest = [k for k in prefs[i] if k not in (a, back, 0)]
-                    ranked[i] = ([a, back] + rest + [0])[:width - 1] + [0]
-                yield f"cycle{size}", m, params, agents, planted, ranked
+            yield "freed", m, params, agents, freed
+            yield "n", m, params, agents, mcsim.run_n_finite(agents, residency)
+            yield "da", m, params, agents, mcsim.run_da_finite(agents, residency, params, lottery)
 
 
 class TestImprovementSearchMatchesReference:
-    def test_same_group_on_seeded_markets(self, monkeypatch):
+    def test_same_group_on_seeded_markets(self):
+        # the exhaustive search, trading cycles included, finds no more than
+        # the upgrade scan on the model's rankings: a group of one or nothing
         found = {}
-        for kind, m, params, agents, asg, prefs in _improvement_markets():
-            with monkeypatch.context() as patch:
-                if prefs is None:
-                    prefs = mcsim.preferences(agents, params)
-                else:
-                    patch.setattr(mcsim, "preferences", lambda *_, p=prefs: p)
-                want = find_ttc_improvement_reference(agents, asg, params)
-                got = mcsim.find_ttc_improvement(agents, asg, params)
+        for kind, m, params, agents, asg in _improvement_markets():
+            want = find_ttc_improvement_reference(agents, asg, params)
+            got = mcsim.find_ttc_improvement(agents, asg, params)
             assert got == want, (kind, m, got, want)
-            size = 0 if want is None else min(len(want), 3)
-            found[kind, size] = found.get((kind, size), 0) + 1
-            # a trading cycle among students maps to one among schools, and
-            # with no upgrade left a school cycle maps back to a student one
-            if size >= 2:
-                assert _school_graph_has_cycle(prefs, asg), (kind, m, want)
+            assert want is None or len(want) == 1, (kind, m, want)
+            found[kind, want is None] = found.get((kind, want is None), 0) + 1
+            # with no upgrade left the school graph has no cycle
             if want is None:
+                prefs = mcsim.preferences(agents, params)
                 assert not _school_graph_has_cycle(prefs, asg), (kind, m)
-        assert sum(found.values()) >= 300, found
-        assert found.get(("ttc", 0)) == 60 and found.get(("dictatorship", 0)) == 60, found
-        assert found.get(("swap", 1)) == 60 and found.get(("freed", 1)) == 60, found
-        for size in (2, 3):
-            assert sum(v for (kind, s), v in found.items() if s == size) >= 20, found
+        assert found == {("ttc", True): 60, ("da", True): 60, ("swap", False): 60,
+                         ("freed", False): 60, ("n", False): 60}, found
 
 
 class TestRunMechanism:
