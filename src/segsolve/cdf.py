@@ -45,13 +45,24 @@ class SignalCdf:
         """The partial first moment: the integral of x dF(x) over [a, b]."""
         raise NotImplementedError
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized inverse for inverse-transform sampling, as a new array:
-        `mcsim.sample_agents` draws into `u` again after."""
+    def ppf(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Vectorized inverse for inverse-transform sampling, in the float64
+        array `out` if given (which may be `u` itself), else as a new array:
+        `mcsim.sample_agents` draws into `u` again after. The values are the
+        same either way, bit for bit."""
         raise NotImplementedError
 
     def to_config(self) -> dict:
         raise NotImplementedError
+
+
+def _into(u: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """u's values in `out`, or in a new float64 array when `out` is None;
+    numpy skips the copy when `out` is `u`."""
+    if out is None:
+        return np.array(u, dtype=np.float64)
+    out[...] = u
+    return out
 
 
 def _check_domain(x: float) -> None:
@@ -121,12 +132,13 @@ class PiecewiseLinear(SignalCdf):
                 total += (y1 - y0) / (x1 - x0) * (hi - lo) * (hi + lo) / 2.0
         return total
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
+    def ppf(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         xs, ys = self._xs, self._ys
         # truncate after the first knot reaching probability 1 so np.interp
         # maps u=1 to the smallest such signal
         cut = next(i for i, y in enumerate(ys) if y >= 1.0 - 1e-15)
-        return np.interp(u, ys[: cut + 1], xs[: cut + 1])
+        s = np.interp(u, ys[: cut + 1], xs[: cut + 1])
+        return s if out is None else _into(s, out)
 
     def to_config(self) -> dict:
         return {"type": "piecewise", "knots": [[x, y] for x, y in self.knots]}
@@ -136,10 +148,10 @@ class PiecewiseLinear(SignalCdf):
 class Uniform(PiecewiseLinear):
     knots: tuple[tuple[float, float], ...] = ((0.0, 0.0), (1.0, 1.0))
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
+    def ppf(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # F is the identity on [0, 1], so a copy equals the interpolation
         # value for value there and costs a fraction of it
-        return np.array(u, dtype=np.float64)
+        return _into(u, out)
 
     def to_config(self) -> dict:
         return {"type": "uniform"}
@@ -266,8 +278,10 @@ class Power(SignalCdf):
         k = self.alpha + 1.0
         return self.alpha / k * (float(b) ** k - float(a) ** k)
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u) ** (1.0 / self.alpha)
+    def ppf(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        s = _into(u, out)
+        s **= 1.0 / self.alpha  # in place, by the scalar-power path of u ** (1 / alpha)
+        return s
 
     def to_config(self) -> dict:
         return {"type": "power", "alpha": self.alpha}

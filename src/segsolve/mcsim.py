@@ -18,14 +18,14 @@ Neither mechanism sorts the whole lottery: DA cuts each oversubscribed
 school by one partition of its lottery values, and TTC seats the residents
 who want their own school first and sorts the other residents and a head of
 the lottery order. The stages work in place where they can, and pick out a
-school's applicants by boolean masks, not index lists. Besides the signals,
-a replication has one full-length float column: the uniform draws of
-`sample_agents`, the fits, the lottery and the seat values in turn. The
-shock is held as its sign, one int8 per student. The students' school and
-wealth-type columns, the residency, the rankings and the seats are held in
-the smallest integer dtypes that fit m or the type count, and a mechanism
-returns its assignment in the residency's dtype, one byte per student for
-m < 256 (see MAX_AGENTS).
+school's applicants by boolean masks, not index lists. A replication keeps
+its per-agent columns as views of one `Workspace` block, whose float column
+holds the shock and wealth-type draws, the fits, the lottery and the seat
+values in turn. The shock is held as its sign, one int8 per student. The
+students' school and wealth-type columns, the residency, the rankings and
+the seats are held in the smallest integer dtypes that fit m or the type
+count, and a mechanism returns its assignment in the residency's dtype, one
+byte per student for m < 256 (see MAX_AGENTS).
 """
 from __future__ import annotations
 
@@ -38,10 +38,16 @@ from . import mechanisms as mx
 from .economy import EconomyParams
 
 
-# An N, DA or TTC replication peaks at 28-32.5 bytes per agent above the
+# An N, DA or TTC replication peaks at 28-31.5 bytes per agent above the
 # interpreter, the solved economy and a small warm-up replication
-# (ru_maxrss at 200k and 1M agents; the arrays themselves peak at 29-31,
-# by tracemalloc), so the cap keeps one run near 0.16 GB.
+# (ru_maxrss at 200k and 1M agents; the arrays themselves peak at 31, by
+# tracemalloc), so the cap keeps one run near 0.16 GB. Its `Workspace`
+# block, 20 bytes per agent, is the largest array it frees. glibc raises
+# its mmap threshold to the largest mapped block freed and its trim
+# threshold to twice that, so from a process's third replication on the
+# heap keeps the working set and no page of it is faulted in again. The
+# threshold stops at 32 MiB, which the block passes above about 1.6M
+# agents: there the block is mapped afresh each time, as every array was.
 MAX_AGENTS = 5_000_000
 # `estimate` spawns every replication's seed up front and keeps a row of
 # statistics per replication, about 1.3 kB of the two at peak per
@@ -189,38 +195,81 @@ def _draw_index(rng: np.random.Generator, p, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+@dataclass(frozen=True)
+class Workspace:
+    """The per-agent columns that one replication keeps, as typed views cut
+    from one byte block: the float column, which holds the uniform draws of
+    the shock and wealth type, the fits, the lottery and the seat values in
+    turn; the signals; t1 and t2 in `Agents`' school dtype; and the
+    residency and the first choices in the smallest unsigned dtype that
+    holds m. That is 20 bytes per student for m <= 128. `replication_stats`
+    allocates one per replication and keeps no buffer between calls."""
+    column: np.ndarray
+    s: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    residency: np.ndarray
+    first: np.ndarray
+
+    @classmethod
+    def allocate(cls, params: EconomyParams, n: int) -> Workspace:
+        school, zone = np.min_scalar_type(2 * params.m - 1), np.min_scalar_type(params.m)
+        # in field order, widest first (2m - 1 >= m), so each view starts
+        # at a multiple of its item size
+        dtypes = [np.dtype(d) for d in (np.float64, np.float64, school, school, zone, zone)]
+        block = np.empty(n * sum(d.itemsize for d in dtypes), dtype=np.uint8)
+        views, start = [], 0
+        for dtype in dtypes:
+            views.append(block[start:start + n * dtype.itemsize].view(dtype))
+            start += n * dtype.itemsize
+        return cls(*views)
+
+
+def _check_buffer(name: str, buf: np.ndarray, dtype, n: int) -> np.ndarray:
+    """`buf`, if it is a C-contiguous array of `dtype` and length n."""
+    if buf.dtype != dtype or buf.shape != (n,) or not buf.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} array of length {n}")
+    return buf
+
+
 def sample_agents(params: EconomyParams, n: int, rng: np.random.Generator,
-                  scratch: np.ndarray | None = None) -> Agents:
-    """n students drawn from `rng`. The uniform draws go into `scratch`, a
-    C-contiguous float64 array of length n, which a caller can then reuse;
-    without it they go into a new one. Either way the draws, the columns and
-    the generator's state after are the same."""
-    if scratch is None:
-        scratch = np.empty(n)
-    elif scratch.dtype != np.float64 or scratch.shape != (n,) or not scratch.flags.c_contiguous:
-        raise ValueError(f"scratch must be a C-contiguous float64 array of length {n}")
+                  workspace: Workspace | None = None) -> Agents:
+    """n students drawn from `rng`. With a `workspace` the signals and the
+    school columns are its views and the shock and wealth-type draws go into
+    its float column, which a caller can then reuse; without one each is a
+    new array. Either way the draws, the columns and the generator's state
+    after are the same."""
     m = params.m
     school = np.min_scalar_type(2 * m - 1)
+    if workspace is None:
+        column, s, t1, t2 = np.empty(n), np.empty(n), np.empty(n, school), np.empty(n, school)
+    else:
+        column, s, t1, t2 = (_check_buffer(f"workspace.{name}", getattr(workspace, name), dtype, n)
+                             for name, dtype in (("column", np.float64), ("s", np.float64),
+                                                 ("t1", school), ("t2", school)))
     # 32-bit draws give the values and the stream of the default int64
     # draw; 8- and 16-bit ones split each word and would change both
-    t1 = rng.integers(1, m + 1, size=n, dtype=np.uint32).astype(school)
-    t2 = rng.integers(1, m, size=n, dtype=np.uint32).astype(school)  # the shift from t1
+    t1[...] = rng.integers(1, m + 1, size=n, dtype=np.uint32)
+    t2[...] = rng.integers(1, m, size=n, dtype=np.uint32)  # the shift from t1
     t2 += t1  # in 2..2m-1, so one wrap gives (t1 - 1 + shift) % m + 1
     t2 -= np.multiply(t2 > m, m, dtype=school)
-    u = rng.random(out=scratch)
-    s = params.cdf.ppf(u)  # a new array: u is free for the next draws
+    s = params.cdf.ppf(rng.random(out=s), out=s)
     # indices 0, 1, 2 of (-e, 0, +e), held as the signs -1, 0, +1
-    shock = _draw_index(rng, (params.pi, 1.0 - 2.0 * params.pi, params.pi), u).view(np.int8)
+    shock = _draw_index(rng, (params.pi, 1.0 - 2.0 * params.pi, params.pi), column).view(np.int8)
     shock -= 1
-    omega_idx = _draw_index(rng, params.wealth.rhos, u)
+    omega_idx = _draw_index(rng, params.wealth.rhos, column)
     return Agents(t1, t2, s, shock, params.e, omega_idx, params.wealth.omegas)
 
 
 def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
-                  rng: np.random.Generator) -> np.ndarray:
+                  rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Residency per agent: 0 for n0, else the neighborhood index 1..m, in
-    the smallest unsigned dtype that holds m. Only a zone over its cap
-    becomes an index list, of which `rng.choice` keeps cap."""
+    the smallest unsigned dtype that holds m, written into `out` if given.
+    Only a zone over its cap becomes an index list, of which `rng.choice`
+    keeps cap."""
+    zone = np.min_scalar_type(params.m)
+    if out is not None:
+        _check_buffer("out", out, zone, agents.n)
     lookup = dict(cutoffs)
     demand = np.zeros(agents.n, dtype=bool)  # signal above the type's cutoff
     for idx, (w, _) in enumerate(params.wealth.atoms):
@@ -228,7 +277,7 @@ def housing_stage(agents: Agents, cutoffs, params: EconomyParams,
         above &= agents.omega_idx == idx
         demand |= above
     cap = int(agents.n * params.q / params.m)
-    residency = np.multiply(agents.t1, demand, dtype=np.min_scalar_type(params.m),
+    residency = np.multiply(agents.t1, demand, out=out, dtype=zone,
                             casting="unsafe")  # t1 <= m fits
     for k in range(1, params.m + 1):
         np.equal(residency, k, out=demand)
@@ -281,15 +330,17 @@ def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     return buf.T
 
 
-def first_choices(agents: Agents, params: EconomyParams,
-                  fit: np.ndarray | None = None) -> np.ndarray:
+def first_choices(agents: Agents, params: EconomyParams, fit: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """`preferences(agents, params)[:, 0]`, each student's first choice, by
-    the same operations without the other two columns. `fit` holds each
-    student's s + eps (computed if not given), so a caller can build it in
-    a buffer it reuses."""
+    the same operations without the other two columns, written into `out`
+    if given. `fit` holds each student's s + eps (computed if not given), so
+    a caller can build it in a buffer it reuses."""
+    zone, n = np.min_scalar_type(params.m), agents.n
+    out = np.empty(n, dtype=zone) if out is None else _check_buffer("out", out, zone, n)
     if fit is None:
         fit = agents.fits()
-    first = _preferred(agents, fit, np.empty(agents.n, dtype=np.min_scalar_type(params.m)))
+    first = _preferred(agents, fit, out)
     first *= _beats_c0(fit, params.g)
     return first
 
@@ -696,20 +747,21 @@ def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, 
     wealth type's masses in n1 and c1, the poor shares and the match
     quality counted from it.
 
-    One full-length float column, besides the signals, serves four uses in
-    turn: the uniform draws of `sample_agents`; the fits s + eps, from which
-    the first choices are built; the lottery, drawn into it; and the seat
-    values, written into it. So a replication allocates, and the kernel
-    faults in, one such column in place of four.
+    The replication's kept columns are the views of one `Workspace`. Its
+    float column serves four uses in turn: the shock and wealth-type draws
+    of `sample_agents`; the fits s + eps, from which the first choices are
+    built; the lottery, drawn into it; and the seat values, written into it.
+    The block is the largest array a replication frees, which is what lets
+    the next replication reuse the heap pages (see MAX_AGENTS).
     """
     params = config.params
-    column = np.empty(config.n_agents)
-    agents = sample_agents(params, config.n_agents, rng, scratch=column)
-    residency = housing_stage(agents, config.cutoffs, params, rng)
-    first = first_choices(agents, params, agents.fits(out=column))
+    ws = Workspace.allocate(params, config.n_agents)
+    agents = sample_agents(params, config.n_agents, rng, ws)
+    residency = housing_stage(agents, config.cutoffs, params, rng, out=ws.residency)
+    first = first_choices(agents, params, agents.fits(out=ws.column), out=ws.first)
     # the first choices draw nothing, so the lottery comes next in the
     # stream; under N nothing reads it and nothing is drawn after it
-    lottery = None if config.mech == mx.Mechanism.N else rng.random(out=column)
+    lottery = None if config.mech == mx.Mechanism.N else rng.random(out=ws.column)
     assignment = run_mechanism(agents, residency, params, config.mech, lottery, first)
 
     n = agents.n
@@ -724,9 +776,9 @@ def replication_stats(config: SimConfig, rng: np.random.Generator) -> dict[str, 
     total = np.count_nonzero(applicants)
     applicants &= assignment != first  # the rejected ones
     stats["r"] = float(np.count_nonzero(applicants)) / total if total else float("nan")
-    del first, applicants  # freed before the value pass, the peak under N and TTC
+    del applicants  # freed before the value pass
 
-    value = _seat_values(agents, assignment, out=column)
+    value = _seat_values(agents, assignment, out=ws.column)
 
     # agents per wealth type living in n1 and seated at c1: exact counts
     atoms = params.wealth.atoms

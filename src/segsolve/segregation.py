@@ -112,14 +112,6 @@ def _threshold(a: mx.Mechanism, b: mx.Mechanism, r_a: float, r_b: float,
     return (r_a * c_a) / (r_b * c_b)
 
 
-def theorem2_threshold(pair: tuple[mx.Mechanism, mx.Mechanism], params: EconomyParams) -> float:
-    """Expansion-rate threshold (r_A c_A) / (r_B c_B) of Theorem 2 for A before B in CORE."""
-    a, b = (mx.Mechanism(m) for m in pair)
-    if not (a in mx.CORE and b in mx.CORE and mx.CORE.index(a) < mx.CORE.index(b)):
-        raise ValueError(f"no threshold for pair {(a, b)}")
-    return _threshold(a, b, mx.rejection(params, a), mx.rejection(params, b), params)
-
-
 def _is_uniform_shape(cdf: SignalCdf) -> bool:
     """F(x) = x: every knot on the diagonal, or a power of one."""
     if isinstance(cdf, Power):

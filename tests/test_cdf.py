@@ -109,6 +109,18 @@ class TestPpf:
         assert not np.shares_memory(s, u)
         assert np.array_equal(s, PiecewiseLinear.ppf(f, u))
 
+    @pytest.mark.parametrize("f", [Uniform(), SingleKink(0.3, 0.6), Power(0.5), Power(0.3),
+                                   Power(1.0)], ids=repr)
+    def test_into_out_is_bit_equal(self, f):
+        # into a separate buffer and in place over u: the new array's bits,
+        # and the buffer returned
+        u = np.random.default_rng(1).random(10_001)
+        want = f.ppf(u).tobytes()
+        out = np.full(u.size, np.nan)
+        assert f.ppf(u, out=out) is out and out.tobytes() == want
+        v = u.copy()
+        assert f.ppf(v, out=v) is v and v.tobytes() == want
+
 
 class TestEnumerate:
     def test_count_at_step_01(self):

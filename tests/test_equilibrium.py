@@ -297,6 +297,19 @@ class TestSolveCore:
         with pytest.raises(ValueError):
             solve_core(example_economy(), ("n", "da_l"))
 
+    def test_outcome_does_not_depend_on_m(self):
+        # the continuum's m schools are symmetric, so the equilibrium is one
+        # profile for all of them: r, d, p and the cutoffs are the same bits
+        # at m = 2, 3, 4 and 7, on the example and on 30 random economies
+        rng = random.Random(15)
+        economies = [example_economy()] + [random_economy(rng)[0] for _ in range(30)]
+        for params in economies:
+            want = [repr((eq.r, eq.d, eq.p, eq.cutoffs)) for eq in solve_core(params)]
+            for m in (3, 4, 7):
+                got = [repr((eq.r, eq.d, eq.p, eq.cutoffs))
+                       for eq in solve_core(dataclasses.replace(params, m=m))]
+                assert got == want, (params, m)
+
 
 class TestClosedFormUniform:
     """Uniform F: `solve`'s exact kernel gives the closed form d = (1-q) - a."""

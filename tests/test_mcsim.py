@@ -1,9 +1,16 @@
 """Finite-agent simulation: sampling, housing, DA/TTC algorithms, estimates."""
 import dataclasses
+import itertools
 import json
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,19 +204,20 @@ class TestSampling:
 
     @pytest.mark.parametrize("m", [2, 3, 200])
     def test_scratch_column_gives_the_same_draws(self, m):
-        # every CDF family: the uniform draws into a caller's column, into a
-        # new one and the reference's `rng.choice` draws give the same
-        # columns and leave the generator in the same state; the reference's
-        # float shocks are what `eps` gives
+        # every CDF family: the draws into a workspace, into new arrays and
+        # the reference's `rng.choice` draws give the same columns and leave
+        # the generator in the same state; the reference's float shocks are
+        # what `eps` gives
         families = [Uniform(), Power(0.5), SingleKink(0.3, 0.6),
                     PiecewiseLinear(((0.0, 0.0), (0.25, 0.4), (0.75, 0.9), (1.0, 1.0)))]
         n = 3_001
         for seed, cdf in enumerate(families):
             params = dataclasses.replace(example_economy(), m=m, cdf=cdf)
             gens = [np.random.default_rng(seed) for _ in range(3)]
-            scratch = np.full(n, np.nan)
+            ws = mcsim.Workspace.allocate(params, n)
+            ws.column.fill(np.nan)
             plain = mcsim.sample_agents(params, n, gens[0])
-            into = mcsim.sample_agents(params, n, gens[1], scratch=scratch)
+            into = mcsim.sample_agents(params, n, gens[1], ws)
             ref = sample_agents_reference(params, n, gens[2])
             assert into.shock.dtype == np.int8 and set(np.unique(into.shock)) == {-1, 0, 1}
             for column in ("t1", "t2", "s", "eps", "shock", "omega_idx"):
@@ -221,7 +229,8 @@ class TestSampling:
             for column in ("t1", "t2", "omega_idx"):
                 assert np.array_equal(getattr(into, column), getattr(ref, column)), (m, column)
             assert np.array_equal(into.shock, np.sign(ref.eps))
-            assert not np.shares_memory(into.s, scratch)
+            assert all(getattr(into, name) is getattr(ws, name) for name in ("s", "t1", "t2"))
+            assert not np.shares_memory(into.s, ws.column)
             assert (gens[0].bit_generator.state == gens[1].bit_generator.state
                     == gens[2].bit_generator.state)
 
@@ -232,8 +241,51 @@ class TestSampling:
     def test_bad_scratch_column_rejected(self, scratch):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="scratch must be"):
-            mcsim.sample_agents(example_economy(), 2_000, rng, scratch=scratch)
+        ws = mcsim.Workspace.allocate(example_economy(), 2_000)
+        with pytest.raises(ValueError, match="workspace.column must be"):
+            mcsim.sample_agents(example_economy(), 2_000, rng,
+                                dataclasses.replace(ws, column=scratch))
+        assert rng.bit_generator.state == state  # nothing drawn
+
+    @pytest.mark.parametrize("m", [2, 200, 300])
+    def test_workspace_views_tile_one_block(self, m):
+        # each view in its own dtype, aligned to its item size, and no two
+        # overlapping: together they are the whole block
+        params = dataclasses.replace(example_economy(), m=m)
+        n = 3_001
+        ws = mcsim.Workspace.allocate(params, n)
+        school, zone = np.min_scalar_type(2 * m - 1), np.min_scalar_type(m)
+        views = {f.name: getattr(ws, f.name) for f in dataclasses.fields(ws)}
+        assert {k: v.dtype for k, v in views.items()} == dict(
+            column=np.float64, s=np.float64, t1=school, t2=school, residency=zone, first=zone)
+        block = ws.column.base
+        assert all(v.base is block and v.shape == (n,) and v.flags.aligned
+                   for v in views.values())
+        assert block.nbytes == sum(v.nbytes for v in views.values())
+        for a, b in itertools.combinations(views.values(), 2):
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("stage,field,bad", [
+        ("sample", "t1", np.empty(2_000, dtype=np.uint16)),
+        ("sample", "s", np.empty(1_999)),
+        ("housing", "residency", np.empty(2_000, dtype=np.int64)),
+        ("housing", "residency", np.empty(4_000, dtype=np.uint8)[::2]),
+        ("first", "first", np.empty(2_001, dtype=np.uint8)),
+        ("first", "first", np.empty(2_000, dtype=np.uint16)),
+    ])
+    def test_bad_out_buffer_rejected(self, stage, field, bad):
+        params = example_economy()
+        agents = mcsim.sample_agents(params, 2_000, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="must be a C-contiguous"):
+            if stage == "sample":
+                ws = dataclasses.replace(mcsim.Workspace.allocate(params, 2_000), **{field: bad})
+                mcsim.sample_agents(params, 2_000, rng, ws)
+            elif stage == "housing":
+                mcsim.housing_stage(agents, solve(params, "da").cutoffs, params, rng, out=bad)
+            else:
+                mcsim.first_choices(agents, params, out=bad)
         assert rng.bit_generator.state == state  # nothing drawn
 
 
@@ -268,7 +320,12 @@ class TestHousing:
             got = mcsim.housing_stage(agents, cutoffs, params, ours)
             want = housing_stage_reference(agents, cutoffs, params, theirs)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, seed)
-            assert ours.random() == theirs.random(), (m, seed)
+            after = ours.random()
+            assert after == theirs.random(), (m, seed)
+            # into a caller's buffer: the same bytes and the same stream
+            out, twin = np.full(3_000, 7, dtype=got.dtype), np.random.default_rng(seed)
+            assert mcsim.housing_stage(agents, cutoffs, params, twin, out=out) is out
+            assert out.tobytes() == got.tobytes() and twin.random() == after, (m, seed)
             cut = np.array([dict(cutoffs)[w] for w in omegas])[agents.omega_idx]
             demand = np.bincount(agents.t1[agents.s > cut], minlength=m + 1)[1:]
             over_cap.add(bool(demand.max() > int(3_000 * params.q / m)))
@@ -328,6 +385,9 @@ class TestPreferences:
             for fit in (None, agents.s + agents.eps):
                 got = mcsim.first_choices(agents, p, fit)
                 assert got.dtype == want.dtype and np.array_equal(got, want), p.m
+                out = np.full(agents.n, 7, dtype=want.dtype)
+                assert mcsim.first_choices(agents, p, fit, out=out) is out
+                assert np.array_equal(out, want), p.m
 
     @pytest.mark.parametrize("g", [0.0, 0.0625])
     def test_matches_lexsort_reference(self, g):
@@ -1187,26 +1247,32 @@ def test_seat_values_match_the_nested_where():
 
 class TestWorkingSet:
     """The tracemalloc peak of one replication, above what was allocated
-    before it, per agent: 29 bytes under N, 31 under DA and 29.5 under TTC
-    at 50k agents on the example. The float column is allocated before the
-    draws, which go into it, and the shock is one int8 sign per student;
-    DA cuts a school by its lottery values, freed before the next school's
-    gather, and the seat values set c0's seats by int8 masks, not an index
-    list. With a float shock column, the draws in a column of their own and
-    c0's index list, the peaks were 37, 41.5 and 37, N and TTC in the seat
-    values and DA in its mechanism. One float column holds the fits, the
-    lottery and the seat values in turn; a column for each, with the
-    per-type gathers of the values made while the housed and seated masks
-    lived, peaked at 40, 43.5 and 40. `_resident_blocks`, which sorts only
-    the residents who want another school, reaches 38 under TTC; sorting
-    every housed student there peaked at 45. Int64 assignments and index
-    lists of a school's applicants peaked at 47, 53 and 48; int64 school and
-    type columns, a per-agent omega array and an int64 residency before them
-    at 83, 89 and 86; full-size int64 temporaries and a full lottery sort
-    before those at 137, 137 and 151. The bound leaves about 15% headroom
-    over DA's peak."""
+    before it, per agent: 31 bytes under N, DA and TTC at 50k agents on the
+    example. The columns a replication keeps, the float column, the signals,
+    t1, t2, the residency and the first choices, are views of one
+    `Workspace` block of 20 bytes per agent, which lives the whole
+    replication, so the per-type gathers of the seat values, with their
+    int64 index lists, set the peak under all three; freeing the first
+    choices before the value pass put N and TTC at 29 and 29.5 and DA at 31.
+    The draws go into the float column and the shock is one int8 sign per
+    student; DA cuts a school by its lottery values, freed before the next
+    school's gather, and the seat values set c0's seats by int8 masks, not
+    an index list. With a float shock column, the draws in a column of their
+    own and c0's index list, the peaks were 37, 41.5 and 37, N and TTC in
+    the seat values and DA in its mechanism. One float column holds the
+    fits, the lottery and the seat values in turn; a column for each, with
+    the per-type gathers of the values made while the housed and seated
+    masks lived, peaked at 40, 43.5 and 40. `_resident_blocks`, which sorts
+    only the residents who want another school, reaches 38 under TTC;
+    sorting every housed student there peaked at 45. Int64 assignments and
+    index lists of a school's applicants peaked at 47, 53 and 48; int64
+    school and type columns, a per-agent omega array and an int64 residency
+    before them at 83, 89 and 86; full-size int64 temporaries and a full
+    lottery sort before those at 137, 137 and 151. The bound leaves about
+    15% headroom over the peak."""
 
     BYTES_PER_AGENT = 36
+    FAULTS_PER_REPLICATION = 50
 
     @pytest.mark.parametrize("mech", ["n", "da", "ttc"])
     def test_replication_peak_per_agent(self, mech):
@@ -1228,13 +1294,54 @@ class TestWorkingSet:
                 tracemalloc.stop()
         assert peak / cfg.n_agents < self.BYTES_PER_AGENT, (mech, peak / cfg.n_agents)
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap thresholds")
+    def test_warm_replication_keeps_its_pages(self):
+        """A warm 200k-agent replication faults in almost no page under N, DA
+        and TTC. glibc raises its mmap threshold to the largest mapped block
+        freed, and its trim threshold to twice that. The workspace block is
+        mapped fresh in the first replication of a process, and laid on the
+        heap, which grows to hold it, in the second; from then on the heap
+        keeps the working set. Without the block, each replication faulted
+        896-990 times. It runs in a fresh process, so no other test's heap
+        state leaks in."""
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from segsolve import mcsim, mechanisms as mx
+            from segsolve.economy import example_economy
+            from segsolve.equilibrium import solve
+            p = example_economy()
+            configs = [mcsim.SimConfig(params=p, mech=mx.Mechanism(m), cutoffs=solve(p, m).cutoffs,
+                                       n_agents=200_000, seed=1, replications=1)
+                       for m in ("n", "da", "ttc")]
+            for seed in (0, 1):  # warm-up: the block is mapped, then laid on the heap
+                mcsim.replication_stats(configs[1], np.random.default_rng(seed))
+            faults = []
+            for config in configs:
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                mcsim.replication_stats(config, np.random.default_rng(2))
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(*faults)
+        """)
+        src = str(Path(mcsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults = dict(zip(("n", "da", "ttc"), map(int, proc.stdout.split())))
+        assert max(faults.values()) < self.FAULTS_PER_REPLICATION, faults
+
 
 def _reference_economies():
-    """(name, params) for the example at m = 2, 3 and 200 and three random draws."""
+    """(name, params) for the example at m = 2, 3, 200 and 300 and three random draws."""
     yield "example", example_economy()
     yield "example_m3", dataclasses.replace(example_economy(), m=3)
     # t1 + shift reaches 2m - 1 = 399 > 255 before the wrap
     yield "example_m200", dataclasses.replace(example_economy(), m=200)
+    # the residency and the first choices are uint16 as well as the school ids,
+    # so every view of a replication's workspace is wider than a byte
+    yield "example_m300", dataclasses.replace(example_economy(), m=300)
     rng = random.Random(2024)
     for i in range(3):
         yield f"random{i}", random_economy(rng)[0]

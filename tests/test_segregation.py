@@ -20,7 +20,15 @@ from segsolve.economy import (EconomyParams, binary_wealth, check_assumption1,
 from segsolve.equilibrium import solve, solve_core
 from segsolve.segregation import (Comparison, SignMismatchError, check_theorems,
                                   compare, expansion_rate, neighborhood_profile,
-                                  school_profile, theorem2_threshold)
+                                  school_profile)
+
+
+def theorem2_threshold(pair, params):
+    """Expansion-rate threshold (r_A c_A) / (r_B c_B) of Theorem 2 for the
+    pair (A, B), from each mechanism's rejection rate."""
+    a, b = pair
+    return segregation._threshold(a, b, mx.rejection(params, a), mx.rejection(params, b),
+                                  params)
 
 
 class TestNeighborhoodProfiles:
@@ -96,12 +104,6 @@ class TestExpansionRates:
             pytest.approx(1.0, abs=1e-12)
         assert theorem2_threshold((mx.Mechanism.DA, mx.Mechanism.TTC), p) == \
             pytest.approx(r_da * 2.0 / 3.0, abs=1e-12)
-
-    def test_unknown_pair_rejected(self):
-        M = mx.Mechanism
-        for pair in ((M.DA, M.N), (M.N, M.N), (M.TTC, M.DA), (M.DA, M.DA_L)):
-            with pytest.raises(ValueError):
-                theorem2_threshold(pair, example_economy())
 
 
 class TestCompare:
