@@ -196,13 +196,11 @@ class PiecewiseLinearBatch:
         # so are the knots, at row K + j.
         xs, ys = self.xs, self.ys
         rows, k = xs.shape
-        table = np.empty((4, rows, k + 1))
-        x0, y0, run, rise = table
-        x0[:, 0], x0[:, 1:], y0[:, 0], y0[:, 1:] = xs[:, 0], xs, ys[:, 0], ys
-        run[:, 0] = run[:, -1] = 1.0
-        rise[:, 0] = rise[:, -1] = 0.0
-        np.subtract(xs[:, 1:], xs[:, :-1], out=run[:, 1:-1])
-        np.subtract(ys[:, 1:], ys[:, :-1], out=rise[:, 1:-1])
+        knots = np.array((xs, ys))
+        table = np.empty((4, rows, k + 1))  # x0, y0, run, rise
+        table[:2, :, 0], table[:2, :, 1:] = knots[:, :, 0], knots
+        np.subtract(knots[:, :, 1:], knots[:, :, :-1], out=table[2:, :, 1:-1])
+        table[2, :, ::k], table[3, :, ::k] = 1.0, 0.0  # the flat end segments
         object.__setattr__(self, "_segments", tuple(table.reshape(4, -1)))
         object.__setattr__(self, "_row_start", np.arange(0, rows * (k + 1), k + 1)[:, None])
         object.__setattr__(self, "_knots", (xs.ravel(), ys.ravel()))

@@ -176,7 +176,7 @@ def cmd_sweep_kink(args) -> int:
 
 
 def cmd_sweep_cube(args) -> int:
-    try:  # a non-number, a bad step, or a cell that is no valid economy
+    try:  # a non-number, a bad step, or an axis value that makes no valid economy
         axes = [[float(v) for v in text.split(",")] for text in (args.rho, args.q, args.pi)]
         result = sweep.cube_sweep(*axes, args.step)
     except ValueError as exc:

@@ -67,6 +67,18 @@ def binary_wealth(rho_poor: float, spread: float = 0.25) -> WealthDist:
     return WealthDist(((w_poor, rho_poor), (w_rich, 1.0 - rho_poor)))
 
 
+# The open interval (0, upper) of each share, with its upper end as shown.
+_SHARES = {"q": (1.0, "1"), "pi": (0.5, "1/2")}
+
+
+def require_share(name: str, value) -> None:
+    """Raise EconomyError unless the share `name`, q or pi, lies in its
+    open interval."""
+    upper, shown = _SHARES[name]
+    if not 0.0 < value < upper:
+        raise EconomyError(f"{name} must lie in (0, {shown})")
+
+
 @dataclass(frozen=True)
 class EconomyParams:
     m: int
@@ -92,8 +104,7 @@ class EconomyParams:
             raise EconomyError("need at least two specialized schools")
         if not isinstance(self.m, (int, np.integer)):
             raise EconomyError(f"m must be a whole number, got {self.m!r}")
-        if not (0.0 < self.q < 1.0):
-            raise EconomyError("q must lie in (0, 1)")
+        require_share("q", self.q)
         if not self.delta_q >= 0.0:
             raise EconomyError("delta_q must be nonnegative")
         if not math.isfinite(self.delta_q):
@@ -102,8 +113,7 @@ class EconomyParams:
             raise EconomyError("g must be nonnegative")
         if not self.e > 0.0:
             raise EconomyError("e must be positive")
-        if not (0.0 < self.pi < 0.5):
-            raise EconomyError("pi must lie in (0, 1/2)")
+        require_share("pi", self.pi)
         if not self.e >= self.g:
             raise EconomyError("e must not be less than g")
         if not self.e + self.g <= 1.0 + 1e-12:
@@ -177,7 +187,7 @@ def check_assumption1(params: EconomyParams) -> AssumptionReport:
 
 def assumption1_mask(params, fg, feg) -> np.ndarray:
     """check_assumption1(...).passed for each CDF of a batch, given F(g) and
-    F(e-g) per CDF."""
+    F(e-g) per CDF; q is a scalar or one value per CDF."""
     (_, below), (_, above), (_, at_most_one) = _assumption1_checks(params, fg, feg)
     return below & above & at_most_one
 
@@ -206,15 +216,12 @@ def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
 
 
 def _utility_signs(params, mech, r_hat, p_hat, p_bar):
-    """(Delta u(g) < 0 at p_hat, Delta u(e-g) > 0 at p_bar) as two bool
-    arrays over (types, *batch), poorest type first, from one delta_u call
-    over (types, corners) and the batch axes of p_hat, against which r_hat
-    and p_bar broadcast."""
-    p = np.empty((2,) + np.shape(p_hat))
-    p[0], p[1] = p_hat, p_bar
-    batch = (1,) * (p.ndim - 1)
-    s = np.array((params.g, params.e - params.g)).reshape((2,) + batch)
-    du = mx.delta_u(mech, r_hat, p, s, params.wealth.omegas.reshape((-1, 1) + batch), params)
+    """(Delta u(g) < 0 at p_hat, Delta u(e-g) > 0 at p_bar) per type as two
+    bool arrays, poorest type first, from one delta_u call over (types,
+    corners)."""
+    s = np.array((params.g, params.e - params.g))
+    du = mx.delta_u(mech, r_hat, np.array((p_hat, p_bar)), s, params.wealth.omegas[:, None],
+                    params)
     return du[:, 0] < 0.0, du[:, 1] > 0.0
 
 
@@ -241,18 +248,29 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
     return AssumptionReport("assumption2", tuple(checks))
 
 
-def assumption2_mask(params, mech, r_hat, s_hat) -> np.ndarray:
-    """check_assumption2(..., mechs=(mech,)).passed for each CDF of a batch,
-    given s_hat = F^-1(1-q), one entry per CDF, and
-    r_hat = mechanisms.rejection_rates(params, mech, ...), which broadcasts
-    against it: a positive r, ordered price bounds and the Delta u signs."""
-    mech = mx.Mechanism(mech)
-    p_hat, p_bar = _price_interval(params, mech, r_hat, s_hat)
-    ok = (r_hat > 0.0) & ~(p_hat > p_bar + 1e-12)
-    # delta_u needs r in (0, 1]; rows failing the bounds stay masked
-    r_hat = np.where(ok, r_hat, 1.0)
-    below, above = _utility_signs(params, mech, r_hat, p_hat, p_bar)
-    return ok & (below & above).all(axis=0)
+def assumption2_mask(params, mechs, r_hat, s_hat) -> np.ndarray:
+    """check_assumption2(..., mechs=(mech,)).passed for each mech of mechs
+    and each CDF of a batch, as (mechs, CDFs): a positive r, ordered price
+    bounds and the Delta u signs. s_hat[i] holds F^-1(1-q) per CDF and
+    r_hat[i] = mechanisms.rejection_rates(params, mechs[i], ...), which
+    broadcasts against it; the economy's fields are scalars or one per CDF.
+
+    Each mechanism's price bounds come from its own gamma and its gain
+    envelope is evaluated once, at s = (g, e - g); r envelope - omega p then
+    takes one sign test over every mechanism's rows."""
+    shape = s_hat.shape
+    r, prices, envelope = np.empty(shape), np.empty((2,) + shape), np.empty((2,) + shape)
+    s = np.array((params.g, params.e - params.g))[:, None]
+    for i, mech in enumerate(map(mx.Mechanism, mechs)):
+        r[i] = r_hat[i]
+        prices[0, i], prices[1, i] = _price_interval(params, mech, r_hat[i], s_hat[i])
+        envelope[:, i] = mx.gain_envelope(mech, s, params)
+    p_hat, p_bar = prices
+    ok = (r > 0.0) & ~(p_hat > p_bar + 1e-12)
+    # Delta u as (types, (g, e - g), mechs, CDFs); rows failing the bounds stay masked
+    omegas = params.wealth.omegas
+    du = r * envelope - omegas.T.reshape(omegas.shape[-1], 1, 1, -1) * prices
+    return ok & ((du[:, 0] < 0.0) & (du[:, 1] > 0.0)).all(axis=0)
 
 
 def example_economy() -> EconomyParams:

@@ -137,7 +137,11 @@ def interior(params, s):
 
 
 def _weighted(values, rhos):
-    """sum_t rho_t values[:, t], accumulated type by type, poorest first."""
+    """sum_t rho_t values[:, t], accumulated type by type, poorest first;
+    rhos holds one weight per type, or one row of them per row of values."""
+    rhos = np.asarray(rhos)
+    # per type, one weight or a column of row weights, shaped against values[:, t]
+    rhos = rhos.T.reshape(rhos.shape[::-1] + (1,) * (values.ndim - 2))
     total = 0.0
     for j, rho in enumerate(rhos):
         total = total + rho * values[:, j]
@@ -153,25 +157,27 @@ def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max,
     nondecreasing in x, with breakpoints where a cutoff meets a knot,
     x = (knot - alpha)/beta. It is evaluated at 0, at x_max and at every
     breakpoint clipped into [0, x_max], and the first segment on which it
-    turns nonnegative is solved linearly. alpha and beta broadcast to
-    (rows, types) and x_max to (rows,); `cdfs` holds one CDF per row, or
-    one CDF shared by every row.
+    turns nonnegative is solved linearly. alpha, beta and rhos broadcast
+    to (rows, types), x_max and target to (rows,); `cdfs` holds one CDF per
+    row, or one CDF shared by every row.
     """
     alpha = np.asarray(alpha, dtype=float)[..., None]
     beta = np.asarray(beta, dtype=float)[..., None]
     x_max = np.asarray(x_max, dtype=float).reshape(-1, 1, 1)
-    knots = np.minimum(np.maximum((cdfs.xs[:, None, :] - alpha) / beta, 0.0), x_max)
+    knots = (cdfs.xs[:, None, :] - alpha) / beta
+    np.minimum(np.maximum(knots, 0.0, out=knots), x_max, out=knots)
     # 0, x_max and the knots, sorted in place
     rows = len(knots)
     x = np.empty((rows, 2 + knots[0].size))
     x[:, 0], x[:, 1], x[:, 2:] = 0.0, x_max[:, 0, 0], knots.reshape(rows, -1)
+    del knots  # freed before F is evaluated, where the batch peaks
     x.sort(axis=1)
     # F at every type's cutoff alpha + beta x, as (rows, types, points);
     # cutoffs past an end of [0, 1] read F there, as the clamped scalar
     # residual does
     s = x[:, None, :] * beta
     s += alpha
-    res = _weighted(cdfs.value(s), rhos) - target
+    res = _weighted(cdfs.value(s), rhos) - np.asarray(target, dtype=float).reshape(-1, 1)
     # the segment from the last negative residual to the first nonnegative
     # one; hi = 0 leaves the root at x = 0, where the residual is 0 if bracketed
     hi = (res >= 0.0).argmax(axis=1)
@@ -186,10 +192,11 @@ def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max,
 
 def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
     """Exact root d in [0, d_max] of sum_w rho_w F(a + d w) - (1-q), one
-    per CDF of the batch; nan where [0, d_max] brackets no root. `a` is a
-    scalar or one value per CDF."""
-    a = np.asarray(a, dtype=float).reshape(-1, 1)
-    return affine_root(cdfs, params.wealth.rhos, a, params.wealth.omegas,
+    per CDF of the batch; nan where [0, d_max] brackets no root. `a`, q and
+    the wealth atoms are each one value (one row of atoms) for every CDF or
+    one per CDF."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    return affine_root(cdfs, params.wealth.rhos, a[:, None], params.wealth.omegas,
                        max_dispersion(params, a), 1.0 - params.q)
 
 

@@ -300,11 +300,6 @@ def _preferred(agents: Agents, fit: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _beats_c0(fit: np.ndarray, g: float) -> np.ndarray:
-    """Whether a student's preferred fitting school beats c0's g >= 0."""
-    return (fit > g) | (fit < -g)
-
-
 def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     """Strict school rankings (n, 3): the two fitting schools and c0 (id 0).
 
@@ -319,7 +314,7 @@ def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
     each column `prefs[:, j]`, every student's j-th choice, is contiguous.
     """
     fit = agents.fits()
-    top = _beats_c0(fit, params.g)
+    top = (fit > params.g) | (fit < -params.g)  # the preferred fitting school beats c0
     buf = np.empty((3, agents.n), dtype=np.min_scalar_type(params.m))
     head, hi, lo = buf  # hi, lo: the preferred fitting school, the other one
     _preferred(agents, fit, hi)
@@ -332,17 +327,19 @@ def preferences(agents: Agents, params: EconomyParams) -> np.ndarray:
 
 def first_choices(agents: Agents, params: EconomyParams, fit: np.ndarray | None = None,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """`preferences(agents, params)[:, 0]`, each student's first choice, by
-    the same operations without the other two columns, written into `out`
-    if given. `fit` holds each student's s + eps (computed if not given), so
+    """`preferences(agents, params)[:, 0]`, each student's first choice,
+    written into `out` if given: t1 [fit > g] + t2 [fit < -g], as at most one
+    of fit and -fit beats c0's g >= 0, and a tie, a signed zero or a nan fit
+    leaves c0. `fit` holds each student's s + eps (computed if not given), so
     a caller can build it in a buffer it reuses."""
     zone, n = np.min_scalar_type(params.m), agents.n
     out = np.empty(n, dtype=zone) if out is None else _check_buffer("out", out, zone, n)
     if fit is None:
         fit = agents.fits()
-    first = _preferred(agents, fit, out)
-    first *= _beats_c0(fit, params.g)
-    return first
+    # t1, t2 <= m fit out's dtype
+    np.multiply(agents.t1, fit > params.g, out=out, casting="unsafe")
+    np.add(out, agents.t2 * (fit < -params.g), out=out, casting="unsafe")
+    return out
 
 
 def school_capacities(n: int, params: EconomyParams) -> np.ndarray:

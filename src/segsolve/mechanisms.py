@@ -51,7 +51,8 @@ def anchor_points(params) -> tuple[float, float, float]:
 
 def flows_at(params, fs, fg, feg, fepg) -> tuple[float, float, float]:
     """D, S, X when the cutoff signal has F(s) = fs, given F at the
-    anchor_points; broadcasts over a batch of CDFs."""
+    anchor_points; broadcasts over a batch of CDFs, and pi and fs may be
+    one per CDF."""
     pi = params.pi
     D = (1.0 - pi) * (fs - fg) + pi * (fg + feg)
     S = pi * (fepg - fs)
@@ -71,6 +72,8 @@ class CoreAlgebra:
 
     N, DA and TTC share everything else: cutoffs s_w = a + d w on the root a
     of gamma, market clearing sum rho_w F(s_w) = 1 - q, and price p = r kappa d.
+    Each entry reads scalars from params, or per-row columns of a batch
+    (`sweep.EconomyColumns`), which broadcast against its last axis.
     """
 
     gamma: Callable[..., float]      # (s, params): cutoffs solve gamma(s_w) = w p / r
@@ -177,23 +180,28 @@ def r_da_uniform(params) -> float:
     return (1.0 - q - g) / ((1.0 - pi) * (1.0 - q - g) + pi * e)
 
 
-def delta_u(mech: Mechanism, r: float, p: float, s, omega: float, params):
-    """Expected utility gain of buying in-zone at signal s versus staying out.
+def gain_envelope(mech: Mechanism, s, params):
+    """Delta u / r before the price term, convex and piecewise linear in s:
+    the upper envelope of the mechanism's floor line, which holds on s <= g,
+    and the gamma of this mechanism and of every core mechanism before it
+    (each later piece of DA and TTC is an earlier mechanism's gamma).
+    Broadcasts s against the economy's fields."""
+    mech = Mechanism(mech)
+    lines = [CORE_ALGEBRA[mech].floor]
+    lines += [CORE_ALGEBRA[m].gamma for m in CORE[:CORE.index(mech) + 1]]
+    return functools.reduce(np.maximum, (line(s, params) for line in lines))
 
-    Delta u / r is convex and piecewise linear in s: the upper envelope of
-    the mechanism's floor line, which holds on s <= g, and the gamma of this
-    mechanism and of every core mechanism before it (each later piece of DA
-    and TTC is an earlier mechanism's gamma). Continuous, weakly increasing
-    in s (strictly above g), and strictly decreasing in p. Accepts scalar or
+
+def delta_u(mech: Mechanism, r: float, p: float, s, omega: float, params):
+    """Expected utility gain of buying in-zone at signal s versus staying
+    out: r `gain_envelope` - omega p. Continuous, weakly increasing in s
+    (strictly above g), and strictly decreasing in p. Accepts scalar or
     array s, and r and p that broadcast against it.
     """
     mech = Mechanism(mech)
     if not np.logical_and.reduce((0.0 < r) & (r <= 1.0), axis=None):  # r scalar or array
         raise ValueError("r must lie in (0, 1]")
-    s = np.asarray(s, dtype=float)
-    lines = [CORE_ALGEBRA[mech].floor]
-    lines += [CORE_ALGEBRA[m].gamma for m in CORE[:CORE.index(mech) + 1]]
-    out = r * functools.reduce(np.maximum, (line(s, params) for line in lines)) - omega * p
+    out = r * gain_envelope(mech, np.asarray(s, dtype=float), params) - omega * p
     return out if out.ndim else float(out)
 
 

@@ -1,13 +1,19 @@
 """Batch experiments over single-kink signal distributions and parameter cubes.
 
 `kink_sweep` solves N and DA together: each block of the grid goes in
-twice as one stacked batch, N's rows over DA's, so F at the anchor points
-and F^-1(1-q) are evaluated once for both mechanisms and passed to the
-assumption, flow and rejection helpers that the one-economy checks use.
+twice as one stacked batch, N's rows over DA's, so F at the cutoffs and at
+the anchor points and F^-1(1-q) are evaluated once for both mechanisms and
+passed to the assumption, flow and rejection helpers that the one-economy
+checks use, and one assumption-2 sign test covers both halves. The economy
+is one EconomyParams, whose scalars broadcast over every row, or
+EconomyColumns with one economy per row. `cube_sweep` is one kink sweep
+over every (rho_p, q, pi) cell's columns, in blocks that may span cells,
+counted per cell from the result's cell-major rows.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +21,7 @@ import numpy as np
 from . import mechanisms as mx
 from .cdf import PiecewiseLinearBatch, Uniform, single_kink_grid
 from .economy import (EconomyParams, assumption1_mask, assumption2_mask,
-                      binary_wealth)
+                      binary_wealth, require_share)
 from .equilibrium import dispersion_root, interior
 from .segregation import EQUAL_TOL
 
@@ -102,64 +108,119 @@ class CubeSweepResult:
         return "\n".join(lines) + "\n"
 
 
-# Kinks per stacked batch: at its peak, in affine_root, the batch holds
-# about 1.75 kB a kink (1.28 kB of it affine_root's own temporaries, by
-# tracemalloc on a step-0.01 block), so a block stays under 4 MB on any grid.
+# Kinks per stacked batch: at its peak, in affine_root, a block holds about
+# 1.55 kB a kink of one economy and 1.67 kB a kink whose row carries its
+# economy's columns (1.15 kB of it affine_root's own temporaries; tracemalloc
+# on 2,048-kink blocks), so a block stays under 3.5 MB on any grid or cube.
 KINK_BLOCK = 2048
 
 
-def _stacked_shares(params_base: EconomyParams, kink_x, kink_y):
+@dataclass(frozen=True)
+class WealthColumns:
+    """Binary wealth as columns, one row of atoms per economy, poorest first."""
+
+    omegas: np.ndarray  # (economies, 2)
+    rhos: np.ndarray
+
+    @property
+    def poorest(self) -> np.ndarray:
+        return self.omegas[:, 0]
+
+    @property
+    def poor_rho(self) -> np.ndarray:
+        return self.rhos[:, 0]
+
+
+@dataclass(frozen=True)
+class EconomyColumns:
+    """Economies with g = 0, e = 1, delta_q = 0 and binary wealth, as
+    columns q, pi and wealth with one entry per economy: the fields that
+    the batch helpers read from an EconomyParams, each a column that
+    broadcasts against the batch's rows."""
+
+    q: np.ndarray
+    pi: np.ndarray
+    wealth: WealthColumns
+    g = 0.0  # fixed across the cube, so not columns
+    e = 1.0
+    delta_q = 0.0
+
+    def take(self, rows) -> EconomyColumns:
+        """The economies at `rows`, an index array or a slice, in its order."""
+        return EconomyColumns(self.q[rows], self.pi[rows],
+                              WealthColumns(self.wealth.omegas[rows], self.wealth.rhos[rows]))
+
+
+def _stacked_shares(params, cell, kink_x, kink_y):
     """(feasible, [N's poor share, DA's poor share]) for each kink, nan
     where infeasible, from one batch of 2B rows: N's B kinks, then DA's.
 
-    One `value` call gives F at the anchor points (g, e - g, min(e + g, 1))
-    for assumption 1 and the flows, one `inverse` call F^-1(1-q) for the
-    price bounds, one `dispersion_root` call every row's root at its
-    mechanism's intercept and one `value` call F at every cutoff. Each half
-    then applies its mechanism's rejection rate (N's needs no flows), Delta u
-    signs (one `delta_u` call) and school mass. The helpers read the economy
-    from params_base and take the CDFs as arrays, so none reads
-    params_base.cdf.
+    `params` is one EconomyParams for every kink (cell None), or
+    EconomyColumns of which kink b takes row cell[b]. One `dispersion_root`
+    call gives every row's root at its mechanism's intercept, one `value`
+    call F at every cutoff and at the anchor points (g, e - g, min(e + g, 1))
+    for assumption 1 and the flows, and one `inverse` call F^-1(1-q) for the
+    price bounds. DA's half alone needs the flows for its rejection rate;
+    one `assumption2_mask` call tests both halves, and each half applies its
+    school mass. The helpers read the economy from params and take the CDFs
+    as arrays, so none reads a `cdf` field.
     """
-    mechs, n, q = (mx.Mechanism.N, mx.Mechanism.DA), len(kink_x), params_base.q
+    mechs, n = (mx.Mechanism.N, mx.Mechanism.DA), len(kink_x)
+    # the economy of each of the 2B rows, and of each kink: a view of N's half
+    rows = params if cell is None else params.take(np.tile(cell, 2))
+    kinks = params if cell is None else rows.take(slice(0, n))
     cdfs = PiecewiseLinearBatch.single_kinks(kink_x, kink_y, copies=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the root first: its temporaries, the batch's largest, are freed
         # before the other per-row arrays are made
-        a = np.array([mx.CORE_ALGEBRA[mech].intercept(params_base) for mech in mechs]).repeat(n)
-        d = dispersion_root(params_base, cdfs, a)  # nan fails the interior test
-        s_hat = cdfs.inverse(1.0 - q)
-        anchors = cdfs.value([mx.anchor_points(params_base)]).T  # one row for every CDF
-        cutoffs = a[:, None] + d[:, None] * params_base.wealth.omegas
-        ok = (assumption1_mask(params_base, *anchors[:2])
-              & interior(params_base, cutoffs).all(axis=1))
-        unweighted = cdfs.value(cutoffs)  # F at the cutoffs, then each half's mass
-        for half, mech in zip((slice(0, n), slice(n, None)), mechs):
-            r = mx.rejection_rates(params_base, mech, lambda: mx.AggregateFlows(
-                *mx.flows_at(params_base, 1.0 - q, *anchors[:, half])))
-            ok[half] &= assumption2_mask(params_base, mech, r, s_hat[half])
-            unweighted[half] = mx.CORE_ALGEBRA[mech].school_mass(unweighted[half], r[..., None],
-                                                                 params_base)
+        a = np.empty((2, n))
+        a[0], a[1] = (mx.CORE_ALGEBRA[mech].intercept(kinks) for mech in mechs)
+        d = dispersion_root(rows, cdfs, a.ravel())  # nan fails the interior test
+        cutoffs = a.reshape(-1, 1) + d[:, None] * rows.wealth.omegas
+        points = np.empty((2 * n, 5))  # each row's cutoffs, then the anchor points
+        points[:, :2], points[:, 2:] = cutoffs, mx.anchor_points(params)
+        fs = cdfs.value(points)
+        unweighted, anchors = fs[:, :2].copy(), fs[:, 2:].T
+        s_hat = cdfs.inverse(1.0 - rows.q)
+        ok = (assumption1_mask(rows, *anchors[:2])
+              & interior(params, cutoffs).all(axis=1))
+        r = [mx.rejection_rates(kinks, mech, lambda: mx.AggregateFlows(
+            *mx.flows_at(kinks, 1.0 - kinks.q, *anchors[:, n:]))) for mech in mechs]
+        ok &= assumption2_mask(kinks, mechs, r, s_hat.reshape(2, n)).ravel()
+        for half, mech, r_half in zip((slice(0, n), slice(n, None)), mechs, r):
+            # F at the cutoffs becomes each half's mass, as (types, kinks),
+            # against which the kinks' columns broadcast
+            unweighted[half] = mx.CORE_ALGEBRA[mech].school_mass(unweighted[half].T, r_half,
+                                                                 kinks).T
         ok &= ~(unweighted < -EQUAL_TOL).any(axis=1)
-        masses = params_base.wealth.rhos * unweighted
+        masses = rows.wealth.rhos * unweighted
         total = sum(masses.T)
         share = np.where(total > 0.0, masses[:, 0] / total, np.nan)
     feasible = ok[:n] & ok[n:]
     return feasible, np.where(feasible, share.reshape(2, n), np.nan)
 
 
-def kink_sweep(params_base: EconomyParams, step: float) -> KinkSweepResult:
+def kink_sweep(params, step: float) -> KinkSweepResult:
     """Solve N and DA for every single-kink signal CDF on the grid,
     KINK_BLOCK kinks per stacked batch, with the expressions of
     check_assumption1/2, solve and school_profile on a single kink, so each
-    record equals that scalar path's result bit for bit."""
-    if not params_base.wealth.is_binary():
+    record equals that scalar path's result bit for bit.
+
+    `params` is one EconomyParams, or EconomyColumns holding several
+    economies: then the result runs through the whole grid once per
+    economy, in row order, and a block may span economies."""
+    if params.wealth.omegas.shape[-1] != 2:
         raise ValueError("kink sweep expects binary wealth")
     kink_x, kink_y = single_kink_grid(step)
+    grid_kinks, one_economy = len(kink_x), isinstance(params, EconomyParams)
+    if not one_economy:  # each economy's grid in turn
+        kink_x, kink_y = np.tile(kink_x, len(params.q)), np.tile(kink_y, len(params.q))
     feasible, shares = np.empty(len(kink_x), dtype=bool), np.empty((2, len(kink_x)))
     for i in range(0, len(kink_x), KINK_BLOCK):
         block = slice(i, i + KINK_BLOCK)
-        feasible[block], shares[:, block] = _stacked_shares(params_base, kink_x[block],
+        # each kink's economy row; one EconomyParams is every kink's economy
+        cell = None if one_economy else np.arange(i, i + len(kink_x[block])) // grid_kinks
+        feasible[block], shares[:, block] = _stacked_shares(params, cell, kink_x[block],
                                                             kink_y[block])
     share_n, share_da = shares
     return KinkSweepResult(step, kink_x, kink_y, share_n, share_da, share_da - share_n, feasible)
@@ -168,32 +229,59 @@ def kink_sweep(params_base: EconomyParams, step: float) -> KinkSweepResult:
 SEG_TOL = 1e-9
 
 
-def da_less_segregated_count(result: KinkSweepResult, params_base: EconomyParams) -> tuple[int, int]:
-    """(feasible count, count with school segregation strictly lower under DA).
+def _da_less(result: KinkSweepResult, rho_p) -> np.ndarray:
+    """Whether each kink's school segregation is strictly lower under DA,
+    given the poor population share rho_p (a scalar or one per kink); False
+    where infeasible, as the shares are nan there.
 
     Segregation is compared through the poor share at the oversubscribed
     school: with binary wealth, a poor share closer to the population share
     means a smaller average-wealth deviation.
     """
-    rho_p = params_base.wealth.poor_rho
-    ok = result.feasible
-    less = np.abs(result.share_da[ok] - rho_p) < np.abs(result.share_n[ok] - rho_p) - SEG_TOL
-    return int(np.count_nonzero(ok)), int(np.count_nonzero(less))
+    return np.abs(result.share_da - rho_p) < np.abs(result.share_n - rho_p) - SEG_TOL
 
 
-def _cube_cell(rho_p: float, q: float, pi: float, step: float) -> CubeCell:
-    # the sweep reads no CDF of the economy; Uniform is the cheapest to validate
-    params = EconomyParams(m=2, q=q, g=0.0, e=1.0, pi=pi,
-                           wealth=binary_wealth(rho_p), cdf=Uniform())
-    result = kink_sweep(params, step)
-    n_feasible, n_less = da_less_segregated_count(result, params)
-    return CubeCell(rho_p, q, pi, n_feasible, n_less)
+def da_less_segregated_count(result: KinkSweepResult, params_base: EconomyParams) -> tuple[int, int]:
+    """(feasible count, count with school segregation strictly lower under DA)."""
+    return (int(np.count_nonzero(result.feasible)),
+            int(np.count_nonzero(_da_less(result, params_base.wealth.poor_rho))))
+
+
+def cube_economies(rho_list, q_list, pi_list) -> EconomyParams | EconomyColumns:
+    """The economy of every (rho_p, q, pi) cell, rho_p outermost and pi
+    innermost, with m = 2, g = 0, e = 1 and binary wealth: one EconomyParams
+    for a one-cell cube, else EconomyColumns with one row per cell. Every
+    axis value is checked first; one that makes no valid economy raises
+    EconomyError."""
+    wealth = [binary_wealth(rho_p) for rho_p in rho_list]
+    if len(wealth) * len(q_list) * len(pi_list) == 1:
+        # the sweep reads no CDF of the economy; Uniform is the cheapest to validate
+        return EconomyParams(m=2, q=q_list[0], g=0.0, e=1.0, pi=pi_list[0], wealth=wealth[0],
+                             cdf=Uniform())
+    q, pi = np.array(q_list, dtype=float), np.array(pi_list, dtype=float)
+    for name, column in (("q", q), ("pi", pi)):
+        for value in column.tolist():
+            require_share(name, value)
+    i_rho, i_q, i_pi = np.indices((len(wealth), q.size, pi.size)).reshape(3, -1)
+    omegas, rhos = (np.array([getattr(w, name) for w in wealth]).reshape(-1, 2)
+                    for name in ("omegas", "rhos"))
+    return EconomyColumns(q[i_q], pi[i_pi], WealthColumns(omegas[i_rho], rhos[i_rho]))
 
 
 def cube_sweep(rho_list, q_list, pi_list, step: float = 0.1) -> CubeSweepResult:
     """Share of single-kink CDFs with lower school segregation under DA,
-    across a (rho_p, q, pi) parameter grid, one cell after another. A cell
-    that is no valid economy raises EconomyError."""
-    cells = tuple(_cube_cell(rho_p, q, pi, step)
-                  for rho_p in rho_list for q in q_list for pi in pi_list)
-    return CubeSweepResult(tuple(rho_list), tuple(q_list), tuple(pi_list), step, cells)
+    across a (rho_p, q, pi) parameter grid: one kink sweep over every cell's
+    economy, counted per cell with one bincount each. A cell that is no
+    valid economy raises EconomyError before any kink is solved."""
+    economies = cube_economies(rho_list, q_list, pi_list)
+    cells = list(itertools.product(rho_list, q_list, pi_list))
+    n_feasible = n_less = ()
+    if cells:
+        result = kink_sweep(economies, step)
+        kinks = len(result.x) // len(cells)
+        cell = np.arange(len(cells)).repeat(kinks)
+        less = _da_less(result, np.asarray(economies.wealth.poor_rho).repeat(kinks))
+        n_feasible, n_less = (np.bincount(cell[mask], minlength=len(cells)).tolist()
+                              for mask in (result.feasible, less))
+    return CubeSweepResult(tuple(rho_list), tuple(q_list), tuple(pi_list), step,
+                           tuple(map(CubeCell, *zip(*cells), n_feasible, n_less)))

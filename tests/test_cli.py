@@ -187,6 +187,13 @@ class TestSimulate:
                          "--mech", "n,da"]) == cli.EXIT_CONFIG
 
 
+# a cube axis with one bad value after a good one: caught before any batch runs
+CUBE_AXIS_ERRORS = [
+    ["sweep-cube", "--pi", "0.2,0.7"],
+    ["sweep-cube", "--rho", "0.5,nan"],
+    ["sweep-cube", "--q", "0.4,1.0"],
+]
+
 # each of these exited 1 with a traceback before its input was checked
 BAD_ARGUMENTS = [
     ["sweep-cube", "--rho", "abc"],
@@ -200,6 +207,7 @@ BAD_ARGUMENTS = [
     ["sweep-cube", "--rho", "nan"],
     ["sweep-cube", "--rho", "1.5"],
     ["sweep-cube", "--pi", "0.7"],
+    *CUBE_AXIS_ERRORS,
     ["simulate", "--example", "--n-agents", "10"],
     ["simulate", "--example", "--replications", "0"],
     ["simulate", "--example", "--replications", "1000000000"],
@@ -216,6 +224,15 @@ def test_bad_arguments_exit_2(argv, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", CUBE_AXIS_ERRORS, ids=" ".join)
+def test_bad_cube_axis_exits_before_any_batch(argv, monkeypatch, capsys):
+    calls = count_calls(monkeypatch, ["sweep.kink_sweep", "sweep._stacked_shares"])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert calls == {"sweep.kink_sweep": 0, "sweep._stacked_shares": 0}
 
 
 class TestCheck:

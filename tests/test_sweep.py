@@ -1,5 +1,6 @@
 """Single-kink sweeps and the parameter-cube experiment."""
 import math
+import tracemalloc
 
 import collections
 
@@ -9,7 +10,7 @@ import segsolve.sweep as sweep
 from segsolve import equilibrium
 from segsolve import mechanisms as mx
 from segsolve.cdf import PiecewiseLinearBatch, SingleKink, Uniform, single_kink_grid
-from segsolve.economy import (EconomyParams, WealthDist, binary_wealth,
+from segsolve.economy import (EconomyError, EconomyParams, WealthDist, binary_wealth,
                               check_assumption1, check_assumption2,
                               example_economy)
 from segsolve.equilibrium import SolveError, solve
@@ -159,11 +160,13 @@ def _count_calls(monkeypatch, *layers) -> collections.Counter:
 class TestStackedBatch:
     def test_one_call_per_layer(self, monkeypatch):
         # N and DA share each CDF evaluation, the inverse, the root and the
-        # delta_u call of each mechanism: 11 value, 2 inverse, 2 affine_root
-        # and 8 delta_u calls when each mechanism ran on its own batch; only
-        # DA's half reads the flows. So does a cube cell, through one kink
-        # sweep.
+        # assumption-2 sign test, which evaluates each mechanism's gain
+        # envelope once and calls no delta_u: 11 value, 2 inverse,
+        # 2 affine_root and 8 delta_u calls when each mechanism ran on its
+        # own batch; only DA's half reads the flows. So does a cube cell,
+        # through one kink sweep.
         calls = _count_calls(monkeypatch, (equilibrium, "affine_root"), (mx, "delta_u"),
+                             (mx, "gain_envelope"), (sweep, "assumption2_mask"),
                              (mx, "flows_at"), (PiecewiseLinearBatch, "value"),
                              (PiecewiseLinearBatch, "inverse"), (sweep, "kink_sweep"))
         for run in (lambda: sweep.kink_sweep(example_economy(), 0.1),
@@ -172,15 +175,22 @@ class TestStackedBatch:
             run()
             assert calls["kink_sweep"] == 1
             assert calls["affine_root"] == 1
-            assert calls["delta_u"] == 2
+            assert calls["delta_u"] == 0
+            assert calls["assumption2_mask"] == 1
+            assert calls["gain_envelope"] == 2
             assert calls["flows_at"] == 1
-            assert calls["value"] <= 3
+            assert calls["value"] <= 2
             assert calls["inverse"] == 1
 
-    def test_one_kink_sweep_per_cube_cell(self, monkeypatch):
+    @pytest.mark.parametrize("block, blocks", [(2048, 1), (45, 4), (7, 26)])
+    def test_one_kink_sweep_and_one_flows_call_per_block(self, monkeypatch, block, blocks):
+        # 4 cells of 45 kinks each, 180 rows in blocks that may span cells
+        monkeypatch.setattr(sweep, "KINK_BLOCK", block)
         calls = _count_calls(monkeypatch, (sweep, "kink_sweep"), (mx, "flows_at"))
         cells = sweep.cube_sweep([0.3, 0.5], [0.4], [0.2, 0.3], 0.1).cells
-        assert len(cells) == calls["kink_sweep"] == calls["flows_at"] == 4
+        assert len(cells) == 4
+        assert calls["kink_sweep"] == 1
+        assert calls["flows_at"] == blocks
 
     def test_blocks_join_in_grid_order(self, monkeypatch):
         # 171 kinks in 25 blocks, the last of 3 kinks
@@ -223,6 +233,73 @@ class TestColumns:
         result = sweep.kink_sweep(BASES[base], 0.05)
         assert sweep.da_less_segregated_count(result, BASES[base]) == \
             _da_less_loop(result, BASES[base])
+
+
+DEFAULT_CUBE = ((0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
+                (0.1, 0.2, 0.3, 0.4))
+
+
+def _columns(result, rows=slice(None)) -> list[list]:
+    """The result's columns at rows, floats by `hex`, so that nan and -0.0 compare too."""
+    floats = (result.x, result.y, result.share_n, result.share_da, result.diff)
+    return ([list(map(float.hex, column[rows].tolist())) for column in floats]
+            + [result.feasible[rows].tolist()])
+
+
+class TestCubeBatch:
+    def test_rows_equal_each_cells_own_sweep(self):
+        # every cell of the default cube, batched as one kink sweep over
+        # economy columns, against that cell's own EconomyParams
+        cube = sweep.kink_sweep(sweep.cube_economies(*DEFAULT_CUBE), 0.1)
+        kinks = len(single_kink_grid(0.1)[0])
+        cells = [(rho_p, q, pi) for rho_p in DEFAULT_CUBE[0] for q in DEFAULT_CUBE[1]
+                 for pi in DEFAULT_CUBE[2]]
+        assert len(cube.x) == len(cells) * kinks == 8820
+        for c, (rho_p, q, pi) in enumerate(cells):
+            params = EconomyParams(m=2, q=q, g=0.0, e=1.0, pi=pi,
+                                   wealth=binary_wealth(rho_p), cdf=Uniform())
+            own = sweep.kink_sweep(params, 0.1)
+            assert _columns(cube, slice(c * kinks, (c + 1) * kinks)) == _columns(own), \
+                (rho_p, q, pi)
+
+    def test_default_cube_totals(self):
+        cells = sweep.cube_sweep(*DEFAULT_CUBE, 0.1).cells
+        assert len(cells) == 196
+        assert sum(c.n_feasible for c in cells) == 8036
+        assert sum(c.n_da_less for c in cells) == 348
+        assert sum(c.n_da_less > 0 for c in cells) == 49
+
+    def test_blocks_spanning_cells_join_in_cell_order(self, monkeypatch):
+        # 8 cells of 45 kinks in 52 blocks of 7, six of which span two cells
+        axes = ((0.3, 0.6), (0.3, 0.5), (0.2, 0.4))
+        whole = sweep.cube_sweep(*axes, 0.1).to_csv()
+        rows = _columns(sweep.kink_sweep(sweep.cube_economies(*axes), 0.1))
+        monkeypatch.setattr(sweep, "KINK_BLOCK", 7)
+        assert sweep.cube_sweep(*axes, 0.1).to_csv() == whole
+        assert _columns(sweep.kink_sweep(sweep.cube_economies(*axes), 0.1)) == rows
+
+    def test_default_cube_peak_memory(self):
+        sweep.cube_sweep(*DEFAULT_CUBE, 0.1)  # warm up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            sweep.cube_sweep(*DEFAULT_CUBE, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1024 * 1024
+
+    def test_bad_axis_value_raises_before_any_batch(self, monkeypatch):
+        calls = _count_calls(monkeypatch, (sweep, "_stacked_shares"))
+        for axes in (([0.5], [0.4], [0.2, 0.7]), ([0.5, math.nan], [0.4], [0.2]),
+                     ([0.5], [0.4, 1.0], [0.2]), ([0.5], [0.4], [0.7])):
+            with pytest.raises(EconomyError):
+                sweep.cube_sweep(*axes, 0.1)
+        assert calls["_stacked_shares"] == 0
+
+    def test_one_cell_passes_its_economy_params(self):
+        economy = sweep.cube_economies([0.5], [0.4], [0.3])
+        assert economy == EconomyParams(m=2, q=0.4, g=0.0, e=1.0, pi=0.3,
+                                        wealth=binary_wealth(0.5), cdf=Uniform())
 
 
 class TestCubeSweep:
