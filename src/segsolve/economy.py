@@ -215,13 +215,27 @@ def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
     return rejection_and_bounds(params, mech)[1:]
 
 
+def _corner_gains(params, mechs, r, prices) -> np.ndarray:
+    """Delta u = r gain_envelope(s) - omega p per type at the two corners
+    (s, p) = (g, p_hat) and (e - g, p_bar) of each mechanism of mechs, as
+    (types, corners, mechs, CDFs), with each mechanism's envelope evaluated
+    once, at s = (g, e - g). prices holds (p_hat, p_bar) as (corners, mechs,
+    CDFs) and r broadcasts against one corner; the wealth atoms are one row
+    for every CDF or one row per CDF. Unlike delta_u, it does not check
+    that r lies in (0, 1]."""
+    s = np.array((params.g, params.e - params.g))[:, None]
+    envelope = np.empty(prices.shape)
+    for i, mech in enumerate(mechs):
+        envelope[:, i] = mx.gain_envelope(mech, s, params)
+    omegas = params.wealth.omegas
+    return r * envelope - omegas.T.reshape(omegas.shape[-1], 1, 1, -1) * prices
+
+
 def _utility_signs(params, mech, r_hat, p_hat, p_bar):
     """(Delta u(g) < 0 at p_hat, Delta u(e-g) > 0 at p_bar) per type as two
-    bool arrays, poorest type first, from one delta_u call over (types,
-    corners)."""
-    s = np.array((params.g, params.e - params.g))
-    du = mx.delta_u(mech, r_hat, np.array((p_hat, p_bar)), s, params.wealth.omegas[:, None],
-                    params)
+    bool arrays, poorest type first."""
+    prices = np.array((p_hat, p_bar)).reshape(2, 1, 1)
+    du = _corner_gains(params, (mech,), r_hat, prices)[..., 0, 0]
     return du[:, 0] < 0.0, du[:, 1] > 0.0
 
 
@@ -255,21 +269,17 @@ def assumption2_mask(params, mechs, r_hat, s_hat) -> np.ndarray:
     r_hat[i] = mechanisms.rejection_rates(params, mechs[i], ...), which
     broadcasts against it; the economy's fields are scalars or one per CDF.
 
-    Each mechanism's price bounds come from its own gamma and its gain
-    envelope is evaluated once, at s = (g, e - g); r envelope - omega p then
-    takes one sign test over every mechanism's rows."""
-    shape = s_hat.shape
-    r, prices, envelope = np.empty(shape), np.empty((2,) + shape), np.empty((2,) + shape)
-    s = np.array((params.g, params.e - params.g))[:, None]
-    for i, mech in enumerate(map(mx.Mechanism, mechs)):
+    Each mechanism's price bounds come from its own gamma, and one sign
+    test covers every mechanism's Delta u at the corners."""
+    mechs = tuple(map(mx.Mechanism, mechs))
+    r, prices = np.empty(s_hat.shape), np.empty((2,) + s_hat.shape)
+    for i, mech in enumerate(mechs):
         r[i] = r_hat[i]
         prices[0, i], prices[1, i] = _price_interval(params, mech, r_hat[i], s_hat[i])
-        envelope[:, i] = mx.gain_envelope(mech, s, params)
     p_hat, p_bar = prices
     ok = (r > 0.0) & ~(p_hat > p_bar + 1e-12)
-    # Delta u as (types, (g, e - g), mechs, CDFs); rows failing the bounds stay masked
-    omegas = params.wealth.omegas
-    du = r * envelope - omegas.T.reshape(omegas.shape[-1], 1, 1, -1) * prices
+    # rows failing the bounds stay masked
+    du = _corner_gains(params, mechs, r, prices)
     return ok & ((du[:, 0] < 0.0) & (du[:, 1] > 0.0)).all(axis=0)
 
 

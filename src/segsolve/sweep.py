@@ -6,9 +6,10 @@ the anchor points and F^-1(1-q) are evaluated once for both mechanisms and
 passed to the assumption, flow and rejection helpers that the one-economy
 checks use, and one assumption-2 sign test covers both halves. The economy
 is one EconomyParams, whose scalars broadcast over every row, or
-EconomyColumns with one economy per row. `cube_sweep` is one kink sweep
-over every (rho_p, q, pi) cell's columns, in blocks that may span cells,
-counted per cell from the result's cell-major rows.
+EconomyColumns with one economy per row. `cube_sweep` runs one kink sweep
+over the columns of a block's worth of whole (rho_p, q, pi) cells at a
+time, so one block spans many cells of a coarse grid, and counts each
+cell from its rows of the result.
 """
 from __future__ import annotations
 
@@ -109,10 +110,13 @@ class CubeSweepResult:
 
 
 # Kinks per stacked batch: at its peak, in affine_root, a block holds about
-# 1.55 kB a kink of one economy and 1.67 kB a kink whose row carries its
-# economy's columns (1.15 kB of it affine_root's own temporaries; tracemalloc
-# on 2,048-kink blocks), so a block stays under 3.5 MB on any grid or cube.
-KINK_BLOCK = 2048
+# 1.56 kB a kink of one economy and 1.67 kB a kink whose row carries its
+# economy's columns (tracemalloc on 1,024-kink blocks), so a block stays
+# under 2 MB on any grid or cube. With 2,048-kink blocks the step-0.01 grid
+# ran slower, as glibc gave more of each block's heap back between blocks
+# and faulted it in again (1,979 against 1,077-1,334 minor faults a warm
+# sweep). cube_sweep also sweeps one block's worth of whole cells at a time.
+KINK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,9 @@ def _stacked_shares(params, cell, kink_x, kink_y):
         a[0], a[1] = (mx.CORE_ALGEBRA[mech].intercept(kinks) for mech in mechs)
         d = dispersion_root(rows, cdfs, a.ravel())  # nan fails the interior test
         cutoffs = a.reshape(-1, 1) + d[:, None] * rows.wealth.omegas
-        points = np.empty((2 * n, 5))  # each row's cutoffs, then the anchor points
+        # each row's cutoffs, then the anchor points: one call costs less
+        # than a shared row of anchors and a call for the cutoffs
+        points = np.empty((2 * n, 5))
         points[:, :2], points[:, 2:] = cutoffs, mx.anchor_points(params)
         fs = cdfs.value(points)
         unweighted, anchors = fs[:, :2].copy(), fs[:, 2:].T
@@ -229,22 +235,17 @@ def kink_sweep(params, step: float) -> KinkSweepResult:
 SEG_TOL = 1e-9
 
 
-def _da_less(result: KinkSweepResult, rho_p) -> np.ndarray:
+def _da_less(share_n, share_da, rho_p) -> np.ndarray:
     """Whether each kink's school segregation is strictly lower under DA,
-    given the poor population share rho_p (a scalar or one per kink); False
-    where infeasible, as the shares are nan there.
+    given its poor shares under N and DA and the poor population share
+    rho_p, which broadcasts against them; False where infeasible, as the
+    shares are nan there.
 
     Segregation is compared through the poor share at the oversubscribed
     school: with binary wealth, a poor share closer to the population share
     means a smaller average-wealth deviation.
     """
-    return np.abs(result.share_da - rho_p) < np.abs(result.share_n - rho_p) - SEG_TOL
-
-
-def da_less_segregated_count(result: KinkSweepResult, params_base: EconomyParams) -> tuple[int, int]:
-    """(feasible count, count with school segregation strictly lower under DA)."""
-    return (int(np.count_nonzero(result.feasible)),
-            int(np.count_nonzero(_da_less(result, params_base.wealth.poor_rho))))
+    return np.abs(share_da - rho_p) < np.abs(share_n - rho_p) - SEG_TOL
 
 
 def cube_economies(rho_list, q_list, pi_list) -> EconomyParams | EconomyColumns:
@@ -270,18 +271,24 @@ def cube_economies(rho_list, q_list, pi_list) -> EconomyParams | EconomyColumns:
 
 def cube_sweep(rho_list, q_list, pi_list, step: float = 0.1) -> CubeSweepResult:
     """Share of single-kink CDFs with lower school segregation under DA,
-    across a (rho_p, q, pi) parameter grid: one kink sweep over every cell's
-    economy, counted per cell with one bincount each. A cell that is no
-    valid economy raises EconomyError before any kink is solved."""
+    across a (rho_p, q, pi) parameter grid. Whole cells go into one kink
+    sweep over their columns, KINK_BLOCK kinks' worth at a time (a cell
+    with a larger grid alone), so the results held never outgrow one block
+    or one cell's grid, and each cell is counted from its rows. A cell that
+    is no valid economy raises EconomyError before any kink is solved."""
     economies = cube_economies(rho_list, q_list, pi_list)
     cells = list(itertools.product(rho_list, q_list, pi_list))
-    n_feasible = n_less = ()
-    if cells:
-        result = kink_sweep(economies, step)
-        kinks = len(result.x) // len(cells)
-        cell = np.arange(len(cells)).repeat(kinks)
-        less = _da_less(result, np.asarray(economies.wealth.poor_rho).repeat(kinks))
-        n_feasible, n_less = (np.bincount(cell[mask], minlength=len(cells)).tolist()
-                              for mask in (result.feasible, less))
+    parts = [economies] if len(cells) == 1 else ()  # one EconomyParams, whose scalars broadcast
+    if len(cells) > 1:
+        per_sweep = max(1, KINK_BLOCK // len(single_kink_grid(step)[0]))
+        parts = (economies.take(slice(i, i + per_sweep)) for i in range(0, len(cells), per_sweep))
+    n_feasible, n_less = [], []
+    for part in parts:
+        result = kink_sweep(part, step)
+        rho_p = np.asarray(part.wealth.poor_rho).reshape(-1, 1)
+        shape = (len(rho_p), -1)  # (cells, grid kinks): each cell's rows are its whole grid
+        n_feasible += result.feasible.reshape(shape).sum(axis=1).tolist()
+        n_less += _da_less(result.share_n.reshape(shape), result.share_da.reshape(shape),
+                           rho_p).sum(axis=1).tolist()
     return CubeSweepResult(tuple(rho_list), tuple(q_list), tuple(pi_list), step,
                            tuple(map(CubeCell, *zip(*cells), n_feasible, n_less)))

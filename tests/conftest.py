@@ -1,5 +1,5 @@
-"""Shared fixtures, the random valid-economy sampler, a call counter and the
-cutoff-form check of finite TTC."""
+"""Shared fixtures, the random valid-economy sampler, a call counter, the
+DA-less count of a kink sweep and the cutoff-form check of finite TTC."""
 import random
 import sys
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import segsolve as ss
+import segsolve.sweep as sweep
 from segsolve import mechanisms as mx
 from segsolve.cdf import PiecewiseLinear, Power, SingleKink, Uniform
 from segsolve.economy import (EconomyError, EconomyParams, WealthDist,
@@ -142,6 +143,13 @@ def count_calls(monkeypatch, names):
                 if value is fn:
                     monkeypatch.setattr(mod, key, counted)
     return counts
+
+
+def da_less_count(result, params) -> tuple[int, int]:
+    """(feasible count, count with school segregation strictly lower under
+    DA) of a kink sweep over the one economy `params`."""
+    less = sweep._da_less(result.share_n, result.share_da, params.wealth.poor_rho)
+    return int(np.count_nonzero(result.feasible)), int(np.count_nonzero(less))
 
 
 def assert_ttc_cutoff_form(residency, first, lottery, asg):

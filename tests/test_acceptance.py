@@ -24,7 +24,7 @@ from segsolve.equilibrium import solve
 from segsolve.segregation import (check_theorems, neighborhood_profile,
                                   school_profile)
 
-from conftest import assert_ttc_cutoff_form, random_economy
+from conftest import assert_ttc_cutoff_form, da_less_count, random_economy
 
 
 class Budget:
@@ -139,7 +139,7 @@ def test_criterion_8_kink_diagonal_zero_at_step_01():
            "see notes on the step-0.025 test below")
 def test_criterion_8_strip_nonempty_at_step_01():
     result = sweep.kink_sweep(example_economy(), 0.1)
-    n_f, n_less = sweep.da_less_segregated_count(result, example_economy())
+    n_f, n_less = da_less_count(result, example_economy())
     assert n_less > 0
 
 
@@ -164,7 +164,7 @@ def test_kink_sweep_step_001_within_budget():
     # the batched sweep solves all 4950 kinks of the step-0.01 grid at once
     with Budget(1.0):
         result = sweep.kink_sweep(example_economy(), 0.01)
-    n_f, n_less = sweep.da_less_segregated_count(result, example_economy())
+    n_f, n_less = da_less_count(result, example_economy())
     assert (len(result.records), n_f, n_less) == (4950, 4585, 236)
 
 

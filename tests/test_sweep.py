@@ -5,6 +5,7 @@ import tracemalloc
 import collections
 
 import pytest
+from conftest import da_less_count
 
 import segsolve.sweep as sweep
 from segsolve import equilibrium
@@ -63,8 +64,7 @@ class TestKinkSweep:
         assert all(math.isnan(r.diff) for r in bad)
 
     def test_da_less_count_consistent(self, example_sweep):
-        n_f, n_less = sweep.da_less_segregated_count(example_sweep,
-                                                    example_economy())
+        n_f, n_less = da_less_count(example_sweep, example_economy())
         assert n_f == 44
         assert 0 <= n_less <= n_f
 
@@ -182,14 +182,17 @@ class TestStackedBatch:
             assert calls["value"] <= 2
             assert calls["inverse"] == 1
 
-    @pytest.mark.parametrize("block, blocks", [(2048, 1), (45, 4), (7, 26)])
-    def test_one_kink_sweep_and_one_flows_call_per_block(self, monkeypatch, block, blocks):
-        # 4 cells of 45 kinks each, 180 rows in blocks that may span cells
+    @pytest.mark.parametrize("block, sweeps, blocks",
+                             [(2048, 1, 1), (100, 2, 2), (45, 4, 4), (7, 4, 28)])
+    def test_one_kink_sweep_per_block_of_cells(self, monkeypatch, block, sweeps, blocks):
+        # 4 cells of 45 kinks each: as many whole cells as fit in a block
+        # go into one kink sweep, and a cell larger than a block alone; one
+        # flows call per block
         monkeypatch.setattr(sweep, "KINK_BLOCK", block)
         calls = _count_calls(monkeypatch, (sweep, "kink_sweep"), (mx, "flows_at"))
         cells = sweep.cube_sweep([0.3, 0.5], [0.4], [0.2, 0.3], 0.1).cells
         assert len(cells) == 4
-        assert calls["kink_sweep"] == 1
+        assert calls["kink_sweep"] == sweeps
         assert calls["flows_at"] == blocks
 
     def test_blocks_join_in_grid_order(self, monkeypatch):
@@ -200,7 +203,7 @@ class TestStackedBatch:
 
 
 def _da_less_loop(result, params) -> tuple[int, int]:
-    """da_less_segregated_count as the loop over feasible records it was."""
+    """da_less_count as the loop over feasible records."""
     rho_p = params.wealth.poor_rho
     n_feasible = n_less = 0
     for r in result.feasible_records():
@@ -231,8 +234,7 @@ class TestColumns:
     @pytest.mark.parametrize("base", list(BASES))
     def test_da_less_count_equals_records_loop(self, base):
         result = sweep.kink_sweep(BASES[base], 0.05)
-        assert sweep.da_less_segregated_count(result, BASES[base]) == \
-            _da_less_loop(result, BASES[base])
+        assert da_less_count(result, BASES[base]) == _da_less_loop(result, BASES[base])
 
 
 DEFAULT_CUBE = ((0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
@@ -244,6 +246,18 @@ def _columns(result, rows=slice(None)) -> list[list]:
     floats = (result.x, result.y, result.share_n, result.share_da, result.diff)
     return ([list(map(float.hex, column[rows].tolist())) for column in floats]
             + [result.feasible[rows].tolist()])
+
+
+def _peak_bytes(run) -> int:
+    """tracemalloc's peak during run(), after one warm-up call for imports
+    and first-call caches."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCubeBatch:
@@ -270,23 +284,34 @@ class TestCubeBatch:
         assert sum(c.n_da_less > 0 for c in cells) == 49
 
     def test_blocks_spanning_cells_join_in_cell_order(self, monkeypatch):
-        # 8 cells of 45 kinks in 52 blocks of 7, six of which span two cells
+        # one kink sweep over 8 cells of 45 kinks: 360 rows in 52 blocks
+        # of 7, six of which span two cells
         axes = ((0.3, 0.6), (0.3, 0.5), (0.2, 0.4))
-        whole = sweep.cube_sweep(*axes, 0.1).to_csv()
         rows = _columns(sweep.kink_sweep(sweep.cube_economies(*axes), 0.1))
         monkeypatch.setattr(sweep, "KINK_BLOCK", 7)
-        assert sweep.cube_sweep(*axes, 0.1).to_csv() == whole
         assert _columns(sweep.kink_sweep(sweep.cube_economies(*axes), 0.1)) == rows
 
     def test_default_cube_peak_memory(self):
-        sweep.cube_sweep(*DEFAULT_CUBE, 0.1)  # warm up: imports and first-call caches
-        tracemalloc.start()
-        try:
-            sweep.cube_sweep(*DEFAULT_CUBE, 0.1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 1024 * 1024
+        assert _peak_bytes(lambda: sweep.cube_sweep(*DEFAULT_CUBE, 0.1)) <= 4 * 1024 * 1024
+
+    def test_cube_peak_memory_does_not_grow_with_cells(self):
+        # at step 0.01 each cell's grid of 4,950 kinks is swept alone, so
+        # eight cells peak as two do, not at eight grids' rows; their
+        # per-row economy columns cost two cells about a third of a MB more
+        # than one cell's scalars
+        one = _peak_bytes(lambda: sweep.cube_sweep([0.3], [0.3], [0.2], 0.01))
+        two = _peak_bytes(lambda: sweep.cube_sweep([0.3], [0.3], [0.2, 0.4], 0.01))
+        eight = _peak_bytes(lambda: sweep.cube_sweep([0.3, 0.6], [0.3, 0.5], [0.2, 0.4], 0.01))
+        assert eight <= 1.02 * two
+        assert two <= one + 512 * 1024
+
+    @pytest.mark.parametrize("block", [2048, 7])
+    def test_cells_in_several_sweeps_count_as_in_one(self, monkeypatch, block):
+        # 196 cells of 45 kinks: 9 sweeps of up to 22 cells at 1,024 kinks a
+        # block; 5 of up to 45 cells at 2,048; 196 of one cell at 7
+        whole = sweep.cube_sweep(*DEFAULT_CUBE, 0.1).to_csv()
+        monkeypatch.setattr(sweep, "KINK_BLOCK", block)
+        assert sweep.cube_sweep(*DEFAULT_CUBE, 0.1).to_csv() == whole
 
     def test_bad_axis_value_raises_before_any_batch(self, monkeypatch):
         calls = _count_calls(monkeypatch, (sweep, "_stacked_shares"))
