@@ -36,7 +36,7 @@ def _load_params(args) -> EconomyParams:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_CONFIG)
     try:
         return EconomyParams.from_config(cfg)
@@ -79,8 +79,11 @@ def _equilibria(params: EconomyParams, mechs: list[mx.Mechanism]):
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output {path}: {exc}", EXIT_CONFIG)
     else:
         sys.stdout.write(text)
 

@@ -210,11 +210,6 @@ def rejection_and_bounds(params: EconomyParams, mech) -> tuple[float, float, flo
     return r_hat, p_hat, p_bar
 
 
-def price_bounds(params: EconomyParams, mech) -> tuple[float, float]:
-    """The price interval [p_hat, p_bar] of `rejection_and_bounds`."""
-    return rejection_and_bounds(params, mech)[1:]
-
-
 def _corner_gains(params, mechs, r, prices) -> np.ndarray:
     """Delta u = r gain_envelope(s) - omega p per type at the two corners
     (s, p) = (g, p_hat) and (e - g, p_bar) of each mechanism of mechs, as

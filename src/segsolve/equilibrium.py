@@ -299,9 +299,10 @@ def solve(params: EconomyParams, mech, check: bool = True) -> Equilibrium:
 
 
 def _policy_cutoffs(mech: mx.Mechanism, r: np.ndarray, params: EconomyParams):
-    """The roots of policy_delta_u in s, s_w = alpha_w + beta_w p, as
-    (len(r), types) intercepts alpha and slopes beta, one row per rejection
-    rate in r; types poorest first."""
+    """The roots in s of the utility gain, the `mechanisms.policy_gain` line
+    less omega p, s_w = alpha_w + beta_w p, as (len(r), types) intercepts
+    alpha and slopes beta, one row per rejection rate in r; types poorest
+    first."""
     omegas = params.wealth.omegas
     at_zero, slope = mx.policy_gain(mech, r[:, None], omegas, params)
     return -at_zero / slope, omegas / slope

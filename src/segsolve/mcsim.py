@@ -442,12 +442,6 @@ def run_da_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     return cur
 
 
-def run_n_finite(agents: Agents, residency: np.ndarray) -> np.ndarray:
-    """No school choice: everyone attends their neighborhood school. The
-    result is a copy of the residency."""
-    return residency.copy()
-
-
 def _resident_blocks(residency: np.ndarray, lottery: np.ndarray,
                      queued: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The housed students of the mask `queued`, by school and then in
@@ -700,7 +694,7 @@ def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
 # functions up when called, so a rebound module attribute (a tracer's
 # wrapper, a test double) is the one that runs.
 _FINITE_RUNS = {
-    mx.Mechanism.N: lambda agents, residency, *_: run_n_finite(agents, residency),
+    mx.Mechanism.N: lambda agents, residency, *_: residency.copy(),  # no choice: home school
     mx.Mechanism.DA: lambda *args: run_da_finite(*args),
     mx.Mechanism.TTC: lambda *args: run_ttc_finite(*args),
 }

@@ -239,15 +239,3 @@ def policy_gain(mech: Mechanism, r, omega, params):
     lottery = (1.0 - r_w) * params.pi
     return (r_w * da.gamma(0.0, params) - lottery * params.e,
             r_w * da.kappa(params) + lottery)
-
-
-def policy_delta_u(mech: Mechanism, r, p: float, s, omega, params):
-    """Utility gain under a desegregation policy on the example profile:
-    the line of `policy_gain` less omega p. Broadcasts r, s and omega."""
-    from .economy import is_example_profile
-
-    if not is_example_profile(params):
-        raise ValueError("policy mechanisms are defined on the example profile only")
-    at_zero, slope = policy_gain(mech, r, omega, params)
-    out = at_zero + slope * np.asarray(s, dtype=float) - omega * p
-    return out if out.ndim else float(out)

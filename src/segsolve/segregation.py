@@ -43,10 +43,6 @@ class SegregationProfile:
                 return m
         raise KeyError(omega)
 
-    @property
-    def total_mass(self) -> float:
-        return sum(m for _, m in self.masses)
-
 
 def make_profile(location: str, masses) -> SegregationProfile:
     masses = tuple(masses)

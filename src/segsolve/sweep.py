@@ -45,7 +45,6 @@ class KinkSweepResult:
     gives the same kinks as KinkRecords, built on first access, so counting
     and CSV output never build them."""
 
-    step: float
     x: np.ndarray
     y: np.ndarray
     share_n: np.ndarray
@@ -57,9 +56,6 @@ class KinkSweepResult:
     def records(self) -> tuple[KinkRecord, ...]:
         return tuple(map(KinkRecord, self.x.tolist(), self.y.tolist(), self.share_n.tolist(),
                          self.share_da.tolist(), self.diff.tolist(), self.feasible.tolist()))
-
-    def feasible_records(self) -> list[KinkRecord]:
-        return [r for r in self.records if r.feasible]
 
     def to_csv(self) -> str:
         """The CSV text, formatted KINK_BLOCK rows at a time from the columns."""
@@ -87,18 +83,7 @@ class CubeCell:
 
 @dataclass(frozen=True)
 class CubeSweepResult:
-    rho_list: tuple[float, ...]
-    q_list: tuple[float, ...]
-    pi_list: tuple[float, ...]
-    step: float
     cells: tuple[CubeCell, ...]
-
-    def cell(self, rho_p: float, q: float, pi: float) -> CubeCell:
-        for c in self.cells:
-            if (abs(c.rho_p - rho_p) < 1e-9 and abs(c.q - q) < 1e-9
-                    and abs(c.pi - pi) < 1e-9):
-                return c
-        raise KeyError((rho_p, q, pi))
 
     def to_csv(self) -> str:
         lines = ["rho_p,q,pi,n_feasible,n_da_less,pct"]
@@ -229,7 +214,7 @@ def kink_sweep(params, step: float) -> KinkSweepResult:
         feasible[block], shares[:, block] = _stacked_shares(params, cell, kink_x[block],
                                                             kink_y[block])
     share_n, share_da = shares
-    return KinkSweepResult(step, kink_x, kink_y, share_n, share_da, share_da - share_n, feasible)
+    return KinkSweepResult(kink_x, kink_y, share_n, share_da, share_da - share_n, feasible)
 
 
 SEG_TOL = 1e-9
@@ -290,5 +275,4 @@ def cube_sweep(rho_list, q_list, pi_list, step: float = 0.1) -> CubeSweepResult:
         n_feasible += result.feasible.reshape(shape).sum(axis=1).tolist()
         n_less += _da_less(result.share_n.reshape(shape), result.share_da.reshape(shape),
                            rho_p).sum(axis=1).tolist()
-    return CubeSweepResult(tuple(rho_list), tuple(q_list), tuple(pi_list), step,
-                           tuple(map(CubeCell, *zip(*cells), n_feasible, n_less)))
+    return CubeSweepResult(tuple(map(CubeCell, *zip(*cells), n_feasible, n_less)))

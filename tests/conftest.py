@@ -152,6 +152,13 @@ def da_less_count(result, params) -> tuple[int, int]:
     return int(np.count_nonzero(result.feasible)), int(np.count_nonzero(less))
 
 
+def policy_utility_gain(mech, r, p, s, omega, params):
+    """The utility gain under a policy at signal s and price p: the line of
+    `mechanisms.policy_gain` less omega p. Broadcasts r, s and omega."""
+    at_zero, slope = mx.policy_gain(mech, r, omega, params)
+    return at_zero + slope * np.asarray(s, dtype=float) - omega * p
+
+
 def assert_ttc_cutoff_form(residency, first, lottery, asg):
     """TTC's seats in cutoff form: every resident who wants their home school
     is seated there; in each (home, first choice) group, the students seated

@@ -5,20 +5,21 @@ replaced, kept as a reference.
 increasing grid as slices, takes the rejection rate and price bounds from
 one `rejection_and_bounds` call and formats each name from Python floats.
 `verify_lemma1_reference` is the body before that: boolean masks over the
-grid, a separate `rejection` and `price_bounds` call and names formatted from
-numpy scalars. `test_equilibrium.py` runs the two against each other.
+grid, a separate `rejection` call and one for the price bounds (the tail of
+`rejection_and_bounds`, which computes the rate again) and names formatted
+from numpy scalars. `test_equilibrium.py` runs the two against each other.
 """
 import numpy as np
 
 from segsolve import mechanisms as mx
 from segsolve.cdf import AssumptionReport
-from segsolve.economy import price_bounds
+from segsolve.economy import rejection_and_bounds
 
 
 def verify_lemma1_reference(params, mech) -> AssumptionReport:
     mech = mx.Mechanism(mech)
     r_hat = mx.rejection(params, mech)
-    p_hat, p_bar = price_bounds(params, mech)
+    p_hat, p_bar = rejection_and_bounds(params, mech)[1:]
     grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
     below = grid <= params.g + 1e-12
     above = grid >= params.g - 1e-12

@@ -13,7 +13,8 @@ from segsolve.equilibrium import MAX_ITER, NoFixedPointError
 
 
 def policy_cutoffs_reference(mech, r, p, params):
-    """Roots of policy_delta_u in s, one per wealth type (linear in s)."""
+    """Roots in s of the policy utility gain, the `mechanisms.policy_gain`
+    line less omega p, one per wealth type (linear in s)."""
     out = []
     for w, _ in params.wealth.atoms:
         if mech == mx.Mechanism.DA_WL and abs(w - params.wealth.poorest) > 1e-12:

@@ -127,7 +127,7 @@ def test_policy_table_within_budget():
 def test_criterion_8_kink_diagonal_zero_at_step_01():
     with Budget(10.0):
         result = sweep.kink_sweep(example_economy(), 0.1)
-        diag = [r for r in result.feasible_records() if abs(r.x - r.y) < 1e-12]
+        diag = [r for r in result.records if r.feasible and abs(r.x - r.y) < 1e-12]
         assert diag
         assert all(abs(r.diff) < 1e-9 for r in diag)
 
@@ -149,8 +149,8 @@ def test_criterion_8_strip_located_at_step_0025():
         p = example_economy()
         result = sweep.kink_sweep(p, 0.025)
         rho_p = p.wealth.poor_rho
-        less = [(r.x, r.y) for r in result.feasible_records()
-                if abs(r.share_da - rho_p) < abs(r.share_n - rho_p) - sweep.SEG_TOL]
+        less = [(r.x, r.y) for r in result.records
+                if r.feasible and abs(r.share_da - rho_p) < abs(r.share_n - rho_p) - sweep.SEG_TOL]
         assert less
         ys = sorted({y for _, y in less})
         assert ys == [pytest.approx(0.675)]

@@ -37,12 +37,12 @@ class TestTableOne:
         row, profile = bm.no_priority_outcome()
         assert row.poor_share_c1 == pytest.approx(50.0, abs=1e-9)
         assert row.total_quality == pytest.approx(100.0 / 3.0, abs=1e-9)
-        assert profile.total_mass == pytest.approx(0.4, abs=1e-12)
+        assert sum(m for _, m in profile.masses) == pytest.approx(0.4, abs=1e-12)
 
     def test_auction_clearing_price(self):
         # the exact per-seat price tau = 104/115 clears q = 0.4 to the last bit
         row, profile = bm.auction_outcome()
-        assert profile.total_mass == 0.4
+        assert sum(m for _, m in profile.masses) == 0.4
         assert row.total_quality == pytest.approx(55.938, abs=2e-2)
 
     def test_auction_without_clearing_price_raises(self, monkeypatch):

@@ -6,14 +6,14 @@ import io
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from conftest import SIGN_FLIP_CONFIG, count_calls
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from test_golden import STDOUT_SHA256
 
 import segsolve
@@ -214,13 +214,22 @@ BAD_ARGUMENTS = [
     ["simulate", "--example", "--mech", "da_l"],
     ["simulate", "--example", "--mech", "da", "--n-agents", "100000000000"],
     ["simulate", "--example", "--seed", "-1"],
+    ["solve", "--config", "NOT_UTF8"],
+    ["solve", "--config", "NESTED_5000_DEEP"],
+    ["solve", "--example", "--output", "A_DIRECTORY"],
+    ["solve", "--example", "--output", "MISSING_PARENT"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
 def test_bad_arguments_exit_2(argv, tmp_path, capsys):
-    three_types = write_config(tmp_path, wealth=[[1.2, 0.25], [1.0, 0.5], [0.8, 0.25]])
-    argv = [three_types if a == "THREE_TYPES" else a for a in argv]
+    (tmp_path / "not_utf8.json").write_bytes(b'{"m": "\xff"}')
+    (tmp_path / "nested.json").write_text("[" * 5000)
+    paths = {"THREE_TYPES": write_config(tmp_path, wealth=[[1.2, 0.25], [1.0, 0.5],
+                                                          [0.8, 0.25]]),
+             "NOT_UTF8": tmp_path / "not_utf8.json", "NESTED_5000_DEEP": tmp_path / "nested.json",
+             "A_DIRECTORY": tmp_path, "MISSING_PARENT": tmp_path / "missing" / "out.json"}
+    argv = [str(paths.get(a, a)) for a in argv]
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
@@ -362,28 +371,52 @@ BASES = [dict(example_economy().to_config(), cdf=cdf, **ge) for cdf, ge in (
     ({"type": "single_kink", "x": 0.3, "y": 0.6}, {"g": 0.02, "e": 0.95}),
     ({"type": "power", "alpha": 0.5}, {"g": 0.05, "e": 0.95}),
 )]
-NUMBERS = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0.5, 1.0, -1e-300, 1e308, 10**400]),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(-3, 5))
-JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
-                 st.lists(st.integers(0, 2), max_size=3), st.just({}))
-VALUES = st.one_of(NUMBERS, JUNK)
+# The fuzz draws its 300 cases from seeds 0-299 of random.Random, so the
+# cases depend on this file's code alone, not on the literals of the modules
+# a run imports. A number is one of the pool, any float (a random bit
+# pattern: nan, infinities and subnormals included), a float near [0, 1] or
+# a small int.
+NUMBER_POOL = (math.nan, math.inf, -math.inf, 0.0, 0.5, 1.0, -1e-300, 1e308, 10**400)
+NUMBERS = (lambda rng: rng.choice(NUMBER_POOL),
+           lambda rng: struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0],
+           lambda rng: rng.uniform(-0.5, 1.5),
+           lambda rng: rng.randint(-3, 5))
+JUNK = (lambda rng: None,
+        lambda rng: rng.random() < 0.5,
+        lambda rng: "".join(chr(rng.randrange(0x20, 0x3000)) for _ in range(rng.randrange(4))),
+        lambda rng: [rng.randint(0, 2) for _ in range(rng.randrange(4))],
+        lambda rng: {})
+VALUES = (NUMBERS, JUNK)
 NUMERIC = ("m", "q", "delta_q", "g", "e", "pi")
-PAIRS = st.lists(st.one_of(st.lists(NUMBERS, min_size=2, max_size=2),
-                           st.lists(NUMBERS, max_size=3), JUNK), max_size=4)
-CDFS = st.fixed_dictionaries(
-    {"type": st.sampled_from(["uniform", "single_kink", "piecewise", "power", "bogus"])},
-    optional={"x": VALUES, "y": VALUES, "alpha": VALUES,
-              "knots": st.one_of(PAIRS, JUNK), "extra": VALUES})
-MUTATIONS = st.one_of(
-    st.tuples(st.just("set"), st.sampled_from(NUMERIC), NUMBERS),
-    st.tuples(st.just("scale"), st.sampled_from(NUMERIC), st.floats(0.0, 2.0)),
-    st.tuples(st.just("set"), st.sampled_from(FIELDS + ("unknown",)), VALUES),
-    st.tuples(st.just("delete"), st.sampled_from(FIELDS)),
-    st.tuples(st.just("atom"), st.integers(0, 1), st.integers(0, 1), VALUES),
-    st.tuples(st.just("set"), st.just("wealth"), PAIRS),
-    st.tuples(st.just("set"), st.just("cdf"), st.one_of(CDFS, JUNK)),
+
+
+def draw(rng, *pools):
+    """A value from one of pools, each a tuple of draw functions, chosen evenly."""
+    return rng.choice(rng.choice(pools))(rng)
+
+
+def draw_pairs(rng) -> list:
+    pair = (lambda r: [draw(r, NUMBERS), draw(r, NUMBERS)],
+            lambda r: [draw(r, NUMBERS) for _ in range(r.randrange(4))])
+    return [draw(rng, pair, JUNK) for _ in range(rng.randrange(5))]
+
+
+def draw_cdf(rng) -> dict:
+    cdf = {"type": rng.choice(["uniform", "single_kink", "piecewise", "power", "bogus"])}
+    for key in ("x", "y", "alpha", "knots", "extra"):
+        if rng.random() < 0.5:
+            cdf[key] = draw(rng, (draw_pairs,), JUNK) if key == "knots" else draw(rng, *VALUES)
+    return cdf
+
+
+MUTATIONS = (
+    lambda rng: ("set", rng.choice(NUMERIC), draw(rng, NUMBERS)),
+    lambda rng: ("scale", rng.choice(NUMERIC), rng.uniform(0.0, 2.0)),
+    lambda rng: ("set", rng.choice(FIELDS + ("unknown",)), draw(rng, *VALUES)),
+    lambda rng: ("delete", rng.choice(FIELDS)),
+    lambda rng: ("atom", rng.randint(0, 1), rng.randint(0, 1), draw(rng, *VALUES)),
+    lambda rng: ("set", "wealth", draw_pairs(rng)),
+    lambda rng: ("set", "cdf", draw(rng, (draw_cdf,), JUNK)),
 )
 
 
@@ -403,18 +436,25 @@ def mutated(base: dict, mutations) -> dict:
     return cfg
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(command=st.sampled_from(["solve", "check"]), base=st.sampled_from(BASES),
-       mutations=st.lists(MUTATIONS, max_size=3))
-def test_fuzzed_config_exits_cleanly(tmp_path_factory, command, base, mutations):
-    path = tmp_path_factory.getbasetemp() / "fuzzed_economy.json"
-    path.write_text(json.dumps(mutated(base, mutations)))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, "--config", str(path)])
-    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_ASSUMPTION, cli.EXIT_SOLVER), err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()
+def fuzzed_case(seed: int) -> tuple[str, dict]:
+    """(command, config) of one fuzz case: a base with up to three mutations."""
+    rng = random.Random(seed)
+    command, base = rng.choice(["solve", "check"]), rng.choice(BASES)
+    return command, mutated(base, [rng.choice(MUTATIONS)(rng) for _ in range(rng.randrange(4))])
+
+
+def test_fuzzed_config_exits_cleanly(tmp_path):
+    path = tmp_path / "fuzzed_economy.json"
+    for seed in range(300):
+        command, cfg = fuzzed_case(seed)
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path)])
+        note = (seed, command, cfg, err.getvalue())
+        assert code in (0, cli.EXIT_CONFIG, cli.EXIT_ASSUMPTION, cli.EXIT_SOLVER), note
+        assert "Traceback" not in err.getvalue(), note
+        assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), note
 
 
 # `check` on economies whose branches the example never reaches: (exit code,

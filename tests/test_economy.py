@@ -10,7 +10,7 @@ from segsolve.cdf import CdfError, Power, SingleKink, Uniform
 from segsolve.economy import (EconomyError, EconomyParams, WealthDist,
                               binary_wealth, check_assumption1,
                               check_assumption2, example_economy,
-                              is_example_profile, price_bounds)
+                              is_example_profile, rejection_and_bounds)
 
 
 class TestWealthDist:
@@ -225,11 +225,11 @@ class TestAssumption2:
     def test_price_bounds_ordered(self):
         p = example_economy()
         for mech in ("n", "da", "ttc"):
-            p_hat, p_bar = price_bounds(p, mech)
+            p_hat, p_bar = rejection_and_bounds(p, mech)[1:]
             assert 0.0 <= p_hat <= p_bar
 
     def test_example_price_bounds_n(self):
         # N: p_hat = F^{-1}(1-q) - g = 0.6, p_bar = 1 - q - g = 0.6
-        p_hat, p_bar = price_bounds(example_economy(), "n")
+        p_hat, p_bar = rejection_and_bounds(example_economy(), "n")[1:]
         assert p_hat == pytest.approx(0.6, abs=1e-12)
         assert p_bar == pytest.approx(0.6, abs=1e-12)

@@ -6,12 +6,14 @@ from fractions import Fraction
 import itertools
 import math
 import re
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import (_random_wealth, random_concave_cdf, random_economy,
-                      random_knot_batch)
+from conftest import (_random_wealth, policy_utility_gain, random_concave_cdf,
+                      random_economy, random_knot_batch)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,9 @@ from segsolve.equilibrium import (AssumptionError, BracketFailureError,
 from kernel_reference import PiecewiseLinearBatchReference, affine_root_reference
 from lemma1_reference import verify_lemma1_reference
 from policy_reference import clear_price_reference
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import draw_configs  # noqa: E402  the benchmark's seeded configs, read only
 
 # worked-example equilibrium values, derived from the closed forms:
 # d = (1-q) - a with a = 0, -1/2, -2; p = r k d with k = 1, 2/3, 1/3
@@ -300,10 +305,17 @@ class TestSolveCore:
     def test_outcome_does_not_depend_on_m(self):
         # the continuum's m schools are symmetric, so the equilibrium is one
         # profile for all of them: r, d, p and the cutoffs are the same bits
-        # at m = 2, 3, 4 and 7, on the example and on 30 random economies
+        # at m = 2, 3, 4 and 7, on the example, on 30 random economies and on
+        # the benchmark's paper configs of seeds 1-3 (twelve a pass and the
+        # warm-up's, 12 of them Power, solved by bisection)
         rng = random.Random(15)
         economies = [example_economy()] + [random_economy(rng)[0] for _ in range(30)]
-        for params in economies:
+        bench = []
+        for seed in (1, 2, 3):
+            drawn, warm_up = draw_configs(seed)
+            bench += [EconomyParams.from_config(cfg) for cfg in (*drawn, warm_up)]
+        assert len(bench) == 39 and sum(isinstance(p.cdf, Power) for p in bench) == 12
+        for params in economies + bench:
             want = [repr((eq.r, eq.d, eq.p, eq.cutoffs)) for eq in solve_core(params)]
             for m in (3, 4, 7):
                 got = [repr((eq.r, eq.d, eq.p, eq.cutoffs))
@@ -421,7 +433,7 @@ class TestPolicies:
         for price in (0.0, 0.3, 1.1):
             for j, omega in enumerate(p.wealth.omegas):
                 s = alpha[:, j] + beta[:, j] * price
-                gain = mx.policy_delta_u(mech, rs, price, s, omega, p)
+                gain = policy_utility_gain(mech, rs, price, s, omega, p)
                 np.testing.assert_allclose(gain, 0.0, rtol=0, atol=1e-15)
 
     def test_policy_market_clears(self):

@@ -1084,7 +1084,7 @@ def _improvement_markets():
             freed = asg.copy()
             freed[int(rng.choice(seated))] = 0
             yield "freed", m, params, agents, freed
-            yield "n", m, params, agents, mcsim.run_n_finite(agents, residency)
+            yield "n", m, params, agents, mcsim.run_mechanism(agents, residency, params, "n", None)
             yield "da", m, params, agents, mcsim.run_da_finite(agents, residency, params, lottery)
 
 

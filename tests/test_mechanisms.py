@@ -1,5 +1,8 @@
 """Flows, rejection probabilities, cutoff functionals, and utility gains."""
+import ast
+import graphlib
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from segsolve import mechanisms as mx
 from segsolve.economy import EconomyParams, binary_wealth, example_economy
 from segsolve.cdf import Power, Uniform
 
-from conftest import random_economy
+from conftest import policy_utility_gain, random_economy
 
 
 class TestFlows:
@@ -245,7 +248,8 @@ class TestSchoolQuality:
 
 
 def _hand_written_policy_delta_u(mech, r, p, s, omega, params):
-    """policy_delta_u as the three example-only bodies it replaced."""
+    """The policy utility gain on the example as the three example-only
+    bodies that `mechanisms.policy_gain` replaced."""
     base = (s + 1.0) / 3.0 + s / 3.0
     lottery = -(1.0 - r) * (1.0 - s) / 3.0 + r * base - omega * p
     if mech == "da_wl" and abs(omega - params.wealth.poorest) >= 1e-12:
@@ -261,7 +265,7 @@ class TestPolicyDeltaU:
             for price in np.linspace(0.0, 2.0, 11):
                 for omega in p.wealth.omegas:
                     for mech in mx.POLICY:
-                        got = mx.policy_delta_u(mech, r, price, s, omega, p)
+                        got = policy_utility_gain(mech, r, price, s, omega, p)
                         want = _hand_written_policy_delta_u(mech.value, r, price, s, omega, p)
                         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
@@ -269,23 +273,42 @@ class TestPolicyDeltaU:
         # with no rejection risk the lottery policy reduces to plain DA gains
         p = example_economy()
         s = np.linspace(0.0, 1.0, 50)
-        got = mx.policy_delta_u("da_l", 1.0, 0.2, s, 1.125, p)
+        got = policy_utility_gain("da_l", 1.0, 0.2, s, 1.125, p)
         want = mx.delta_u("da", 1.0, 0.2, s, 1.125, p)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_wl_rich_independent_of_r(self):
         p = example_economy()
-        a = mx.policy_delta_u("da_wl", 0.9, 0.2, 0.5, 0.875, p)
-        b = mx.policy_delta_u("da_wl", 0.5, 0.2, 0.5, 0.875, p)
+        a = policy_utility_gain("da_wl", 0.9, 0.2, 0.5, 0.875, p)
+        b = policy_utility_gain("da_wl", 0.5, 0.2, 0.5, 0.875, p)
         assert a == pytest.approx(b, abs=1e-12)
-
-    def test_requires_example_profile(self):
-        p = EconomyParams(m=2, q=0.4, g=0.05, e=0.85, pi=0.25,
-                          wealth=binary_wealth(0.5), cdf=Uniform())
-        with pytest.raises(ValueError):
-            mx.policy_delta_u("da_l", 0.8, 0.2, 0.5, 1.0, p)
 
     def test_mechanism_enum(self):
         assert mx.Mechanism("da") is mx.Mechanism.DA
         assert set(mx.CORE) == {mx.Mechanism.N, mx.Mechanism.DA, mx.Mechanism.TTC}
         assert set(mx.POLICY) == {mx.Mechanism.DA_L, mx.Mechanism.DA_WL}
+
+
+def _package_imports(path: Path, modules: set) -> set:
+    """The modules of `modules` that the source at path imports, at module
+    or function level, relatively or as segsolve.<module>."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # from . import a / from .a import x
+            module = ("segsolve." if node.level else "") + (node.module or "")
+            module = module.rstrip(".")
+            names += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("segsolve.")} & modules
+
+
+def test_package_imports_are_acyclic():
+    # the layers stack: no module imports, even inside a function, one that
+    # imports it back; mechanisms, the primitives, imports none of them
+    src = Path(ss.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")} - {"__init__", "__main__"}
+    graph = {name: _package_imports(src / f"{name}.py", modules) for name in modules}
+    assert graph["mechanisms"] == set()
+    assert graph["economy"] >= {"mechanisms", "cdf"}  # the parser sees relative imports
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

@@ -47,7 +47,7 @@ class TestNeighborhoodProfiles:
         for (w, a), (_, b), (_, rho) in zip(n1.masses, n0.masses,
                                             example_economy().wealth.atoms):
             assert a + b == pytest.approx(rho, abs=1e-12)
-        assert n1.total_mass == pytest.approx(example_economy().q, abs=1e-9)
+        assert sum(m for _, m in n1.masses) == pytest.approx(example_economy().q, abs=1e-9)
 
     def test_deviation_is_wealth_gap(self):
         eq = solve(example_economy(), "n")
@@ -68,7 +68,7 @@ class TestSchoolProfiles:
     def test_total_mass_is_capacity(self):
         for mech in ("n", "da", "ttc"):
             eq = solve(example_economy(), mech)
-            assert school_profile(eq).total_mass == pytest.approx(0.4, abs=1e-9)
+            assert sum(m for _, m in school_profile(eq).masses) == pytest.approx(0.4, abs=1e-9)
 
     def test_rejects_policy_equilibria(self):
         eq = ss.solve_policy(example_economy(), "da_l")

@@ -41,7 +41,7 @@ class TestKinkSweep:
 
     def test_feasible_count(self, example_sweep):
         # the extreme (0.1, 0.9) kink fails the interior-cutoff screen
-        assert len(example_sweep.feasible_records()) == 44
+        assert sum(r.feasible for r in example_sweep.records) == 44
 
     def test_infeasible_kink_reason(self):
         # that kink concentrates so much signal mass near zero that the
@@ -53,8 +53,7 @@ class TestKinkSweep:
         assert not econ.check_assumption2(bad, mechs=("da",)).passed
 
     def test_diagonal_differences_zero(self, example_sweep):
-        diag = [r for r in example_sweep.feasible_records()
-                if abs(r.x - r.y) < 1e-12]
+        diag = [r for r in example_sweep.records if r.feasible and abs(r.x - r.y) < 1e-12]
         assert len(diag) >= 8
         assert all(abs(r.diff) < 1e-9 for r in diag)
 
@@ -206,7 +205,9 @@ def _da_less_loop(result, params) -> tuple[int, int]:
     """da_less_count as the loop over feasible records."""
     rho_p = params.wealth.poor_rho
     n_feasible = n_less = 0
-    for r in result.feasible_records():
+    for r in result.records:
+        if not r.feasible:
+            continue
         n_feasible += 1
         if abs(r.share_da - rho_p) < abs(r.share_n - rho_p) - sweep.SEG_TOL:
             n_less += 1
@@ -330,7 +331,8 @@ class TestCubeBatch:
 class TestCubeSweep:
     def test_single_cell(self):
         res = sweep.cube_sweep([0.5], [0.4], [0.4], 0.1)
-        cell = res.cell(0.5, 0.4, 0.4)
+        (cell,) = res.cells
+        assert (cell.rho_p, cell.q, cell.pi) == (0.5, 0.4, 0.4)
         assert cell.n_feasible > 0
         assert cell.pct == pytest.approx(100.0 * cell.n_da_less / cell.n_feasible)
 
@@ -339,11 +341,6 @@ class TestCubeSweep:
         res = sweep.cube_sweep([0.7, 0.8], [0.5, 0.6], [0.2], 0.1)
         for c in res.cells:
             assert c.n_da_less == 0
-
-    def test_missing_cell_raises(self):
-        res = sweep.cube_sweep([0.5], [0.4], [0.4], 0.1)
-        with pytest.raises(KeyError):
-            res.cell(0.1, 0.1, 0.1)
 
     def test_csv_header(self):
         res = sweep.cube_sweep([0.5], [0.4], [0.2], 0.1)
