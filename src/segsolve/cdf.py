@@ -196,24 +196,26 @@ class PiecewiseLinearBatch:
         # so are the knots, at row K + j.
         xs, ys = self.xs, self.ys
         rows, k = xs.shape
-        knots = np.array((xs, ys))
         table = np.empty((4, rows, k + 1))  # x0, y0, run, rise
-        table[:2, :, 0], table[:2, :, 1:] = knots[:, :, 0], knots
-        np.subtract(knots[:, :, 1:], knots[:, :, :-1], out=table[2:, :, 1:-1])
+        table[0, :, 1:], table[1, :, 1:] = xs, ys
+        table[:2, :, 0] = table[:2, :, 1]
+        # segment i's run and rise are its right knot less its left, the next
+        # segment's x0 and y0 less its own: one difference over the flat
+        # tables, whose values across a row's end segment are replaced below
+        flat = table.reshape(4, -1)
+        np.subtract(flat[:2, 1:], flat[:2, :-1], out=flat[2:, :-1])
         table[2, :, ::k], table[3, :, ::k] = 1.0, 0.0  # the flat end segments
         object.__setattr__(self, "_segments", tuple(table.reshape(4, -1)))
         object.__setattr__(self, "_row_start", np.arange(0, rows * (k + 1), k + 1)[:, None])
         object.__setattr__(self, "_knots", (xs.ravel(), ys.ravel()))
 
     @classmethod
-    def single_kinks(cls, kink_x: np.ndarray, kink_y: np.ndarray,
-                     copies: int = 1) -> "PiecewiseLinearBatch":
-        """The SingleKink CDFs at (kink_x[b], kink_y[b]), the whole list
-        `copies` times over."""
-        xs, ys = np.zeros((copies, len(kink_x), 3)), np.zeros((copies, len(kink_x), 3))
-        xs[..., 1], ys[..., 1] = kink_x, kink_y
-        xs[..., 2] = ys[..., 2] = 1.0
-        return cls(xs.reshape(-1, 3), ys.reshape(-1, 3))
+    def single_kinks(cls, kink_x: np.ndarray, kink_y: np.ndarray) -> "PiecewiseLinearBatch":
+        """The SingleKink CDFs at (kink_x[b], kink_y[b])."""
+        knots = np.zeros((2, len(kink_x), 3))  # xs, ys
+        knots[:, :, 1] = kink_x, kink_y
+        knots[:, :, 2] = 1.0
+        return cls(*knots)
 
     def value(self, x) -> np.ndarray:
         """F_b(x_b) per row b: x is a scalar, a (B,) array or an array of
@@ -240,13 +242,14 @@ class PiecewiseLinearBatch:
         if not ((0.0 <= y) & (y <= 1.0)).all():
             raise CdfError(f"probability outside [0, 1] in {y!r}")
         rows, k = self.xs.shape
-        hit = y[..., None] <= self.ys[:, 1:] + 1e-15
-        found = hit.any(axis=1)
-        # flat index of the knot before the first knot reaching y, row K + i,
-        # over that of the first
-        at = hit.argmax(axis=1) + np.arange(1, rows * k, k) - [[1], [0]]
+        # flat index of the first knot reaching y, row K + i (knot 1 where
+        # none does), and of the knot before it
+        right = (y[..., None] <= self.ys[:, 1:] + 1e-15).argmax(axis=1) + np.arange(1, rows * k, k)
+        left = right - 1
         knot_x, knot_y = self._knots
-        (x0, x1), (y0, y1) = knot_x.take(at), knot_y.take(at)
+        x0, y0 = knot_x.take(left), knot_y.take(left)
+        x1, y1 = knot_x.take(right), knot_y.take(right)
+        found = y <= y1 + 1e-15  # that knot reaches y
         flat = y1 == y0
         if (found & flat & (y1 < 1.0 - 1e-15)).any():
             raise CdfError("a probability lies on a flat segment below 1")

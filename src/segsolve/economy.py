@@ -118,6 +118,8 @@ class EconomyParams:
             raise EconomyError("e must not be less than g")
         if not self.e + self.g <= 1.0 + 1e-12:
             raise EconomyError("e + g must not exceed 1")
+        if not self.e - self.g <= 1.0:  # F(e - g) reads a signal in [0, 1]
+            raise EconomyError("e - g must not exceed 1")
         require_valid(self.cdf)
 
     @classmethod
@@ -258,24 +260,24 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
 
 
 def assumption2_mask(params, mechs, r_hat, s_hat) -> np.ndarray:
-    """check_assumption2(..., mechs=(mech,)).passed for each mech of mechs
-    and each CDF of a batch, as (mechs, CDFs): a positive r, ordered price
-    bounds and the Delta u signs. s_hat[i] holds F^-1(1-q) per CDF and
-    r_hat[i] = mechanisms.rejection_rates(params, mechs[i], ...), which
-    broadcasts against it; the economy's fields are scalars or one per CDF.
+    """check_assumption2(..., mechs=mechs).passed for each CDF of a batch:
+    for every mechanism of mechs, Mechanism members, a positive r, ordered
+    price bounds and the Delta u signs. s_hat holds F^-1(1-q) per CDF, for
+    every mechanism, and r_hat[i] = mechanisms.rejection_rates(params,
+    mechs[i], ...), which broadcasts against it; the economy's fields are
+    scalars or one per CDF.
 
     Each mechanism's price bounds come from its own gamma, and one sign
     test covers every mechanism's Delta u at the corners."""
-    mechs = tuple(map(mx.Mechanism, mechs))
-    r, prices = np.empty(s_hat.shape), np.empty((2,) + s_hat.shape)
+    r, prices = np.empty((len(mechs),) + s_hat.shape), np.empty((2, len(mechs)) + s_hat.shape)
     for i, mech in enumerate(mechs):
         r[i] = r_hat[i]
-        prices[0, i], prices[1, i] = _price_interval(params, mech, r_hat[i], s_hat[i])
+        prices[0, i], prices[1, i] = _price_interval(params, mech, r_hat[i], s_hat)
     p_hat, p_bar = prices
     ok = (r > 0.0) & ~(p_hat > p_bar + 1e-12)
     # rows failing the bounds stay masked
     du = _corner_gains(params, mechs, r, prices)
-    return ok & ((du[:, 0] < 0.0) & (du[:, 1] > 0.0)).all(axis=0)
+    return (ok & ((du[:, 0] < 0.0) & (du[:, 1] > 0.0)).all(axis=0)).all(axis=0)
 
 
 def example_economy() -> EconomyParams:

@@ -4,13 +4,15 @@ One exact kernel, `affine_root`, serves every piecewise-linear market: when
 each type's cutoff is affine in one unknown x, the clearing residual
 sum_t rho_t F(alpha_t + beta_t x) - target is piecewise linear and
 nondecreasing in x, so it is evaluated at its breakpoints and solved
-linearly on the bracketing segment, for a batch of rows at once. The kink
-sweep calls it on the dispersion d (alpha = a, beta = w) for a whole grid
-of CDFs, and `solve_core` for one economy: it checks assumptions 1 and 2
-once for all the core mechanisms asked for and stacks their intercepts a
-into one batch, so that every row agrees bit for bit with a solve of its
-mechanism alone. `solve` is `solve_core` on one mechanism. For `Power` F,
-d comes from a monotone bisection per mechanism that raises
+linearly on the bracketing segment, for a batch of rows at once, each row
+with one root or several against its CDF. `dispersion_root` calls it on
+the dispersion d (alpha = a, beta = w). The kink sweep finds the roots of
+a whole grid of CDFs with N's and DA's intercepts a on an axis inside
+each row, and `solve_core` those of one economy: it checks assumptions 1
+and 2 once for all the core mechanisms asked for and stacks their
+intercepts a into one batch, so that every root agrees bit for bit with a
+solve of its mechanism alone. `solve` is `solve_core` on one mechanism.
+For `Power` F, d comes from a monotone bisection per mechanism that raises
 ConvergenceError if it stops at MAX_ITER.
 
 `solve_policy` finds the DA_L / DA_WL fixed point (r, p) exactly. At an
@@ -148,8 +150,8 @@ def _weighted(values, rhos):
     return total
 
 
-def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max,
-                target: float) -> np.ndarray:
+def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max, target,
+                knots=None) -> np.ndarray:
     """Exact root x in [0, x_max] of sum_t rho_t F_b(alpha_bt + beta_bt x)
     - target for each row b; nan where [0, x_max] brackets no root.
 
@@ -157,47 +159,81 @@ def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max,
     nondecreasing in x, with breakpoints where a cutoff meets a knot,
     x = (knot - alpha)/beta. It is evaluated at 0, at x_max and at every
     breakpoint clipped into [0, x_max], and the first segment on which it
-    turns nonnegative is solved linearly. alpha, beta and rhos broadcast
-    to (rows, types), x_max and target to (rows,); `cdfs` holds one CDF per
-    row, or one CDF shared by every row.
+    turns nonnegative is solved linearly. alpha and beta broadcast to
+    (rows, types), or to (rows, roots, types) for several roots per row,
+    each against the row's CDF; x_max and target broadcast to (rows,) or
+    (rows, roots), the shape of the result. rhos holds one weight per type,
+    or one row of them per row. `cdfs` holds one CDF per row, or one CDF
+    shared by every row. `knots`, the columns of cdfs.xs whose breakpoints
+    are evaluated, defaults to all; a caller may leave out a knot whose
+    breakpoints all clip onto x_max, as each would only repeat the end
+    point x_max, with the same residual.
     """
     alpha = np.asarray(alpha, dtype=float)[..., None]
     beta = np.asarray(beta, dtype=float)[..., None]
-    x_max = np.asarray(x_max, dtype=float).reshape(-1, 1, 1)
-    knots = (cdfs.xs[:, None, :] - alpha) / beta
-    np.minimum(np.maximum(knots, 0.0, out=knots), x_max, out=knots)
-    # 0, x_max and the knots, sorted in place
-    rows = len(knots)
-    x = np.empty((rows, 2 + knots[0].size))
-    x[:, 0], x[:, 1], x[:, 2:] = 0.0, x_max[:, 0, 0], knots.reshape(rows, -1)
-    del knots  # freed before F is evaluated, where the batch peaks
-    x.sort(axis=1)
-    # F at every type's cutoff alpha + beta x, as (rows, types, points);
+    x_max = np.asarray(x_max, dtype=float)[..., None, None]
+    knots = cdfs.xs if knots is None else knots
+    # each row's knots, against its roots' axis (if any) and its types'
+    knots = knots.reshape(knots.shape[:1] + (1,) * max(alpha.ndim - 2, beta.ndim - 2, 1)
+                          + knots.shape[1:])
+    breaks = (knots - alpha) / beta
+    np.minimum(np.maximum(breaks, 0.0, out=breaks), x_max, out=breaks)
+    # 0, x_max and the breakpoints, sorted in place
+    lead = breaks.shape[:-2]
+    x = np.empty(lead + (2 + breaks.shape[-2] * breaks.shape[-1],))
+    x[..., 0], x[..., 1], x[..., 2:] = 0.0, x_max[..., 0, 0], breaks.reshape(lead + (-1,))
+    del breaks  # freed before F is evaluated, where the batch peaks
+    x.sort(axis=-1)
+    # F at every type's cutoff alpha + beta x, as (rows, ..., types, points);
     # cutoffs past an end of [0, 1] read F there, as the clamped scalar
     # residual does
-    s = x[:, None, :] * beta
+    s = x[..., None, :] * beta
     s += alpha
-    res = _weighted(cdfs.value(s), rhos) - np.asarray(target, dtype=float).reshape(-1, 1)
+    # _weighted sums the types over axis 1
+    res = (_weighted(cdfs.value(s).swapaxes(1, -2), rhos)
+           - np.asarray(target, dtype=float)[..., None])
     # the segment from the last negative residual to the first nonnegative
     # one; hi = 0 leaves the root at x = 0, where the residual is 0 if bracketed
-    hi = (res >= 0.0).argmax(axis=1)
-    # flat index of the segment's left end in the row-major (rows, points)
-    # x and res, over the index of its right end, the next point
-    at = np.maximum(hi - 1, 0) + np.arange(0, x.size, x.shape[1]) + [[0], [1]]
-    (x0, x1), (r0, r1) = x.take(at), res.take(at)
-    root = x0 - np.divide(r0 * (x1 - x0), r1 - r0, out=np.zeros(rows), where=hi > 0)
-    bracketed = (x_max[:, 0, 0] > 0.0) & (res[:, 0] <= 0.0) & (res[:, -1] >= 0.0)
+    hi = (res >= 0.0).argmax(axis=-1)
+    # flat index of the segment's left end in the row-major x and res, and
+    # of its right end, the next point
+    left = np.maximum(hi - 1, 0) + np.arange(0, x.size, x.shape[-1]).reshape(hi.shape)
+    right = left + 1
+    x0, x1, r0, r1 = x.take(left), x.take(right), res.take(left), res.take(right)
+    root = x0 - np.divide(r0 * (x1 - x0), r1 - r0, out=np.zeros(hi.shape), where=hi > 0)
+    bracketed = (x_max[..., 0, 0] > 0.0) & (res[..., 0] <= 0.0) & (res[..., -1] >= 0.0)
     return np.where(bracketed, root, np.nan)
 
 
 def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
-    """Exact root d in [0, d_max] of sum_w rho_w F(a + d w) - (1-q), one
-    per CDF of the batch; nan where [0, d_max] brackets no root. `a`, q and
-    the wealth atoms are each one value (one row of atoms) for every CDF or
-    one per CDF."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    return affine_root(cdfs, params.wealth.rhos, a[:, None], params.wealth.omegas,
-                       max_dispersion(params, a), 1.0 - params.q)
+    """Exact root d in [0, d_max] of sum_w rho_w F(a + d w) - (1-q) for
+    each intercept a against its row's CDF; nan where [0, d_max] brackets
+    no root. `a` is one intercept for every row, one per row, or
+    (rows, mechanisms), one per mechanism in each row; the root has a's
+    shape, with a scalar spread over the batch's rows. q and the wealth
+    atoms are each one value (one row of atoms) for every row or one per
+    row.
+
+    The last knot's breakpoints are left out when every row's last knot
+    x_last lies at or past e - g, as on every single-kink CDF, whose last
+    knot is 1 and EconomyParams keeps e - g <= 1. The skip is exact:
+    d_max = ((e - g) - a)/w_poorest, float rounding is monotone and every
+    w is at most w_poorest, so (x_last - a)/w >= d_max for every type, and
+    the kernel would clip each of those breakpoints onto d_max, a duplicate
+    end point with the same residual. Where d_max <= 0 no root is bracketed
+    either way.
+    """
+    a = np.asarray(a, dtype=float)
+    omegas, q = params.wealth.omegas, params.q
+    if a.ndim == 2:  # per-row columns gain the mechanism axis
+        omegas, q = omegas.reshape(-1, 1, omegas.shape[-1]), np.asarray(q)[..., None]
+        d_max = max_dispersion(params, a.T).T
+    else:
+        a = a.reshape(-1)
+        d_max = max_dispersion(params, a)
+    xs = cdfs.xs
+    knots = xs[:, :-1] if (xs[:, -1] >= params.e - params.g).all() else xs
+    return affine_root(cdfs, params.wealth.rhos, a[..., None], omegas, d_max, 1.0 - q, knots)
 
 
 def _check_interior(params: EconomyParams, cutoffs) -> None:
@@ -227,8 +263,8 @@ def solve_core(params: EconomyParams, mechs=mx.CORE,
     The call checks assumptions 1 and 2 once for all of mechs and, for
     piecewise-linear F, finds every dispersion root with one
     `dispersion_root` call over the stacked intercepts: each row is the root
-    a call per mechanism finds, bit for bit. `Power` F is solved by
-    bisection on d, one mechanism at a time. The returned iterator yields
+    a call per mechanism finds, bit for bit.
+    `Power` F is solved by bisection on d, one mechanism at a time. The returned iterator yields
     the equilibria and raises a mechanism's error when it reaches it, so a
     caller that handles each in turn meets the first failure in the order
     of mechs, as with one `solve` call after another.

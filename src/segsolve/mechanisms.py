@@ -148,30 +148,33 @@ POLICY_LOTTERY = MappingProxyType(_Table({Mechanism.DA_L: None, Mechanism.DA_WL:
 POLICY = tuple(POLICY_LOTTERY)
 
 
-def _rejection_ratio(params, mech: Mechanism, flows: Callable[[], AggregateFlows]):
-    """(D - S - delta_q) / (D - exchange X) before clamping into [0, 1], with
-    the flows from `flows()`; 1 under no choice, where they are not needed."""
-    exchange = CORE_ALGEBRA[Mechanism(mech)].exchange
-    if exchange is None:
-        return 1.0
-    fl = flows()
-    return (fl.D - fl.S - params.delta_q) / (fl.D - exchange * fl.X)
+def _rejection_ratio(params, exchange: float, D, S, X):
+    """(D - S - delta_q) / (D - exchange X) before clamping into [0, 1],
+    given the flows and the mechanism's exchange weight."""
+    return (D - S - params.delta_q) / (D - exchange * X)
 
 
 def rejection(params, mech: Mechanism) -> float:
     """Equilibrium rejection probability of an out-of-zone lottery applicant."""
     mech = Mechanism(mech)
-    r = max(0.0, _rejection_ratio(params, mech, lambda: aggregate_flows(params)))
+    exchange = CORE_ALGEBRA[mech].exchange
+    if exchange is None:  # no choice: every out-of-zone applicant is rejected
+        return 1.0
+    fl = aggregate_flows(params)
+    r = max(0.0, _rejection_ratio(params, exchange, fl.D, fl.S, fl.X))
     if r <= 0.0:
         raise DegenerateChoiceError(f"rejection probability is 0 under {mech.value}")
     return min(r, 1.0)
 
 
-def rejection_rates(params, mech: Mechanism, flows: Callable[[], AggregateFlows]):
-    """`rejection` for each CDF of a batch, 0 where it would raise, with the
-    batch's aggregate flows from `flows()`; 1 under no choice, where they
-    are not needed."""
-    return np.minimum(np.maximum(0.0, _rejection_ratio(params, mech, flows)), 1.0)
+def rejection_rates(params, mech: Mechanism, flows):
+    """`rejection` for each CDF of a batch, 0 where it would raise, given
+    the batch's flows (D, S, X) from `flows_at`; 1 under no choice, where
+    they are not read."""
+    exchange = CORE_ALGEBRA[mech].exchange
+    if exchange is None:
+        return 1.0
+    return np.minimum(np.maximum(0.0, _rejection_ratio(params, exchange, *flows)), 1.0)
 
 
 def r_da_uniform(params) -> float:

@@ -1,15 +1,17 @@
 """Batch experiments over single-kink signal distributions and parameter cubes.
 
-`kink_sweep` solves N and DA together: each block of the grid goes in
-twice as one stacked batch, N's rows over DA's, so F at the cutoffs and at
-the anchor points and F^-1(1-q) are evaluated once for both mechanisms and
-passed to the assumption, flow and rejection helpers that the one-economy
-checks use, and one assumption-2 sign test covers both halves. The economy
-is one EconomyParams, whose scalars broadcast over every row, or
-EconomyColumns with one economy per row. `cube_sweep` runs one kink sweep
-over the columns of a block's worth of whole (rho_p, q, pi) cells at a
-time, so one block spans many cells of a coarse grid, and counts each
-cell from its rows of the result.
+`kink_sweep` solves N and DA together: each kink of a block is one row of
+one batch, with the two mechanisms on an axis inside the row, so the root
+of each mechanism is found against the row's CDF, and F at the cutoffs and
+at the anchor points, F^-1(1-q), assumption 1 and DA's flows are evaluated
+once per kink for both. They are passed to the assumption, flow and
+rejection helpers that the one-economy checks use, and one assumption-2
+sign test covers both mechanisms. The economy is one EconomyParams, whose
+scalars broadcast over every row, or EconomyColumns with one economy per
+row or one economy's scalars. `cube_sweep` runs one kink sweep over the
+columns of a block's worth of whole (rho_p, q, pi) cells at a time, so one
+block spans many cells of a coarse grid, and counts each cell from its rows
+of the result.
 """
 from __future__ import annotations
 
@@ -20,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mechanisms as mx
-from .cdf import PiecewiseLinearBatch, Uniform, single_kink_grid
-from .economy import (EconomyParams, assumption1_mask, assumption2_mask,
-                      binary_wealth, require_share)
+from .cdf import PiecewiseLinearBatch, single_kink_grid
+from .economy import assumption1_mask, assumption2_mask, binary_wealth, require_share
 from .equilibrium import dispersion_root, interior
 from .segregation import EQUAL_TOL
 
@@ -95,29 +96,31 @@ class CubeSweepResult:
 
 
 # Kinks per stacked batch: at its peak, in affine_root, a block holds about
-# 1.56 kB a kink of one economy and 1.67 kB a kink whose row carries its
+# 1.08 kB a kink of one economy and 1.14 kB a kink whose row carries its
 # economy's columns (tracemalloc on 1,024-kink blocks), so a block stays
-# under 2 MB on any grid or cube. With 2,048-kink blocks the step-0.01 grid
-# ran slower, as glibc gave more of each block's heap back between blocks
-# and faulted it in again (1,979 against 1,077-1,334 minor faults a warm
-# sweep). cube_sweep also sweeps one block's worth of whole cells at a time.
+# under 1.2 MB on any grid or cube. With 2,048-kink blocks the step-0.01
+# grid ran slower on its first sweep in a process (1,057 minor faults
+# against 297), and a warm sweep took 1,216 against 837, as glibc gave more
+# of each block's heap back between blocks and faulted it in again.
+# cube_sweep also sweeps one block's worth of whole cells at a time.
 KINK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class WealthColumns:
-    """Binary wealth as columns, one row of atoms per economy, poorest first."""
+    """Binary wealth as columns, one row of atoms per economy, or one row
+    for one economy; atoms poorest first."""
 
-    omegas: np.ndarray  # (economies, 2)
+    omegas: np.ndarray  # (economies, 2) or (2,)
     rhos: np.ndarray
 
     @property
     def poorest(self) -> np.ndarray:
-        return self.omegas[:, 0]
+        return self.omegas[..., 0]
 
     @property
     def poor_rho(self) -> np.ndarray:
-        return self.rhos[:, 0]
+        return self.rhos[..., 0]
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,8 @@ class EconomyColumns:
     """Economies with g = 0, e = 1, delta_q = 0 and binary wealth, as
     columns q, pi and wealth with one entry per economy: the fields that
     the batch helpers read from an EconomyParams, each a column that
-    broadcasts against the batch's rows."""
+    broadcasts against the batch's rows. One economy has scalars q and pi
+    and one row of atoms, which broadcast as an EconomyParams does."""
 
     q: np.ndarray
     pi: np.ndarray
@@ -140,55 +144,62 @@ class EconomyColumns:
                               WealthColumns(self.wealth.omegas[rows], self.wealth.rhos[rows]))
 
 
-def _stacked_shares(params, cell, kink_x, kink_y):
-    """(feasible, [N's poor share, DA's poor share]) for each kink, nan
-    where infeasible, from one batch of 2B rows: N's B kinks, then DA's.
+# The mechanisms of a kink sweep, in the order of each row's mechanism axis
+MECHS = (mx.Mechanism.N, mx.Mechanism.DA)
 
-    `params` is one EconomyParams for every kink (cell None), or
-    EconomyColumns of which kink b takes row cell[b]. One `dispersion_root`
-    call gives every row's root at its mechanism's intercept, one `value`
-    call F at every cutoff and at the anchor points (g, e - g, min(e + g, 1))
-    for assumption 1 and the flows, and one `inverse` call F^-1(1-q) for the
-    price bounds. DA's half alone needs the flows for its rejection rate;
-    one `assumption2_mask` call tests both halves, and each half applies its
+
+def _stacked_shares(params, cell, kink_x, kink_y):
+    """(feasible, poor shares as (MECHS, kinks)) for each kink, nan where
+    infeasible, from one batch of one row per kink, with a mechanism axis
+    in the row.
+
+    `params` is one economy for every kink (cell None), an EconomyParams
+    or EconomyColumns of scalars, or EconomyColumns of which kink b takes
+    row cell[b]. One `dispersion_root`
+    call gives each row's root at each mechanism's intercept against the
+    row's CDF, one `value` call F at every cutoff and at the anchor points
+    (g, e - g, min(e + g, 1)) for assumption 1 and the flows, and one
+    `inverse` call F^-1(1-q) for the price bounds, each once per kink for
+    both mechanisms. DA alone reads the flows for its rejection rate; one
+    `assumption2_mask` call tests both mechanisms, and each applies its
     school mass. The helpers read the economy from params and take the CDFs
     as arrays, so none reads a `cdf` field.
     """
-    mechs, n = (mx.Mechanism.N, mx.Mechanism.DA), len(kink_x)
-    # the economy of each of the 2B rows, and of each kink: a view of N's half
-    rows = params if cell is None else params.take(np.tile(cell, 2))
-    kinks = params if cell is None else rows.take(slice(0, n))
-    cdfs = PiecewiseLinearBatch.single_kinks(kink_x, kink_y, copies=2)
+    n = len(kink_x)
+    kinks = params if cell is None else params.take(cell)  # the economy of each kink
+    cdfs = PiecewiseLinearBatch.single_kinks(kink_x, kink_y)
+    omegas = kinks.wealth.omegas
     with np.errstate(divide="ignore", invalid="ignore"):
         # the root first: its temporaries, the batch's largest, are freed
         # before the other per-row arrays are made
-        a = np.empty((2, n))
-        a[0], a[1] = (mx.CORE_ALGEBRA[mech].intercept(kinks) for mech in mechs)
-        d = dispersion_root(rows, cdfs, a.ravel())  # nan fails the interior test
-        cutoffs = a.reshape(-1, 1) + d[:, None] * rows.wealth.omegas
+        a = np.empty((n, len(MECHS)))
+        for i, mech in enumerate(MECHS):
+            a[:, i] = mx.CORE_ALGEBRA[mech].intercept(kinks)
+        d = dispersion_root(kinks, cdfs, a)  # nan fails the interior test
+        # (kinks, mechanisms, types)
+        cutoffs = a[..., None] + d[..., None] * omegas.reshape(-1, 1, omegas.shape[-1])
         # each row's cutoffs, then the anchor points: one call costs less
         # than a shared row of anchors and a call for the cutoffs
-        points = np.empty((2 * n, 5))
-        points[:, :2], points[:, 2:] = cutoffs, mx.anchor_points(params)
+        points = np.empty((n, cutoffs[0].size + 3))
+        points[:, :-3], points[:, -3:] = cutoffs.reshape(n, -1), mx.anchor_points(params)
         fs = cdfs.value(points)
-        unweighted, anchors = fs[:, :2].copy(), fs[:, 2:].T
-        s_hat = cdfs.inverse(1.0 - rows.q)
-        ok = (assumption1_mask(rows, *anchors[:2])
-              & interior(params, cutoffs).all(axis=1))
-        r = [mx.rejection_rates(kinks, mech, lambda: mx.AggregateFlows(
-            *mx.flows_at(kinks, 1.0 - kinks.q, *anchors[:, n:]))) for mech in mechs]
-        ok &= assumption2_mask(kinks, mechs, r, s_hat.reshape(2, n)).ravel()
-        for half, mech, r_half in zip((slice(0, n), slice(n, None)), mechs, r):
-            # F at the cutoffs becomes each half's mass, as (types, kinks),
-            # against which the kinks' columns broadcast
-            unweighted[half] = mx.CORE_ALGEBRA[mech].school_mass(unweighted[half].T, r_half,
-                                                                 kinks).T
-        ok &= ~(unweighted < -EQUAL_TOL).any(axis=1)
-        masses = rows.wealth.rhos * unweighted
-        total = sum(masses.T)
-        share = np.where(total > 0.0, masses[:, 0] / total, np.nan)
-    feasible = ok[:n] & ok[n:]
-    return feasible, np.where(feasible, share.reshape(2, n), np.nan)
+        anchors = fs[:, -3:].T
+        ok = (assumption1_mask(kinks, *anchors[:2])
+              & interior(params, cutoffs).all(axis=(1, 2)))
+        flows = mx.flows_at(kinks, 1.0 - kinks.q, *anchors)
+        r = [mx.rejection_rates(kinks, mech, flows) for mech in MECHS]
+        ok &= assumption2_mask(kinks, MECHS, r, cdfs.inverse(1.0 - kinks.q))
+        # F at the cutoffs becomes each mechanism's mass, as (types,
+        # mechanisms, kinks), against which the kinks' columns broadcast
+        unweighted = fs[:, :-3].reshape(cutoffs.shape).T
+        masses = np.empty(unweighted.shape)
+        for i, (mech, r_mech) in enumerate(zip(MECHS, r)):
+            masses[:, i] = mx.CORE_ALGEBRA[mech].school_mass(unweighted[:, i], r_mech, kinks)
+        ok &= ~(masses < -EQUAL_TOL).any(axis=(0, 1))
+        masses *= kinks.wealth.rhos.T.reshape(len(masses), 1, -1)
+        total = sum(masses)
+        share = np.where(total > 0.0, masses[0] / total, np.nan)
+    return ok, np.where(ok, share, np.nan)
 
 
 def kink_sweep(params, step: float) -> KinkSweepResult:
@@ -197,19 +208,20 @@ def kink_sweep(params, step: float) -> KinkSweepResult:
     check_assumption1/2, solve and school_profile on a single kink, so each
     record equals that scalar path's result bit for bit.
 
-    `params` is one EconomyParams, or EconomyColumns holding several
-    economies: then the result runs through the whole grid once per
-    economy, in row order, and a block may span economies."""
+    `params` is one economy, an EconomyParams or EconomyColumns of
+    scalars, or EconomyColumns holding several economies: then the result
+    runs through the whole grid once per economy, in row order, and a
+    block may span economies."""
     if params.wealth.omegas.shape[-1] != 2:
         raise ValueError("kink sweep expects binary wealth")
     kink_x, kink_y = single_kink_grid(step)
-    grid_kinks, one_economy = len(kink_x), isinstance(params, EconomyParams)
+    grid_kinks, one_economy = len(kink_x), np.ndim(params.q) == 0
     if not one_economy:  # each economy's grid in turn
         kink_x, kink_y = np.tile(kink_x, len(params.q)), np.tile(kink_y, len(params.q))
     feasible, shares = np.empty(len(kink_x), dtype=bool), np.empty((2, len(kink_x)))
     for i in range(0, len(kink_x), KINK_BLOCK):
         block = slice(i, i + KINK_BLOCK)
-        # each kink's economy row; one EconomyParams is every kink's economy
+        # each kink's economy row; one economy's scalars are every kink's
         cell = None if one_economy else np.arange(i, i + len(kink_x[block])) // grid_kinks
         feasible[block], shares[:, block] = _stacked_shares(params, cell, kink_x[block],
                                                             kink_y[block])
@@ -233,21 +245,20 @@ def _da_less(share_n, share_da, rho_p) -> np.ndarray:
     return np.abs(share_da - rho_p) < np.abs(share_n - rho_p) - SEG_TOL
 
 
-def cube_economies(rho_list, q_list, pi_list) -> EconomyParams | EconomyColumns:
+def cube_economies(rho_list, q_list, pi_list) -> EconomyColumns:
     """The economy of every (rho_p, q, pi) cell, rho_p outermost and pi
-    innermost, with m = 2, g = 0, e = 1 and binary wealth: one EconomyParams
-    for a one-cell cube, else EconomyColumns with one row per cell. Every
-    axis value is checked first; one that makes no valid economy raises
-    EconomyError."""
+    innermost, with m = 2, g = 0, e = 1 and binary wealth, as
+    EconomyColumns with one row per cell, or scalars for a one-cell cube.
+    Every axis value is checked first; one that makes no valid economy
+    raises EconomyError."""
     wealth = [binary_wealth(rho_p) for rho_p in rho_list]
-    if len(wealth) * len(q_list) * len(pi_list) == 1:
-        # the sweep reads no CDF of the economy; Uniform is the cheapest to validate
-        return EconomyParams(m=2, q=q_list[0], g=0.0, e=1.0, pi=pi_list[0], wealth=wealth[0],
-                             cdf=Uniform())
     q, pi = np.array(q_list, dtype=float), np.array(pi_list, dtype=float)
     for name, column in (("q", q), ("pi", pi)):
         for value in column.tolist():
             require_share(name, value)
+    if len(wealth) * q.size * pi.size == 1:
+        return EconomyColumns(q.item(), pi.item(), WealthColumns(wealth[0].omegas,
+                                                                 wealth[0].rhos))
     i_rho, i_q, i_pi = np.indices((len(wealth), q.size, pi.size)).reshape(3, -1)
     omegas, rhos = (np.array([getattr(w, name) for w in wealth]).reshape(-1, 2)
                     for name in ("omegas", "rhos"))
@@ -263,7 +274,7 @@ def cube_sweep(rho_list, q_list, pi_list, step: float = 0.1) -> CubeSweepResult:
     is no valid economy raises EconomyError before any kink is solved."""
     economies = cube_economies(rho_list, q_list, pi_list)
     cells = list(itertools.product(rho_list, q_list, pi_list))
-    parts = [economies] if len(cells) == 1 else ()  # one EconomyParams, whose scalars broadcast
+    parts = [economies] if len(cells) == 1 else ()  # one economy, whose scalars broadcast
     if len(cells) > 1:
         per_sweep = max(1, KINK_BLOCK // len(single_kink_grid(step)[0]))
         parts = (economies.take(slice(i, i + per_sweep)) for i in range(0, len(cells), per_sweep))

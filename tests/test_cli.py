@@ -275,10 +275,11 @@ BAD_CONFIGS = {
     "e<g": {"g": 0.5, "e": 0.2818, "pi": 0.3333},
     "e=NaN": {"e": math.nan},
     "g=NaN": {"g": math.nan},
+    "e-g>1": {"g": 0.0, "e": 1.0000000000005},
 }
 
 
-@pytest.mark.parametrize("command", ["check", "solve", "compare"])
+@pytest.mark.parametrize("command", ["check", "solve", "compare", "simulate", "sweep-kink"])
 @pytest.mark.parametrize("bad", list(BAD_CONFIGS))
 def test_bad_config_rejected_on_load(bad, command, tmp_path, capsys):
     path = write_config(tmp_path, **BAD_CONFIGS[bad])

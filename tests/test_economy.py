@@ -100,6 +100,12 @@ class TestEconomyParams:
             EconomyParams(m=2, q=0.4, g=0.5, e=0.2818, pi=0.3333,
                           wealth=binary_wealth(0.5), cdf=Uniform())
 
+    def test_e_minus_g_above_one_rejected(self):
+        # e + g passes its 1e-12 slack, but F(e - g) would read a signal past 1
+        with pytest.raises(EconomyError, match="e - g must not exceed 1"):
+            EconomyParams(m=2, q=0.4, g=0.0, e=1.0000000000005, pi=0.3,
+                          wealth=binary_wealth(0.5), cdf=Uniform())
+
     @pytest.mark.parametrize("field, message", [
         ("g", "g must be nonnegative"), ("e", "e must be positive"),
         ("delta_q", "delta_q must be nonnegative"), ("m", "at least two"),

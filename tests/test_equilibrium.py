@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import segsolve as ss
 import segsolve.equilibrium as equilibrium
 from segsolve import mechanisms as mx
-from segsolve.cdf import (PiecewiseLinearBatch, Power, SingleKink, Uniform,
-                          single_kink_grid)
+from segsolve.cdf import (PiecewiseLinear, PiecewiseLinearBatch, Power, SingleKink,
+                          Uniform, single_kink_grid)
 from segsolve.economy import (EconomyError, EconomyParams, binary_wealth,
                               example_economy)
 from segsolve.equilibrium import (AssumptionError, BracketFailureError,
@@ -218,6 +218,102 @@ class TestExactRoot:
         monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
         with pytest.raises(ConvergenceError):
             solve(p, "da")
+
+
+def _hexes(values) -> list[str]:
+    return list(map(float.hex, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _spy_knots(monkeypatch) -> list[int]:
+    """The number of knot columns of each affine_root call whose
+    breakpoints are evaluated."""
+    seen, kernel = [], equilibrium.affine_root
+
+    def spy(cdfs, rhos, alpha, beta, x_max, target, knots=None):
+        seen.append((cdfs.xs if knots is None else knots).shape[1])
+        return kernel(cdfs, rhos, alpha, beta, x_max, target, knots)
+    monkeypatch.setattr(equilibrium, "affine_root", spy)
+    return seen
+
+
+class TestMechanismAxis:
+    """dispersion_root with a mechanism axis in each row gives, bit for bit,
+    what one call per mechanism gives, and leaving out the last knot's
+    breakpoints gives what evaluating them gives."""
+
+    @staticmethod
+    def _check(params, cdfs, a):
+        together = dispersion_root(params, cdfs, a)
+        assert together.shape == a.shape
+        for i in range(a.shape[1]):
+            assert _hexes(together[:, i]) == _hexes(dispersion_root(params, cdfs, a[:, i]))
+        # every knot's breakpoints, none left out
+        omegas = np.asarray(params.wealth.omegas)
+        full = equilibrium.affine_root(
+            cdfs, params.wealth.rhos, a[..., None], omegas.reshape(-1, 1, omegas.shape[-1]),
+            max_dispersion(params, a.T).T, 1.0 - np.asarray(params.q)[..., None])
+        assert _hexes(together) == _hexes(full)
+        return together
+
+    @staticmethod
+    def _intercepts(params, rows, mechs=mx.CORE) -> np.ndarray:
+        a = np.empty((rows, len(mechs)))
+        for i, mech in enumerate(mechs):
+            a[:, i] = mx.CORE_ALGEBRA[mech].intercept(params)
+        return a
+
+    def test_single_kink_grid(self, monkeypatch):
+        seen = _spy_knots(monkeypatch)
+        kink_x, kink_y = single_kink_grid(0.05)
+        cdfs = PiecewiseLinearBatch.single_kinks(kink_x, kink_y)
+        solved = 0
+        for base in (example_economy(),
+                     EconomyParams(m=2, q=0.45, g=0.05, e=0.9, pi=0.3,
+                                   wealth=binary_wealth(0.4), cdf=Uniform())):
+            d = self._check(base, cdfs, self._intercepts(base, len(kink_x)))
+            solved += np.isfinite(d).sum()
+        assert solved > 0
+        # the single kinks' last knot, 1, is at or past e - g: its
+        # breakpoints are left out on each mechanism-axis call
+        assert seen[0] == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_concave_cdfs(self, seed):
+        rng = random.Random(seed)
+        for k in (2, 3, 4, 6):
+            e = rng.uniform(0.6, 1.0)
+            params = EconomyParams(m=2, q=rng.uniform(0.2, 0.8),
+                                   g=rng.uniform(0.0, min(0.1, 1.0 - e)), e=e,
+                                   pi=rng.uniform(0.05, 0.45), wealth=_random_wealth(rng),
+                                   cdf=Uniform())
+            xs, ys = random_knot_batch(rng, k, 30)
+            self._check(params, PiecewiseLinearBatch(xs, ys), self._intercepts(params, 30))
+
+    def test_economy_columns_rows(self):
+        import segsolve.sweep as sweep
+        economies = sweep.cube_economies([0.3, 0.6], [0.3, 0.5], [0.2, 0.4])
+        kink_x, kink_y = single_kink_grid(0.1)
+        cells = np.repeat(np.arange(len(economies.q)), len(kink_x))
+        rows = economies.take(cells)
+        cdfs = PiecewiseLinearBatch.single_kinks(*(np.tile(v, len(economies.q))
+                                                   for v in (kink_x, kink_y)))
+        self._check(rows, cdfs, self._intercepts(rows, len(cells), sweep.MECHS))
+
+    def test_last_knot_short_of_one_keeps_its_breakpoints(self, monkeypatch):
+        # validation accepts a last knot within 1e-15 of 1, which lies
+        # short of e - g = 1, so its breakpoints may not clip onto d_max
+        f = PiecewiseLinear(((0.0, 0.0), (0.3, 0.6), (0.9999999999999999, 1.0)))
+        params = dataclasses.replace(example_economy(), cdf=f)
+        seen = _spy_knots(monkeypatch)
+        eqs = list(solve_core(params))
+        assert seen == [3]
+        batch = PiecewiseLinearBatchReference(np.array([f._xs]), np.array([f._ys]))
+        for eq in eqs:
+            assert eq.d.hex() == solve(params, eq.mech).d.hex()
+            want = affine_root_reference(batch, params.wealth.rhos, [[eq.intercept]],
+                                         [params.wealth.omegas],
+                                         max_dispersion(params, eq.intercept), 1.0 - params.q)
+            assert eq.d.hex() == float(want[0]).hex()
 
 
 def _outcome(call):

@@ -156,21 +156,39 @@ def _count_calls(monkeypatch, *layers) -> collections.Counter:
     return calls
 
 
+def _batch_rows(monkeypatch) -> dict[str, list[int]]:
+    """The rows of each PiecewiseLinearBatch built ("batch") and of each
+    batch that `inverse` is called on ("inverse"), in call order."""
+    rows = collections.defaultdict(list)
+    for key, name in (("batch", "__post_init__"), ("inverse", "inverse")):
+        fn = getattr(PiecewiseLinearBatch, name)
+
+        def spy(self, *args, key=key, fn=fn):
+            rows[key].append(len(self.xs))
+            return fn(self, *args)
+        monkeypatch.setattr(PiecewiseLinearBatch, name, spy)
+    return rows
+
+
 class TestStackedBatch:
     def test_one_call_per_layer(self, monkeypatch):
-        # N and DA share each CDF evaluation, the inverse, the root and the
-        # assumption-2 sign test, which evaluates each mechanism's gain
+        # each kink is one row of one batch, N and DA on a mechanism axis
+        # inside it: one PiecewiseLinearBatch of the block's rows and one
+        # inverse on them. N and DA share each CDF evaluation, the root and
+        # the assumption-2 sign test, which evaluates each mechanism's gain
         # envelope once and calls no delta_u: 11 value, 2 inverse,
         # 2 affine_root and 8 delta_u calls when each mechanism ran on its
-        # own batch; only DA's half reads the flows. So does a cube cell,
-        # through one kink sweep.
+        # own batch; only DA reads the flows. So does a cube cell, through
+        # one kink sweep.
         calls = _count_calls(monkeypatch, (equilibrium, "affine_root"), (mx, "delta_u"),
                              (mx, "gain_envelope"), (sweep, "assumption2_mask"),
                              (mx, "flows_at"), (PiecewiseLinearBatch, "value"),
                              (PiecewiseLinearBatch, "inverse"), (sweep, "kink_sweep"))
+        rows = _batch_rows(monkeypatch)
         for run in (lambda: sweep.kink_sweep(example_economy(), 0.1),
                     lambda: sweep.cube_sweep([0.5], [0.4], [0.3], 0.1)):
             calls.clear()
+            rows.clear()
             run()
             assert calls["kink_sweep"] == 1
             assert calls["affine_root"] == 1
@@ -180,6 +198,14 @@ class TestStackedBatch:
             assert calls["flows_at"] == 1
             assert calls["value"] <= 2
             assert calls["inverse"] == 1
+            assert rows == {"batch": [45], "inverse": [45]}
+
+    def test_one_batch_row_per_kink_of_each_block(self, monkeypatch):
+        # 45 kinks in blocks of 20: one batch and one inverse per block
+        monkeypatch.setattr(sweep, "KINK_BLOCK", 20)
+        rows = _batch_rows(monkeypatch)
+        sweep.kink_sweep(example_economy(), 0.1)
+        assert rows == {"batch": [20, 20, 5], "inverse": [20, 20, 5]}
 
     @pytest.mark.parametrize("block, sweeps, blocks",
                              [(2048, 1, 1), (100, 2, 2), (45, 4, 4), (7, 4, 28)])
@@ -322,10 +348,20 @@ class TestCubeBatch:
                 sweep.cube_sweep(*axes, 0.1)
         assert calls["_stacked_shares"] == 0
 
-    def test_one_cell_passes_its_economy_params(self):
+    def test_one_cell_passes_scalar_columns(self):
+        # one economy's scalars and one row of atoms, which sweep as that
+        # cell's EconomyParams does, bit for bit
         economy = sweep.cube_economies([0.5], [0.4], [0.3])
-        assert economy == EconomyParams(m=2, q=0.4, g=0.0, e=1.0, pi=0.3,
-                                        wealth=binary_wealth(0.5), cdf=Uniform())
+        wealth = binary_wealth(0.5)
+        assert (economy.q, economy.pi, economy.g, economy.e, economy.delta_q) == \
+            (0.4, 0.3, 0.0, 1.0, 0.0)
+        assert economy.wealth.omegas.tolist() == wealth.omegas.tolist()
+        assert economy.wealth.rhos.tolist() == wealth.rhos.tolist()
+        assert (economy.wealth.poorest, economy.wealth.poor_rho) == (wealth.poorest,
+                                                                     wealth.poor_rho)
+        params = EconomyParams(m=2, q=0.4, g=0.0, e=1.0, pi=0.3, wealth=wealth, cdf=Uniform())
+        assert _columns(sweep.kink_sweep(economy, 0.1)) == \
+            _columns(sweep.kink_sweep(params, 0.1))
 
 
 class TestCubeSweep:
