@@ -8,9 +8,8 @@ from .equilibrium import (AssumptionError, BracketFailureError,
                           InteriorViolationError, MultipleFixedPointsError,
                           NoFixedPointError, SolveError, solve, solve_core,
                           solve_policy, verify_lemma1)
-from .mechanisms import (CORE, CORE_ALGEBRA, AggregateFlows, CoreAlgebra,
-                         DegenerateChoiceError, Mechanism, aggregate_flows,
-                         delta_u, r_da_uniform, rejection)
+from .mechanisms import (CORE, CORE_ALGEBRA, CoreAlgebra, DegenerateChoiceError,
+                         Mechanism, delta_u, r_da_uniform, rejection)
 from .segregation import (Comparison, NegativeMassError, SegregationProfile,
                           SignMismatchError, check_theorems, compare,
                           expansion_rate, neighborhood_profile, school_profile)

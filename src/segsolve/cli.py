@@ -97,29 +97,27 @@ def _profile_dict(profile) -> dict:
     }
 
 
-def cmd_solve(args) -> int:
-    params = _load_params(args)
-    mechs = _mech_list(args.mech)
-    results = []
+def _profiles(args):
+    """Each mechanism of --mech with its equilibrium and its n1 and n0
+    profiles, plus c1 for a core mechanism, solved in turn."""
+    params, mechs = _load_params(args), _mech_list(args.mech)
     for mech, eq in zip(mechs, _equilibria(params, mechs)):
-        entry = eq.to_dict()
-        profiles = [_profile_dict(p) for p in neighborhood_profile(eq)]
+        profiles = list(neighborhood_profile(eq))
         if mech in mx.CORE:
-            profiles.append(_profile_dict(school_profile(eq)))
-        entry["profiles"] = profiles
-        results.append(entry)
+            profiles.append(school_profile(eq))
+        yield mech, eq, profiles
+
+
+def cmd_solve(args) -> int:
+    results = [{**eq.to_dict(), "profiles": [_profile_dict(p) for p in profiles]}
+               for _, eq, profiles in _profiles(args)]
     _emit(json.dumps({"results": results}, indent=2) + "\n", args.output)
     return 0
 
 
 def cmd_compare(args) -> int:
-    params = _load_params(args)
-    mechs = _mech_list(args.mech)
     lines = ["mechanism,location,omega,mass,avg_wealth,poor_share"]
-    for mech, eq in zip(mechs, _equilibria(params, mechs)):
-        profiles = list(neighborhood_profile(eq))
-        if mech in mx.CORE:
-            profiles.append(school_profile(eq))
+    for mech, _, profiles in _profiles(args):
         for p in profiles:
             for w, m in p.masses:
                 lines.append(

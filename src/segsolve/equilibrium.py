@@ -10,7 +10,7 @@ the dispersion d (alpha = a, beta = w). The kink sweep finds the roots of
 a whole grid of CDFs with N's and DA's intercepts a on an axis inside
 each row, and `solve_core` those of one economy: it checks assumptions 1
 and 2 once for all the core mechanisms asked for and stacks their
-intercepts a into one batch, so that every root agrees bit for bit with a
+intercepts a into one row, so that every root agrees bit for bit with a
 solve of its mechanism alone. `solve` is `solve_core` on one mechanism.
 For `Power` F, d comes from a monotone bisection per mechanism that raises
 ConvergenceError if it stops at MAX_ITER.
@@ -208,11 +208,10 @@ def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max, target,
 def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
     """Exact root d in [0, d_max] of sum_w rho_w F(a + d w) - (1-q) for
     each intercept a against its row's CDF; nan where [0, d_max] brackets
-    no root. `a` is one intercept for every row, one per row, or
-    (rows, mechanisms), one per mechanism in each row; the root has a's
-    shape, with a scalar spread over the batch's rows. q and the wealth
-    atoms are each one value (one row of atoms) for every row or one per
-    row.
+    no root. `a` is (rows, mechanisms), one intercept per mechanism in each
+    row, and the root has its shape. `cdfs` holds one CDF per row or one
+    for every row, and q and the wealth atoms are each one value (one row
+    of atoms) for every row or one per row.
 
     The last knot's breakpoints are left out when every row's last knot
     x_last lies at or past e - g, as on every single-kink CDF, whose last
@@ -223,17 +222,12 @@ def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
     end point with the same residual. Where d_max <= 0 no root is bracketed
     either way.
     """
-    a = np.asarray(a, dtype=float)
-    omegas, q = params.wealth.omegas, params.q
-    if a.ndim == 2:  # per-row columns gain the mechanism axis
-        omegas, q = omegas.reshape(-1, 1, omegas.shape[-1]), np.asarray(q)[..., None]
-        d_max = max_dispersion(params, a.T).T
-    else:
-        a = a.reshape(-1)
-        d_max = max_dispersion(params, a)
-    xs = cdfs.xs
+    a, omegas, xs = np.asarray(a, dtype=float), params.wealth.omegas, cdfs.xs
     knots = xs[:, :-1] if (xs[:, -1] >= params.e - params.g).all() else xs
-    return affine_root(cdfs, params.wealth.rhos, a[..., None], omegas, d_max, 1.0 - q, knots)
+    # per-row columns gain the mechanism axis
+    omegas, q = omegas.reshape(-1, 1, omegas.shape[-1]), np.asarray(params.q)[..., None]
+    return affine_root(cdfs, params.wealth.rhos, a[..., None], omegas,
+                       max_dispersion(params, a.T).T, 1.0 - q, knots)
 
 
 def _check_interior(params: EconomyParams, cutoffs) -> None:
@@ -262,8 +256,8 @@ def solve_core(params: EconomyParams, mechs=mx.CORE,
 
     The call checks assumptions 1 and 2 once for all of mechs and, for
     piecewise-linear F, finds every dispersion root with one
-    `dispersion_root` call over the stacked intercepts: each row is the root
-    a call per mechanism finds, bit for bit.
+    `dispersion_root` call on one row of the stacked intercepts: each root
+    is the one a call per mechanism finds, bit for bit.
     `Power` F is solved by bisection on d, one mechanism at a time. The returned iterator yields
     the equilibria and raises a mechanism's error when it reaches it, so a
     caller that handles each in turn meets the first failure in the order
@@ -278,8 +272,8 @@ def solve_core(params: EconomyParams, mechs=mx.CORE,
     roots = {}
     todo = [m for m in unique if m not in failed]
     if isinstance(params.cdf, PiecewiseLinear) and todo:
-        a = [mx.CORE_ALGEBRA[m].intercept(params) for m in todo]
-        roots = dict(zip(todo, dispersion_root(params, params.cdf.batch, a).tolist()))
+        a = [[mx.CORE_ALGEBRA[m].intercept(params) for m in todo]]  # one row
+        roots = dict(zip(todo, dispersion_root(params, params.cdf.batch, a)[0].tolist()))
     return (_solve_one(params, mech, failed.get(mech), roots.get(mech)) for mech in mechs)
 
 

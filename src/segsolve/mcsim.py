@@ -478,18 +478,19 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     front: that order is sorted as a head of about 4 sqrt(n) students
     (`_lottery_prefix`), four times as long each time the scan runs past it.
 
+    At m = 2, when both blocks fit, each school points at its block's head
+    until a block empties, and each head wants the other school: the first
+    min(T1, T2) traders of each block (T1, T2 the blocks' lengths) trade
+    seats pair by pair before the walk. A fitting school keeps a seat for
+    each trader of its block, so the trade needs no seat bound.
+
     A walk over the school graph, k -> first choice of k's top student,
-    seats the others: a self-pointer takes a seat in place, and a cycle of
-    schools seats each school's top student at the next school. A
-    self-pointer can seat the top student of the school below on the walk's
-    stack; that school's edge is then gone and the walk steps back to it.
-    At m = 2 a cycle k <-> j on the heads of two blocks of traders starts a
-    swap run: the next traders of both trade pair by pair, as many pairs as
-    the shorter block holds. A fitting school keeps a seat for each unseated
-    trader of its block, as each of its seats goes with its head, so the run
-    needs no seat bound. Every other cycle takes one step. When a school
-    fills, one pass over a boolean mask seats at c0 every student still
-    pointing at it.
+    seats the others, one cycle a step: a self-pointer takes a seat in
+    place, and a cycle of schools seats each school's top student at the
+    next school. A self-pointer can seat the top student of the school
+    below on the walk's stack; that school's edge is then gone and the walk
+    steps back to it. When a school fills, one pass over a boolean mask
+    seats at c0 every student still pointing at it.
 
     The seats are kept in `_seat_dtype(m)` and returned in the residency's
     dtype.
@@ -515,23 +516,31 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
     mask = first == 0
     np.add(assigned, mask, out=assigned)  # -1 + 1, faster than a masked store
     queued = np.logical_and(residency, first)  # the blocks
-    fits = [False] * (m + 1)              # k's block holds traders only
+    fits = 0                              # schools whose blocks hold traders only
     for k in range(1, m + 1):
         np.equal(residency, k, out=mask)
         mask &= queued
         if np.count_nonzero(mask) <= seats[k]:
-            fits[k] = True
+            fits += 1
             mask &= first == k            # the residents who want k
             queued ^= mask
             assigned -= np.multiply(mask, -1 - k, dtype=assigned.dtype)  # -1 - (-1 - k)
             seats[k] -= np.count_nonzero(mask)
         if not seats[k]:
             close(k)
-    left = np.count_nonzero(assigned < 0)  # the unseated
     queue, at = _resident_blocks(residency, lottery, queued)
     del queued
     res_end = np.searchsorted(at, np.arange(m + 1, dtype=at.dtype), side="right").tolist()
     res_pos = [0] + res_end[:-1]  # school k's block: queue[res_pos[k]:res_end[k]]
+    pairs = min(res_end[1] - res_pos[1], res_end[2] - res_pos[2]) if fits == m == 2 else 0
+    if pairs:  # the blocks' heads trade seats, pair by pair
+        for k, j in ((1, 2), (2, 1)):
+            assigned[queue[res_pos[k]:res_pos[k] + pairs]] = j
+            res_pos[k] += pairs
+            seats[j] -= pairs
+            if not seats[j]:
+                close(j)
+    left = np.count_nonzero(assigned < 0)  # the unseated
     res = memoryview(queue)
 
     top = [-1] * (m + 1)      # a stacked school's top student
@@ -588,20 +597,6 @@ def run_ttc_finite(agents: Agents, residency: np.ndarray, params: EconomyParams,
                 stack.append(j)
                 continue
             start = depth[j]
-            if m == 2 and fits[k] and fits[j] and p < end and res_pos[j] < res_end[j]:
-                # a swap run on the heads of k and j (j's top is its head
-                # while its block holds any)
-                pairs = min(end - p, res_end[j] - res_pos[j])
-                for s, a, d in ((k, p, j), (j, res_pos[j], k)):
-                    assigned[queue[a:a + pairs]] = d
-                    res_pos[s] = a + pairs
-                    seats[d] -= pairs
-                    if not seats[d]:
-                        left -= close(d)
-                left -= 2 * pairs
-                depth[k] = depth[j] = -1
-                del stack[start:]
-                continue
             # cycle stack[start:]: each school's top takes a seat at the next
             for c in stack[start:]:
                 t = top[c]
@@ -689,17 +684,6 @@ def find_ttc_improvement(agents: Agents, assignment: np.ndarray,
     return [int(np.argmax(upgrade))] if upgrade.any() else None
 
 
-# Finite algorithm per core mechanism, each called as
-# run(agents, residency, params, lottery, first). The lambdas look the
-# functions up when called, so a rebound module attribute (a tracer's
-# wrapper, a test double) is the one that runs.
-_FINITE_RUNS = {
-    mx.Mechanism.N: lambda agents, residency, *_: residency.copy(),  # no choice: home school
-    mx.Mechanism.DA: lambda *args: run_da_finite(*args),
-    mx.Mechanism.TTC: lambda *args: run_ttc_finite(*args),
-}
-
-
 def run_mechanism(agents: Agents, residency: np.ndarray, params: EconomyParams,
                   mech: mx.Mechanism, lottery: np.ndarray | None,
                   first: np.ndarray | None = None) -> np.ndarray:
@@ -707,9 +691,13 @@ def run_mechanism(agents: Agents, residency: np.ndarray, params: EconomyParams,
     `first`, each student's first choice, is built if not given. N reads
     neither, so its `lottery` may be None."""
     mech = mx.Mechanism(mech)
-    if mech not in _FINITE_RUNS:
+    if mech not in mx.CORE:
         raise ValueError(f"no finite algorithm for {mech.value}")
-    return _FINITE_RUNS[mech](agents, residency, params, lottery, first)
+    if mech is mx.Mechanism.N:
+        return residency.copy()  # no choice: the home school
+    # looked up when called, so a rebound module attribute is the one that runs
+    run = run_da_finite if mech is mx.Mechanism.DA else run_ttc_finite
+    return run(agents, residency, params, lottery, first)
 
 
 def _seat_values(agents: Agents, assignment: np.ndarray,

@@ -1,5 +1,10 @@
 """Per-mechanism primitives: flows, rejection rates, cutoff functionals, utility gains.
 
+`flows_at` gives the ex-post flows of a school, out-of-zone demand D,
+vacated supply S and in-zone exchange volume X, at any F(s); a
+market-clearing profile has F(s) = 1 - q, where `rejection` and the kink
+sweep read them.
+
 All N/DA/TTC algebra lives in the CORE_ALGEBRA table: the slope and root of
 the cutoff functional gamma, the floor line of the utility gain, the weight
 of the exchange flow in the rejection rate, and the weight that carries
@@ -34,16 +39,6 @@ class DegenerateChoiceError(ValueError):
     """Rejection probability hit zero; cutoff equations are undefined."""
 
 
-@dataclass(frozen=True)
-class AggregateFlows:
-    """Per-school ex-post flows: out-of-zone demand D, vacated supply S,
-    in-zone exchange volume X. All independent of the cutoff profile."""
-
-    D: float
-    S: float
-    X: float
-
-
 def anchor_points(params) -> tuple[float, float, float]:
     """g, e - g and min(e + g, 1): the signals at which F fixes the flows."""
     return params.g, params.e - params.g, min(params.e + params.g, 1.0)
@@ -58,12 +53,6 @@ def flows_at(params, fs, fg, feg, fepg) -> tuple[float, float, float]:
     S = pi * (fepg - fs)
     X = pi * (feg - fs)
     return D, S, X
-
-
-def aggregate_flows(params) -> AggregateFlows:
-    """The flows at any market-clearing cutoff profile, where F(s) = 1 - q."""
-    anchors = (params.cdf.value(x) for x in anchor_points(params))
-    return AggregateFlows(*flows_at(params, 1.0 - params.q, *anchors))
 
 
 @dataclass(frozen=True)
@@ -160,8 +149,10 @@ def rejection(params, mech: Mechanism) -> float:
     exchange = CORE_ALGEBRA[mech].exchange
     if exchange is None:  # no choice: every out-of-zone applicant is rejected
         return 1.0
-    fl = aggregate_flows(params)
-    r = max(0.0, _rejection_ratio(params, exchange, fl.D, fl.S, fl.X))
+    # the flows at any market-clearing cutoff profile, where F(s) = 1 - q
+    anchors = (params.cdf.value(x) for x in anchor_points(params))
+    flows = flows_at(params, 1.0 - params.q, *anchors)
+    r = max(0.0, _rejection_ratio(params, exchange, *flows))
     if r <= 0.0:
         raise DegenerateChoiceError(f"rejection probability is 0 under {mech.value}")
     return min(r, 1.0)

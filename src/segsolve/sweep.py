@@ -23,7 +23,7 @@ import numpy as np
 
 from . import mechanisms as mx
 from .cdf import PiecewiseLinearBatch, single_kink_grid
-from .economy import assumption1_mask, assumption2_mask, binary_wealth, require_share
+from .economy import EconomyError, assumption1_mask, assumption2_mask, binary_wealth, require_share
 from .equilibrium import dispersion_root, interior
 from .segregation import EQUAL_TOL
 
@@ -104,6 +104,12 @@ class CubeSweepResult:
 # of each block's heap back between blocks and faulted it in again.
 # cube_sweep also sweeps one block's worth of whole cells at a time.
 KINK_BLOCK = 1024
+
+# The most cells a cube may have: a cube peaks at about 320 bytes a cell
+# besides its blocks (its columns and cell indices, each cell's axis values
+# and CubeCell, and its CSV line; tracemalloc on a 64,000-cell cube), so
+# about 80 MB at the cap.
+MAX_CELLS = 250_000
 
 
 @dataclass(frozen=True)
@@ -249,14 +255,18 @@ def cube_economies(rho_list, q_list, pi_list) -> EconomyColumns:
     """The economy of every (rho_p, q, pi) cell, rho_p outermost and pi
     innermost, with m = 2, g = 0, e = 1 and binary wealth, as
     EconomyColumns with one row per cell, or scalars for a one-cell cube.
-    Every axis value is checked first; one that makes no valid economy
-    raises EconomyError."""
+    A cube of more than MAX_CELLS cells raises EconomyError before anything
+    is allocated; then every axis value is checked, and one that makes no
+    valid economy raises EconomyError."""
+    cells = len(rho_list) * len(q_list) * len(pi_list)
+    if cells > MAX_CELLS:
+        raise EconomyError(f"the cube has {cells} cells, more than {MAX_CELLS}")
     wealth = [binary_wealth(rho_p) for rho_p in rho_list]
     q, pi = np.array(q_list, dtype=float), np.array(pi_list, dtype=float)
     for name, column in (("q", q), ("pi", pi)):
         for value in column.tolist():
             require_share(name, value)
-    if len(wealth) * q.size * pi.size == 1:
+    if cells == 1:
         return EconomyColumns(q.item(), pi.item(), WealthColumns(wealth[0].omegas,
                                                                  wealth[0].rhos))
     i_rho, i_q, i_pi = np.indices((len(wealth), q.size, pi.size)).reshape(3, -1)
@@ -271,7 +281,8 @@ def cube_sweep(rho_list, q_list, pi_list, step: float = 0.1) -> CubeSweepResult:
     sweep over their columns, KINK_BLOCK kinks' worth at a time (a cell
     with a larger grid alone), so the results held never outgrow one block
     or one cell's grid, and each cell is counted from its rows. A cell that
-    is no valid economy raises EconomyError before any kink is solved."""
+    is no valid economy, or a cube of more than MAX_CELLS cells, raises
+    EconomyError before any kink is solved."""
     economies = cube_economies(rho_list, q_list, pi_list)
     cells = list(itertools.product(rho_list, q_list, pi_list))
     parts = [economies] if len(cells) == 1 else ()  # one economy, whose scalars broadcast

@@ -244,6 +244,15 @@ def test_bad_cube_axis_exits_before_any_batch(argv, monkeypatch, capsys):
     assert calls == {"sweep.kink_sweep": 0, "sweep._stacked_shares": 0}
 
 
+def test_oversized_cube_exits_2(monkeypatch, capsys):
+    axis = ",".join(["0.3"] * 700)  # 343M cells
+    calls = count_calls(monkeypatch, ["sweep.kink_sweep"])
+    assert cli.main(["sweep-cube", "--rho", axis, "--q", axis, "--pi", axis]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "more than 250000" in err and "Traceback" not in err
+    assert calls == {"sweep.kink_sweep": 0}
+
+
 class TestCheck:
     def test_example_passes(self, capsys):
         assert cli.main(["check", "--example"]) == 0

@@ -130,7 +130,7 @@ class TestExactRoot:
         a = mx.CORE_ALGEBRA[rng.choice(mx.CORE)].intercept(params)
         residual = _clamped_residual(params, a)
         d_max = max_dispersion(params, a)
-        d = float(dispersion_root(params, params.cdf.batch, a)[0])
+        d = float(dispersion_root(params, params.cdf.batch, [[a]])[0, 0])
         if residual(0.0) > 0.0 or residual(d_max) < 0.0:
             assert math.isnan(d)
             return
@@ -189,7 +189,7 @@ class TestExactRoot:
             kinks = SimpleNamespace(**{**vars(base),
                                        "cdf": PiecewiseLinearBatch.single_kinks(kink_x, kink_y)})
             a = mx.CORE_ALGEBRA[mech].intercept(base)
-            d = dispersion_root(kinks, kinks.cdf, a)
+            d = dispersion_root(kinks, kinks.cdf, np.full((len(kink_x), 1), a))[:, 0]
             for x, y, d_batch in zip(kink_x.tolist(), kink_y.tolist(), d.tolist()):
                 params = dataclasses.replace(base, cdf=SingleKink(x, y))
                 try:
@@ -246,7 +246,7 @@ class TestMechanismAxis:
         together = dispersion_root(params, cdfs, a)
         assert together.shape == a.shape
         for i in range(a.shape[1]):
-            assert _hexes(together[:, i]) == _hexes(dispersion_root(params, cdfs, a[:, i]))
+            assert _hexes(together[:, i]) == _hexes(dispersion_root(params, cdfs, a[:, i:i + 1]))
         # every knot's breakpoints, none left out
         omegas = np.asarray(params.wealth.omegas)
         full = equilibrium.affine_root(
@@ -355,8 +355,8 @@ class TestSolveCore:
             assert together == alone
             for eq in together:
                 if isinstance(eq, equilibrium.Equilibrium) and eq.iterations == 0:
-                    root = dispersion_root(params, params.cdf.batch, eq.intercept)
-                    assert eq.d.hex() == float(root[0]).hex()
+                    root = dispersion_root(params, params.cdf.batch, [[eq.intercept]])
+                    assert eq.d.hex() == float(root[0, 0]).hex()
 
     def test_unchecked_kink_grid_matches_one_at_a_time(self):
         # every outcome on the step-0.05 kink grid, bracket and interior

@@ -487,10 +487,11 @@ class TestTtcFinite:
         assert asg.tolist() == [0, 0, 2, 1]
 
     def test_swap_run_stops_when_a_school_fills(self):
-        # 0-3 live at 1 and 4-7 at 2, three seats a school. The heads 0 and 4
-        # swap; 1 takes a seat at 1 in place; 2 and 5 swap, which fills
-        # school 1 though 3 and 6 would swap next. 6 and 7 are seated at c0,
-        # and 3, now school 2's lottery head, takes its last seat
+        # 0-3 live at 1 and 4-7 at 2, three seats a school. Neither block
+        # fits its seats, so the heads trade in the walk, one cycle a step:
+        # 0 and 4 swap; 1 takes a seat at 1 in place; 2 and 5 swap, which
+        # fills school 1 though 3 and 6 would swap next. 6 and 7 are seated
+        # at c0, and 3, now school 2's lottery head, takes its last seat
         params, agents, residency, lottery = _hand_market(
             [2, 1, 2, 2, 1, 1, 1, 1, 1, 2], [1, 1, 1, 1, 2, 2, 2, 2, 0, 0], q=0.6)
         asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
@@ -515,6 +516,28 @@ class TestTtcFinite:
         assert mcsim.school_capacities(5, params)[1:].tolist() == [2, 2]
         asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
         assert asg.tolist() == [2, 1, 0, 1, 2]
+        assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
+
+    def test_block_heads_trade_a_school_full(self):
+        # three seats a school. Both blocks fit: 0-2 live at 1 and want 2,
+        # 3 lives at 2 and takes a home seat, 4 and 5 live at 2 and want 1.
+        # The heads 0, 1 and 4, 5 trade seats, which takes school 2's last
+        # seat, so 2, 6 and 9, who want 2, are seated at c0; 7 takes school
+        # 1's last seat, and 8 is seated at c0
+        params, agents, residency, lottery = _hand_market(
+            [2, 2, 2, 2, 1, 1, 2, 1, 1, 2], [1, 1, 1, 2, 2, 2, 0, 0, 0, 0], q=0.6)
+        asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+        assert asg.tolist() == [2, 2, 0, 2, 1, 1, 0, 1, 0, 0]
+        assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
+
+    def test_empty_block_trades_no_pairs(self):
+        # three seats a school. 0 and 1 live at 1 and take home seats, so
+        # school 1's block holds no trader; 3, school 2's one trader, is
+        # then school 1's lottery head and takes a seat there in place
+        params, agents, residency, lottery = _hand_market(
+            [1, 1, 2, 1, 2, 1, 2, 2], [1, 1, 2, 2, 2, 0, 0, 0], q=0.75)
+        asg = mcsim.run_ttc_finite(agents, residency, params, lottery)
+        assert asg.tolist() == [1, 1, 2, 1, 2, 0, 2, 0]
         assert np.array_equal(asg, run_ttc_reference(agents, residency, params, lottery))
 
     def test_blocks_longer_than_their_seats(self):
@@ -1115,6 +1138,18 @@ class TestRunMechanism:
             assert np.array_equal(
                 mcsim.run_mechanism(agents, residency, p, mech, lottery, first),
                 mcsim.run_mechanism(agents, residency, p, mech, lottery))
+
+    @pytest.mark.parametrize("mech, name", [("da", "run_da_finite"), ("ttc", "run_ttc_finite")])
+    def test_runs_the_module_attribute(self, mech, name, monkeypatch):
+        # the function bound to the module attribute when run_mechanism is
+        # called (a tracer's wrapper, a test double) is the one that runs
+        calls = []
+        monkeypatch.setattr(mcsim, name, lambda *args: calls.append(args) or "ran")
+        p, agents, residency, lottery = _small_market(17)
+        assert mcsim.run_mechanism(agents, residency, p, mech, lottery) == "ran"
+        assert len(calls) == 1
+        want = (agents, residency, p, lottery, None)
+        assert all(a is b for a, b in zip(calls[0], want, strict=True))
 
     def test_policy_mechanism_has_no_finite_algorithm(self):
         p, agents, residency, lottery = _small_market(16)

@@ -17,14 +17,19 @@ from segsolve.cdf import Power, Uniform
 from conftest import policy_utility_gain, random_economy
 
 
+def _clearing_flows(p):
+    """D, S, X at any market-clearing cutoff profile, where F(s) = 1 - q."""
+    return mx.flows_at(p, 1.0 - p.q, *(p.cdf.value(x) for x in mx.anchor_points(p)))
+
+
 class TestFlows:
     def test_example_aggregates(self):
         # uniform F, q=0.4, g=0, e=1, pi=1/3:
         # D = (2/3)(0.6) + (1/3)(0+1) = 11/15, S = X = (1/3)(1-0.6) = 2/15
-        fl = mx.aggregate_flows(example_economy())
-        assert fl.D == pytest.approx(11.0 / 15.0, abs=1e-12)
-        assert fl.S == pytest.approx(2.0 / 15.0, abs=1e-12)
-        assert fl.X == pytest.approx(2.0 / 15.0, abs=1e-12)
+        D, S, X = _clearing_flows(example_economy())
+        assert D == pytest.approx(11.0 / 15.0, abs=1e-12)
+        assert S == pytest.approx(2.0 / 15.0, abs=1e-12)
+        assert X == pytest.approx(2.0 / 15.0, abs=1e-12)
 
     def test_type_flows_at_market_clearing(self):
         # at F(s) = 1-q the conditional flows equal the aggregates
@@ -32,8 +37,7 @@ class TestFlows:
         s = p.cdf.inverse(1.0 - p.q)
         anchors = [p.cdf.value(x) for x in mx.anchor_points(p)]
         D, S, X = mx.flows_at(p, p.cdf.value(s), *anchors)
-        fl = mx.aggregate_flows(p)
-        assert (D, S, X) == pytest.approx((fl.D, fl.S, fl.X), abs=1e-12)
+        assert (D, S, X) == pytest.approx(_clearing_flows(p), abs=1e-12)
 
     def test_d_minus_s_minus_f_constant(self):
         p = example_economy()

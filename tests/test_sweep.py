@@ -365,6 +365,22 @@ class TestCubeBatch:
 
 
 class TestCubeSweep:
+    def test_oversized_cube_allocates_nothing(self):
+        # three 1,000-value axes: np.indices alone would ask for 24 GB
+        axis = [0.3] * 1000
+        with pytest.raises(EconomyError, match="more than 250000"):
+            sweep.cube_sweep(axis, axis, axis)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EconomyError):
+                sweep.cube_economies(axis, axis, axis)
+            assert tracemalloc.get_traced_memory()[1] < 16_384
+        finally:
+            tracemalloc.stop()
+        # one cell over the cap fails alike, before any value is checked
+        with pytest.raises(EconomyError, match="the cube has 250001 cells"):
+            sweep.cube_economies([0.3] * 250_001, [0.4], [float("nan")])
+
     def test_single_cell(self):
         res = sweep.cube_sweep([0.5], [0.4], [0.4], 0.1)
         (cell,) = res.cells
