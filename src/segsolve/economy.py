@@ -200,16 +200,21 @@ def _price_interval(params, mech, r_hat, s_hat):
     return r_hat * gamma(s_hat, params), r_hat * gamma(1.0 - params.q, params)
 
 
+def _bounds(params, mech, flows, s_hat) -> tuple[float, float, float]:
+    """`rejection_and_bounds` given the economy's clearing flows and
+    s_hat = F^-1(1-q)."""
+    r_hat = mx.rejection(params, mech, flows)
+    p_hat, p_bar = _price_interval(params, mech, r_hat, s_hat)
+    if p_hat > p_bar + 1e-12:
+        raise EconomyError(f"price bounds inverted for {mech.value}: {p_hat} > {p_bar}")
+    return r_hat, p_hat, p_bar
+
+
 def rejection_and_bounds(params: EconomyParams, mech) -> tuple[float, float, float]:
     """(r, p_hat, p_bar): the mechanism's rejection rate r and the price
     interval [p_hat, p_bar] supporting an interior equilibrium, r gamma(s)
     at s = F^-1(1-q) and at s = 1-q."""
-    mech = mx.Mechanism(mech)
-    r_hat = mx.rejection(params, mech)
-    p_hat, p_bar = _price_interval(params, mech, r_hat, params.cdf.inverse(1.0 - params.q))
-    if p_hat > p_bar + 1e-12:
-        raise EconomyError(f"price bounds inverted for {mech.value}: {p_hat} > {p_bar}")
-    return r_hat, p_hat, p_bar
+    return _bounds(params, mx.Mechanism(mech), None, params.cdf.inverse(1.0 - params.q))
 
 
 def _corner_gains(params, mechs, r, prices) -> np.ndarray:
@@ -228,34 +233,43 @@ def _corner_gains(params, mechs, r, prices) -> np.ndarray:
     return r * envelope - omegas.T.reshape(omegas.shape[-1], 1, 1, -1) * prices
 
 
-def _utility_signs(params, mech, r_hat, p_hat, p_bar):
-    """(Delta u(g) < 0 at p_hat, Delta u(e-g) > 0 at p_bar) per type as two
-    bool arrays, poorest type first."""
-    prices = np.array((p_hat, p_bar)).reshape(2, 1, 1)
-    du = _corner_gains(params, (mech,), r_hat, prices)[..., 0, 0]
-    return du[:, 0] < 0.0, du[:, 1] > 0.0
-
-
 def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
     """Interior-cutoff condition on the utility gain at the price bounds.
 
     Delta u is linear and decreasing in p, so checking Delta u(g) < 0 at
     p_hat and Delta u(e-g) > 0 at p_bar covers the whole interval.
+
+    F^-1(1-q) and the clearing flows are evaluated once for all of mechs.
+    A mechanism whose rate is 0 or whose bounds are inverted gets one
+    failed "bounds" check; the others get their Delta u at both corners,
+    per type, from one `_corner_gains` call over all of them, as in
+    `assumption2_mask`, signed as Python floats. Each check is the one a
+    loop over the mechanisms makes, one `rejection_and_bounds` and one
+    sign test at a time, bit for bit.
     """
-    if mechs is None:
-        mechs = mx.CORE
-    checks = []
+    mechs = [mx.Mechanism(m) for m in (mx.CORE if mechs is None else mechs)]
+    # one mechanism's rate evaluates the flows itself, and only if it reads them
+    flows = mx.clearing_flows(params) if len(mechs) > 1 else None
+    s_hat = params.cdf.inverse(1.0 - params.q)
+    bounds, failures = {}, {}
     for mech in mechs:
-        mech = mx.Mechanism(mech)
         try:
-            r_hat, p_hat, p_bar = rejection_and_bounds(params, mech)
+            bounds[mech] = _bounds(params, mech, flows, s_hat)
         except (mx.DegenerateChoiceError, EconomyError) as exc:
-            checks.append((f"{mech.value}: bounds ({exc})", False))
+            failures[mech] = f"{mech.value}: bounds ({exc})"
+    # (r, p_hat, p_bar) of each mechanism with bounds, as (mechs, 3, CDFs = 1)
+    rows = np.array(list(bounds.values())).reshape(-1, 3, 1)
+    du = _corner_gains(params, list(bounds), rows[:, 0], rows[:, 1:].swapaxes(0, 1))
+    # each such mechanism's (Delta u(g), Delta u(e-g)) per type, as floats
+    gains = dict(zip(bounds, du[..., 0].transpose(2, 0, 1).tolist()))
+    omegas, checks = [str(w) for w in params.wealth.omegas.tolist()], []
+    for mech in mechs:
+        if mech in failures:
+            checks.append((failures[mech], False))
             continue
-        below, above = _utility_signs(params, mech, r_hat, p_hat, p_bar)
-        for omega, lo, hi in zip(params.wealth.omegas.tolist(), below.tolist(), above.tolist()):
-            checks.append((f"{mech.value}: du(g)<0 at omega={omega}", lo))
-            checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", hi))
+        for omega, (at_g, at_eg) in zip(omegas, gains[mech]):
+            checks.append((f"{mech.value}: du(g)<0 at omega={omega}", at_g < 0.0))
+            checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", at_eg > 0.0))
     return AssumptionReport("assumption2", tuple(checks))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mechanisms as mx
-from .cdf import AssumptionReport, PiecewiseLinear, PiecewiseLinearBatch
+from .cdf import AssumptionReport, PiecewiseLinear, PiecewiseLinearBatch, Power
 from .economy import (EconomyParams, check_assumption1, check_assumption2,
                       is_example_profile, rejection_and_bounds)
 
@@ -120,11 +120,6 @@ def _assumption_failures(params: EconomyParams, mechs) -> dict:
         if names:
             failed[mech] = f"assumption 2 fails for {mech.value}: {names}"
     return failed
-
-
-def _cdf_at(f, s: float) -> float:
-    """F(s) with s clamped into the signal support [0, 1]."""
-    return f.value(min(1.0, max(0.0, s)))
 
 
 def max_dispersion(params, a):
@@ -274,24 +269,42 @@ def solve_core(params: EconomyParams, mechs=mx.CORE,
     if isinstance(params.cdf, PiecewiseLinear) and todo:
         a = [[mx.CORE_ALGEBRA[m].intercept(params) for m in todo]]  # one row
         roots = dict(zip(todo, dispersion_root(params, params.cdf.batch, a)[0].tolist()))
-    return (_solve_one(params, mech, failed.get(mech), roots.get(mech)) for mech in mechs)
+    # one mechanism's rate evaluates the flows itself, and only if it reads them
+    flows = mx.clearing_flows(params) if len(todo) > 1 else None
+    return (_solve_one(params, mech, failed.get(mech), roots.get(mech), flows)
+            for mech in mechs)
 
 
 def _solve_one(params: EconomyParams, mech: mx.Mechanism, failure: str | None,
-               d: float | None) -> Equilibrium:
+               d: float | None, flows: tuple | None) -> Equilibrium:
     """One mechanism's equilibrium, given its assumption failure message
-    (None if it passed or was not checked) and its exact dispersion root d
-    (nan if unbracketed; None for bisection)."""
+    (None if it passed or was not checked), its exact dispersion root d
+    (nan if unbracketed; None for bisection) and the economy's
+    `mechanisms.clearing_flows` (None: `rejection` evaluates them), from
+    which it reads r.
+
+    The clearing residual sum_w rho_w F(a + d w) - (1 - q) is summed type
+    by type, poorest first, from 0.0, each cutoff clamped into [0, 1] by
+    two comparisons that give min(1.0, max(0.0, s)) for every float s.
+    Under `Power` F, the one family bisected, F(s) is s ** alpha,
+    `Power.value` without its domain check, which the clamp makes
+    redundant. These are the float operations of a sum over `Power.value`
+    calls, in its order, so every midpoint, step count, d and residual is
+    the same bit for bit.
+    """
     if failure is not None:
         raise AssumptionError(failure)
-    r = mx.rejection(params, mech)
+    r = mx.rejection(params, mech, flows)
     a = mx.CORE_ALGEBRA[mech].intercept(params)
-    f = params.cdf
-    atoms = params.wealth.atoms
-    target = 1.0 - params.q
+    f, atoms, target = params.cdf, params.wealth.atoms, 1.0 - params.q
+    value = (lambda s, alpha=f.alpha: s ** alpha) if isinstance(f, Power) else f.value
 
     def residual(d: float) -> float:
-        return sum(rho * _cdf_at(f, a + d * w) for w, rho in atoms) - target
+        total = 0.0
+        for w, rho in atoms:
+            s = a + d * w
+            total += rho * value((s if s < 1.0 else 1.0) if s > 0.0 else 0.0)
+        return total - target
 
     d_max = max_dispersion(params, a)
 
@@ -494,7 +507,9 @@ def solve_policy(params: EconomyParams, mech) -> Equilibrium:
     _check_interior(params, cuts)
     rhos = [rho for _, rho in params.wealth.atoms]
     e_s = sum(rho * s for (_, s), rho in zip(cuts, rhos))
-    res = sum(rho * _cdf_at(params.cdf, s) for (_, s), rho in zip(cuts, rhos)) - (1.0 - params.q)
+    # F at each cutoff clamped into the signal support [0, 1]
+    res = (sum(rho * params.cdf.value(min(1.0, max(0.0, s))) for (_, s), rho in zip(cuts, rhos))
+           - (1.0 - params.q))
     r_by_omega = tuple((w, float(mx.policy_rejection(mech, r, w, params))) for w, _ in cuts)
     return Equilibrium(mech, r, float("nan"), float(prices[2]), float("nan"),
                        cuts, e_s, res, 0, params, r_by_omega)
@@ -506,7 +521,14 @@ _LEMMA1_GRID.flags.writeable = False
 
 
 def verify_lemma1(params: EconomyParams, mech) -> AssumptionReport:
-    """Grid regression of the utility-gain monotonicity properties."""
+    """Grid regression of the utility-gain monotonicity properties.
+
+    The weak test on [0, g] signs each step between neighbouring grid
+    values against a tolerance. The strict test on [g, 1] compares the
+    neighbours, b > a, which is exact: with gradual underflow the difference
+    b - a of two unequal finite floats is never 0, so b > a holds exactly
+    when b - a > 0, and an infinity or a nan fails both.
+    """
     mech = mx.Mechanism(mech)
     r_hat, p_hat, p_bar = rejection_and_bounds(params, mech)
     grid = _LEMMA1_GRID
@@ -520,10 +542,10 @@ def verify_lemma1(params: EconomyParams, mech) -> AssumptionReport:
     du = mx.delta_u(mech, np.array(rs)[:, None, None], np.array(prices)[:, None],
                     np.append(grid, params.g), omegas[:, None, None, None], params)
     at_zero = (du[:, :, 0, -1] >= -1e-12).tolist()
-    # steps between neighbouring grid points, as np.diff takes them
-    # (below >= 1, since the grid starts at 0 <= g)
+    # steps between neighbouring grid points, as np.diff takes them, and
+    # the neighbours compared (below >= 1, since the grid starts at 0 <= g)
     weak = ((du[..., 1:below] - du[..., :below - 1]) >= -1e-12).all(axis=-1).tolist()
-    strict = ((du[..., above + 1:-1] - du[..., above:-2]) > 0.0).all(axis=-1).tolist()
+    strict = (du[..., above + 1:-1] > du[..., above:-2]).all(axis=-1).tolist()
     r_names = [f"{r:.3g}" for r in rs]
     p_names = [f"{p:.3g}" for p in prices]
     checks = []

@@ -1,5 +1,7 @@
-"""Shared fixtures, the random valid-economy sampler, a call counter, the
-DA-less count of a kink sweep and the cutoff-form check of finite TTC."""
+"""Shared fixtures, the random valid-economy sampler, the step-0.1 cube's
+economies, a call counter, the DA-less count of a kink sweep and the
+cutoff-form check of finite TTC."""
+import itertools
 import random
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 import segsolve as ss
 import segsolve.sweep as sweep
 from segsolve import mechanisms as mx
-from segsolve.cdf import PiecewiseLinear, Power, SingleKink, Uniform
+from segsolve.cdf import PiecewiseLinear, Power, SingleKink, Uniform, enumerate_single_kink
 from segsolve.economy import (EconomyError, EconomyParams, WealthDist,
                               check_assumption1, check_assumption2)
 from segsolve.equilibrium import SolveError, solve
@@ -123,6 +125,19 @@ def random_economy(rng: random.Random, uniform_binary: bool = False,
             continue
         return params, eqs
     raise RuntimeError("could not sample a valid economy")
+
+
+# the (rho_p, q, pi) axes of the published cube
+DEFAULT_CUBE = ((0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
+                (0.1, 0.2, 0.3, 0.4))
+
+
+def cube_kink_economies() -> list[EconomyParams]:
+    """Every economy of the published step-0.1 cube, one per (rho_p, q, pi)
+    cell and grid kink, cells in sweep order and kinks in grid order: 8,820."""
+    kinks = enumerate_single_kink(0.1)
+    return [EconomyParams(m=2, q=q, g=0.0, e=1.0, pi=pi, wealth=ss.binary_wealth(rho_p), cdf=f)
+            for rho_p, q, pi in itertools.product(*DEFAULT_CUBE) for f in kinks]
 
 
 def count_calls(monkeypatch, names):

@@ -7,7 +7,9 @@ one `rejection_and_bounds` call and formats each name from Python floats.
 `verify_lemma1_reference` is the body before that: boolean masks over the
 grid, a separate `rejection` call and one for the price bounds (the tail of
 `rejection_and_bounds`, which computes the rate again) and names formatted
-from numpy scalars. `test_equilibrium.py` runs the two against each other.
+from numpy scalars. It signs each step on [g, 1] by np.diff, where
+`verify_lemma1` compares the neighbours. `test_equilibrium.py` runs the two
+against each other.
 """
 import numpy as np
 

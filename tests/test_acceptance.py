@@ -19,12 +19,12 @@ import segsolve.sweep as sweep
 from segsolve import mcsim
 from segsolve import mechanisms as mx
 from segsolve.cdf import Power, Uniform
-from segsolve.economy import example_economy
-from segsolve.equilibrium import solve
+from segsolve.economy import check_assumption1, check_assumption2, example_economy
+from segsolve.equilibrium import InteriorViolationError, solve, solve_core
 from segsolve.segregation import (check_theorems, neighborhood_profile,
                                   school_profile)
 
-from conftest import assert_ttc_cutoff_form, da_less_count, random_economy
+from conftest import assert_ttc_cutoff_form, cube_kink_economies, da_less_count, random_economy
 
 
 class Budget:
@@ -185,6 +185,32 @@ def test_criterion_9_cube_structure():
         # concentration at low poor share and low capacity
         assert np.mean([c.rho_p for c in nonzero]) < np.mean(rho_list)
         assert np.mean([c.q for c in nonzero]) < np.mean(q_list)
+
+
+@pytest.mark.slow
+def test_check_theorems_over_the_cube():
+    # every kink of the step-0.1 cube at which both assumptions hold: every
+    # theorem check passes, but for two kinks at which the poor type's TTC
+    # cutoff lies within 1e-12 of g, which `interior` rejects, so that no
+    # theorem is checked there
+    feasible, passed, interior_failures = 0, 0, []
+    for params in cube_kink_economies():
+        if not (check_assumption1(params).passed and check_assumption2(params).passed):
+            continue
+        feasible += 1
+        eqs = []
+        try:
+            for eq in solve_core(params, check=False):
+                eqs.append(eq)
+        except InteriorViolationError:
+            cell = (params.wealth.poor_rho, params.q, params.pi)
+            kink = (params.cdf.kink_x, params.cdf.kink_y)
+            interior_failures.append((cell, kink, mx.CORE[len(eqs)]))
+            continue
+        passed += check_theorems(params, eqs).passed
+    assert (feasible, passed) == (4893, 4891)
+    assert interior_failures == [((0.8, 0.4, 0.3), (0.5, 0.8), mx.Mechanism.TTC),
+                                 ((0.8, 0.5, 0.3), (0.6000000000000001, 0.8), mx.Mechanism.TTC)]
 
 
 @functools.cache

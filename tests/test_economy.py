@@ -1,13 +1,17 @@
 """Parameter containers, wealth distributions, and the assumption checks."""
 import dataclasses
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from conftest import cube_kink_economies, random_economy
 
 import segsolve as ss
-from segsolve.cdf import CdfError, Power, SingleKink, Uniform
-from segsolve.economy import (EconomyError, EconomyParams, WealthDist,
+from segsolve import mechanisms as mx
+from segsolve.cdf import AssumptionReport, CdfError, Power, SingleKink, Uniform
+from segsolve.economy import (EconomyError, EconomyParams, WealthDist, _corner_gains,
                               binary_wealth, check_assumption1,
                               check_assumption2, example_economy,
                               is_example_profile, rejection_and_bounds)
@@ -239,3 +243,79 @@ class TestAssumption2:
         p_hat, p_bar = rejection_and_bounds(example_economy(), "n")[1:]
         assert p_hat == pytest.approx(0.6, abs=1e-12)
         assert p_bar == pytest.approx(0.6, abs=1e-12)
+
+
+def check_assumption2_loop(params, mechs=None) -> AssumptionReport:
+    """`check_assumption2` as a loop over the mechanisms, kept as a
+    reference: one `rejection_and_bounds` call and one sign test of that
+    mechanism's corner gains each, as numpy bools."""
+    checks = []
+    for mech in mx.CORE if mechs is None else mechs:
+        mech = mx.Mechanism(mech)
+        try:
+            r_hat, p_hat, p_bar = rejection_and_bounds(params, mech)
+        except (mx.DegenerateChoiceError, EconomyError) as exc:
+            checks.append((f"{mech.value}: bounds ({exc})", False))
+            continue
+        prices = np.array((p_hat, p_bar)).reshape(2, 1, 1)
+        du = _corner_gains(params, (mech,), r_hat, prices)[..., 0, 0]
+        below, above = du[:, 0] < 0.0, du[:, 1] > 0.0
+        for omega, lo, hi in zip(params.wealth.omegas.tolist(), below.tolist(), above.tolist()):
+            checks.append((f"{mech.value}: du(g)<0 at omega={omega}", lo))
+            checks.append((f"{mech.value}: du(e-g)>0 at omega={omega}", hi))
+    return AssumptionReport("assumption2", tuple(checks))
+
+
+# every subset of N, DA and TTC in every order
+MECH_ORDERS = [order for k in (1, 2, 3) for order in itertools.permutations(mx.CORE, k)]
+
+
+class TestAssumption2OneMechanismAxis:
+    """Every mechanism's corner gains from one `_corner_gains` call give
+    the report of the loop over the mechanisms, bit for bit."""
+
+    def test_example_every_subset_and_order(self):
+        p = example_economy()
+        for mechs in [None, *MECH_ORDERS]:
+            assert repr(check_assumption2(p, mechs)) == repr(check_assumption2_loop(p, mechs))
+
+    @pytest.mark.slow
+    def test_every_cube_economy(self):
+        verdicts = []
+        for p in cube_kink_economies():
+            got = check_assumption2(p)
+            assert repr(got) == repr(check_assumption2_loop(p)), p
+            verdicts.append(got.passed)
+        assert len(verdicts) == 8820
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_random_economies(self):
+        rng = random.Random(34)
+        for _ in range(300):
+            p, _ = random_economy(rng)
+            mechs = rng.choice(MECH_ORDERS)
+            for order in (None, mechs):
+                assert repr(check_assumption2(p, order)) == repr(check_assumption2_loop(p, order))
+
+    def test_zero_gain_at_a_corner_fails(self):
+        # under N, Delta u(e-g) at p_bar is (e - 2g) - omega (1 - q - g),
+        # exactly 0 for omega = 2 at q = 1/2, g = 0 and e = 1: the strict
+        # sign test fails there
+        p = dataclasses.replace(example_economy(), q=0.5,
+                                wealth=WealthDist(((2.0, 0.25), (2.0 / 3.0, 0.75))))
+        r, _, p_bar = rejection_and_bounds(p, "n")
+        assert mx.delta_u("n", r, p_bar, p.e - p.g, 2.0, p) == 0.0
+        assert ("n: du(e-g)>0 at omega=2.0", False) in check_assumption2(p).checks
+        for mechs in MECH_ORDERS:
+            assert repr(check_assumption2(p, mechs)) == repr(check_assumption2_loop(p, mechs))
+
+    def test_zero_rejection_fails_bounds_in_every_order(self):
+        # delta_q = 0.8 extra seats: DA's and TTC's out-of-zone applicants
+        # are never rejected, so their bounds fail; N has no choice and passes
+        p = dataclasses.replace(example_economy(), delta_q=0.8)
+        rep = check_assumption2(p)
+        assert rep.failures() == ["da: bounds (rejection probability is 0 under da)",
+                                  "ttc: bounds (rejection probability is 0 under ttc)"]
+        assert check_assumption2(p, ("n",)).passed
+        for mechs in MECH_ORDERS:
+            assert repr(check_assumption2(p, mechs)) == repr(check_assumption2_loop(p, mechs))

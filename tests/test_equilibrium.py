@@ -220,6 +220,67 @@ class TestExactRoot:
             solve(p, "da")
 
 
+# (d, iterations, residual, p) of N, DA and TTC, floats by hex, on each Power
+# economy of the paper benchmark's draw_configs(1), (2) and (3): the three of a
+# pass, then the warm-up's. Recorded before the bisection's residual became a
+# plain loop, with a generator sum over clamped `Power.value` calls.
+POWER_BISECTION = [
+    (("0x1.2523165ce832bp-3", 35, "-0x1.d75d000000000p-38", "0x1.2523165ce832bp-3"),
+     ("0x1.e072dec6de394p-2", 36, "0x1.b627000000000p-38", "0x1.a06e259617814p-3"),
+     ("0x1.1f32daa48eab0p+0", 37, "-0x1.45f7000000000p-38", "0x1.196f757a93344p-1")),
+    (("0x1.16e54bad83eeep-1", 34, "-0x1.59ad000000000p-37", "0x1.16e54bad83eeep-1"),
+     ("0x1.145eff1d314a8p+0", 36, "-0x1.a058000000000p-39", "0x1.2225b13fe7854p-1"),
+     ("0x1.db6a25fdf0430p+1", 37, "0x1.999e000000000p-38", "0x1.660576c74c64ap-1")),
+    (("0x1.b764230573ffap-2", 33, "0x1.47dc000000000p-37", "0x1.b764230573ffap-2"),
+     ("0x1.ee8412be5385ap-1", 36, "0x1.3366000000000p-38", "0x1.d1718c68d8ddfp-2"),
+     ("0x1.662341e6e191cp+1", 37, "0x1.2b55000000000p-37", "0x1.789c150ae18d6p-1")),
+    (("0x1.a0dcf49d3b40ap-2", 34, "0x1.4a20000000000p-38", "0x1.a0dcf49d3b40ap-2"),
+     ("0x1.4d0adcf2a9e5ap-1", 35, "0x1.86b8000000000p-39", "0x1.ba628ac492844p-2"),
+     ("0x1.11466846a5874p+0", 34, "-0x1.20fc000000000p-39", "0x1.0383a6bd0dcc7p-1")),
+    (("0x1.daacc9cedb1bdp-2", 34, "-0x1.8d60000000000p-40", "0x1.daacc9cedb1bdp-2"),
+     ("0x1.a781e737cd108p-1", 35, "0x1.27f7000000000p-37", "0x1.e81c12baa4fcdp-2"),
+     ("0x1.99b7176568364p+0", 37, "-0x1.47c8000000000p-39", "0x1.6b8671c4376c1p-1")),
+    (("0x1.518fe766ffeb0p-1", 32, "0x1.b680000000000p-41", "0x1.518fe766ffeb0p-1"),
+     ("0x1.e4bf3f2a412cap-1", 34, "-0x1.490e000000000p-37", "0x1.55f3a3a566a77p-1"),
+     ("0x1.7a6983309ac34p+0", 36, "-0x1.74be000000000p-38", "0x1.93ba63eee6c0ep-1")),
+    (("0x1.102c4ba0fdcacp-3", 34, "-0x1.fc99000000000p-38", "0x1.102c4ba0fdcacp-3"),
+     ("0x1.4248ab561226ep-2", 33, "-0x1.3e72000000000p-37", "0x1.6a7f0f36994f2p-3"),
+     ("0x1.41c5529ee1f5ep-1", 35, "-0x1.b790000000000p-38", "0x1.615ce9d98fb6ap-2")),
+    (("0x1.de75fd0608023p-2", 35, "0x1.83c0000000000p-38", "0x1.de75fd0608023p-2"),
+     ("0x1.998f5714f623ap-1", 33, "0x1.9e54000000000p-38", "0x1.f05187e12c115p-2"),
+     ("0x1.aebb012f5f6a0p+0", 36, "-0x1.2ddf000000000p-37", "0x1.208b7fe70b824p-1")),
+    (("0x1.98d17e429230dp-2", 35, "0x1.8c0b000000000p-38", "0x1.98d17e429230dp-2"),
+     ("0x1.9cf841d9698d9p-1", 34, "0x1.f568000000000p-40", "0x1.a23b2df72381ap-2"),
+     ("0x1.df3084eba4112p+0", 36, "-0x1.9a70000000000p-41", "0x1.5311720ec8ff0p-1")),
+    (("0x1.4f7812733919ap-2", 35, "0x1.df7c000000000p-40", "0x1.4f7812733919ap-2"),
+     ("0x1.d2faab151b134p-2", 36, "-0x1.9268000000000p-39", "0x1.607f93b8e6591p-2"),
+     ("0x1.3d869d9746468p-1", 36, "-0x1.ff28000000000p-38", "0x1.e715dc869e268p-2")),
+    (("0x1.475055a7061f2p-2", 36, "0x1.4ec8000000000p-39", "0x1.475055a7061f2p-2"),
+     ("0x1.acc4f60c92f1ep-2", 36, "-0x1.10f8000000000p-40", "0x1.4e0f957b30713p-2"),
+     ("0x1.13df5190a39ecp-1", 36, "-0x1.1d30000000000p-38", "0x1.c195966c9b8dfp-2")),
+    (("0x1.0635fee080c14p-1", 34, "-0x1.203b000000000p-37", "0x1.0635fee080c14p-1"),
+     ("0x1.67046ad573adep-1", 34, "0x1.0dcb000000000p-37", "0x1.0b3d17a4db4bap-1"),
+     ("0x1.fbee3487c1f64p-1", 33, "0x1.49e8000000000p-38", "0x1.2d0668ce2a89ap-1")),
+]
+
+
+class TestPowerBisection:
+    def test_keeps_its_bits(self):
+        got = []
+        for seed in (1, 2, 3):
+            drawn, warm_up = draw_configs(seed)
+            for cfg in (*drawn, warm_up):
+                params = EconomyParams.from_config(cfg)
+                if not isinstance(params.cdf, Power):
+                    continue
+                eqs = list(solve_core(params))
+                # one mechanism alone evaluates its own clearing flows
+                assert [solve(params, eq.mech) for eq in eqs] == eqs
+                got.append(tuple((eq.d.hex(), eq.iterations, eq.residual.hex(), eq.p.hex())
+                                 for eq in eqs))
+        assert got == POWER_BISECTION
+
+
 def _hexes(values) -> list[str]:
     return list(map(float.hex, np.asarray(values, dtype=float).ravel().tolist()))
 
@@ -751,6 +812,20 @@ class TestLemma1:
         p = example_economy()
         for mech in ("n", "da", "ttc"):
             assert verify_lemma1(p, mech).passed
+
+    def test_neighbour_comparison_is_the_sign_of_the_step(self):
+        # the strict test compares neighbours, a > b, where the reference
+        # signs their difference, (a - b) > 0: with gradual underflow two
+        # unequal finite floats never differ by 0, and an infinity or a nan
+        # compares alike either way
+        sub, tiny, big = (np.finfo(float).smallest_subnormal, np.finfo(float).tiny,
+                          np.finfo(float).max)
+        base = np.array([0.0, sub, 2 * sub, tiny, 0.5, 1.0, 1e300, big, np.inf, np.nan])
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, big - -big
+            values = np.concatenate([base, -base, np.nextafter(base, np.inf),
+                                     np.nextafter(base, -np.inf)])
+            a, b = values[:, None], values[None, :]
+            assert np.array_equal(a > b, (a - b) > 0.0)
 
     @pytest.mark.parametrize("wiggle", [None, 0.5, 1.0])
     def test_matches_mask_reference(self, wiggle, monkeypatch):

@@ -17,16 +17,11 @@ from segsolve.cdf import Power, Uniform
 from conftest import policy_utility_gain, random_economy
 
 
-def _clearing_flows(p):
-    """D, S, X at any market-clearing cutoff profile, where F(s) = 1 - q."""
-    return mx.flows_at(p, 1.0 - p.q, *(p.cdf.value(x) for x in mx.anchor_points(p)))
-
-
 class TestFlows:
     def test_example_aggregates(self):
         # uniform F, q=0.4, g=0, e=1, pi=1/3:
         # D = (2/3)(0.6) + (1/3)(0+1) = 11/15, S = X = (1/3)(1-0.6) = 2/15
-        D, S, X = _clearing_flows(example_economy())
+        D, S, X = mx.clearing_flows(example_economy())
         assert D == pytest.approx(11.0 / 15.0, abs=1e-12)
         assert S == pytest.approx(2.0 / 15.0, abs=1e-12)
         assert X == pytest.approx(2.0 / 15.0, abs=1e-12)
@@ -37,7 +32,7 @@ class TestFlows:
         s = p.cdf.inverse(1.0 - p.q)
         anchors = [p.cdf.value(x) for x in mx.anchor_points(p)]
         D, S, X = mx.flows_at(p, p.cdf.value(s), *anchors)
-        assert (D, S, X) == pytest.approx(_clearing_flows(p), abs=1e-12)
+        assert (D, S, X) == pytest.approx(mx.clearing_flows(p), abs=1e-12)
 
     def test_d_minus_s_minus_f_constant(self):
         p = example_economy()

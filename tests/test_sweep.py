@@ -5,7 +5,7 @@ import tracemalloc
 import collections
 
 import pytest
-from conftest import da_less_count
+from conftest import DEFAULT_CUBE, da_less_count
 
 import segsolve.sweep as sweep
 from segsolve import equilibrium
@@ -262,10 +262,6 @@ class TestColumns:
     def test_da_less_count_equals_records_loop(self, base):
         result = sweep.kink_sweep(BASES[base], 0.05)
         assert da_less_count(result, BASES[base]) == _da_less_loop(result, BASES[base])
-
-
-DEFAULT_CUBE = ((0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
-                (0.1, 0.2, 0.3, 0.4))
 
 
 def _columns(result, rows=slice(None)) -> list[list]:
