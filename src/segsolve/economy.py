@@ -200,10 +200,9 @@ def _price_interval(params, mech, r_hat, s_hat):
     return r_hat * gamma(s_hat, params), r_hat * gamma(1.0 - params.q, params)
 
 
-def _bounds(params, mech, flows, s_hat) -> tuple[float, float, float]:
-    """`rejection_and_bounds` given the economy's clearing flows and
-    s_hat = F^-1(1-q)."""
-    r_hat = mx.rejection(params, mech, flows)
+def _bounds(params, mech, s_hat) -> tuple[float, float, float]:
+    """`rejection_and_bounds` given s_hat = F^-1(1-q)."""
+    r_hat = mx.rejection(params, mech)
     p_hat, p_bar = _price_interval(params, mech, r_hat, s_hat)
     if p_hat > p_bar + 1e-12:
         raise EconomyError(f"price bounds inverted for {mech.value}: {p_hat} > {p_bar}")
@@ -214,7 +213,7 @@ def rejection_and_bounds(params: EconomyParams, mech) -> tuple[float, float, flo
     """(r, p_hat, p_bar): the mechanism's rejection rate r and the price
     interval [p_hat, p_bar] supporting an interior equilibrium, r gamma(s)
     at s = F^-1(1-q) and at s = 1-q."""
-    return _bounds(params, mx.Mechanism(mech), None, params.cdf.inverse(1.0 - params.q))
+    return _bounds(params, mx.Mechanism(mech), params.cdf.inverse(1.0 - params.q))
 
 
 def _corner_gains(params, mechs, r, prices) -> np.ndarray:
@@ -239,7 +238,7 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
     Delta u is linear and decreasing in p, so checking Delta u(g) < 0 at
     p_hat and Delta u(e-g) > 0 at p_bar covers the whole interval.
 
-    F^-1(1-q) and the clearing flows are evaluated once for all of mechs.
+    F^-1(1-q) is evaluated once for all of mechs.
     A mechanism whose rate is 0 or whose bounds are inverted gets one
     failed "bounds" check; the others get their Delta u at both corners,
     per type, from one `_corner_gains` call over all of them, as in
@@ -248,13 +247,11 @@ def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
     sign test at a time, bit for bit.
     """
     mechs = [mx.Mechanism(m) for m in (mx.CORE if mechs is None else mechs)]
-    # one mechanism's rate evaluates the flows itself, and only if it reads them
-    flows = mx.clearing_flows(params) if len(mechs) > 1 else None
     s_hat = params.cdf.inverse(1.0 - params.q)
     bounds, failures = {}, {}
     for mech in mechs:
         try:
-            bounds[mech] = _bounds(params, mech, flows, s_hat)
+            bounds[mech] = _bounds(params, mech, s_hat)
         except (mx.DegenerateChoiceError, EconomyError) as exc:
             failures[mech] = f"{mech.value}: bounds ({exc})"
     # (r, p_hat, p_bar) of each mechanism with bounds, as (mechs, 3, CDFs = 1)

@@ -269,19 +269,14 @@ def solve_core(params: EconomyParams, mechs=mx.CORE,
     if isinstance(params.cdf, PiecewiseLinear) and todo:
         a = [[mx.CORE_ALGEBRA[m].intercept(params) for m in todo]]  # one row
         roots = dict(zip(todo, dispersion_root(params, params.cdf.batch, a)[0].tolist()))
-    # one mechanism's rate evaluates the flows itself, and only if it reads them
-    flows = mx.clearing_flows(params) if len(todo) > 1 else None
-    return (_solve_one(params, mech, failed.get(mech), roots.get(mech), flows)
-            for mech in mechs)
+    return (_solve_one(params, mech, failed.get(mech), roots.get(mech)) for mech in mechs)
 
 
 def _solve_one(params: EconomyParams, mech: mx.Mechanism, failure: str | None,
-               d: float | None, flows: tuple | None) -> Equilibrium:
+               d: float | None) -> Equilibrium:
     """One mechanism's equilibrium, given its assumption failure message
-    (None if it passed or was not checked), its exact dispersion root d
-    (nan if unbracketed; None for bisection) and the economy's
-    `mechanisms.clearing_flows` (None: `rejection` evaluates them), from
-    which it reads r.
+    (None if it passed or was not checked) and its exact dispersion root d
+    (nan if unbracketed; None for bisection).
 
     The clearing residual sum_w rho_w F(a + d w) - (1 - q) is summed type
     by type, poorest first, from 0.0, each cutoff clamped into [0, 1] by
@@ -294,7 +289,7 @@ def _solve_one(params: EconomyParams, mech: mx.Mechanism, failure: str | None,
     """
     if failure is not None:
         raise AssumptionError(failure)
-    r = mx.rejection(params, mech, flows)
+    r = mx.rejection(params, mech)
     a = mx.CORE_ALGEBRA[mech].intercept(params)
     f, atoms, target = params.cdf, params.wealth.atoms, 1.0 - params.q
     value = (lambda s, alpha=f.alpha: s ** alpha) if isinstance(f, Power) else f.value

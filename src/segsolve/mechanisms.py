@@ -3,8 +3,8 @@
 `flows_at` gives the ex-post flows of a school, out-of-zone demand D,
 vacated supply S and in-zone exchange volume X, at any F(s); a
 market-clearing profile has F(s) = 1 - q, where `clearing_flows` gives
-them for one economy, as `rejection` reads them, and the kink sweep for a
-batch.
+them for one economy, as `rejection` reads them, and the kink sweep reads
+them for a batch.
 
 All N/DA/TTC algebra lives in the CORE_ALGEBRA table: the slope and root of
 the cutoff functional gamma, the floor line of the utility gain, the weight
@@ -149,16 +149,13 @@ def clearing_flows(params) -> tuple[float, float, float]:
     return flows_at(params, 1.0 - params.q, *map(params.cdf.value, anchor_points(params)))
 
 
-def rejection(params, mech: Mechanism, flows=None) -> float:
-    """Equilibrium rejection probability of an out-of-zone lottery applicant,
-    read off the economy's `clearing_flows`, which a caller that needs
-    several mechanisms' rates evaluates once and passes as flows."""
+def rejection(params, mech: Mechanism) -> float:
+    """Equilibrium rejection probability of an out-of-zone lottery applicant."""
     mech = Mechanism(mech)
     exchange = CORE_ALGEBRA[mech].exchange
     if exchange is None:  # no choice: every out-of-zone applicant is rejected
         return 1.0
-    flows = clearing_flows(params) if flows is None else flows
-    r = max(0.0, _rejection_ratio(params, exchange, *flows))
+    r = max(0.0, _rejection_ratio(params, exchange, *clearing_flows(params)))
     if r <= 0.0:
         raise DegenerateChoiceError(f"rejection probability is 0 under {mech.value}")
     return min(r, 1.0)
