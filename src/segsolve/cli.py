@@ -220,9 +220,12 @@ def cmd_check(args) -> int:
         print(f"assumption 2 fails: {a2.failures()}", file=sys.stderr)
         return EXIT_ASSUMPTION
     # both assumptions hold, so the solve checks neither again
-    reports = [check_theorems(params, solve_core(params, check=False))]
-    for mech in mx.CORE:
-        reports.append(verify_lemma1(params, mech))
+    try:
+        reports = [check_theorems(params, solve_core(params, check=False))]
+        for mech in mx.CORE:
+            reports.append(verify_lemma1(params, mech))
+    except (SolveError, mx.DegenerateChoiceError) as exc:
+        raise CliError(str(exc), EXIT_SOLVER)
     lines = [f"{'PASS' if ok else 'FAIL'} {rep.name}: {name}"
              for rep in reports for name, ok in rep.checks]
     lines.append(f"assumption1: pass{' (boundary)' if a1.boundary else ''}")

@@ -189,7 +189,7 @@ def check_assumption1(params: EconomyParams) -> AssumptionReport:
 
 def assumption1_mask(params, fg, feg) -> np.ndarray:
     """check_assumption1(...).passed for each CDF of a batch, given F(g) and
-    F(e-g) per CDF; q is a scalar or one value per CDF."""
+    F(e-g) per CDF."""
     (_, below), (_, above), (_, at_most_one) = _assumption1_checks(params, fg, feg)
     return below & above & at_most_one
 
@@ -221,15 +221,13 @@ def _corner_gains(params, mechs, r, prices) -> np.ndarray:
     (s, p) = (g, p_hat) and (e - g, p_bar) of each mechanism of mechs, as
     (types, corners, mechs, CDFs), with each mechanism's envelope evaluated
     once, at s = (g, e - g). prices holds (p_hat, p_bar) as (corners, mechs,
-    CDFs) and r broadcasts against one corner; the wealth atoms are one row
-    for every CDF or one row per CDF. Unlike delta_u, it does not check
-    that r lies in (0, 1]."""
+    CDFs) and r broadcasts against one corner. Unlike delta_u, it does not
+    check that r lies in (0, 1]."""
     s = np.array((params.g, params.e - params.g))[:, None]
     envelope = np.empty(prices.shape)
     for i, mech in enumerate(mechs):
         envelope[:, i] = mx.gain_envelope(mech, s, params)
-    omegas = params.wealth.omegas
-    return r * envelope - omegas.T.reshape(omegas.shape[-1], 1, 1, -1) * prices
+    return r * envelope - params.wealth.omegas[:, None, None, None] * prices
 
 
 def check_assumption2(params: EconomyParams, mechs=None) -> AssumptionReport:
@@ -275,8 +273,7 @@ def assumption2_mask(params, mechs, r_hat, s_hat) -> np.ndarray:
     for every mechanism of mechs, Mechanism members, a positive r, ordered
     price bounds and the Delta u signs. s_hat holds F^-1(1-q) per CDF, for
     every mechanism, and r_hat[i] = mechanisms.rejection_rates(params,
-    mechs[i], ...), which broadcasts against it; the economy's fields are
-    scalars or one per CDF.
+    mechs[i], ...), which broadcasts against it.
 
     Each mechanism's price bounds come from its own gamma, and one sign
     test covers every mechanism's Delta u at the corners."""

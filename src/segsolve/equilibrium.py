@@ -127,18 +127,18 @@ def max_dispersion(params, a):
     return (params.e - params.g - a) / params.wealth.poorest
 
 
+INTERIOR_MARGIN = 1e-12
+
+
 def interior(params, s):
-    """g < s < e - g with a 1e-12 margin; broadcasts over arrays of s."""
-    eps = 1e-12
+    """g < s < e - g with an INTERIOR_MARGIN at each end; broadcasts over
+    arrays of s."""
+    eps = INTERIOR_MARGIN
     return (params.g + eps < s) & (s < params.e - params.g - eps)
 
 
 def _weighted(values, rhos):
-    """sum_t rho_t values[:, t], accumulated type by type, poorest first;
-    rhos holds one weight per type, or one row of them per row of values."""
-    rhos = np.asarray(rhos)
-    # per type, one weight or a column of row weights, shaped against values[:, t]
-    rhos = rhos.T.reshape(rhos.shape[::-1] + (1,) * (values.ndim - 2))
+    """sum_t rho_t values[:, t], accumulated type by type, poorest first."""
     total = 0.0
     for j, rho in enumerate(rhos):
         total = total + rho * values[:, j]
@@ -157,12 +157,12 @@ def affine_root(cdfs: PiecewiseLinearBatch, rhos, alpha, beta, x_max, target,
     turns nonnegative is solved linearly. alpha and beta broadcast to
     (rows, types), or to (rows, roots, types) for several roots per row,
     each against the row's CDF; x_max and target broadcast to (rows,) or
-    (rows, roots), the shape of the result. rhos holds one weight per type,
-    or one row of them per row. `cdfs` holds one CDF per row, or one CDF
-    shared by every row. `knots`, the columns of cdfs.xs whose breakpoints
-    are evaluated, defaults to all; a caller may leave out a knot whose
-    breakpoints all clip onto x_max, as each would only repeat the end
-    point x_max, with the same residual.
+    (rows, roots), the shape of the result. rhos holds one weight per
+    type. `cdfs` holds one CDF per row, or one CDF shared by every row.
+    `knots`, the columns of cdfs.xs whose breakpoints are evaluated,
+    defaults to all; a caller may leave out a knot whose breakpoints all
+    clip onto x_max, as each would only repeat the end point x_max, with
+    the same residual.
     """
     alpha = np.asarray(alpha, dtype=float)[..., None]
     beta = np.asarray(beta, dtype=float)[..., None]
@@ -205,8 +205,7 @@ def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
     each intercept a against its row's CDF; nan where [0, d_max] brackets
     no root. `a` is (rows, mechanisms), one intercept per mechanism in each
     row, and the root has its shape. `cdfs` holds one CDF per row or one
-    for every row, and q and the wealth atoms are each one value (one row
-    of atoms) for every row or one per row.
+    for every row.
 
     The last knot's breakpoints are left out when every row's last knot
     x_last lies at or past e - g, as on every single-kink CDF, whose last
@@ -217,21 +216,20 @@ def dispersion_root(params, cdfs: PiecewiseLinearBatch, a) -> np.ndarray:
     end point with the same residual. Where d_max <= 0 no root is bracketed
     either way.
     """
-    a, omegas, xs = np.asarray(a, dtype=float), params.wealth.omegas, cdfs.xs
+    a, xs = np.asarray(a, dtype=float), cdfs.xs
     knots = xs[:, :-1] if (xs[:, -1] >= params.e - params.g).all() else xs
-    # per-row columns gain the mechanism axis
-    omegas, q = omegas.reshape(-1, 1, omegas.shape[-1]), np.asarray(params.q)[..., None]
-    return affine_root(cdfs, params.wealth.rhos, a[..., None], omegas,
-                       max_dispersion(params, a.T).T, 1.0 - q, knots)
+    return affine_root(cdfs, params.wealth.rhos, a[..., None], params.wealth.omegas,
+                       max_dispersion(params, a), 1.0 - params.q, knots)
 
 
 def _check_interior(params: EconomyParams, cutoffs) -> None:
     """Raise InteriorViolationError unless every (omega, s) cutoff lies in
-    (g, e - g)."""
+    (g, e - g), INTERIOR_MARGIN inside each end."""
     for w, s in cutoffs:
         if not interior(params, s):
             raise InteriorViolationError(
-                f"cutoff {s:.6g} for omega={w} outside ({params.g}, {params.e - params.g})")
+                f"cutoff {s:.6g} for omega={w} outside ({params.g}, {params.e - params.g}) "
+                f"less its {INTERIOR_MARGIN:g} margin at each end")
 
 
 def _equilibrium(params: EconomyParams, mech: mx.Mechanism, r: float, a: float,

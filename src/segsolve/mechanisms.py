@@ -47,8 +47,7 @@ def anchor_points(params) -> tuple[float, float, float]:
 
 def flows_at(params, fs, fg, feg, fepg) -> tuple[float, float, float]:
     """D, S, X when the cutoff signal has F(s) = fs, given F at the
-    anchor_points; broadcasts over a batch of CDFs, and pi and fs may be
-    one per CDF."""
+    anchor_points; broadcasts over a batch of CDFs."""
     pi = params.pi
     D = (1.0 - pi) * (fs - fg) + pi * (fg + feg)
     S = pi * (fepg - fs)
@@ -62,8 +61,7 @@ class CoreAlgebra:
 
     N, DA and TTC share everything else: cutoffs s_w = a + d w on the root a
     of gamma, market clearing sum rho_w F(s_w) = 1 - q, and price p = r kappa d.
-    Each entry reads scalars from params, or per-row columns of a batch
-    (`sweep.EconomyColumns`), which broadcast against its last axis.
+    Each entry reads scalars from params.
     """
 
     gamma: Callable[..., float]      # (s, params): cutoffs solve gamma(s_w) = w p / r

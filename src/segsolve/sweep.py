@@ -6,24 +6,24 @@ of each mechanism is found against the row's CDF, and F at the cutoffs and
 at the anchor points, F^-1(1-q), assumption 1 and DA's flows are evaluated
 once per kink for both. They are passed to the assumption, flow and
 rejection helpers that the one-economy checks use, and one assumption-2
-sign test covers both mechanisms. The economy is one EconomyParams, whose
-scalars broadcast over every row, or EconomyColumns with one economy per
-row or one economy's scalars. `cube_sweep` runs one kink sweep over the
-columns of a block's worth of whole (rho_p, q, pi) cells at a time, so one
-block spans many cells of a coarse grid, and counts each cell from its rows
-of the result.
+sign test covers both mechanisms. The economy is one EconomyParams, or a
+cube cell's CellEconomy, whose scalars broadcast over every row.
+`cube_sweep` runs one kink sweep per (rho_p, q, pi) cell and counts the
+cell from its result.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mechanisms as mx
 from .cdf import PiecewiseLinearBatch, single_kink_grid
-from .economy import EconomyError, assumption1_mask, assumption2_mask, binary_wealth, require_share
+from .economy import (EconomyError, WealthDist, assumption1_mask, assumption2_mask,
+                      binary_wealth, require_share)
 from .equilibrium import dispersion_root, interior
 from .segregation import EQUAL_TOL
 
@@ -96,113 +96,82 @@ class CubeSweepResult:
 
 
 # Kinks per stacked batch: at its peak, in affine_root, a block holds about
-# 1.08 kB a kink of one economy and 1.14 kB a kink whose row carries its
-# economy's columns (tracemalloc on 1,024-kink blocks), so a block stays
-# under 1.2 MB on any grid or cube. With 2,048-kink blocks the step-0.01
-# grid ran slower on its first sweep in a process (1,057 minor faults
-# against 297), and a warm sweep took 1,216 against 837, as glibc gave more
-# of each block's heap back between blocks and faulted it in again.
-# cube_sweep also sweeps one block's worth of whole cells at a time.
+# 1.08 kB a kink (tracemalloc on 1,024-kink blocks), so a block stays under
+# 1.2 MB on any grid. With 2,048-kink blocks the step-0.01 grid ran slower
+# on its first sweep in a process (1,057 minor faults against 297), and a
+# warm sweep took 1,216 against 837, as glibc gave more of each block's
+# heap back between blocks and faulted it in again.
 KINK_BLOCK = 1024
 
-# The most cells a cube may have: a cube peaks at about 320 bytes a cell
-# besides its blocks (its columns and cell indices, each cell's axis values
+# The most cells a cube may have: a cube peaks at about 300 bytes a cell
+# besides the one cell's sweep it holds at a time (each cell's axis values
 # and CubeCell, and its CSV line; tracemalloc on a 64,000-cell cube), so
-# about 80 MB at the cap.
+# about 75 MB at the cap.
 MAX_CELLS = 250_000
 
 
 @dataclass(frozen=True)
-class WealthColumns:
-    """Binary wealth as columns, one row of atoms per economy, or one row
-    for one economy; atoms poorest first."""
+class CellEconomy:
+    """One cube cell's economy, with g = 0, e = 1, delta_q = 0 and binary
+    wealth: the fields of an EconomyParams that a kink sweep reads, and no
+    CDF."""
 
-    omegas: np.ndarray  # (economies, 2) or (2,)
-    rhos: np.ndarray
-
-    @property
-    def poorest(self) -> np.ndarray:
-        return self.omegas[..., 0]
-
-    @property
-    def poor_rho(self) -> np.ndarray:
-        return self.rhos[..., 0]
-
-
-@dataclass(frozen=True)
-class EconomyColumns:
-    """Economies with g = 0, e = 1, delta_q = 0 and binary wealth, as
-    columns q, pi and wealth with one entry per economy: the fields that
-    the batch helpers read from an EconomyParams, each a column that
-    broadcasts against the batch's rows. One economy has scalars q and pi
-    and one row of atoms, which broadcast as an EconomyParams does."""
-
-    q: np.ndarray
-    pi: np.ndarray
-    wealth: WealthColumns
-    g = 0.0  # fixed across the cube, so not columns
+    q: float
+    pi: float
+    wealth: WealthDist
+    g = 0.0  # fixed across the cube, so not fields
     e = 1.0
     delta_q = 0.0
-
-    def take(self, rows) -> EconomyColumns:
-        """The economies at `rows`, an index array or a slice, in its order."""
-        return EconomyColumns(self.q[rows], self.pi[rows],
-                              WealthColumns(self.wealth.omegas[rows], self.wealth.rhos[rows]))
 
 
 # The mechanisms of a kink sweep, in the order of each row's mechanism axis
 MECHS = (mx.Mechanism.N, mx.Mechanism.DA)
 
 
-def _stacked_shares(params, cell, kink_x, kink_y):
+def _stacked_shares(params, kink_x, kink_y):
     """(feasible, poor shares as (MECHS, kinks)) for each kink, nan where
     infeasible, from one batch of one row per kink, with a mechanism axis
     in the row.
 
-    `params` is one economy for every kink (cell None), an EconomyParams
-    or EconomyColumns of scalars, or EconomyColumns of which kink b takes
-    row cell[b]. One `dispersion_root`
-    call gives each row's root at each mechanism's intercept against the
-    row's CDF, one `value` call F at every cutoff and at the anchor points
-    (g, e - g, min(e + g, 1)) for assumption 1 and the flows, and one
-    `inverse` call F^-1(1-q) for the price bounds, each once per kink for
-    both mechanisms. DA alone reads the flows for its rejection rate; one
-    `assumption2_mask` call tests both mechanisms, and each applies its
-    school mass. The helpers read the economy from params and take the CDFs
-    as arrays, so none reads a `cdf` field.
+    One `dispersion_root` call gives each row's root at each mechanism's
+    intercept against the row's CDF, one `value` call F at every cutoff
+    and at the anchor points (g, e - g, min(e + g, 1)) for assumption 1 and
+    the flows, and one `inverse` call F^-1(1-q) for the price bounds, each
+    once per kink for both mechanisms. DA alone reads the flows for its
+    rejection rate; one `assumption2_mask` call tests both mechanisms, and
+    each applies its school mass. The helpers read the economy from params
+    and take the CDFs as arrays, so none reads a `cdf` field.
     """
     n = len(kink_x)
-    kinks = params if cell is None else params.take(cell)  # the economy of each kink
     cdfs = PiecewiseLinearBatch.single_kinks(kink_x, kink_y)
-    omegas = kinks.wealth.omegas
     with np.errstate(divide="ignore", invalid="ignore"):
         # the root first: its temporaries, the batch's largest, are freed
         # before the other per-row arrays are made
         a = np.empty((n, len(MECHS)))
         for i, mech in enumerate(MECHS):
-            a[:, i] = mx.CORE_ALGEBRA[mech].intercept(kinks)
-        d = dispersion_root(kinks, cdfs, a)  # nan fails the interior test
+            a[:, i] = mx.CORE_ALGEBRA[mech].intercept(params)
+        d = dispersion_root(params, cdfs, a)  # nan fails the interior test
         # (kinks, mechanisms, types)
-        cutoffs = a[..., None] + d[..., None] * omegas.reshape(-1, 1, omegas.shape[-1])
+        cutoffs = a[..., None] + d[..., None] * params.wealth.omegas
         # each row's cutoffs, then the anchor points: one call costs less
         # than a shared row of anchors and a call for the cutoffs
         points = np.empty((n, cutoffs[0].size + 3))
         points[:, :-3], points[:, -3:] = cutoffs.reshape(n, -1), mx.anchor_points(params)
         fs = cdfs.value(points)
         anchors = fs[:, -3:].T
-        ok = (assumption1_mask(kinks, *anchors[:2])
+        ok = (assumption1_mask(params, *anchors[:2])
               & interior(params, cutoffs).all(axis=(1, 2)))
-        flows = mx.flows_at(kinks, 1.0 - kinks.q, *anchors)
-        r = [mx.rejection_rates(kinks, mech, flows) for mech in MECHS]
-        ok &= assumption2_mask(kinks, MECHS, r, cdfs.inverse(1.0 - kinks.q))
+        flows = mx.flows_at(params, 1.0 - params.q, *anchors)
+        r = [mx.rejection_rates(params, mech, flows) for mech in MECHS]
+        ok &= assumption2_mask(params, MECHS, r, cdfs.inverse(1.0 - params.q))
         # F at the cutoffs becomes each mechanism's mass, as (types,
-        # mechanisms, kinks), against which the kinks' columns broadcast
+        # mechanisms, kinks)
         unweighted = fs[:, :-3].reshape(cutoffs.shape).T
         masses = np.empty(unweighted.shape)
         for i, (mech, r_mech) in enumerate(zip(MECHS, r)):
-            masses[:, i] = mx.CORE_ALGEBRA[mech].school_mass(unweighted[:, i], r_mech, kinks)
+            masses[:, i] = mx.CORE_ALGEBRA[mech].school_mass(unweighted[:, i], r_mech, params)
         ok &= ~(masses < -EQUAL_TOL).any(axis=(0, 1))
-        masses *= kinks.wealth.rhos.T.reshape(len(masses), 1, -1)
+        masses *= params.wealth.rhos[:, None, None]
         total = sum(masses)
         share = np.where(total > 0.0, masses[0] / total, np.nan)
     return ok, np.where(ok, share, np.nan)
@@ -214,22 +183,14 @@ def kink_sweep(params, step: float) -> KinkSweepResult:
     check_assumption1/2, solve and school_profile on a single kink, so each
     record equals that scalar path's result bit for bit.
 
-    `params` is one economy, an EconomyParams or EconomyColumns of
-    scalars, or EconomyColumns holding several economies: then the result
-    runs through the whole grid once per economy, in row order, and a
-    block may span economies."""
-    if params.wealth.omegas.shape[-1] != 2:
+    `params` is one economy, an EconomyParams or a CellEconomy."""
+    if not params.wealth.is_binary():
         raise ValueError("kink sweep expects binary wealth")
     kink_x, kink_y = single_kink_grid(step)
-    grid_kinks, one_economy = len(kink_x), np.ndim(params.q) == 0
-    if not one_economy:  # each economy's grid in turn
-        kink_x, kink_y = np.tile(kink_x, len(params.q)), np.tile(kink_y, len(params.q))
     feasible, shares = np.empty(len(kink_x), dtype=bool), np.empty((2, len(kink_x)))
     for i in range(0, len(kink_x), KINK_BLOCK):
         block = slice(i, i + KINK_BLOCK)
-        # each kink's economy row; one economy's scalars are every kink's
-        cell = None if one_economy else np.arange(i, i + len(kink_x[block])) // grid_kinks
-        feasible[block], shares[:, block] = _stacked_shares(params, cell, kink_x[block],
+        feasible[block], shares[:, block] = _stacked_shares(params, kink_x[block],
                                                             kink_y[block])
     share_n, share_da = shares
     return KinkSweepResult(kink_x, kink_y, share_n, share_da, share_da - share_n, feasible)
@@ -241,8 +202,7 @@ SEG_TOL = 1e-9
 def _da_less(share_n, share_da, rho_p) -> np.ndarray:
     """Whether each kink's school segregation is strictly lower under DA,
     given its poor shares under N and DA and the poor population share
-    rho_p, which broadcasts against them; False where infeasible, as the
-    shares are nan there.
+    rho_p; False where infeasible, as the shares are nan there.
 
     Segregation is compared through the poor share at the oversubscribed
     school: with binary wealth, a poor share closer to the population share
@@ -251,50 +211,38 @@ def _da_less(share_n, share_da, rho_p) -> np.ndarray:
     return np.abs(share_da - rho_p) < np.abs(share_n - rho_p) - SEG_TOL
 
 
-def cube_economies(rho_list, q_list, pi_list) -> EconomyColumns:
+def cube_economies(rho_list, q_list, pi_list) -> Iterator[CellEconomy]:
     """The economy of every (rho_p, q, pi) cell, rho_p outermost and pi
-    innermost, with m = 2, g = 0, e = 1 and binary wealth, as
-    EconomyColumns with one row per cell, or scalars for a one-cell cube.
-    A cube of more than MAX_CELLS cells raises EconomyError before anything
-    is allocated; then every axis value is checked, and one that makes no
-    valid economy raises EconomyError."""
+    innermost, with m = 2, g = 0, e = 1 and binary wealth, each CellEconomy
+    built when it is reached. A cube of more than MAX_CELLS cells raises
+    EconomyError before anything is allocated; then every axis value is
+    checked, and one that makes no valid economy raises EconomyError."""
     cells = len(rho_list) * len(q_list) * len(pi_list)
     if cells > MAX_CELLS:
         raise EconomyError(f"the cube has {cells} cells, more than {MAX_CELLS}")
     wealth = [binary_wealth(rho_p) for rho_p in rho_list]
-    q, pi = np.array(q_list, dtype=float), np.array(pi_list, dtype=float)
-    for name, column in (("q", q), ("pi", pi)):
-        for value in column.tolist():
+    q_list, pi_list = [float(q) for q in q_list], [float(pi) for pi in pi_list]
+    for name, axis in (("q", q_list), ("pi", pi_list)):
+        for value in axis:
             require_share(name, value)
-    if cells == 1:
-        return EconomyColumns(q.item(), pi.item(), WealthColumns(wealth[0].omegas,
-                                                                 wealth[0].rhos))
-    i_rho, i_q, i_pi = np.indices((len(wealth), q.size, pi.size)).reshape(3, -1)
-    omegas, rhos = (np.array([getattr(w, name) for w in wealth]).reshape(-1, 2)
-                    for name in ("omegas", "rhos"))
-    return EconomyColumns(q[i_q], pi[i_pi], WealthColumns(omegas[i_rho], rhos[i_rho]))
+    return (CellEconomy(q, pi, w) for w, q, pi in itertools.product(wealth, q_list, pi_list))
+
+
+def _cell_counts(economy: CellEconomy, step: float) -> tuple[int, int]:
+    """(feasible kinks, kinks with school segregation strictly lower under
+    DA) of one cell's kink sweep."""
+    result = kink_sweep(economy, step)
+    less = _da_less(result.share_n, result.share_da, economy.wealth.poor_rho)
+    return int(np.count_nonzero(result.feasible)), int(np.count_nonzero(less))
 
 
 def cube_sweep(rho_list, q_list, pi_list, step: float = 0.1) -> CubeSweepResult:
     """Share of single-kink CDFs with lower school segregation under DA,
-    across a (rho_p, q, pi) parameter grid. Whole cells go into one kink
-    sweep over their columns, KINK_BLOCK kinks' worth at a time (a cell
-    with a larger grid alone), so the results held never outgrow one block
-    or one cell's grid, and each cell is counted from its rows. A cell that
-    is no valid economy, or a cube of more than MAX_CELLS cells, raises
+    across a (rho_p, q, pi) parameter grid: one kink sweep per cell, in
+    cell order, each freed once its cell is counted. A cell that is no
+    valid economy, or a cube of more than MAX_CELLS cells, raises
     EconomyError before any kink is solved."""
     economies = cube_economies(rho_list, q_list, pi_list)
-    cells = list(itertools.product(rho_list, q_list, pi_list))
-    parts = [economies] if len(cells) == 1 else ()  # one economy, whose scalars broadcast
-    if len(cells) > 1:
-        per_sweep = max(1, KINK_BLOCK // len(single_kink_grid(step)[0]))
-        parts = (economies.take(slice(i, i + per_sweep)) for i in range(0, len(cells), per_sweep))
-    n_feasible, n_less = [], []
-    for part in parts:
-        result = kink_sweep(part, step)
-        rho_p = np.asarray(part.wealth.poor_rho).reshape(-1, 1)
-        shape = (len(rho_p), -1)  # (cells, grid kinks): each cell's rows are its whole grid
-        n_feasible += result.feasible.reshape(shape).sum(axis=1).tolist()
-        n_less += _da_less(result.share_n.reshape(shape), result.share_da.reshape(shape),
-                           rho_p).sum(axis=1).tolist()
-    return CubeSweepResult(tuple(map(CubeCell, *zip(*cells), n_feasible, n_less)))
+    return CubeSweepResult(tuple(
+        CubeCell(*cell, *_cell_counts(economy, step))
+        for cell, economy in zip(itertools.product(rho_list, q_list, pi_list), economies)))

@@ -19,7 +19,8 @@ from test_golden import STDOUT_SHA256
 import segsolve
 import segsolve.benchmarks as bm
 import segsolve.cli as cli
-from segsolve.economy import example_economy
+from segsolve.cdf import SingleKink
+from segsolve.economy import binary_wealth, example_economy
 
 
 def write_config(tmp_path, **overrides):
@@ -295,6 +296,32 @@ def test_bad_config_rejected_on_load(bad, command, tmp_path, capsys):
     assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and err.startswith("invalid config: ")
+
+
+# Economies that pass both assumptions but whose solve fails: the two
+# knife-edge kinks of the default cube, (rho_p, q, pi) cell and (x, y)
+# kink, where TTC's poor cutoff is 2.2e-16 against g = 0
+SOLVER_FAILURES = {
+    "cell (0.8, 0.4, 0.3)": (0.8, 0.4, 0.3, 0.5, 0.8),
+    "cell (0.8, 0.5, 0.3)": (0.8, 0.5, 0.3, 0.6000000000000001, 0.8),
+}
+
+
+@pytest.mark.parametrize("failure", list(SOLVER_FAILURES))
+def test_solver_failure_exits_4(failure, tmp_path, capsys):
+    rho_p, q, pi, x, y = SOLVER_FAILURES[failure]
+    path = write_config(tmp_path, q=q, pi=pi, g=0.0, e=1.0,
+                        wealth=[list(atom) for atom in binary_wealth(rho_p).atoms],
+                        cdf=SingleKink(x, y).to_config())
+    messages = set()
+    for command in (["check"], ["solve"], ["compare"], ["simulate", "--mech", "ttc"]):
+        assert cli.main(command + ["--config", path]) == cli.EXIT_SOLVER, command
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err, command
+        assert len(err.splitlines()) == 1, (command, err)
+        messages.add(err)
+    (message,) = messages
+    assert "outside" in message and "1e-12 margin" in message
 
 
 class TestParser:

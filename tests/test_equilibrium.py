@@ -309,17 +309,16 @@ class TestMechanismAxis:
         for i in range(a.shape[1]):
             assert _hexes(together[:, i]) == _hexes(dispersion_root(params, cdfs, a[:, i:i + 1]))
         # every knot's breakpoints, none left out
-        omegas = np.asarray(params.wealth.omegas)
-        full = equilibrium.affine_root(
-            cdfs, params.wealth.rhos, a[..., None], omegas.reshape(-1, 1, omegas.shape[-1]),
-            max_dispersion(params, a.T).T, 1.0 - np.asarray(params.q)[..., None])
+        full = equilibrium.affine_root(cdfs, params.wealth.rhos, a[..., None],
+                                       params.wealth.omegas, max_dispersion(params, a),
+                                       1.0 - params.q)
         assert _hexes(together) == _hexes(full)
         return together
 
     @staticmethod
-    def _intercepts(params, rows, mechs=mx.CORE) -> np.ndarray:
-        a = np.empty((rows, len(mechs)))
-        for i, mech in enumerate(mechs):
+    def _intercepts(params, rows) -> np.ndarray:
+        a = np.empty((rows, len(mx.CORE)))
+        for i, mech in enumerate(mx.CORE):
             a[:, i] = mx.CORE_ALGEBRA[mech].intercept(params)
         return a
 
@@ -349,16 +348,6 @@ class TestMechanismAxis:
                                    cdf=Uniform())
             xs, ys = random_knot_batch(rng, k, 30)
             self._check(params, PiecewiseLinearBatch(xs, ys), self._intercepts(params, 30))
-
-    def test_economy_columns_rows(self):
-        import segsolve.sweep as sweep
-        economies = sweep.cube_economies([0.3, 0.6], [0.3, 0.5], [0.2, 0.4])
-        kink_x, kink_y = single_kink_grid(0.1)
-        cells = np.repeat(np.arange(len(economies.q)), len(kink_x))
-        rows = economies.take(cells)
-        cdfs = PiecewiseLinearBatch.single_kinks(*(np.tile(v, len(economies.q))
-                                                   for v in (kink_x, kink_y)))
-        self._check(rows, cdfs, self._intercepts(rows, len(cells), sweep.MECHS))
 
     def test_last_knot_short_of_one_keeps_its_breakpoints(self, monkeypatch):
         # validation accepts a last knot within 1e-15 of 1, which lies

@@ -1,5 +1,7 @@
 """The repository's pytest settings: a failing hypothesis test is reported
-as one failure, and the tests after it still run."""
+as one failure, and the tests after it still run; a bare `python -m
+pytest` finds the package under src."""
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +36,14 @@ def test_failing_hypothesis_test_does_not_end_the_run(tmp_path):
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert done.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), done.stdout[-2000:]
     assert done.returncode == 1
+
+
+def test_bare_pytest_imports_the_package():
+    # conftest imports segsolve, which only the pythonpath setting puts on
+    # sys.path when PYTHONPATH does not
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q", "--collect-only",
+         "tests/test_line_ledger.py"],
+        cwd=PYPROJECT.parent, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -208,11 +208,10 @@ class TestStackedBatch:
         assert rows == {"batch": [20, 20, 5], "inverse": [20, 20, 5]}
 
     @pytest.mark.parametrize("block, sweeps, blocks",
-                             [(2048, 1, 1), (100, 2, 2), (45, 4, 4), (7, 4, 28)])
+                             [(2048, 4, 4), (100, 4, 4), (45, 4, 4), (7, 4, 28)])
     def test_one_kink_sweep_per_block_of_cells(self, monkeypatch, block, sweeps, blocks):
-        # 4 cells of 45 kinks each: as many whole cells as fit in a block
-        # go into one kink sweep, and a cell larger than a block alone; one
-        # flows call per block
+        # 4 cells of 45 kinks each: one kink sweep per cell, whatever the
+        # block size, and one flows call per block of a cell's grid
         monkeypatch.setattr(sweep, "KINK_BLOCK", block)
         calls = _count_calls(monkeypatch, (sweep, "kink_sweep"), (mx, "flows_at"))
         cells = sweep.cube_sweep([0.3, 0.5], [0.4], [0.2, 0.3], 0.1).cells
@@ -264,11 +263,11 @@ class TestColumns:
         assert da_less_count(result, BASES[base]) == _da_less_loop(result, BASES[base])
 
 
-def _columns(result, rows=slice(None)) -> list[list]:
-    """The result's columns at rows, floats by `hex`, so that nan and -0.0 compare too."""
+def _columns(result) -> list[list]:
+    """The result's columns, floats by `hex`, so that nan and -0.0 compare too."""
     floats = (result.x, result.y, result.share_n, result.share_da, result.diff)
-    return ([list(map(float.hex, column[rows].tolist())) for column in floats]
-            + [result.feasible[rows].tolist()])
+    return ([list(map(float.hex, column.tolist())) for column in floats]
+            + [result.feasible.tolist()])
 
 
 def _peak_bytes(run) -> int:
@@ -284,20 +283,27 @@ def _peak_bytes(run) -> int:
 
 
 class TestCubeBatch:
-    def test_rows_equal_each_cells_own_sweep(self):
-        # every cell of the default cube, batched as one kink sweep over
-        # economy columns, against that cell's own EconomyParams
-        cube = sweep.kink_sweep(sweep.cube_economies(*DEFAULT_CUBE), 0.1)
-        kinks = len(single_kink_grid(0.1)[0])
-        cells = [(rho_p, q, pi) for rho_p in DEFAULT_CUBE[0] for q in DEFAULT_CUBE[1]
-                 for pi in DEFAULT_CUBE[2]]
-        assert len(cube.x) == len(cells) * kinks == 8820
-        for c, (rho_p, q, pi) in enumerate(cells):
-            params = EconomyParams(m=2, q=q, g=0.0, e=1.0, pi=pi,
-                                   wealth=binary_wealth(rho_p), cdf=Uniform())
-            own = sweep.kink_sweep(params, 0.1)
-            assert _columns(cube, slice(c * kinks, (c + 1) * kinks)) == _columns(own), \
-                (rho_p, q, pi)
+    def test_each_cell_equals_its_economy_params_sweep(self, monkeypatch):
+        # every cell of the default cube at step 0.1, and of an 8-cell cube
+        # at step 0.02 (1,225 kinks, two blocks a cell): the kink sweep that
+        # cube_sweep runs on the cell gives, column for column, that of
+        # the cell's validated EconomyParams, and the cell is counted from it
+        kink_sweep, swept = sweep.kink_sweep, []
+
+        def spy(params, step):
+            swept.append(kink_sweep(params, step))
+            return swept[-1]
+        monkeypatch.setattr(sweep, "kink_sweep", spy)
+        for axes, step in ((DEFAULT_CUBE, 0.1), (((0.3, 0.6), (0.3, 0.5), (0.2, 0.4)), 0.02)):
+            swept.clear()
+            cells = sweep.cube_sweep(*axes, step).cells
+            assert len(cells) == len(swept) == math.prod(map(len, axes))
+            for cell, result in zip(cells, swept):
+                params = EconomyParams(m=2, q=cell.q, g=0.0, e=1.0, pi=cell.pi,
+                                       wealth=binary_wealth(cell.rho_p), cdf=Uniform())
+                own = kink_sweep(params, step)
+                assert _columns(result) == _columns(own), cell
+                assert (cell.n_feasible, cell.n_da_less) == da_less_count(own, params), cell
 
     def test_default_cube_totals(self):
         cells = sweep.cube_sweep(*DEFAULT_CUBE, 0.1).cells
@@ -306,22 +312,13 @@ class TestCubeBatch:
         assert sum(c.n_da_less for c in cells) == 348
         assert sum(c.n_da_less > 0 for c in cells) == 49
 
-    def test_blocks_spanning_cells_join_in_cell_order(self, monkeypatch):
-        # one kink sweep over 8 cells of 45 kinks: 360 rows in 52 blocks
-        # of 7, six of which span two cells
-        axes = ((0.3, 0.6), (0.3, 0.5), (0.2, 0.4))
-        rows = _columns(sweep.kink_sweep(sweep.cube_economies(*axes), 0.1))
-        monkeypatch.setattr(sweep, "KINK_BLOCK", 7)
-        assert _columns(sweep.kink_sweep(sweep.cube_economies(*axes), 0.1)) == rows
-
     def test_default_cube_peak_memory(self):
         assert _peak_bytes(lambda: sweep.cube_sweep(*DEFAULT_CUBE, 0.1)) <= 4 * 1024 * 1024
 
     def test_cube_peak_memory_does_not_grow_with_cells(self):
-        # at step 0.01 each cell's grid of 4,950 kinks is swept alone, so
-        # eight cells peak as two do, not at eight grids' rows; their
-        # per-row economy columns cost two cells about a third of a MB more
-        # than one cell's scalars
+        # at step 0.01 each cell's grid of 4,950 kinks is swept alone and
+        # freed once the cell is counted, so eight cells peak as two do, and
+        # two as one does, not at eight grids' rows
         one = _peak_bytes(lambda: sweep.cube_sweep([0.3], [0.3], [0.2], 0.01))
         two = _peak_bytes(lambda: sweep.cube_sweep([0.3], [0.3], [0.2, 0.4], 0.01))
         eight = _peak_bytes(lambda: sweep.cube_sweep([0.3, 0.6], [0.3, 0.5], [0.2, 0.4], 0.01))
@@ -330,8 +327,8 @@ class TestCubeBatch:
 
     @pytest.mark.parametrize("block", [2048, 7])
     def test_cells_in_several_sweeps_count_as_in_one(self, monkeypatch, block):
-        # 196 cells of 45 kinks: 9 sweeps of up to 22 cells at 1,024 kinks a
-        # block; 5 of up to 45 cells at 2,048; 196 of one cell at 7
+        # 196 cells of 45 kinks: one block a cell at 1,024 or 2,048 kinks a
+        # block, and seven at 7
         whole = sweep.cube_sweep(*DEFAULT_CUBE, 0.1).to_csv()
         monkeypatch.setattr(sweep, "KINK_BLOCK", block)
         assert sweep.cube_sweep(*DEFAULT_CUBE, 0.1).to_csv() == whole
@@ -344,20 +341,29 @@ class TestCubeBatch:
                 sweep.cube_sweep(*axes, 0.1)
         assert calls["_stacked_shares"] == 0
 
-    def test_one_cell_passes_scalar_columns(self):
-        # one economy's scalars and one row of atoms, which sweep as that
-        # cell's EconomyParams does, bit for bit
-        economy = sweep.cube_economies([0.5], [0.4], [0.3])
-        wealth = binary_wealth(0.5)
-        assert (economy.q, economy.pi, economy.g, economy.e, economy.delta_q) == \
-            (0.4, 0.3, 0.0, 1.0, 0.0)
-        assert economy.wealth.omegas.tolist() == wealth.omegas.tolist()
-        assert economy.wealth.rhos.tolist() == wealth.rhos.tolist()
-        assert (economy.wealth.poorest, economy.wealth.poor_rho) == (wealth.poorest,
-                                                                     wealth.poor_rho)
-        params = EconomyParams(m=2, q=0.4, g=0.0, e=1.0, pi=0.3, wealth=wealth, cdf=Uniform())
-        assert _columns(sweep.kink_sweep(economy, 0.1)) == \
-            _columns(sweep.kink_sweep(params, 0.1))
+    def test_one_kink_sweep_per_cell(self, monkeypatch):
+        # each cell is one kink sweep of its own economy, in cell order,
+        # built only when its sweep starts: scalar q and pi, g = 0, e = 1,
+        # delta_q = 0 and its binary wealth
+        built, swept, kink_sweep = [], [], sweep.kink_sweep
+
+        class CountedEconomy(sweep.CellEconomy):
+            def __init__(self, *fields):
+                built.append(fields)
+                super().__init__(*fields)
+
+        def spy(params, step):
+            assert len(built) == len(swept) + 1
+            swept.append(params)
+            return kink_sweep(params, step)
+        monkeypatch.setattr(sweep, "CellEconomy", CountedEconomy)
+        monkeypatch.setattr(sweep, "kink_sweep", spy)
+        cells = sweep.cube_sweep(*DEFAULT_CUBE, 0.1).cells
+        assert len(swept) == len(cells) == 196
+        for cell, economy in zip(cells, swept):
+            assert (economy.q, economy.pi, economy.g, economy.e, economy.delta_q) == \
+                (cell.q, cell.pi, 0.0, 1.0, 0.0)
+            assert economy.wealth == binary_wealth(cell.rho_p)
 
 
 class TestCubeSweep:
